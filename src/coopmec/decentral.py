@@ -75,7 +75,7 @@ def mec_admission(sc: Scenario, bounds: FeasibilityBounds,
     candidates defaults to every task that cannot run locally.  Returns the
     admitted set and their frequencies after leftover capacity is spread."""
     if candidates is None:
-        candidates = set(range(1, sc.n + 1)) - matching.local_seed_set(sc)
+        candidates = set(range(1, sc.n + 1)) - matching.local_seed_set(sc, bounds)
     requests = {k: float(bounds.f_lower[k - 1, 0]) for k in candidates
                 if not bounds.blocked[k - 1, 0]}
     admitted = prefix_admit(requests, sc.device(0).f_max)
@@ -170,7 +170,7 @@ def run(sc: Scenario) -> tuple[Assignment, RoundLog]:
     state = matching.new_state(sc)
     bounds = feasibility_bounds(sc)
     log = RoundLog(n=sc.n)
-    for k in sorted(matching.local_seed_set(sc)):
+    for k in sorted(matching.local_seed_set(sc, bounds)):
         matching.commit(sc, state, k, k, sc.task(k).f_min)
     log.cost_series.append(assignment_cost(sc, state.omega, state.freqs)[0].total)
 

@@ -14,6 +14,8 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import decentral, icrbi, matching, oracle
 from .errors import ConfigError, InfeasibleAssignment, NonConvergence, UnknownAlgorithm
 from .model import Assignment, Scenario, ue_total_power, validate_constraints
@@ -119,8 +121,9 @@ def run_algorithm(sc: Scenario, algorithm: str, step_rule: str = "diminish",
                   "iterations": iters, "trace": trace}
     elif algorithm in matching.CRITERIA:
         asg, state = matching.run(sc, criterion=algorithm)
+        # only the local seeds run on their own UE
         counters = {"n": sc.n,
-                    "n_h": sc.n - len(matching.local_seed_set(sc)),
+                    "n_h": sc.n - sum(1 for k, d in state.omega.items() if k == d),
                     "n_mec": sum(1 for d in asg.target.values() if d == 0)}
         extras = {"overhead": decentral.overhead_report(algorithm, counters),
                   "converged": True, "iterations": len(state.trace),
@@ -190,8 +193,8 @@ def aggregate(spec: ExperimentSpec, records: list[RunRecord]) -> list[MetricRow]
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "1" if v else "0"
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))           # numpy scalars repr as np.float64(...)
     return str(v)
 
 

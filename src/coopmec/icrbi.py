@@ -353,14 +353,14 @@ def decisions_from(a: np.ndarray) -> dict[int, int]:
     return out
 
 
-def repair_feasibility(sc: Scenario, decisions: dict[int, int]) -> Assignment:
+def repair_feasibility(sc: Scenario, decisions: dict[int, int],
+                       bounds: FeasibilityBounds) -> Assignment:
     """Re-commit a raw decision map under residual budgets.
 
     Tasks are placed cheapest-to-fit first (ascending static minimum
     frequency at their chosen device); a task that no longer fits falls back
     to the edge server if that still works, otherwise it is dropped.
     Leftover edge capacity is redistributed.  The result always validates."""
-    bounds = feasibility_bounds(sc)
     state = matching.new_state(sc)
     order = sorted(decisions, key=lambda k: (bounds.f_lower[k - 1, decisions[k]], k))
     for k in order:
@@ -413,7 +413,7 @@ def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
             break
         duals = kern.dual_step(duals, x, a)
         prev_cost = cost
-    asg = repair_feasibility(sc, decisions_from(a))
+    asg = repair_feasibility(sc, decisions_from(a), bounds)
     if not converged:
         trace.termination = "max_iter"
         raise NonConvergence(f"no settlement within {max_iter} iterations",

@@ -2,11 +2,16 @@
 
 Tasks that can run locally do so at their slowest admissible frequency.  The
 remaining tasks are matched one at a time: every unmatched task ranks the
-devices that can still fit it (cheapest marginal cost first), an ordering
-criterion picks which task commits next, and all lists are rebuilt because a
-commitment shrinks the chosen host's residual frequency/power and, for an
-offloaded task, its owner's transmit budget.  Leftover edge-server capacity
-is finally redistributed over the tasks it hosts to cut their upload power.
+devices that can still fit it (cheapest marginal cost first) and an ordering
+criterion picks which task commits next.  The lists are built once, over the
+pairs the static feasibility bounds leave open, and then kept up to date: a
+commitment of task k to device d shrinks only d's residual frequency/power
+and, for an offloaded task, k's residual power, so only the entries on
+devices d and k are priced again, plus every entry of task d itself when d
+is a still unmatched UE (its residual power is also its transmit budget).
+Budgets only shrink during the loop, so an entry that stops fitting is
+dropped for good.  Leftover edge-server capacity is finally redistributed
+over the tasks it hosts to cut their upload power.
 
 Two ordering criteria are provided: "maxtask" favours the task with the
 fewest remaining options (ties by cheapest head entry), "minpw" always
@@ -21,8 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasiblePair, UnknownAlgorithm
-from .model import (LN2, Assignment, Scenario, assignment_cost, balance_root_clamped,
-                    feasibility_bounds, make_assignment, offload_power)
+from .model import (LN2, Assignment, FeasibilityBounds, Scenario, assignment_cost,
+                    balance_root_clamped, feasibility_bounds, make_assignment,
+                    offload_power)
 
 CRITERIA = ("maxtask", "minpw")
 
@@ -65,10 +71,9 @@ def new_state(sc: Scenario) -> MatchingState:
                          unmatched=set(range(1, sc.n + 1)))
 
 
-def local_seed_set(sc: Scenario) -> set[int]:
+def local_seed_set(sc: Scenario, bounds: FeasibilityBounds) -> set[int]:
     """Tasks whose own UE can execute them: f_min within the CPU capacity and
     the compute power it implies within the device's budget."""
-    bounds = feasibility_bounds(sc)
     return {i for i in range(1, sc.n + 1) if not bounds.blocked[i - 1, i]}
 
 
@@ -131,20 +136,57 @@ def pair_cost(sc: Scenario, k: int, dev: int, f: float) -> float:
     return cost
 
 
-def build_preferences(sc: Scenario, state: MatchingState) -> dict[int, PreferenceList]:
-    """Rank every still-fitting device for each unmatched task, cheapest first."""
+def _priced(sc: Scenario, state: MatchingState, k: int, devices) -> list[PrefEntry]:
+    """Entries of task k on those of `devices` that still fit it."""
+    entries = []
+    for dev in devices:
+        try:
+            f = pair_frequency(sc, state, k, dev)
+        except InfeasiblePair:
+            continue
+        entries.append(PrefEntry(device=dev, f=f, psi=pair_cost(sc, k, dev, f)))
+    return entries
+
+
+def _ranked(k: int, entries) -> PreferenceList:
+    return PreferenceList(task=k, entries=tuple(sorted(entries,
+                                                       key=lambda e: (e.psi, e.device))))
+
+
+def build_preferences(sc: Scenario, state: MatchingState,
+                      bounds: FeasibilityBounds | None = None
+                      ) -> dict[int, PreferenceList]:
+    """Rank every still-fitting device for each unmatched task, cheapest first.
+
+    With `bounds`, pairs it marks as statically blocked are not tried: the
+    residual budgets never exceed the static ones, so they cannot fit."""
     prefs = {}
     for k in sorted(state.unmatched):
-        entries = []
-        for dev in range(sc.n + 1):
-            try:
-                f = pair_frequency(sc, state, k, dev)
-            except InfeasiblePair:
-                continue
-            entries.append(PrefEntry(device=dev, f=f, psi=pair_cost(sc, k, dev, f)))
-        entries.sort(key=lambda e: (e.psi, e.device))
-        prefs[k] = PreferenceList(task=k, entries=tuple(entries))
+        if bounds is None:
+            devices = range(sc.n + 1)
+        else:
+            devices = np.flatnonzero(~bounds.blocked[k - 1]).tolist()
+        prefs[k] = _ranked(k, _priced(sc, state, k, devices))
     return prefs
+
+
+def _reprice(sc: Scenario, state: MatchingState, prefs: dict[int, PreferenceList],
+             k: int, dev: int) -> None:
+    """Update the lists in place after task k committed to `dev`.
+
+    The commit changed f_res[dev], p_res[dev] when dev > 0, and p_res[k] when
+    dev != k.  Those are the only inputs of `residual_window`, so only entries
+    on devices dev and k are stale, plus every entry of task dev, whose
+    transmit budget is p_res[dev]."""
+    stale = {dev, k}
+    for m, pl in prefs.items():
+        if m == dev:
+            redo = [e.device for e in pl.entries]
+        else:
+            redo = [e.device for e in pl.entries if e.device in stale]
+        if redo:
+            kept = [e for e in pl.entries if e.device not in redo]
+            prefs[m] = _ranked(m, kept + _priced(sc, state, m, redo))
 
 
 def next_task(prefs: dict[int, PreferenceList], criterion: str) -> int:
@@ -219,23 +261,26 @@ def run(sc: Scenario, criterion: str = "maxtask") -> tuple[Assignment, MatchingS
     """Full heuristic: local seeding, ordered matching loop, capacity top-up."""
     if criterion not in CRITERIA:
         raise UnknownAlgorithm(f"matching criterion {criterion!r}")
+    bounds = feasibility_bounds(sc)
     state = new_state(sc)
-    for k in sorted(local_seed_set(sc)):
+    for k in sorted(local_seed_set(sc, bounds)):
         commit(sc, state, k, k, sc.task(k).f_min)
     state.cost_series.append(assignment_cost(sc, state.omega, state.freqs)[0].total)
 
-    while state.unmatched:
-        prefs = build_preferences(sc, state)
-        fitting = {k: pl for k, pl in prefs.items() if pl.entries}
-        dead = state.unmatched - set(fitting)
+    prefs = build_preferences(sc, state, bounds)
+    while True:
+        dead = {k for k, pl in prefs.items() if not pl.entries}
         state.abandoned |= dead
         state.unmatched -= dead
-        if not fitting:
+        for k in dead:
+            del prefs[k]
+        if not prefs:
             break
-        k = next_task(fitting, criterion)
-        head = fitting[k].head()
+        k = next_task(prefs, criterion)
+        head = prefs.pop(k).head()
         commit(sc, state, k, head.device, head.f)
         state.cost_series.append(assignment_cost(sc, state.omega, state.freqs)[0].total)
+        _reprice(sc, state, prefs, k, head.device)
 
     redistribute_mec(state, sc)
     asg = make_assignment(sc, state.omega, state.freqs)

@@ -63,6 +63,11 @@ _RANGE_FIELDS = {"p_max_dbm", "data_bits", "cycles", "deadline_s", "f_ue"}
 
 
 def _check(cfg: GenConfig) -> None:
+    for f in fields(GenConfig):
+        value = getattr(cfg, f.name)
+        if (f.name not in _RANGE_FIELDS and not isinstance(value, bool)
+                and not math.isfinite(value)):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
     if cfg.n < 1:
         raise ConfigError(f"n must be >= 1, got {cfg.n}")
     for name in _RANGE_FIELDS:
@@ -193,6 +198,10 @@ def write_scenario(sc: Scenario, path) -> None:
             fh.write(f"gains {i + 1} {row}\n")
 
 
+# fields of a record line, its keyword included
+_RECORD_FIELDS = {"task": 7, "device": 10}
+
+
 def read_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -202,32 +211,43 @@ def read_scenario(path) -> Scenario:
     tasks = {}
     devices = {}
     gain_rows = {}
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines[1:], 2):
         parts = ln.split()
         kind = parts[0]
-        if kind == "task":
-            tid = int(parts[1])
-            tasks[tid] = TaskSpec(id=tid, cycles=float(parts[2]), bits=float(parts[3]),
-                                  deadline=float(parts[4]), penalty=float(parts[5]),
-                                  power_price=float(parts[6]))
-        elif kind == "device":
-            did = int(parts[1])
-            devices[did] = DeviceProfile(id=did, f_max=float(parts[2]),
-                                         kappa=float(parts[3]), nu=float(parts[4]),
-                                         eta=float(parts[5]), p_max=float(parts[6]),
-                                         p_cir=float(parts[7]),
-                                         position=(float(parts[8]), float(parts[9])))
-        elif kind == "gains":
-            gain_rows[int(parts[1])] = [float(x) for x in parts[2:]]
-        else:
-            header[kind] = parts[1]
-    n = int(header["n"])
+        try:
+            need = _RECORD_FIELDS.get(kind, 2)
+            if len(parts) < need:
+                raise ValueError(f"{len(parts)} fields, expected {need}")
+            if kind == "task":
+                tid = int(parts[1])
+                tasks[tid] = TaskSpec(id=tid, cycles=float(parts[2]), bits=float(parts[3]),
+                                      deadline=float(parts[4]), penalty=float(parts[5]),
+                                      power_price=float(parts[6]))
+            elif kind == "device":
+                did = int(parts[1])
+                devices[did] = DeviceProfile(id=did, f_max=float(parts[2]),
+                                             kappa=float(parts[3]), nu=float(parts[4]),
+                                             eta=float(parts[5]), p_max=float(parts[6]),
+                                             p_cir=float(parts[7]),
+                                             position=(float(parts[8]), float(parts[9])))
+            elif kind == "gains":
+                gain_rows[int(parts[1])] = [float(x) for x in parts[2:]]
+            else:
+                header[kind] = parts[1]
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad {kind!r} line: {exc}") from exc
+    try:
+        n = int(header["n"])
+        bandwidth = float(header["bandwidth"])
+        noise_w = float(header["noise_w"])
+        seed = int(header["seed"])
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{path}: bad or missing header field {exc}") from exc
     if set(tasks) != set(range(1, n + 1)) or set(devices) != set(range(n + 1)):
         raise ConfigError(f"{path}: incomplete task/device records")
-    gains = np.array([gain_rows[i] for i in range(1, n + 1)])
-    if gains.shape != (n, n + 1):
+    if any(len(gain_rows.get(i, ())) != n + 1 for i in range(1, n + 1)):
         raise ConfigError(f"{path}: gain matrix must be ({n}, {n + 1})")
+    gains = np.array([gain_rows[i] for i in range(1, n + 1)])
     return Scenario(tasks=tuple(tasks[i] for i in range(1, n + 1)),
                     devices=tuple(devices[j] for j in range(n + 1)),
-                    gains=gains, bandwidth=float(header["bandwidth"]),
-                    noise_w=float(header["noise_w"]), seed=int(header["seed"]))
+                    gains=gains, bandwidth=bandwidth, noise_w=noise_w, seed=seed)

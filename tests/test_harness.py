@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import gen
 from coopmec import cli, decentral, matching
 from coopmec.errors import ConfigError, UnknownAlgorithm
-from coopmec.harness import (ALGORITHMS, ExperimentSpec, aggregate, apply_sweep,
-                             convergence_trace, run_algorithm, run_experiment,
-                             write_outputs)
+from coopmec.harness import (ALGORITHMS, ExperimentSpec, _fmt, aggregate,
+                             apply_sweep, convergence_trace, run_algorithm,
+                             run_experiment, write_outputs)
 from coopmec.model import validate_constraints
 from coopmec.scenario import GenConfig, write_config
 
@@ -107,6 +108,21 @@ def test_aggregates_recomputable_from_runs(tmp_path):
         costs = [float(r[5]) for r in rows
                  if r[0] == row.algorithm and float(r[2]) == row.sweep_value]
         assert sum(costs) / len(costs) == row.mean_total_cost
+
+
+def test_fmt_writes_numpy_floats_as_plain_reals():
+    assert _fmt(np.float64(0.1)) == "0.1"
+    assert _fmt(0.1) == "0.1" and _fmt(3) == "3" and _fmt(True) == "1"
+
+
+def test_csv_cells_are_plain_numbers(tmp_path):
+    # maxtask on this seed commits a frequency clamped to a numpy residual,
+    # so its cost and UE power come out as numpy scalars
+    spec = small_spec(algorithms=("maxtask",), base=GenConfig(), realizations=1,
+                      seed_base=19, out=str(tmp_path))
+    run_experiment(spec)
+    for name in ("runs.csv", "metrics.csv"):
+        assert "np." not in (tmp_path / name).read_text()
 
 
 def test_convergence_trace_files(tmp_path):

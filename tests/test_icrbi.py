@@ -153,8 +153,8 @@ def test_solve_result_validates(sc10):
 def test_repair_is_idempotent(sc10):
     bounds = feasibility_bounds(sc10)
     x, a = primal_update(sc10, bounds, DualState.zeros(sc10.n))
-    asg = repair_feasibility(sc10, decisions_from(a))
-    again = repair_feasibility(sc10, dict(asg.target))
+    asg = repair_feasibility(sc10, decisions_from(a), bounds)
+    again = repair_feasibility(sc10, dict(asg.target), bounds)
     assert again.target == asg.target
     assert math.isclose(again.cost.total, asg.cost.total, rel_tol=1e-9)
 
@@ -166,7 +166,7 @@ def test_repair_resolves_overloaded_helper():
     devices = [mk_dev(0, f_max=5e9), mk_dev(1, f_max=0.52e9), mk_dev(2, f_max=0.52e9),
                mk_dev(3, f_max=0.8e9, p_max=3.0)]
     sc = mk_scenario(tasks, devices)
-    asg = repair_feasibility(sc, {1: 3, 2: 3})
+    asg = repair_feasibility(sc, {1: 3, 2: 3}, feasibility_bounds(sc))
     assert validate_constraints(sc, asg) == []
     assert 1 in asg.target and 2 in asg.target
     assert sorted(asg.target.values()) == [0, 3]

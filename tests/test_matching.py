@@ -15,7 +15,11 @@ from coopmec.matching import (CRITERIA, PrefEntry, PreferenceList,
                               mec_topup, new_state, next_task, pair_cost,
                               pair_frequency, redistribute_mec,
                               residual_window, run)
-from coopmec.model import LN2, validate_constraints
+from coopmec.model import (LN2, assignment_cost, feasibility_bounds,
+                           make_assignment, validate_constraints)
+
+# the steep-path-loss cell of the ratio experiment
+STEEP = dict(pathloss_exponent=4.5, pathloss_ref_gain=1e-2)
 
 
 def two_ue_scenario():
@@ -135,7 +139,7 @@ def test_run_trivial_all_local():
 
 
 def test_local_seeds_stay_local(sc10):
-    seeds = local_seed_set(sc10)
+    seeds = local_seed_set(sc10, feasibility_bounds(sc10))
     for criterion in CRITERIA:
         asg, _ = run(sc10, criterion)
         for k in seeds:
@@ -185,3 +189,64 @@ def test_redistribute_uses_all_server_capacity():
     # faster hosting can only lower upload powers, so budgets recover
     assert (state.p_res >= p_res_before - 1e-12).all()
     assert abs(state.f_res[0]) <= 5e9 * 1e-12
+
+
+def reference_run(sc, criterion):
+    """The matching loop with every list rebuilt over all devices after each
+    commit.  Also counts the commits whose host is a still unmatched task."""
+    state = new_state(sc)
+    for k in sorted(local_seed_set(sc, feasibility_bounds(sc))):
+        commit(sc, state, k, k, sc.task(k).f_min)
+    state.cost_series.append(assignment_cost(sc, state.omega, state.freqs)[0].total)
+    unmatched_hosts = 0
+    while state.unmatched:
+        prefs = build_preferences(sc, state)
+        fitting = {k: pl for k, pl in prefs.items() if pl.entries}
+        dead = state.unmatched - set(fitting)
+        state.abandoned |= dead
+        state.unmatched -= dead
+        if not fitting:
+            break
+        k = next_task(fitting, criterion)
+        head = fitting[k].head()
+        unmatched_hosts += head.device in state.unmatched - {k}
+        commit(sc, state, k, head.device, head.f)
+        state.cost_series.append(assignment_cost(sc, state.omega, state.freqs)[0].total)
+    redistribute_mec(state, sc)
+    asg = make_assignment(sc, state.omega, state.freqs)
+    state.cost_series.append(asg.cost.total)
+    return asg, state, unmatched_hosts
+
+
+def assert_run_matches_reference(sc, criterion):
+    want_asg, want, unmatched_hosts = reference_run(sc, criterion)
+    got_asg, got = run(sc, criterion)
+    assert got_asg == want_asg
+    assert got.trace == want.trace
+    assert got.cost_series == want.cost_series
+    assert got.abandoned == want.abandoned
+    return unmatched_hosts
+
+
+@pytest.mark.parametrize("cell", [{}, STEEP], ids=["default", "steep"])
+@pytest.mark.parametrize("n", [10, 30, 80])
+def test_run_matches_full_rebuild(n, cell):
+    for seed in range(3):
+        sc = gen(n=n, seed=seed, **cell)
+        for criterion in CRITERIA:
+            assert_run_matches_reference(sc, criterion)
+
+
+def test_run_reprices_the_list_of_an_unmatched_host():
+    # minpw here commits a task to a UE whose own task is still unmatched;
+    # that spends the UE's transmit budget, so its whole list must be priced
+    # again
+    assert assert_run_matches_reference(gen(n=10, seed=32), "minpw") >= 1
+
+
+def test_static_bounds_skip_only_pairs_that_never_fit():
+    for seed in range(5):
+        sc = gen(n=30, seed=seed, **STEEP)
+        state = new_state(sc)
+        bounds = feasibility_bounds(sc)
+        assert build_preferences(sc, state, bounds) == build_preferences(sc, state)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -140,3 +140,38 @@ def test_scenario_file_rejects_foreign_header(tmp_path):
     path.write_text("not a scenario\n")
     with pytest.raises(ConfigError):
         read_scenario(path)
+
+
+SCALAR_FLOAT_FIELDS = [f.name for f in fields(GenConfig)
+                       if isinstance(getattr(GenConfig(), f.name), float)]
+
+
+@pytest.mark.parametrize("name", SCALAR_FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_scalars(name, value):
+    with pytest.raises(ConfigError, match=name):
+        generate(replace(GenConfig(), **{name: value}))
+
+
+def corrupt_line(tmp_path, prefix, edit):
+    """Write a valid scenario, apply `edit` to the fields of the first line
+    starting with `prefix`, and read it back."""
+    path = tmp_path / "inst.sc"
+    write_scenario(generate(GenConfig(n=4, seed=2)), path)
+    lines = path.read_text().splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    lines[i] = " ".join(edit(lines[i].split()))
+    path.write_text("\n".join(lines) + "\n")
+    return read_scenario(path)
+
+
+@pytest.mark.parametrize("prefix", ["task 2 ", "device 3 ", "gains 1 "])
+def test_scenario_file_rejects_truncated_line(tmp_path, prefix):
+    with pytest.raises(ConfigError, match="bad|gain matrix"):
+        corrupt_line(tmp_path, prefix, lambda parts: parts[:4])
+
+
+@pytest.mark.parametrize("prefix", ["task 2 ", "device 3 ", "gains 1 "])
+def test_scenario_file_rejects_non_numeric_field(tmp_path, prefix):
+    with pytest.raises(ConfigError, match="bad"):
+        corrupt_line(tmp_path, prefix, lambda parts: parts[:3] + ["x"] + parts[4:])
