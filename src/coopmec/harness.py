@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import decentral, icrbi, matching, oracle
-from .errors import ConfigError, InfeasibleAssignment, NonConvergence, UnknownAlgorithm
-from .model import Assignment, Scenario, ue_total_power, validate_constraints
+from .errors import ConfigError, NonConvergence, UnknownAlgorithm
+from .model import Assignment, Scenario, ue_total_power
 from .scenario import GenConfig, generate
 
 ARTIFACT = "coopmec 0.1.0"
@@ -106,7 +106,9 @@ def run_algorithm(sc: Scenario, algorithm: str, step_rule: str = "diminish",
                   max_iter: int = 2000) -> tuple[Assignment, dict]:
     """Dispatch one solver; extras report overhead/convergence bookkeeping.
 
-    A non-converged iterative run still yields its repaired assignment,
+    Every solver builds its result with model.make_assignment, which
+    validates it, so the assignment returned here is already checked.  A
+    non-converged iterative run still yields its repaired assignment,
     flagged converged=False."""
     if algorithm == "icrbi":
         try:
@@ -137,9 +139,6 @@ def run_algorithm(sc: Scenario, algorithm: str, step_rule: str = "diminish",
         extras = {"overhead": 0, "converged": True, "iterations": 0, "trace": None}
     else:
         raise UnknownAlgorithm(f"algorithm {algorithm!r}")
-    violations = validate_constraints(sc, asg)
-    if violations:
-        raise InfeasibleAssignment(violations)
     return asg, extras
 
 

@@ -12,6 +12,14 @@ subgradient is normalised by the constraint magnitude (power budget or CPU
 capacity) and preconditioned by a static price scale (dual_scales) so one
 step scale works across the very different units of power and frequency.
 
+The kernel keeps the admissible remote pairs as a flat list (a few percent
+of the (N, N+1) matrix on a default cell) and computes every term that does
+not depend on the multipliers once per solve.  The Newton iteration for the
+stationary frequencies runs on 1-D arrays and drops each pair as soon as it
+is resolved; the per-pair arithmetic is the one a dense evaluation would do,
+so the iterates do not depend on the layout.  A task whose effective power
+price w_i + mu_i is zero stays at the lower end of each window.
+
 The relaxed iterate may violate capacity, so the final decision map is
 re-committed through the matching module's residual-budget subproblem
 (cheapest-to-place first, edge-server fallback, leftover capacity
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,11 +107,15 @@ def dual_scales(sc: Scenario, bounds: FeasibilityBounds) -> tuple[np.ndarray, np
     end, so v steps are scaled by that slope (mean weighted transmit slope
     into the edge server for device 0; the compute-power slope at the speed
     cap for UE hosts).  Without this, frequency prices sit ~9 orders of
-    magnitude below binding level and the dual loop never moves."""
+    magnitude below binding level and the dual loop never moves.  Where no
+    power price gives a slope (every task's w_i = 0), the server's scale
+    falls back to the mean penalty per cycle/s of its capacity: a unit scale
+    there would make the first step price every hosted task out at once."""
     n = sc.n
     w = np.array([t.power_price for t in sc.tasks])
     mu_scale = np.where(w > 0, w, 1.0)
     v_scale = np.ones(n + 1)
+    v_scale[0] = np.mean([t.penalty for t in sc.tasks]) / sc.devices[0].f_max
     valid0 = ~bounds.blocked[:, 0]
     if valid0.any():
         cyc = np.array([t.cycles for t in sc.tasks])
@@ -125,182 +138,225 @@ def dual_scales(sc: Scenario, bounds: FeasibilityBounds) -> tuple[np.ndarray, np
 
 
 # ---------------------------------------------------------------------------
-# vectorised kernel
+# pair-list kernel
+
+
+class _Usage(NamedTuple):
+    """The committed pairs of one iterate, evaluated once and scattered into
+    zero (N, N+1) matrices: upload power U(x) at the remote pairs, hosted
+    CPU power kappa * x**nu, committed frequencies, and the 0/1 decisions."""
+
+    transmit: np.ndarray
+    hosted: np.ndarray
+    freq: np.ndarray
+    a: np.ndarray
 
 
 class _Kernel:
-    """Flattened scenario arrays plus the per-iteration primal/dual maths."""
+    """Per-iteration primal/dual maths over the admissible remote pairs.
+
+    Only a valid pair (task i, device j != i) has a stationary frequency, so
+    those pairs are kept as a flat list: pair p is (task row ri[p], device
+    rj[p]), in row-major order of the (N, N+1) remote mask.  The per-pair
+    curve constants and every term that does not depend on the duals (U and
+    U' at both window ends, the window ends raised to nu and nu - 1) are
+    gathered once, here.  The decision rule still reads (N, N+1) matrices:
+    primal scatters the per-pair minima and intercepts into them, so the
+    argmin tie-break and the local-first priority work on the same values as
+    a dense evaluation would.
+    """
 
     def __init__(self, sc: Scenario, bounds: FeasibilityBounds):
-        self.sc = sc
         n = sc.n
         self.n = n
-        self.cycles = np.array([t.cycles for t in sc.tasks])[:, None]
-        self.bits = np.array([t.bits for t in sc.tasks])[:, None]
-        self.deadline = np.array([t.deadline for t in sc.tasks])[:, None]
+        self.bandwidth = sc.bandwidth
+        self.noise_w = sc.noise_w
+        cycles = np.array([t.cycles for t in sc.tasks])
+        bits = np.array([t.bits for t in sc.tasks])
+        deadline = np.array([t.deadline for t in sc.tasks])
         self.phi = np.array([t.penalty for t in sc.tasks])
         self.w = np.array([t.power_price for t in sc.tasks])
         self.eta = np.array([sc.devices[i].eta for i in range(1, n + 1)])
         self.p_m = np.array([sc.devices[i].p_m for i in range(1, n + 1)])
         self.kappa_d = np.array([d.kappa for d in sc.devices])
-        self.nu_d = np.array([d.nu for d in sc.devices])
+        nu_d = np.array([d.nu for d in sc.devices])
+        self.nu_d = nu_d
+        self.kappa_nu = self.kappa_d * nu_d
         self.fmax_d = np.array([d.f_max for d in sc.devices])
-        self.gains = sc.gains
+        self.host_w = np.concatenate([[0.0], self.w])      # compute price per device
         self.rows = np.arange(n)
         self.own = self.rows + 1
         own_mask = np.zeros((n, n + 1), dtype=bool)
         own_mask[self.rows, self.own] = True
-        self.own_mask = own_mask
-        self.valid = ~bounds.blocked
-        self.remote = self.valid & ~own_mask
-        self.local_ok = self.valid[self.rows, self.own]
-        self.lo = np.where(self.remote, bounds.f_lower, 1.0)
-        self.hi = np.where(self.remote, bounds.f_upper, 2.0)
-        self.f_min = (self.cycles / self.deadline)[:, 0]
-        self.host_w = np.concatenate([[0.0], self.w])      # compute price per device
+        valid = ~bounds.blocked
+        self.remote = valid & ~own_mask
+        self.local_ok = valid[self.rows, self.own]
+        self.f_min = cycles / deadline
+        self.own_kappa = self.kappa_d[self.own]
+        self.fmin_nu = self.f_min ** nu_d[self.own]
         self.mu_scale, self.v_scale = dual_scales(sc, bounds)
 
-    def _u(self, x):
-        return offload_power_vec(self.cycles, self.bits, self.deadline, self.gains,
-                                 self.sc.bandwidth, self.sc.noise_w, x)
+        ri, rj = np.nonzero(self.remote)
+        self.ri, self.rj = ri, rj
+        self.pair_of = np.full((n, n + 1), -1)
+        self.pair_of[ri, rj] = np.arange(ri.size)
+        # per-pair curve inputs, one row each: cycles, bits, deadline, gain;
+        # the Newton step also reads the host's nu - 1 and nu - 2
+        self.curve = np.array([cycles[ri], bits[ri], deadline[ri], sc.gains[ri, rj]])
+        self.nu = nu_d[rj]
+        self.newton_consts = np.vstack([self.curve, self.nu - 1.0, self.nu - 2.0])
+        lo = bounds.f_lower[ri, rj]
+        hi = bounds.f_upper[ri, rj]
+        self.lo, self.hi = lo, hi
+        # dual-independent terms
+        self.u_lo = offload_power_vec(*self.curve, self.bandwidth, self.noise_w, lo)
+        self.u_hi = offload_power_vec(*self.curve, self.bandwidth, self.noise_w, hi)
+        self.du_lo = offload_power_derivs_vec(*self.curve, self.bandwidth, self.noise_w, lo)[0]
+        self.du_hi = offload_power_derivs_vec(*self.curve, self.bandwidth, self.noise_w, hi)[0]
+        self.lo_nu, self.hi_nu = lo ** self.nu, hi ** self.nu
+        self.lo_nu1, self.hi_nu1 = lo ** (self.nu - 1.0), hi ** (self.nu - 1.0)
+        self.warm_lo, self.warm_hi = lo * (1 + 1e-12), hi * (1 - 1e-12)
+        self.mid = np.sqrt(lo * hi)
 
-    def _du(self, x):
-        return offload_power_derivs_vec(self.cycles, self.bits, self.deadline,
-                                        self.gains, self.sc.bandwidth,
-                                        self.sc.noise_w, x)
+    def _gamma_batch(self, c1, c2, fixed, warm=None, rtol=1e-9):
+        """Clamped stationary frequency of every pair, in pair order.
 
-    def _coeffs(self, duals: DualState):
-        wi_eff = self.w + duals.mu
-        wh_eff = np.concatenate([[0.0], self.w + duals.mu])
-        c1 = (self.kappa_d * self.nu_d * wh_eff)[None, :] * (self.eta / wi_eff)[:, None]
-        c2 = duals.v[None, :] * (self.eta / wi_eff)[:, None]
-        return wi_eff, wh_eff, duals.v, c1, c2
-
-    def _gamma_batch(self, c1, c2, warm=None, rtol=1e-9):
-        """Clamped stationary frequencies for all admissible remote pairs."""
-        act = self.remote.copy()
-        lo, hi = self.lo, self.hi
-        nu1 = (self.nu_d - 1.0)[None, :]
-        nu2 = (self.nu_d - 2.0)[None, :]
-
-        def g_of(x):
-            du, d2u = self._du(np.where(act0, x, 2.0))
-            xp = x ** nu1
-            g = du + c1 * xp + c2
-            gp = d2u + c1 * nu1 * x ** nu2
-            scale = np.abs(du) + c1 * xp + np.abs(c2)
-            return g, gp, scale
-
-        act0 = act
-        out = np.where(self.remote, lo, 0.0)
-        g_lo, _, _ = g_of(lo)
-        act = act & (g_lo < 0.0)
-        g_hi, _, _ = g_of(hi)
-        take_hi = act & (g_hi <= 0.0)
-        out = np.where(take_hi, hi, out)
-        act = act & ~take_hi
-
-        if not act.any():
+        The marginal g = U' + c1 * f**(nu-1) + c2 is increasing in f, so a
+        pair sits at lo when g(lo) >= 0 (or when `fixed`), at hi when
+        g(hi) <= 0, and otherwise at the root that a safeguarded Newton
+        iteration finds inside the bracket.  Each step works only on the
+        pairs still unresolved."""
+        out = self.lo.copy()
+        act = ~fixed & (self.du_lo + c1 * self.lo_nu1 + c2 < 0.0)
+        take_hi = act & (self.du_hi + c1 * self.hi_nu1 + c2 <= 0.0)
+        out[take_hi] = self.hi[take_hi]
+        idx = np.flatnonzero(act & ~take_hi)
+        if idx.size == 0:
             return out
-        a = lo.copy()
-        b = hi.copy()
         if warm is not None:
-            x = np.clip(warm, lo * (1 + 1e-12), hi * (1 - 1e-12))
+            x = np.clip(warm[idx], self.warm_lo[idx], self.warm_hi[idx])
         else:
-            x = np.sqrt(lo * hi)
-        act0 = act
+            x = self.mid[idx]
+        # one row per quantity, one column per unresolved pair; a and b
+        # (the last two rows) bracket the root and are narrowed in place
+        s = np.vstack([self.newton_consts[:, idx], c1[idx], c2[idx],
+                       self.lo[idx], self.hi[idx]])
         for _ in range(80):
-            g, gp, scale = g_of(x)
-            done = act & np.isfinite(g) & (np.abs(g) <= rtol * scale)
-            out = np.where(done, x, out)
-            act = act & ~done
-            if not act.any():
-                break
+            cyc, bits, dl, gain, nu1, nu2, k1, k2, a, b = s
+            du, d2u = offload_power_derivs_vec(cyc, bits, dl, gain, self.bandwidth,
+                                               self.noise_w, x)
+            xp = x ** nu1
+            g = du + k1 * xp + k2
+            gp = d2u + k1 * nu1 * x ** nu2
+            scale = np.abs(du) + k1 * xp + np.abs(k2)
+            done = np.isfinite(g) & (np.abs(g) <= rtol * scale)
+            out[idx[done]] = x[done]
+            if done.all():
+                return out
             neg = ~np.isfinite(g) | (g < 0.0)
-            a = np.where(act & neg, x, a)
-            b = np.where(act & ~neg, x, b)
+            np.copyto(a, x, where=neg)
+            np.copyto(b, x, where=~neg)
             with np.errstate(divide="ignore", invalid="ignore"):
                 newton = x - g / gp
             ok = np.isfinite(newton) & (newton > a) & (newton < b)
-            x_new = np.where(ok, newton, np.sqrt(a * b))
-            narrow = act & ((b - a) <= 1e-12 * b)
-            out = np.where(narrow, x_new, out)
-            act = act & ~narrow
-            x = np.where(act, x_new, x)
-            if not act.any():
-                break
-        out = np.where(act, x, out)
+            x = np.where(ok, newton, np.sqrt(a * b))
+            narrow = ~done & ((b - a) <= 1e-12 * b)
+            out[idx[narrow]] = x[narrow]
+            keep = ~(done | narrow)
+            if not keep.any():
+                return out
+            idx, s, x = idx[keep], s[:, keep], x[keep]
+        out[idx] = x
         return out
 
     def primal(self, duals: DualState, warm=None):
         """One exact minimisation of the priced objective.
 
-        Returns (x, a, gamma): committed frequencies, 0/1 decisions, and the
-        full stationary-frequency matrix (for warm starting)."""
-        n = self.n
-        wi_eff, wh_eff, v_raw, c1, c2 = self._coeffs(duals)
-        gamma = self._gamma_batch(c1, c2, warm)
+        Returns (x, a, gamma): committed frequencies and 0/1 decisions as
+        (N, N+1) matrices, and the per-pair stationary frequencies, which
+        warm-start the next call."""
+        n, ri, rj = self.n, self.ri, self.rj
+        v = duals.v
+        wi_eff = self.w + duals.mu
+        wh_eff = np.concatenate([[0.0], self.w + duals.mu])
+        # a task whose power is free (w_i + mu_i = 0) pays nothing for upload,
+        # so its priced pair cost is non-decreasing in f: gamma stays at lo
+        free = wi_eff == 0.0
+        ratio = self.eta / np.where(free, 1.0, wi_eff)
+        c1 = (self.kappa_nu * wh_eff)[rj] * ratio[ri]
+        c2 = v[rj] * ratio[ri]
+        gamma = self._gamma_batch(c1, c2, free[ri], warm)
 
-        price_i = (wi_eff / self.eta)[:, None]
-        comp_price = (wh_eff * self.kappa_d)[None, :]
-
-        def lam_remote(x):
-            return (price_i * self._u(x) + comp_price * x ** self.nu_d[None, :]
-                    + v_raw[None, :] * x - self.phi[:, None])
-
-        big = np.inf
-        lam_min = np.where(self.remote,
-                           np.minimum(np.minimum(lam_remote(self.lo),
-                                                 lam_remote(self.hi)),
-                                      lam_remote(gamma)),
-                           big)
+        pi = (wi_eff / self.eta)[ri]
+        pc = (wh_eff * self.kappa_d)[rj]
+        vj = v[rj]
+        phi = self.phi[ri]
+        u_g = offload_power_vec(*self.curve, self.bandwidth, self.noise_w, gamma)
+        du_g, _ = offload_power_derivs_vec(*self.curve, self.bandwidth, self.noise_w, gamma)
+        # the priced pair cost is convex in f, so its minimum over the window
+        # is at lo, hi or gamma
+        lam = np.minimum(np.minimum(pi * self.u_lo + pc * self.lo_nu + vj * self.lo - phi,
+                                    pi * self.u_hi + pc * self.hi_nu + vj * self.hi - phi),
+                         pi * u_g + pc * gamma ** self.nu + vj * gamma - phi)
         # local execution: the priced cost is increasing in f, so f_min is enough
-        own_kappa = self.kappa_d[self.own]
-        own_nu = self.nu_d[self.own]
-        lam_local = (wi_eff * own_kappa * self.f_min ** own_nu
-                     + v_raw[self.own] * self.f_min - self.phi)
-        lam_min[self.rows, self.own] = np.where(self.local_ok, lam_local, big)
-
-        mtilde = self.valid & (lam_min <= 0.0)
-
-        du_g, _ = self._du(np.where(self.remote, gamma, 2.0))
+        lam_local = (wi_eff * self.own_kappa * self.fmin_nu
+                     + v[self.own] * self.f_min - self.phi)
+        take_local = self.local_ok & (lam_local <= 0.0)
+        ok = lam <= 0.0
         with np.errstate(invalid="ignore"):
-            intercept = price_i * (self._u(gamma) - gamma * du_g)
-        intercept = np.where(mtilde & self.remote, intercept, np.inf)
+            icpt = pi[ok] * (u_g[ok] - gamma[ok] * du_g[ok])
+        intercept = np.full((n, n + 1), np.inf)
+        intercept[ri[ok], rj[ok]] = icpt
+        remote_rows = np.zeros(n, dtype=bool)
+        remote_rows[ri[ok]] = True
+        remote_rows &= ~take_local
 
         a = np.zeros((n, n + 1), dtype=np.int8)
         x = np.zeros((n, n + 1))
-        any_option = mtilde.any(axis=1)
-        take_local = mtilde[self.rows, self.own]
-        remote_rows = any_option & ~take_local
-        a[self.rows[take_local], self.own[take_local]] = 1
-        x[self.rows[take_local], self.own[take_local]] = self.f_min[take_local]
+        lr = self.rows[take_local]
+        a[lr, lr + 1] = 1
+        x[lr, lr + 1] = self.f_min[take_local]
         if remote_rows.any():
             best = np.argmin(intercept[remote_rows], axis=1)
             rr = self.rows[remote_rows]
+            gamma_m = np.zeros((n, n + 1))
+            gamma_m[ri, rj] = gamma
             a[rr, best] = 1
-            x[rr, best] = gamma[rr, best]
+            x[rr, best] = gamma_m[rr, best]
         return x, a, gamma
 
-    def dual_step(self, duals: DualState, x, a) -> DualState:
-        used_t = np.where(self.remote & (a > 0), self._u(x), 0.0)
-        transmit_in = used_t.sum(axis=1) / self.eta                # PA input watts
-        hosted = (np.where(a > 0, x, 0.0) ** self.nu_d[None, :]) * self.kappa_d[None, :]
-        compute_w = hosted[:, 1:].sum(axis=0)
+    def evaluate(self, x, a) -> _Usage:
+        """U and the hosted CPU power at the committed pairs (at most N), for
+        reduced_cost and dual_step to share."""
+        n = self.n
+        r, c = np.nonzero(a > 0)
+        f = x[r, c]
+        transmit = np.zeros((n, n + 1))
+        hosted = np.zeros((n, n + 1))
+        freq = np.zeros((n, n + 1))
+        rem = self.remote[r, c]
+        p = self.pair_of[r[rem], c[rem]]
+        transmit[r[rem], c[rem]] = offload_power_vec(*self.curve[:, p], self.bandwidth,
+                                                     self.noise_w, f[rem])
+        hosted[r, c] = f ** self.nu_d[c] * self.kappa_d[c]
+        freq[r, c] = f
+        return _Usage(transmit, hosted, freq, a)
+
+    def dual_step(self, duals: DualState, use: _Usage) -> DualState:
+        transmit_in = use.transmit.sum(axis=1) / self.eta          # PA input watts
+        compute_w = use.hosted[:, 1:].sum(axis=0)
         g_mu = self.mu_scale * (transmit_in + compute_w - self.p_m) / self.p_m
-        load = np.where(a > 0, x, 0.0).sum(axis=0)
+        load = use.freq.sum(axis=0)
         g_v = self.v_scale * (load - self.fmax_d) / self.fmax_d
         s = step_size(duals.step_rule, duals.x0, duals.t)
         return DualState(mu=np.maximum(0.0, duals.mu + s * g_mu),
                          v=np.maximum(0.0, duals.v + s * g_v),
                          step_rule=duals.step_rule, x0=duals.x0, t=duals.t + 1)
 
-    def reduced_cost(self, x, a) -> float:
-        used_t = np.where(self.remote & (a > 0), self._u(x), 0.0)
-        transmit = ((self.w / self.eta)[:, None] * used_t).sum()
-        hosted = (np.where(a > 0, x, 0.0) ** self.nu_d[None, :]) * self.kappa_d[None, :]
-        compute = (hosted * self.host_w[None, :]).sum()
-        saved = (self.phi * (a.sum(axis=1) > 0)).sum()
+    def reduced_cost(self, use: _Usage) -> float:
+        transmit = ((self.w / self.eta)[:, None] * use.transmit).sum()
+        compute = (use.hosted * self.host_w[None, :]).sum()
+        saved = (self.phi * (use.a.sum(axis=1) > 0)).sum()
         return float(transmit + compute - saved)
 
 
@@ -341,7 +397,8 @@ def primal_update(sc: Scenario, bounds: FeasibilityBounds, duals: DualState):
 def dual_update(sc: Scenario, bounds: FeasibilityBounds, duals: DualState,
                 x, a) -> DualState:
     """Projected subgradient step on the normalised constraints."""
-    return _Kernel(sc, bounds).dual_step(duals, x, a)
+    kern = _Kernel(sc, bounds)
+    return kern.dual_step(duals, kern.evaluate(x, a))
 
 
 def decisions_from(a: np.ndarray) -> dict[int, int]:
@@ -394,14 +451,15 @@ def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
     bounds = feasibility_bounds(sc)
     kern = _Kernel(sc, bounds)
     duals = DualState.zeros(sc.n, step_rule=step_rule, x0=x0)
-    trace = IcrbiTrace(n_root_pairs=int(kern.remote.sum()))
+    trace = IcrbiTrace(n_root_pairs=int(kern.ri.size))
     warm = None
     prev_cost = None
     converged = False
     x = a = None
     for _ in range(max_iter):
         x, a, warm = kern.primal(duals, warm)
-        cost = kern.reduced_cost(x, a)
+        use = kern.evaluate(x, a)
+        cost = kern.reduced_cost(use)
         trace.reduced_cost.append(cost)
         trace.num_assigned.append(int(a.sum()))
         trace.mu_norm.append(float(np.linalg.norm(duals.mu)))
@@ -411,7 +469,7 @@ def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
         elif abs(cost - prev_cost) < trace.eps:
             converged = True
             break
-        duals = kern.dual_step(duals, x, a)
+        duals = kern.dual_step(duals, use)
         prev_cost = cost
     asg = repair_feasibility(sc, decisions_from(a), bounds)
     if not converged:

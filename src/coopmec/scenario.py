@@ -211,6 +211,7 @@ def read_scenario(path) -> Scenario:
     tasks = {}
     devices = {}
     gain_rows = {}
+    records = {"task": tasks, "device": devices, "gains": gain_rows}
     for lineno, ln in enumerate(lines[1:], 2):
         parts = ln.split()
         kind = parts[0]
@@ -218,6 +219,8 @@ def read_scenario(path) -> Scenario:
             need = _RECORD_FIELDS.get(kind, 2)
             if len(parts) < need:
                 raise ValueError(f"{len(parts)} fields, expected {need}")
+            if kind in records and int(parts[1]) in records[kind]:
+                raise ValueError(f"duplicate {kind} {int(parts[1])}")
             if kind == "task":
                 tid = int(parts[1])
                 tasks[tid] = TaskSpec(id=tid, cycles=float(parts[2]), bits=float(parts[3]),
@@ -231,7 +234,10 @@ def read_scenario(path) -> Scenario:
                                              p_cir=float(parts[7]),
                                              position=(float(parts[8]), float(parts[9])))
             elif kind == "gains":
-                gain_rows[int(parts[1])] = [float(x) for x in parts[2:]]
+                row = [float(x) for x in parts[2:]]
+                if not all(math.isfinite(g) and g >= 0.0 for g in row):
+                    raise ValueError("gains must be finite and >= 0")
+                gain_rows[int(parts[1])] = row
             else:
                 header[kind] = parts[1]
         except ValueError as exc:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import gen
-from coopmec import cli, decentral, matching
+from coopmec import cli, decentral, matching, model
 from coopmec.errors import ConfigError, UnknownAlgorithm
 from coopmec.harness import (ALGORITHMS, ExperimentSpec, _fmt, aggregate,
                              apply_sweep, convergence_trace, run_algorithm,
@@ -50,6 +51,27 @@ def test_run_algorithm_dispatch(sc3):
     assert extras["overhead"] == 0 and extras["iterations"] == 0
     with pytest.raises(UnknownAlgorithm):
         run_algorithm(sc3, "bogus")
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_one_validation_per_solve(monkeypatch, algo):
+    # every solver returns through make_assignment, which validates; the
+    # dispatcher must not check the same assignment again
+    calls = []
+    real = model.validate_constraints
+
+    def counting(sc, asg):
+        calls.append(asg)
+        return real(sc, asg)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("coopmec.")
+                and getattr(mod, "validate_constraints", None) is real):
+            monkeypatch.setattr(mod, "validate_constraints", counting)
+    for k in range(3):
+        asg, _ = run_algorithm(gen(n=10, seed=k), algo)
+        assert len(calls) == k + 1
+        assert calls[-1] is asg
 
 
 def test_run_experiment_aggregates():

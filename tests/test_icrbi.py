@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,25 @@ def test_solve_bracketed_by_reference_solvers():
         total = solve(sc)[0].cost.total
         assert total >= oracle.brute_force(sc).cost.total - 1e-6
         assert total <= oracle.non_cope(sc).cost.total + 1e-9
+
+
+def test_free_power_settles():
+    # w = 0: a task whose power is free pays nothing for upload, so its
+    # stationary frequency is the window's lower end, with no division by
+    # the zero price; the dual loop then settles like a tiny positive price
+    for seed in range(3, 8):
+        sc = gen(n=8, seed=seed, w=0.0)
+        bounds = feasibility_bounds(sc)
+        kern = icrbi._Kernel(sc, bounds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, _, gamma = kern.primal(DualState.zeros(sc.n))
+            asg, trace = solve(sc)
+        assert np.array_equal(gamma, kern.lo)
+        assert trace.termination == "converged"
+        assert trace.iterations <= 10
+        assert validate_constraints(sc, asg) == []
+        assert asg.cost.total <= oracle.non_cope(sc).cost.total + 1e-9
 
 
 def test_solve_is_deterministic(sc10):

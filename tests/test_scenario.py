@@ -175,3 +175,25 @@ def test_scenario_file_rejects_truncated_line(tmp_path, prefix):
 def test_scenario_file_rejects_non_numeric_field(tmp_path, prefix):
     with pytest.raises(ConfigError, match="bad"):
         corrupt_line(tmp_path, prefix, lambda parts: parts[:3] + ["x"] + parts[4:])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+def test_scenario_file_rejects_bad_gain(tmp_path, value):
+    # task 1's server gain; its gains line is line 15 of an n=4 file
+    # (format, 4 header fields, 4 task lines, 5 device lines)
+    with pytest.raises(ConfigError, match=r"inst\.sc:15: .*finite"):
+        corrupt_line(tmp_path, "gains 1 ", lambda parts: parts[:2] + [value] + parts[3:])
+
+
+@pytest.mark.parametrize("prefix", ["task 2 ", "device 3 ", "gains 1 "])
+def test_scenario_file_rejects_duplicate_record(tmp_path, prefix):
+    # a second record for the same id must not silently replace the first
+    path = tmp_path / "inst.sc"
+    write_scenario(generate(GenConfig(n=4, seed=2)), path)
+    lines = path.read_text().splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    lines.insert(i + 1, lines[i])
+    path.write_text("\n".join(lines) + "\n")
+    kind = prefix.split()[0]
+    with pytest.raises(ConfigError, match=rf"inst\.sc:{i + 2}: .*duplicate {kind}"):
+        read_scenario(path)
