@@ -5,8 +5,8 @@ from .errors import (ConfigError, CoopMecError, DomainError,
                      NonConvergence, UnknownAlgorithm)
 from .model import (Assignment, CostBreakdown, DeviceProfile, FeasibilityBounds,
                     Scenario, TaskSpec, Violation, assignment_cost,
-                    evaluate_assignment, feasibility_bounds, make_assignment,
-                    offload_power, ue_total_power, validate_constraints)
+                    feasibility_bounds, make_assignment, offload_power,
+                    ue_total_power, validate_constraints)
 from .scenario import GenConfig, generate, read_config, read_scenario, \
     write_config, write_scenario
 from .harness import (ALGORITHMS, ExperimentSpec, MetricRow, RunRecord,
@@ -21,8 +21,8 @@ __all__ = [
     "GenConfig", "InfeasibleAssignment", "InfeasiblePair", "InstanceTooLarge",
     "MetricRow", "NonConvergence", "RunRecord", "Scenario", "TaskSpec",
     "UnknownAlgorithm", "Violation", "assignment_cost", "convergence_trace",
-    "evaluate_assignment", "feasibility_bounds", "generate", "make_assignment",
-    "offload_power", "overhead_report", "read_config", "read_scenario",
-    "run_algorithm", "run_experiment", "ue_total_power", "validate_constraints",
-    "write_config", "write_scenario", "__version__",
+    "feasibility_bounds", "generate", "make_assignment", "offload_power",
+    "overhead_report", "read_config", "read_scenario", "run_algorithm",
+    "run_experiment", "ue_total_power", "validate_constraints", "write_config",
+    "write_scenario", "__version__",
 ]

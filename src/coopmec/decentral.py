@@ -69,13 +69,10 @@ def prefix_admit(requests: dict[int, float], capacity: float) -> list[int]:
 
 
 def mec_admission(sc: Scenario, bounds: FeasibilityBounds,
-                  candidates=None) -> tuple[set[int], dict[int, float]]:
-    """Step 2: admit edge-server requests cheapest-first, then top up.
-
-    candidates defaults to every task that cannot run locally.  Returns the
-    admitted set and their frequencies after leftover capacity is spread."""
-    if candidates is None:
-        candidates = set(range(1, sc.n + 1)) - matching.local_seed_set(sc, bounds)
+                  candidates) -> tuple[set[int], dict[int, float]]:
+    """Step 2: admit edge-server requests of `candidates` cheapest-first, then
+    top up.  Returns the admitted set and their frequencies after leftover
+    capacity is spread."""
     requests = {k: float(bounds.f_lower[k - 1, 0]) for k in candidates
                 if not bounds.blocked[k - 1, 0]}
     admitted = prefix_admit(requests, sc.device(0).f_max)
@@ -84,8 +81,8 @@ def mec_admission(sc: Scenario, bounds: FeasibilityBounds,
     return set(admitted), freqs
 
 
-def deferred_acceptance(sc: Scenario, unmatched, state=None, log=None,
-                        bounds=None) -> dict[int, int]:
+def deferred_acceptance(sc: Scenario, unmatched, state: matching.MatchingState,
+                        log: RoundLog, bounds: FeasibilityBounds) -> dict[int, int]:
     """Step 3: synchronized-round deferred acceptance among UE helpers.
 
     Each round every unplaced task asks the cheapest device that has not yet
@@ -93,13 +90,6 @@ def deferred_acceptance(sc: Scenario, unmatched, state=None, log=None,
     sorts them by (frequency, task id) and keeps the longest prefix that fits
     its residual CPU capacity and its residual power budget.  Rejections are
     permanent.  Returns {task: device} for the offers held at termination."""
-    if state is None:
-        state = matching.new_state(sc)
-    if bounds is None:
-        bounds = feasibility_bounds(sc)
-    if log is None:
-        log = RoundLog(n=sc.n)
-
     participants = sorted(unmatched)
     prefs: dict[int, list[tuple[float, int]]] = {}
     for k in participants:

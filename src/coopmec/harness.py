@@ -255,32 +255,25 @@ def convergence_trace(spec: ExperimentSpec) -> dict[str, Path]:
     sc = generate(dataclasses.replace(spec.base, seed=spec.seed_base))
     paths: dict[str, Path] = {}
     for algo in spec.algorithms:
-        if algo == "noncope":
+        _, extras = run_algorithm(sc, algo, step_rule=spec.step_rule, x0=spec.x0,
+                                  eps=spec.eps)
+        trace = extras["trace"]
+        if trace is None:
             raise UnknownAlgorithm("the baseline has no iteration trace")
         if algo == "icrbi":
-            try:
-                _, trace = icrbi.solve(sc, step_rule=spec.step_rule, x0=spec.x0,
-                                       eps=spec.eps)
-            except NonConvergence as exc:
-                trace = exc.trace
             path = out / f"icrbi_{spec.step_rule}_{_fmt(spec.x0)}.csv"
             trace.to_csv(path)
         else:
             if algo == "decentral":
-                _, log = decentral.run(sc)
-                series = log.cost_series
                 with open(out / "decentral_events.txt", "w", encoding="utf-8",
                           newline="\n") as fh:
-                    for line in log.lines():
+                    for line in trace.lines():
                         fh.write(line + "\n")
                 paths["decentral_events"] = out / "decentral_events.txt"
-            else:
-                _, state = matching.run(sc, criterion=algo)
-                series = state.cost_series
             path = out / f"{algo}.csv"
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("step,total_cost\n")
-                for i, c in enumerate(series):
+                for i, c in enumerate(trace.cost_series):
                     fh.write(f"{i},{c!r}\n")
         paths[algo] = path
     return paths

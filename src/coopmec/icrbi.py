@@ -36,7 +36,7 @@ import numpy as np
 
 from . import matching
 from .errors import InfeasiblePair, NonConvergence, UnknownAlgorithm
-from .model import (Assignment, FeasibilityBounds, Scenario, balance_root,
+from .model import (ROOT_RTOL, Assignment, FeasibilityBounds, Scenario,
                     device_speed_cap, feasibility_bounds, make_assignment,
                     offload_power_derivs_vec, offload_power_vec)
 
@@ -218,7 +218,7 @@ class _Kernel:
         self.warm_lo, self.warm_hi = lo * (1 + 1e-12), hi * (1 - 1e-12)
         self.mid = np.sqrt(lo * hi)
 
-    def _gamma_batch(self, c1, c2, fixed, warm=None, rtol=1e-9):
+    def _gamma_batch(self, c1, c2, fixed, warm=None):
         """Clamped stationary frequency of every pair, in pair order.
 
         The marginal g = U' + c1 * f**(nu-1) + c2 is increasing in f, so a
@@ -249,7 +249,7 @@ class _Kernel:
             g = du + k1 * xp + k2
             gp = d2u + k1 * nu1 * x ** nu2
             scale = np.abs(du) + k1 * xp + np.abs(k2)
-            done = np.isfinite(g) & (np.abs(g) <= rtol * scale)
+            done = np.isfinite(g) & (np.abs(g) <= ROOT_RTOL * scale)
             out[idx[done]] = x[done]
             if done.all():
                 return out
@@ -361,44 +361,7 @@ class _Kernel:
 
 
 # ---------------------------------------------------------------------------
-# public per-step operations
-
-
-def gamma_root(sc: Scenario, i: int, j: int, duals: DualState) -> float:
-    """Unclamped stationary frequency of pair (task i, device j != i); +inf
-    when the priced marginal never turns positive (solution escapes upward)."""
-    if j == i:
-        raise ValueError("local execution has no stationary frequency")
-    task = sc.task(i)
-    dev = sc.device(j)
-    wi = task.power_price + duals.mu[i - 1]
-    wh = 0.0 if j == 0 else sc.task(j).power_price + duals.mu[j - 1]
-    eta_i = sc.device(i).eta
-    c1 = dev.kappa * dev.nu * eta_i * wh / wi
-    c2 = eta_i * duals.v[j] / wi
-    return balance_root(task, sc.gain(i, j), sc.bandwidth, sc.noise_w, dev.nu, c1, c2)
-
-
-def solve_gamma(sc: Scenario, bounds: FeasibilityBounds, i: int, j: int,
-                duals: DualState) -> float:
-    """Stationary frequency clamped into the pair's feasibility window."""
-    root = gamma_root(sc, i, j, duals)
-    lo = bounds.f_lower[i - 1, j]
-    hi = bounds.f_upper[i - 1, j]
-    return min(max(root, lo), hi)
-
-
-def primal_update(sc: Scenario, bounds: FeasibilityBounds, duals: DualState):
-    """Exact priced-objective minimiser: (frequency matrix, 0/1 decision matrix)."""
-    x, a, _ = _Kernel(sc, bounds).primal(duals)
-    return x, a
-
-
-def dual_update(sc: Scenario, bounds: FeasibilityBounds, duals: DualState,
-                x, a) -> DualState:
-    """Projected subgradient step on the normalised constraints."""
-    kern = _Kernel(sc, bounds)
-    return kern.dual_step(duals, kern.evaluate(x, a))
+# repair
 
 
 def decisions_from(a: np.ndarray) -> dict[int, int]:

@@ -120,7 +120,7 @@ def pair_frequency(sc: Scenario, state: MatchingState, k: int, dev: int) -> floa
         return lo                       # only the helper's CPU power matters
     coeff = w_host * host.kappa * host.nu * sc.device(k).eta / w_k
     return balance_root_clamped(task, sc.gain(k, dev), sc.bandwidth, sc.noise_w,
-                                host.nu, coeff, 0.0, lo, hi)
+                                host.nu, coeff, lo, hi)
 
 
 def pair_cost(sc: Scenario, k: int, dev: int, f: float) -> float:

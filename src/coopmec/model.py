@@ -147,20 +147,6 @@ class Scenario:
 # transmit-power curve
 
 
-def required_rate(task: TaskSpec, f: float) -> float:
-    """Upload rate (bit/s) making upload + compute at frequency f hit the deadline."""
-    denom = task.deadline * f - task.cycles
-    if denom <= 0:
-        raise DomainError(f"task {task.id}: frequency {f:g} at or below f_min {task.f_min:g}")
-    return task.bits * f / denom
-
-def power_for_rate(gain: float, bandwidth: float, noise_w: float, rate: float) -> float:
-    """Transmit power sustaining `rate` on an AWGN link of the given gain."""
-    x = LN2 * rate / bandwidth
-    if x > EXP_CAP:
-        return math.inf
-    return noise_w / gain * math.expm1(x)
-
 def offload_power(task: TaskSpec, gain: float, bandwidth: float, noise_w: float, f: float) -> float:
     """U(f): transmit power that meets the deadline when the host runs at f.
 
@@ -213,68 +199,49 @@ def offload_power_derivs_vec(cycles, bits, deadline, gain, bandwidth, noise_w, f
 
 
 # ---------------------------------------------------------------------------
-# stationary-point solver for  U'(f) + power_coeff * f**(nu-1) + price_offset = 0
+# matching's stationary frequency:  U'(f) + power_coeff * f**(nu-1) = 0
 #
 # The left side is strictly increasing on (f_min, inf) and tends to -inf at
-# f_min, so there is at most one root; when the expression stays negative the
-# associated objective keeps decreasing and the solution escapes to +inf.
+# f_min, so its root clamped into a window [lo, hi] is the minimiser there.
+# icrbi solves this equation plus a capacity-price term for every admissible
+# pair at once on arrays (icrbi._Kernel._gamma_batch).  Matching prices a
+# handful of pairs per commit and stays scalar because that is faster there.
+# Routing matching through the vector kernel gave the same frequencies to
+# 1e-16 but was slower on a 2-core machine (Python 3.11, numpy 2.4), 60 seeds:
+# per pair, maxtask p50 at N = 80 went from 2.4 to 5.7 ms; batched per
+# preference build and reprice, +30 % at N = 40 and +18 % at N = 80; with
+# every helper pair precomputed, 3x at N = 10 and +60 % at N = 80.
+
+# residual target |g| <= ROOT_RTOL * scale of both stationary-point solvers
+ROOT_RTOL = 1e-9
 
 
-def _balance_terms(task, gain, bandwidth, noise_w, nu, power_coeff, price_offset, f):
+def _balance_terms(task, gain, bandwidth, noise_w, nu, power_coeff, f):
     du, d2u = offload_power_derivs(task, gain, bandwidth, noise_w, f)
-    g = du + power_coeff * f ** (nu - 1.0) + price_offset
-    gp = d2u + power_coeff * (nu - 1.0) * f ** (nu - 2.0)
-    scale = abs(du) + power_coeff * f ** (nu - 1.0) + abs(price_offset)
-    return g, gp, scale
+    cpu = power_coeff * f ** (nu - 1.0)
+    return du + cpu, d2u + power_coeff * (nu - 1.0) * f ** (nu - 2.0), abs(du) + cpu
 
 
-def balance_root(task, gain, bandwidth, noise_w, nu, power_coeff, price_offset,
-                 rtol: float = 1e-9) -> float:
-    """Unique root of U'(f) + power_coeff*f**(nu-1) + price_offset on (f_min, inf).
+def balance_root_clamped(task, gain, bandwidth, noise_w, nu, power_coeff,
+                         lo: float, hi: float) -> float:
+    """Root of U'(f) + power_coeff*f**(nu-1) clamped into [lo, hi].
 
-    Returns +inf when the expression never crosses zero.  Safeguarded Newton:
-    a bracketing interval is maintained and any wild Newton step falls back to
-    a geometric bisection, so the residual target |g| <= rtol * scale is met
-    for any admissible parameters.
-    """
-    f_lo = task.f_min
-    a = f_lo * (1.0 + 1e-9)
-    b = max(2.0 * f_lo, a * 2.0)
-    g_b, _, _ = _balance_terms(task, gain, bandwidth, noise_w, nu, power_coeff, price_offset, b)
-    grow = 0
-    while g_b <= 0.0:
-        b *= 8.0
-        grow += 1
-        if grow > 40:                       # ~1e36 * f_min: no crossing
-            return math.inf
-        g_b, _, _ = _balance_terms(task, gain, bandwidth, noise_w, nu, power_coeff, price_offset, b)
-    return _newton_bisect(task, gain, bandwidth, noise_w, nu, power_coeff, price_offset,
-                          a, b, rtol)
-
-
-def balance_root_clamped(task, gain, bandwidth, noise_w, nu, power_coeff, price_offset,
-                         lo: float, hi: float, rtol: float = 1e-9) -> float:
-    """Root of the same expression clamped into [lo, hi] (monotone => minimiser)."""
+    Safeguarded Newton: the bracket [a, b] is kept and any step leaving it
+    falls back to a geometric bisection."""
     if hi < lo:
         raise ValueError(f"empty interval [{lo:g}, {hi:g}]")
-    g_lo, _, _ = _balance_terms(task, gain, bandwidth, noise_w, nu, power_coeff, price_offset, lo)
+    g_lo, _, _ = _balance_terms(task, gain, bandwidth, noise_w, nu, power_coeff, lo)
     if g_lo >= 0.0:
         return lo
-    g_hi, _, _ = _balance_terms(task, gain, bandwidth, noise_w, nu, power_coeff, price_offset, hi)
+    g_hi, _, _ = _balance_terms(task, gain, bandwidth, noise_w, nu, power_coeff, hi)
     if g_hi <= 0.0:
         return hi
-    return _newton_bisect(task, gain, bandwidth, noise_w, nu, power_coeff, price_offset,
-                          lo, hi, rtol)
-
-
-def _newton_bisect(task, gain, bandwidth, noise_w, nu, power_coeff, price_offset,
-                   a, b, rtol):
     # invariant: g(a) < 0 < g(b)
+    a, b = lo, hi
     x = math.sqrt(a * b)
     for _ in range(200):
-        g, gp, scale = _balance_terms(task, gain, bandwidth, noise_w, nu,
-                                      power_coeff, price_offset, x)
-        if math.isfinite(g) and abs(g) <= rtol * max(scale, 1e-300):
+        g, gp, scale = _balance_terms(task, gain, bandwidth, noise_w, nu, power_coeff, x)
+        if math.isfinite(g) and abs(g) <= ROOT_RTOL * max(scale, 1e-300):
             return x
         if math.isfinite(g):
             if g < 0.0:
@@ -301,7 +268,7 @@ def _newton_bisect(task, gain, bandwidth, noise_w, nu, power_coeff, price_offset
 
 @dataclass
 class FeasibilityBounds:
-    """Static per-pair frequency windows and the infeasible-device sets.
+    """Static per-pair frequency windows and the blocked-pair mask.
 
     All arrays are (N, N+1): row i-1 belongs to task i, column j to device j.
     f_lower is the slowest admissible host frequency (delay side), f_upper the
@@ -314,9 +281,6 @@ class FeasibilityBounds:
     rate_cap: np.ndarray
     blocked: np.ndarray
 
-    def infeasible_devices(self, task_id: int) -> set[int]:
-        return set(np.flatnonzero(self.blocked[task_id - 1]).tolist())
-
 
 def device_speed_cap(dev: DeviceProfile) -> float:
     """Fastest frequency a device can host: capacity and CPU power budget."""
@@ -325,9 +289,8 @@ def device_speed_cap(dev: DeviceProfile) -> float:
     return min(dev.f_max, (dev.p_m / dev.kappa) ** (1.0 / dev.nu))
 
 
-def feasibility_bounds(sc: Scenario, residual_power=None) -> FeasibilityBounds:
-    """Static feasibility windows; `residual_power` optionally overrides each
-    UE's transmit budget (used by solvers that track commitments)."""
+def feasibility_bounds(sc: Scenario) -> FeasibilityBounds:
+    """Static feasibility windows from each UE's full power budget."""
     n = sc.n
     cap = np.array([device_speed_cap(d) for d in sc.devices])
     f_upper = np.tile(cap, (n, 1))
@@ -336,12 +299,9 @@ def feasibility_bounds(sc: Scenario, residual_power=None) -> FeasibilityBounds:
     bits = np.array([t.bits for t in sc.tasks])[:, None]
     deadline = np.array([t.deadline for t in sc.tasks])[:, None]
     eta = np.array([sc.devices[i + 1].eta for i in range(n)])[:, None]
-    if residual_power is None:
-        p_m = np.array([sc.devices[i + 1].p_m for i in range(n)])[:, None]
-    else:
-        p_m = np.asarray(residual_power, dtype=float)[:, None]
+    p_m = np.array([sc.devices[i + 1].p_m for i in range(n)])[:, None]
 
-    snr = sc.gains * eta * np.maximum(p_m, 0.0) / sc.noise_w
+    snr = sc.gains * eta * p_m / sc.noise_w
     rate_cap = sc.bandwidth * np.log1p(snr) / LN2
     own = np.arange(1, n + 1)
     rows = np.arange(n)
@@ -495,15 +455,6 @@ def make_assignment(sc: Scenario, target, freqs) -> Assignment:
     if violations:
         raise InfeasibleAssignment(violations)
     return asg
-
-
-def evaluate_assignment(sc: Scenario, asg: Assignment) -> CostBreakdown:
-    """Recompute the cost breakdown of an existing assignment after validating it."""
-    violations = validate_constraints(sc, asg)
-    if violations:
-        raise InfeasibleAssignment(violations)
-    cost, _ = assignment_cost(sc, asg.target, asg.f)
-    return cost
 
 
 def ue_total_power(sc: Scenario, asg: Assignment) -> float:

@@ -68,12 +68,10 @@ def non_cope(sc: Scenario) -> Assignment:
 # exhaustive small-instance optimum
 
 
-def decision_maps(sc: Scenario, bounds: FeasibilityBounds | None = None):
+def decision_maps(sc: Scenario, bounds: FeasibilityBounds):
     """Yield every decision map honouring the static windows, as
     {task: device} dicts with unassigned tasks absent.  The number of maps
     is the product over tasks of (1 + number of admissible devices)."""
-    if bounds is None:
-        bounds = feasibility_bounds(sc)
     options = []
     for i in range(1, sc.n + 1):
         opts: list[int | None] = [None]

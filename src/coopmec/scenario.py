@@ -200,6 +200,17 @@ def write_scenario(sc: Scenario, path) -> None:
 
 # fields of a record line, its keyword included
 _RECORD_FIELDS = {"task": 7, "device": 10}
+# header fields and their types
+_HEADER = {"n": int, "bandwidth": float, "noise_w": float, "seed": int}
+
+
+def _header_value(kind: str, raw: str):
+    value = _HEADER[kind](raw)
+    if kind == "n" and value < 1:
+        raise ValueError(f"n must be >= 1, got {value}")
+    if kind in ("bandwidth", "noise_w") and not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{kind} must be finite and > 0, got {value!r}")
+    return value
 
 
 def read_scenario(path) -> Scenario:
@@ -221,6 +232,8 @@ def read_scenario(path) -> Scenario:
                 raise ValueError(f"{len(parts)} fields, expected {need}")
             if kind in records and int(parts[1]) in records[kind]:
                 raise ValueError(f"duplicate {kind} {int(parts[1])}")
+            if kind in header:
+                raise ValueError(f"duplicate {kind}")
             if kind == "task":
                 tid = int(parts[1])
                 tasks[tid] = TaskSpec(id=tid, cycles=float(parts[2]), bits=float(parts[3]),
@@ -238,17 +251,16 @@ def read_scenario(path) -> Scenario:
                 if not all(math.isfinite(g) and g >= 0.0 for g in row):
                     raise ValueError("gains must be finite and >= 0")
                 gain_rows[int(parts[1])] = row
+            elif kind in _HEADER:
+                header[kind] = _header_value(kind, parts[1])
             else:
-                header[kind] = parts[1]
+                raise ValueError("unknown line kind")
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad {kind!r} line: {exc}") from exc
-    try:
-        n = int(header["n"])
-        bandwidth = float(header["bandwidth"])
-        noise_w = float(header["noise_w"])
-        seed = int(header["seed"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad or missing header field {exc}") from exc
+    missing = [k for k in _HEADER if k not in header]
+    if missing:
+        raise ConfigError(f"{path}: missing header field(s) {', '.join(missing)}")
+    n, bandwidth, noise_w, seed = (header[k] for k in _HEADER)
     if set(tasks) != set(range(1, n + 1)) or set(devices) != set(range(n + 1)):
         raise ConfigError(f"{path}: incomplete task/device records")
     if any(len(gain_rows.get(i, ())) != n + 1 for i in range(1, n + 1)):

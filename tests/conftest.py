@@ -12,12 +12,30 @@ import math
 import numpy as np
 import pytest
 
-from coopmec.model import DeviceProfile, Scenario, TaskSpec
+from coopmec.errors import DomainError
+from coopmec.model import EXP_CAP, LN2, DeviceProfile, Scenario, TaskSpec
 from coopmec.scenario import GenConfig, generate
 
 # -174 dBm/Hz over 2 MHz, rounded to three significant digits.  The round
 # value makes the reference-point arithmetic exact (see test_model).
 NOISE_W = 7.96e-15
+
+
+def required_rate(task: TaskSpec, f: float) -> float:
+    """Upload rate (bit/s) making upload + compute at frequency f hit the
+    deadline; with power_for_rate, an independent route to U(f)."""
+    denom = task.deadline * f - task.cycles
+    if denom <= 0:
+        raise DomainError(f"task {task.id}: frequency {f:g} at or below f_min {task.f_min:g}")
+    return task.bits * f / denom
+
+
+def power_for_rate(gain: float, bandwidth: float, noise_w: float, rate: float) -> float:
+    """Transmit power sustaining `rate` on an AWGN link of the given gain."""
+    x = LN2 * rate / bandwidth
+    if x > EXP_CAP:
+        return math.inf
+    return noise_w / gain * math.expm1(x)
 
 
 def mk_task(i: int, cycles: float = 1e7, bits: float = 1e5,

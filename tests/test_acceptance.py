@@ -16,12 +16,12 @@ import time
 import numpy as np
 import pytest
 
+from conftest import power_for_rate, required_rate
 from coopmec import oracle
 from coopmec.decentral import overhead_report
 from coopmec.harness import ExperimentSpec, run_algorithm, run_experiment, write_outputs
 from coopmec.model import (device_speed_cap, feasibility_bounds, offload_power,
-                           offload_power_derivs, power_for_rate, required_rate,
-                           validate_constraints)
+                           offload_power_derivs, validate_constraints)
 from coopmec.scenario import GenConfig, generate
 
 ALGOS = ("icrbi", "maxtask", "minpw", "decentral", "noncope")

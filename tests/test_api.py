@@ -1,0 +1,81 @@
+"""No public function exists only for the tests.
+
+Every public top-level function and every public method of a top-level
+class in src/coopmec/*.py must be referenced somewhere in src/coopmec/ or
+scripts/ outside its own definition; `__init__.py` re-exports do not count.
+A function is referenced by a loaded name or attribute of its name, a
+method only by an attribute.  The check goes by name, so it can miss dead
+code that shares a name with live code, but it cannot flag live code.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "coopmec"
+SCRIPTS = ROOT / "scripts"
+
+# public names nothing in src/ or scripts/ calls, kept on purpose
+ALLOWED = {
+    "scenario.read_scenario": "scenario-file reader: the package's input boundary",
+    "scenario.write_config": "config-file writer, the inverse of read_config",
+}
+
+
+def modules() -> list[Path]:
+    return [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+
+
+def public_definitions():
+    """(module.qualname, name, is_method, file, first line, last line)."""
+    for path in modules():
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node, False)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{m.name}", m, True) for m in node.body
+                        if isinstance(m, ast.FunctionDef)]
+            else:
+                continue
+            for qual, fn, is_method in defs:
+                if not fn.name.startswith("_"):
+                    yield (f"{path.stem}.{qual}", fn.name, is_method, path,
+                           fn.lineno, fn.end_lineno)
+
+
+def references() -> tuple[dict, dict]:
+    """Loaded names and loaded attributes -> [(file, line)] over the package
+    (without __init__.py) and the scripts."""
+    names, attrs = defaultdict(list), defaultdict(list)
+    for path in modules() + sorted(SCRIPTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names[node.id].append((path, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs[node.attr].append((path, node.lineno))
+    return names, attrs
+
+
+def unreferenced() -> list[str]:
+    names, attrs = references()
+    out = []
+    for qual, name, is_method, path, first, last in public_definitions():
+        sites = attrs[name] + ([] if is_method else names[name])
+        if not any(p != path or not first <= line <= last for p, line in sites):
+            out.append(qual)
+    return out
+
+
+def test_every_public_function_has_a_caller():
+    extra = [q for q in unreferenced() if q not in ALLOWED]
+    assert extra == [], f"public but only the tests call: {extra}"
+
+
+def test_allow_list_is_current():
+    # an entry that gained a caller, or whose function is gone, is dropped
+    defined = {q for q, *_ in public_definitions()}
+    assert set(ALLOWED) <= defined
+    assert set(ALLOWED) <= set(unreferenced())

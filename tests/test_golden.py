@@ -1,0 +1,47 @@
+"""Golden run records: refactors that leave the numerics alone must
+reproduce them.
+
+`data/golden_runs.csv` is the runs.csv of
+
+    coopmec run --sweep f0_max=5e9,8e9 --realizations 4
+
+(all five algorithms, n = 10, seeds 0-3).  Integer columns must match
+exactly, float columns to 1e-12 relative.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+from pathlib import Path
+
+import pytest
+
+from coopmec.harness import ALGORITHMS, ExperimentSpec, run_experiment
+from coopmec.scenario import GenConfig
+
+GOLDEN = Path(__file__).parent / "data" / "golden_runs.csv"
+INT_COLUMNS = ("realization", "seed", "accomplished", "overhead", "converged",
+               "iterations")
+FLOAT_COLUMNS = ("sweep_value", "total_cost", "ratio", "ue_power_w")
+
+
+def golden_rows(algorithm: str) -> list[dict]:
+    with open(GOLDEN, newline="") as fh:
+        return [row for row in csv.DictReader(fh) if row["algorithm"] == algorithm]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_runs_match_golden_records(algorithm):
+    want = golden_rows(algorithm)
+    assert len(want) == 8
+    spec = ExperimentSpec(algorithms=(algorithm,), base=GenConfig(n=10),
+                          sweep_values=(5e9, 8e9), realizations=4)
+    _, records = run_experiment(spec)
+    assert len(records) == len(want)
+    for rec, row in zip(records, want):
+        for col in INT_COLUMNS:
+            assert int(getattr(rec, col)) == int(row[col]), (col, row)
+        for col in FLOAT_COLUMNS:
+            assert math.isclose(getattr(rec, col), float(row[col]),
+                                rel_tol=1e-12, abs_tol=0.0), (col, row)

@@ -11,10 +11,15 @@ import pytest
 from conftest import gen, mk_dev, mk_scenario, mk_task
 from coopmec import icrbi, oracle
 from coopmec.errors import UnknownAlgorithm
-from coopmec.icrbi import (DualState, decisions_from, dual_scales, dual_update,
-                           primal_update, repair_feasibility, solve,
-                           solve_gamma, step_size)
+from coopmec.icrbi import (DualState, decisions_from, dual_scales,
+                           repair_feasibility, solve, step_size)
 from coopmec.model import feasibility_bounds, validate_constraints
+
+
+def primal(sc, duals):
+    """(x, a) of one exact priced minimisation by the solver's kernel."""
+    x, a, _ = icrbi._Kernel(sc, feasibility_bounds(sc)).primal(duals)
+    return x, a
 
 
 def test_step_size_rules():
@@ -32,32 +37,27 @@ def test_unpriced_offload_runs_flat_out(sc10):
     # derivative alone, strictly negative, so the root escapes upward and
     # the window clamps it at the top
     bounds = feasibility_bounds(sc10)
-    duals = DualState.zeros(sc10.n)
-    for i in range(1, sc10.n + 1):
-        if not bounds.blocked[i - 1, 0]:
-            got = solve_gamma(sc10, bounds, i, 0, duals)
-            assert got == bounds.f_upper[i - 1, 0]
+    kern = icrbi._Kernel(sc10, bounds)
+    _, _, gamma = kern.primal(DualState.zeros(sc10.n))
+    server = [i for i in range(1, sc10.n + 1) if not bounds.blocked[i - 1, 0]]
+    assert server
+    for i in server:
+        assert gamma[kern.pair_of[i - 1, 0]] == bounds.f_upper[i - 1, 0]
 
 
 def test_gamma_monotone_in_frequency_price():
-    # a rising capacity price v_j can only slow the chosen frequency down
+    # a rising capacity price v_j can only slow the chosen frequency down;
+    # pair (i, j) reads only v_j, so every device is priced alike
     checked = 0
     for seed in range(20):
         sc = gen(n=4, seed=seed)
-        bounds = feasibility_bounds(sc)
-        for i in range(1, sc.n + 1):
-            for j in range(sc.n + 1):
-                if i == j or bounds.blocked[i - 1, j]:
-                    continue
-                gammas = []
-                for v in (0.0, 1e-10, 1e-9, 3e-8):
-                    duals = DualState.zeros(sc.n)
-                    vv = duals.v.copy()
-                    vv[j] = v
-                    gammas.append(solve_gamma(sc, bounds, i, j,
-                                              DualState(mu=duals.mu, v=vv)))
-                assert all(a >= b - 1e-6 for a, b in zip(gammas, gammas[1:]))
-                checked += 1
+        kern = icrbi._Kernel(sc, feasibility_bounds(sc))
+        gammas = [kern.primal(DualState(mu=np.zeros(sc.n),
+                                        v=np.full(sc.n + 1, v)))[2]
+                  for v in (0.0, 1e-10, 1e-9, 3e-8)]
+        for a, b in zip(gammas, gammas[1:]):
+            assert (a >= b - 1e-6).all()
+        checked += kern.ri.size
     assert checked >= 30
 
 
@@ -70,11 +70,11 @@ def test_dual_scales_are_positive(sc10):
 
 
 def test_multipliers_stay_nonnegative(sc10):
-    bounds = feasibility_bounds(sc10)
+    kern = icrbi._Kernel(sc10, feasibility_bounds(sc10))
     duals = DualState.zeros(sc10.n)
     for _ in range(6):
-        x, a = primal_update(sc10, bounds, duals)
-        duals = dual_update(sc10, bounds, duals, x, a)
+        x, a, _ = kern.primal(duals)
+        duals = kern.dual_step(duals, kern.evaluate(x, a))
         assert (duals.mu >= 0).all()
         assert (duals.v >= 0).all()
     assert duals.t == 7
@@ -84,8 +84,7 @@ def test_primal_prefers_local_when_it_wins():
     # local compute at 0.5 GHz costs 1.25e-4 W versus a 40.0 penalty and a
     # decent channel; the priced objective must keep the task at home
     sc = mk_scenario([mk_task(1)], [mk_dev(0, f_max=5e9), mk_dev(1)])
-    bounds = feasibility_bounds(sc)
-    x, a = primal_update(sc, bounds, DualState.zeros(1))
+    x, a = primal(sc, DualState.zeros(1))
     assert decisions_from(a) == {1: 1}
     assert math.isclose(x[0, 1], sc.task(1).f_min, rel_tol=1e-12)
 
@@ -95,8 +94,7 @@ def test_primal_drops_task_with_no_winning_option():
     # local compute at f_min costs 1.25e-1 W, uploads cost more than 1e-4
     sc = mk_scenario([mk_task(1, cycles=1e7, penalty=1e-6)],
                      [mk_dev(0, f_max=5e9), mk_dev(1, f_max=2e9, p_max=10.0)])
-    bounds = feasibility_bounds(sc)
-    x, a = primal_update(sc, bounds, DualState.zeros(1))
+    x, a = primal(sc, DualState.zeros(1))
     assert a.sum() == 0
     assert decisions_from(a) == {}
 
@@ -113,7 +111,7 @@ def test_primal_tie_breaks_to_lower_device():
     sc = mk_scenario(tasks, devices, gain=gains)
     bounds = feasibility_bounds(sc)
     assert bounds.blocked[0, 0] and bounds.blocked[0, 1]
-    x, a = primal_update(sc, bounds, DualState.zeros(n))
+    x, a = primal(sc, DualState.zeros(n))
     assert decisions_from(a)[1] == 2
 
 
@@ -172,7 +170,7 @@ def test_solve_result_validates(sc10):
 
 def test_repair_is_idempotent(sc10):
     bounds = feasibility_bounds(sc10)
-    x, a = primal_update(sc10, bounds, DualState.zeros(sc10.n))
+    x, a = primal(sc10, DualState.zeros(sc10.n))
     asg = repair_feasibility(sc10, decisions_from(a), bounds)
     again = repair_feasibility(sc10, dict(asg.target), bounds)
     assert again.target == asg.target

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NOISE_W, mk_dev, mk_scenario, mk_task
+from conftest import (NOISE_W, mk_dev, mk_scenario, mk_task, power_for_rate,
+                      required_rate)
 from coopmec.errors import DomainError, InfeasibleAssignment
 from coopmec.model import (Assignment, DeviceProfile, TaskSpec, assignment_cost,
                            device_speed_cap, feasibility_bounds, make_assignment,
                            offload_power, offload_power_derivs,
                            offload_power_derivs_vec, offload_power_vec,
-                           power_for_rate, required_rate, ue_total_power,
-                           validate_constraints)
+                           ue_total_power, validate_constraints)
 
 # Reference operating point: 0.1 Mbit over a 2 MHz link with gain 1e-10,
 # 1e7 cycles due in 20 ms.  At f = 1 GHz the exponent is exactly 5 ln 2,

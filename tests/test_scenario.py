@@ -197,3 +197,29 @@ def test_scenario_file_rejects_duplicate_record(tmp_path, prefix):
     kind = prefix.split()[0]
     with pytest.raises(ConfigError, match=rf"inst\.sc:{i + 2}: .*duplicate {kind}"):
         read_scenario(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: [ln.replace("bandwidth 2000000.0", "bandwidth -2000000.0")
+                    for ln in lines], r"inst\.sc:3: .*bandwidth must be finite and > 0"),
+    (lambda lines: [("noise_w nan" if ln.startswith("noise_w ") else ln)
+                    for ln in lines], r"inst\.sc:4: .*noise_w must be finite and > 0"),
+    (lambda lines: lines[:3] + ["bandwidth 5.0"] + lines[3:],
+     r"inst\.sc:4: .*duplicate bandwidth"),
+    (lambda lines: lines + ["frobnicate 3"], r"inst\.sc:19: .*unknown line kind"),
+    (lambda lines: [("n 0" if ln.startswith("n ") else ln) for ln in lines],
+     r"inst\.sc:2: .*n must be >= 1"),
+    (lambda lines: [ln for ln in lines if not ln.startswith("seed ")],
+     r"inst\.sc: missing header field\(s\) seed"),
+], ids=["negative-bandwidth", "nan-noise", "duplicate-bandwidth", "unknown-kind",
+        "zero-tasks", "missing-seed"])
+def test_scenario_file_rejects_bad_header(tmp_path, edit, message):
+    # an n=4 file: format line, n, bandwidth, noise_w, seed, 4 task lines,
+    # 5 device lines, 4 gains lines (18 lines)
+    path = tmp_path / "inst.sc"
+    write_scenario(generate(GenConfig(n=4, seed=2)), path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 18 and lines[2] == "bandwidth 2000000.0"
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ConfigError, match=message):
+        read_scenario(path)
