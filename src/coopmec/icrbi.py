@@ -37,8 +37,8 @@ import numpy as np
 from . import matching
 from .errors import InfeasiblePair, NonConvergence, UnknownAlgorithm
 from .model import (ROOT_RTOL, Assignment, FeasibilityBounds, Scenario,
-                    device_speed_cap, feasibility_bounds, make_assignment,
-                    offload_power_derivs_vec, offload_power_vec)
+                    feasibility_bounds, make_assignment, offload_power_derivs_vec,
+                    offload_power_vec)
 
 STEP_RULES = ("diminish", "square")
 
@@ -112,27 +112,24 @@ def dual_scales(sc: Scenario, bounds: FeasibilityBounds) -> tuple[np.ndarray, np
     falls back to the mean penalty per cycle/s of its capacity: a unit scale
     there would make the first step price every hosted task out at once."""
     n = sc.n
-    w = np.array([t.power_price for t in sc.tasks])
+    arr = sc.arrays
+    w = arr.power_price
     mu_scale = np.where(w > 0, w, 1.0)
     v_scale = np.ones(n + 1)
-    v_scale[0] = np.mean([t.penalty for t in sc.tasks]) / sc.devices[0].f_max
+    v_scale[0] = np.mean(arr.penalty) / sc.devices[0].f_max
     valid0 = ~bounds.blocked[:, 0]
     if valid0.any():
-        cyc = np.array([t.cycles for t in sc.tasks])
-        bits = np.array([t.bits for t in sc.tasks])
-        dl = np.array([t.deadline for t in sc.tasks])
-        eta = np.array([sc.devices[i].eta for i in range(1, n + 1)])
-        f_up = np.where(valid0, bounds.f_upper[:, 0], 2.0 * cyc / dl)
-        du, _ = offload_power_derivs_vec(cyc, bits, dl, sc.gains[:, 0],
+        f_up = np.where(valid0, bounds.f_upper[:, 0], 2.0 * arr.cycles / arr.deadline)
+        du, _ = offload_power_derivs_vec(arr.cycles, arr.bits, arr.deadline, sc.gains[:, 0],
                                          sc.bandwidth, sc.noise_w, f_up)
-        slopes = (w / eta) * np.abs(du)
+        slopes = (w / arr.eta) * np.abs(du)
         mean_slope = float(slopes[valid0].mean())
         if math.isfinite(mean_slope) and mean_slope > 0:
             v_scale[0] = mean_slope
+    caps = arr.speed_cap.tolist()
     for j in range(1, n + 1):
         dev = sc.devices[j]
-        cap = device_speed_cap(dev)
-        slope = w[j - 1] * dev.kappa * dev.nu * cap ** (dev.nu - 1.0)
+        slope = w[j - 1] * dev.kappa * dev.nu * caps[j] ** (dev.nu - 1.0)
         v_scale[j] = slope if slope > 0 else v_scale[0]
     return mu_scale, v_scale
 
@@ -171,18 +168,16 @@ class _Kernel:
         self.n = n
         self.bandwidth = sc.bandwidth
         self.noise_w = sc.noise_w
-        cycles = np.array([t.cycles for t in sc.tasks])
-        bits = np.array([t.bits for t in sc.tasks])
-        deadline = np.array([t.deadline for t in sc.tasks])
-        self.phi = np.array([t.penalty for t in sc.tasks])
-        self.w = np.array([t.power_price for t in sc.tasks])
-        self.eta = np.array([sc.devices[i].eta for i in range(1, n + 1)])
-        self.p_m = np.array([sc.devices[i].p_m for i in range(1, n + 1)])
-        self.kappa_d = np.array([d.kappa for d in sc.devices])
-        nu_d = np.array([d.nu for d in sc.devices])
+        arr = sc.arrays
+        self.phi = arr.penalty
+        self.w = arr.power_price
+        self.eta = arr.eta
+        self.p_m = arr.p_m
+        self.kappa_d = arr.kappa
+        nu_d = arr.nu
         self.nu_d = nu_d
         self.kappa_nu = self.kappa_d * nu_d
-        self.fmax_d = np.array([d.f_max for d in sc.devices])
+        self.fmax_d = arr.f_max
         self.host_w = np.concatenate([[0.0], self.w])      # compute price per device
         self.rows = np.arange(n)
         self.own = self.rows + 1
@@ -191,7 +186,7 @@ class _Kernel:
         valid = ~bounds.blocked
         self.remote = valid & ~own_mask
         self.local_ok = valid[self.rows, self.own]
-        self.f_min = cycles / deadline
+        self.f_min = arr.f_min
         self.own_kappa = self.kappa_d[self.own]
         self.fmin_nu = self.f_min ** nu_d[self.own]
         self.mu_scale, self.v_scale = dual_scales(sc, bounds)
@@ -202,7 +197,8 @@ class _Kernel:
         self.pair_of[ri, rj] = np.arange(ri.size)
         # per-pair curve inputs, one row each: cycles, bits, deadline, gain;
         # the Newton step also reads the host's nu - 1 and nu - 2
-        self.curve = np.array([cycles[ri], bits[ri], deadline[ri], sc.gains[ri, rj]])
+        self.curve = np.array([arr.cycles[ri], arr.bits[ri], arr.deadline[ri],
+                               sc.gains[ri, rj]])
         self.nu = nu_d[rj]
         self.newton_consts = np.vstack([self.curve, self.nu - 1.0, self.nu - 2.0])
         lo = bounds.f_lower[ri, rj]

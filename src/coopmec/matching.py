@@ -65,8 +65,8 @@ class MatchingState:
 
 
 def new_state(sc: Scenario) -> MatchingState:
-    f_res = np.array([d.f_max for d in sc.devices])
-    p_res = np.array([math.inf] + [d.p_m for d in sc.devices[1:]])
+    f_res = sc.arrays.f_max.copy()
+    p_res = np.concatenate([[math.inf], sc.arrays.p_m])
     return MatchingState(f_res=f_res, p_res=p_res,
                          unmatched=set(range(1, sc.n + 1)))
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +40,11 @@ CHECK_TOL = 1e-9
 
 # ---------------------------------------------------------------------------
 # domain types
+
+
+def _check_finite(owner: str, name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{owner}: {name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,8 @@ class TaskSpec:
     def __post_init__(self):
         if self.id < 1:
             raise ValueError(f"task id must be >= 1, got {self.id}")
+        for name in ("cycles", "bits", "deadline", "penalty", "power_price"):
+            _check_finite(f"task {self.id}", name, getattr(self, name))
         if not (self.cycles > 0 and self.bits > 0 and self.deadline > 0):
             raise ValueError(f"task {self.id}: cycles, bits, deadline must be positive")
         if self.penalty < 0 or self.power_price < 0:
@@ -94,6 +103,12 @@ class DeviceProfile:
     def __post_init__(self):
         if self.id < 0:
             raise ValueError(f"device id must be >= 0, got {self.id}")
+        for name in ("f_max", "kappa", "nu", "eta", "p_cir"):
+            _check_finite(f"device {self.id}", name, getattr(self, name))
+        if not (self.id == 0 and self.p_max == math.inf):   # the grid-powered server
+            _check_finite(f"device {self.id}", "p_max", self.p_max)
+        for name, value in zip(("position x", "position y"), self.position):
+            _check_finite(f"device {self.id}", name, value)
         if self.f_max <= 0:
             raise ValueError(f"device {self.id}: f_max must be positive")
         if self.kappa < 0 or self.nu < 1:
@@ -116,6 +131,11 @@ class Scenario:
     gains is the (N, N+1) linear channel-gain matrix: row i-1 holds UE i's
     gains towards devices 0..N.  The diagonal-like entry gains[i-1, i]
     (a UE towards itself) is never used.
+
+    Data that depends only on the scenario (`arrays`, the feasibility
+    bounds) is computed on first use and kept on the instance.  gains is a
+    read-only copy and so is every cached array, so the cache cannot go
+    stale; dataclasses.replace builds a new instance with an empty cache.
     """
 
     tasks: tuple[TaskSpec, ...]
@@ -124,6 +144,18 @@ class Scenario:
     bandwidth: float
     noise_w: float
     seed: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "gains", _read_only(np.array(self.gains, dtype=float)))
+
+    @cached_property
+    def arrays(self) -> ScenarioArrays:
+        """Per-task and per-device parameter arrays, built on first use."""
+        return _scenario_arrays(self)
+
+    @cached_property
+    def _bounds(self) -> FeasibilityBounds:
+        return _compute_bounds(self)
 
     @property
     def n(self) -> int:
@@ -263,7 +295,58 @@ def balance_root_clamped(task, gain, bandwidth, noise_w, nu, power_coeff,
 
 
 # ---------------------------------------------------------------------------
-# feasibility bounds
+# scenario-static arrays and feasibility bounds
+
+
+class ScenarioArrays(NamedTuple):
+    """A scenario's parameters as read-only arrays, built once per scenario.
+
+    Per task (length N, entry i-1 is task i): cycles, bits, deadline, f_min,
+    penalty, power_price, and the owner UE's eta and p_m.  Per device
+    (length N+1, entry j is device j): kappa, nu, f_max and speed_cap.
+    circuit (the priced circuit power of every UE) and penalty_total (the
+    penalty of dropping every task) are the constant terms of the cost.
+    """
+
+    cycles: np.ndarray
+    bits: np.ndarray
+    deadline: np.ndarray
+    f_min: np.ndarray
+    penalty: np.ndarray
+    power_price: np.ndarray
+    eta: np.ndarray
+    p_m: np.ndarray
+    kappa: np.ndarray
+    nu: np.ndarray
+    f_max: np.ndarray
+    speed_cap: np.ndarray
+    circuit: float
+    penalty_total: float
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _array(values) -> np.ndarray:
+    return _read_only(np.array(values))
+
+
+def _scenario_arrays(sc: Scenario) -> ScenarioArrays:
+    tasks, devices, ues = sc.tasks, sc.devices, sc.devices[1:]
+    cycles = _array([t.cycles for t in tasks])
+    deadline = _array([t.deadline for t in tasks])
+    return ScenarioArrays(
+        cycles=cycles, bits=_array([t.bits for t in tasks]), deadline=deadline,
+        f_min=_read_only(cycles / deadline), penalty=_array([t.penalty for t in tasks]),
+        power_price=_array([t.power_price for t in tasks]),
+        eta=_array([d.eta for d in ues]), p_m=_array([d.p_m for d in ues]),
+        kappa=_array([d.kappa for d in devices]), nu=_array([d.nu for d in devices]),
+        f_max=_array([d.f_max for d in devices]),
+        speed_cap=_array([device_speed_cap(d) for d in devices]),
+        circuit=sum(t.power_price * devices[t.id].p_cir for t in tasks),
+        penalty_total=sum(t.penalty for t in tasks))
 
 
 @dataclass
@@ -290,16 +373,21 @@ def device_speed_cap(dev: DeviceProfile) -> float:
 
 
 def feasibility_bounds(sc: Scenario) -> FeasibilityBounds:
-    """Static feasibility windows from each UE's full power budget."""
-    n = sc.n
-    cap = np.array([device_speed_cap(d) for d in sc.devices])
-    f_upper = np.tile(cap, (n, 1))
+    """Static feasibility windows from each UE's full power budget, computed
+    once per scenario (every later call returns the same object)."""
+    return sc._bounds
 
-    cycles = np.array([t.cycles for t in sc.tasks])[:, None]
-    bits = np.array([t.bits for t in sc.tasks])[:, None]
-    deadline = np.array([t.deadline for t in sc.tasks])[:, None]
-    eta = np.array([sc.devices[i + 1].eta for i in range(n)])[:, None]
-    p_m = np.array([sc.devices[i + 1].p_m for i in range(n)])[:, None]
+
+def _compute_bounds(sc: Scenario) -> FeasibilityBounds:
+    n = sc.n
+    arr = sc.arrays
+    f_upper = np.tile(arr.speed_cap, (n, 1))
+
+    cycles = arr.cycles[:, None]
+    bits = arr.bits[:, None]
+    deadline = arr.deadline[:, None]
+    eta = arr.eta[:, None]
+    p_m = arr.p_m[:, None]
 
     snr = sc.gains * eta * p_m / sc.noise_w
     rate_cap = sc.bandwidth * np.log1p(snr) / LN2
@@ -310,14 +398,14 @@ def feasibility_bounds(sc: Scenario) -> FeasibilityBounds:
     with np.errstate(divide="ignore", invalid="ignore"):
         slack = deadline - bits / rate_cap
         f_lower = np.where(slack > 0, cycles / np.where(slack > 0, slack, 1.0), np.inf)
-    f_lower[rows, own] = (cycles / deadline)[:, 0]
+    f_lower[rows, own] = arr.f_min
 
     blocked = f_lower >= f_upper
     remote = np.ones_like(blocked)
     remote[rows, own] = False
     blocked |= remote.astype(bool) & (deadline * rate_cap <= bits)
-    return FeasibilityBounds(f_upper=f_upper, f_lower=f_lower, rate_cap=rate_cap,
-                             blocked=blocked)
+    return FeasibilityBounds(f_upper=_read_only(f_upper), f_lower=_read_only(f_lower),
+                             rate_cap=_read_only(rate_cap), blocked=_read_only(blocked))
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +469,30 @@ def assignment_cost(sc: Scenario, target, freqs) -> tuple[CostBreakdown, dict[in
             p_t[task_id] = power
             transmit += task.power_price / sc.device(task.id).eta * power
         compute += sc.host_price(dev) * sc.device(dev).kappa * f ** sc.device(dev).nu
-    circuit = sum(t.power_price * sc.device(t.id).p_cir for t in sc.tasks)
-    penalty_all = sum(t.penalty for t in sc.tasks)
+    circuit = sc.arrays.circuit
+    penalty_all = sc.arrays.penalty_total
     saved = sum(sc.task(i).penalty for i in target)
     total = transmit + compute + circuit + (penalty_all - saved)
     reduced = transmit + compute - saved
     return CostBreakdown(transmit=transmit, compute=compute, circuit=circuit,
                          penalty=penalty_all - saved, total=total, reduced=reduced), p_t
+
+
+def _ue_power_terms(sc: Scenario, asg: Assignment):
+    """(device, hosted compute watts, own transmit watts) of UE 1..N.
+
+    The hosted tasks are grouped by host once, in target order, so each
+    UE's compute sum adds the same terms in the same order as a scan of the
+    whole target map would."""
+    f, p_t, target = asg.f, asg.p_t, asg.target
+    hosted: dict[int, list[int]] = {}
+    for k, tgt in target.items():
+        hosted.setdefault(tgt, []).append(k)
+    for i in range(1, sc.n + 1):
+        dev = sc.devices[i]
+        guests = hosted.get(i)
+        compute = dev.kappa * sum(f.get(k, 0.0) ** dev.nu for k in guests) if guests else 0.0
+        yield dev, compute, (p_t.get(i, 0.0) / dev.eta if target.get(i) not in (None, i) else 0.0)
 
 
 def validate_constraints(sc: Scenario, asg: Assignment) -> list[Violation]:
@@ -432,13 +537,8 @@ def validate_constraints(sc: Scenario, asg: Assignment) -> list[Violation]:
             out.append(Violation("C4", None, j, used - cap))
 
     # C5: per-UE total power (hosted compute + own transmit + circuit)
-    for i in range(1, n + 1):
-        dev = sc.device(i)
-        draw = dev.p_cir
-        draw += dev.kappa * sum(asg.f.get(k, 0.0) ** dev.nu
-                                for k, tgt in asg.target.items() if tgt == i)
-        if asg.target.get(i) not in (None, i):
-            draw += asg.p_t.get(i, 0.0) / dev.eta
+    for i, (dev, compute, transmit) in enumerate(_ue_power_terms(sc, asg), 1):
+        draw = dev.p_cir + compute + transmit
         if draw > dev.p_max * (1.0 + CHECK_TOL):
             out.append(Violation("C5", None, i, draw - dev.p_max))
     return out
@@ -460,11 +560,8 @@ def make_assignment(sc: Scenario, target, freqs) -> Assignment:
 def ue_total_power(sc: Scenario, asg: Assignment) -> float:
     """Total watts drawn by all UEs (compute + transmit + circuit)."""
     total = 0.0
-    for i in range(1, sc.n + 1):
-        dev = sc.device(i)
+    for dev, compute, transmit in _ue_power_terms(sc, asg):
         total += dev.p_cir
-        total += dev.kappa * sum(asg.f.get(k, 0.0) ** dev.nu
-                                 for k, tgt in asg.target.items() if tgt == i)
-        if asg.target.get(i) not in (None, i):
-            total += asg.p_t.get(i, 0.0) / dev.eta
+        total += compute
+        total += transmit
     return total

@@ -191,8 +191,8 @@ def brute_force(sc: Scenario, grid_points: int = 200) -> Assignment:
         raise InstanceTooLarge(
             f"{sc.n} tasks: exhaustive search is limited to {BRUTE_FORCE_LIMIT}")
     bounds = feasibility_bounds(sc)
-    circuit = sum(t.power_price * sc.device(t.id).p_cir for t in sc.tasks)
-    phi_all = sum(t.penalty for t in sc.tasks)
+    circuit = sc.arrays.circuit
+    phi_all = sc.arrays.penalty_total
     cache: dict[tuple, object] = {}
     best = (math.inf, None, None)
     for targets in decision_maps(sc, bounds):

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from coopmec.errors import DomainError
-from coopmec.model import EXP_CAP, LN2, DeviceProfile, Scenario, TaskSpec
+from coopmec.model import (CHECK_TOL, EXP_CAP, LN2, DeviceProfile, Scenario, TaskSpec,
+                           Violation)
 from coopmec.scenario import GenConfig, generate
 
 # -174 dBm/Hz over 2 MHz, rounded to three significant digits.  The round
@@ -36,6 +37,36 @@ def power_for_rate(gain: float, bandwidth: float, noise_w: float, rate: float) -
     if x > EXP_CAP:
         return math.inf
     return noise_w / gain * math.expm1(x)
+
+
+def c5_violations(sc: Scenario, asg) -> list[Violation]:
+    """UE power-budget breaches (C5), scanning every target for every UE:
+    the O(N^2) reference for model.validate_constraints."""
+    out = []
+    for i in range(1, sc.n + 1):
+        dev = sc.device(i)
+        draw = dev.p_cir
+        draw += dev.kappa * sum(asg.f.get(k, 0.0) ** dev.nu
+                                for k, tgt in asg.target.items() if tgt == i)
+        if asg.target.get(i) not in (None, i):
+            draw += asg.p_t.get(i, 0.0) / dev.eta
+        if draw > dev.p_max * (1.0 + CHECK_TOL):
+            out.append(Violation("C5", None, i, draw - dev.p_max))
+    return out
+
+
+def ue_power_scan(sc: Scenario, asg) -> float:
+    """Total UE watts by the same O(N^2) scan: the reference for
+    model.ue_total_power."""
+    total = 0.0
+    for i in range(1, sc.n + 1):
+        dev = sc.device(i)
+        total += dev.p_cir
+        total += dev.kappa * sum(asg.f.get(k, 0.0) ** dev.nu
+                                 for k, tgt in asg.target.items() if tgt == i)
+        if asg.target.get(i) not in (None, i):
+            total += asg.p_t.get(i, 0.0) / dev.eta
+    return total
 
 
 def mk_task(i: int, cycles: float = 1e7, bits: float = 1e5,

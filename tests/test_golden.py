@@ -7,6 +7,12 @@ reproduce them.
 
 (all five algorithms, n = 10, seeds 0-3).  Integer columns must match
 exactly, float columns to 1e-12 relative.
+
+`data/golden_trace/` holds the files of `coopmec trace` on the default cell
+(seed 0), and its subdirectory `n12_f0max8e9_seed3/` those of the same
+command with `--seed 3` and a config setting `n = 12`, `f0_max = 8e9`.
+They must match byte for byte: they carry the per-commit cost series of
+matching and decentral, which runs.csv does not.
 """
 
 from __future__ import annotations
@@ -17,10 +23,12 @@ from pathlib import Path
 
 import pytest
 
+from coopmec.cli import main
 from coopmec.harness import ALGORITHMS, ExperimentSpec, run_experiment
 from coopmec.scenario import GenConfig
 
 GOLDEN = Path(__file__).parent / "data" / "golden_runs.csv"
+GOLDEN_TRACE = Path(__file__).parent / "data" / "golden_trace"
 INT_COLUMNS = ("realization", "seed", "accomplished", "overhead", "converged",
                "iterations")
 FLOAT_COLUMNS = ("sweep_value", "total_cost", "ratio", "ue_power_w")
@@ -45,3 +53,20 @@ def test_runs_match_golden_records(algorithm):
         for col in FLOAT_COLUMNS:
             assert math.isclose(getattr(rec, col), float(row[col]),
                                 rel_tol=1e-12, abs_tol=0.0), (col, row)
+
+
+@pytest.mark.parametrize("case, config, args", [
+    ("", None, []),
+    ("n12_f0max8e9_seed3", "n = 12\nf0_max = 8e9\n", ["--seed", "3"]),
+], ids=["default", "n12_f0max8e9_seed3"])
+def test_trace_files_match_golden_bytes(tmp_path, case, config, args):
+    golden = GOLDEN_TRACE / case
+    if config is not None:
+        (tmp_path / "cell.cfg").write_text(config)
+        args = args + ["--config", str(tmp_path / "cell.cfg")]
+    out = tmp_path / "trace"
+    assert main(["trace", "--out", str(out)] + args) == 0
+    want = sorted(p.name for p in golden.iterdir() if p.is_file())
+    assert sorted(p.name for p in out.iterdir()) == want
+    for name in want:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name

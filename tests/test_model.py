@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (NOISE_W, mk_dev, mk_scenario, mk_task, power_for_rate,
-                      required_rate)
+from conftest import (NOISE_W, c5_violations, gen, mk_dev, mk_scenario, mk_task,
+                      power_for_rate, required_rate, ue_power_scan)
 from coopmec.errors import DomainError, InfeasibleAssignment
+from coopmec.harness import ALGORITHMS, run_algorithm
 from coopmec.model import (Assignment, DeviceProfile, TaskSpec, assignment_cost,
                            device_speed_cap, feasibility_bounds, make_assignment,
                            offload_power, offload_power_derivs,
@@ -270,3 +271,44 @@ def test_ue_total_power_accounting():
     asg = make_assignment(sc, {1: 1, 2: 0}, {1: 5e8, 2: 1e9})
     want = 0.2 + 1e-27 * 5e8 ** 3 + asg.p_t[2] / 0.5
     assert math.isclose(ue_total_power(sc, asg), want, rel_tol=1e-12)
+
+
+POWER_CELLS = {"default": {}, "f0_8e9": dict(f0_max=8e9),
+               "steep": dict(pathloss_exponent=4.5, pathloss_ref_gain=1e-2)}
+
+
+@st.composite
+def scenario_and_assignment(draw):
+    """A generated scenario with either a solver's (valid) assignment or a
+    random one: any task on any device, frequencies up to 1.5x the host's
+    capacity, transmit powers up to twice the owner's budget, now and then
+    a missing frequency, and the target map in random insertion order."""
+    n = draw(st.integers(1, 12))
+    cell = POWER_CELLS[draw(st.sampled_from(sorted(POWER_CELLS)))]
+    sc = gen(n=n, seed=draw(st.integers(0, 10_000)), **cell)
+    if draw(st.booleans()):
+        asg, _ = run_algorithm(sc, draw(st.sampled_from(ALGORITHMS)), max_iter=50)
+        return sc, asg
+    devices = draw(st.lists(st.one_of(st.none(), st.integers(0, n)),
+                            min_size=n, max_size=n))
+    target, f, p_t = {}, {}, {}
+    for k in draw(st.permutations(range(1, n + 1))):
+        dev = devices[k - 1]
+        if dev is None:
+            continue
+        target[k] = dev
+        if draw(st.integers(0, 9)):
+            f[k] = draw(st.floats(0.01, 1.5)) * sc.device(dev).f_max
+        if dev != k:
+            p_t[k] = draw(st.floats(0.0, 2.0)) * sc.device(k).p_max
+    cost, _ = assignment_cost(sc, {}, {})
+    return sc, Assignment(target=target, f=f, p_t=p_t, cost=cost)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=scenario_and_assignment())
+def test_power_checks_match_quadratic_scan(case):
+    sc, asg = case
+    c5 = [v for v in validate_constraints(sc, asg) if v.constraint == "C5"]
+    assert c5 == c5_violations(sc, asg)
+    assert ue_total_power(sc, asg) == ue_power_scan(sc, asg)

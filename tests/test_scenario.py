@@ -185,6 +185,28 @@ def test_scenario_file_rejects_bad_gain(tmp_path, value):
         corrupt_line(tmp_path, "gains 1 ", lambda parts: parts[:2] + [value] + parts[3:])
 
 
+# field index of each float in a record line (after the keyword and the id)
+TASK_FIELDS = {"cycles": 2, "bits": 3, "deadline": 4, "penalty": 5, "power_price": 6}
+DEVICE_FIELDS = {"f_max": 2, "kappa": 3, "nu": 4, "eta": 5, "p_max": 6, "p_cir": 7,
+                 "position x": 8, "position y": 9}
+# line numbers in an n=4 file: format, 4 header fields, tasks 1-4, devices 0-4
+RECORD_LINES = {"task 2 ": 7, "device 0 ": 10, "device 3 ": 13}
+# the grid-powered server is written with p_max inf, which stays valid
+RECORD_CASES = [(prefix, name, index, value)
+                for prefix, table in (("task 2 ", TASK_FIELDS), ("device 0 ", DEVICE_FIELDS),
+                                      ("device 3 ", DEVICE_FIELDS))
+                for name, index in table.items() for value in ("nan", "inf", "-inf")
+                if (prefix, name, value) != ("device 0 ", "p_max", "inf")]
+
+
+@pytest.mark.parametrize("prefix, name, index, value", RECORD_CASES)
+def test_scenario_file_rejects_non_finite_field(tmp_path, prefix, name, index, value):
+    with pytest.raises(ConfigError,
+                       match=rf"inst\.sc:{RECORD_LINES[prefix]}: .*{name} must be finite"):
+        corrupt_line(tmp_path, prefix,
+                     lambda parts: parts[:index] + [value] + parts[index + 1:])
+
+
 @pytest.mark.parametrize("prefix", ["task 2 ", "device 3 ", "gains 1 "])
 def test_scenario_file_rejects_duplicate_record(tmp_path, prefix):
     # a second record for the same id must not silently replace the first
