@@ -23,7 +23,8 @@ def main() -> None:
     sc = generate(GenConfig(n=args.n, seed=args.seed))
     for rule in ("diminish", "square"):
         asg, trace = icrbi.solve(sc, step_rule=rule, x0=0.1)
-        print(f"step rule {rule}:0.1  iterations={trace.iterations}  "
+        print(f"step rule {rule}:0.1  iterations={trace.iterations} "
+              f"({trace.termination})  "
               f"final reduced cost={trace.reduced_cost[-1]:.6f}  "
               f"assigned={asg.accomplished}/{sc.n}")
         for t in range(0, trace.iterations, max(1, trace.iterations // 8)):

@@ -2,7 +2,7 @@
 
 from .errors import (ConfigError, CoopMecError, DomainError,
                      InfeasibleAssignment, InfeasiblePair, InstanceTooLarge,
-                     NonConvergence, UnknownAlgorithm)
+                     UnknownAlgorithm)
 from .model import (Assignment, CostBreakdown, DeviceProfile, FeasibilityBounds,
                     Scenario, TaskSpec, Violation, assignment_cost,
                     feasibility_bounds, make_assignment, offload_power,
@@ -11,7 +11,6 @@ from .scenario import GenConfig, generate, read_config, read_scenario, \
     write_config, write_scenario
 from .harness import (ALGORITHMS, ExperimentSpec, MetricRow, RunRecord,
                       convergence_trace, run_algorithm, run_experiment)
-from .decentral import overhead_report
 
 __version__ = "0.1.0"
 
@@ -19,10 +18,9 @@ __all__ = [
     "ALGORITHMS", "Assignment", "ConfigError", "CoopMecError", "CostBreakdown",
     "DeviceProfile", "DomainError", "ExperimentSpec", "FeasibilityBounds",
     "GenConfig", "InfeasibleAssignment", "InfeasiblePair", "InstanceTooLarge",
-    "MetricRow", "NonConvergence", "RunRecord", "Scenario", "TaskSpec",
-    "UnknownAlgorithm", "Violation", "assignment_cost", "convergence_trace",
-    "feasibility_bounds", "generate", "make_assignment", "offload_power",
-    "overhead_report", "read_config", "read_scenario", "run_algorithm",
-    "run_experiment", "ue_total_power", "validate_constraints", "write_config",
-    "write_scenario", "__version__",
+    "MetricRow", "RunRecord", "Scenario", "TaskSpec", "UnknownAlgorithm",
+    "Violation", "assignment_cost", "convergence_trace", "feasibility_bounds",
+    "generate", "make_assignment", "offload_power", "read_config",
+    "read_scenario", "run_algorithm", "run_experiment", "ue_total_power",
+    "validate_constraints", "write_config", "write_scenario", "__version__",
 ]

@@ -15,9 +15,8 @@ consumes the full transmit budget), so such a device accepts no guests
 until its task is placed elsewhere or gives up.  Without that reservation
 the final matching can overdraw a helper's power budget.
 
-The module also contains the closed-form signalling overhead counts for
-this algorithm, the centralized iterative solver, and the sequential
-matching heuristic.
+`run` records the signalling overhead of the run on its RoundLog.  Step 2
+also serves the non-cooperative baseline, which requests the server alike.
 """
 
 from __future__ import annotations
@@ -25,9 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import matching
-from .errors import UnknownAlgorithm
 from .model import (Assignment, FeasibilityBounds, Scenario, assignment_cost,
                     feasibility_bounds, make_assignment)
+
+
+def overhead(n: int, n_u: int, n_mec: int, rounds: int) -> int:
+    """Signalling scalars of one run: n_u tasks in step 3, n_mec on the server."""
+    return 2 * rounds * n_u + (n - 1) * n_u + 2 * n_mec + 2 * n
 
 
 @dataclass
@@ -35,19 +38,20 @@ class RoundLog:
     """Message-level record of one decentralized run.
 
     events holds (round, task, device, f, verdict) rows where verdict is one
-    of request / hold / reject / evict; the counters feed overhead_report.
+    of request / hold / reject / evict; one iteration is one step-3 round.
     """
 
-    n: int
     n_u: int = 0
     n_mec: int = 0
     rounds: int = 0
     events: list[tuple[int, int, int, float, str]] = field(default_factory=list)
     cost_series: list[float] = field(default_factory=list)
+    overhead: int = 0
+    converged = True                    # class constant, not a field: a one-pass run
 
-    def counters(self) -> dict[str, int]:
-        return {"n": self.n, "n_u": self.n_u, "n_mec": self.n_mec,
-                "rounds": self.rounds}
+    @property
+    def iterations(self) -> int:
+        return self.rounds
 
     def lines(self):
         for rnd, task, dev, f, verdict in self.events:
@@ -159,7 +163,7 @@ def run(sc: Scenario) -> tuple[Assignment, RoundLog]:
     """Full three-step decentralized algorithm; the result always validates."""
     state = matching.new_state(sc)
     bounds = feasibility_bounds(sc)
-    log = RoundLog(n=sc.n)
+    log = RoundLog()
     for k in sorted(matching.local_seed_set(sc, bounds)):
         matching.commit(sc, state, k, k, sc.task(k).f_min)
     log.cost_series.append(assignment_cost(sc, state.omega, state.freqs)[0].total)
@@ -179,24 +183,6 @@ def run(sc: Scenario) -> tuple[Assignment, RoundLog]:
 
     asg = make_assignment(sc, state.omega, state.freqs)
     log.cost_series.append(asg.cost.total)
+    log.overhead = overhead(sc.n, log.n_u, log.n_mec, log.rounds)
     return asg, log
 
-
-def overhead_report(algorithm: str, counters) -> int:
-    """Signalling scalars exchanged by one run, from its counters.
-
-    Exact integer forms: the centralized iterative solver collects CSI and
-    task descriptors and returns decisions; the matching heuristic repeats a
-    shrinking preference rebuild; the decentralized scheme pays per round."""
-    n = int(counters["n"])
-    if algorithm == "icrbi":
-        return 8 * n + n * (n - 1)
-    if algorithm == "decentral":
-        n_u = int(counters["n_u"])
-        return (2 * int(counters["rounds"]) * n_u + (n - 1) * n_u
-                + 2 * int(counters["n_mec"]) + 2 * n)
-    if algorithm in matching.CRITERIA:
-        n_h = int(counters["n_h"])
-        return (2 * int(counters["n_mec"]) + (n_h + 1) * n_h * n // 2
-                + 3 * n + (2 * n + 1) * n_h)
-    raise UnknownAlgorithm(f"no overhead model for {algorithm!r}")

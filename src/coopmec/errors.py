@@ -27,18 +27,9 @@ class InfeasibleAssignment(CoopMecError):
         super().__init__(f"{len(self.violations)} constraint violation(s): {lines}{more}")
 
 
-class NonConvergence(CoopMecError):
-    """Iterative solver hit its iteration cap; carries the best repaired result."""
-
-    def __init__(self, message, assignment=None, trace=None):
-        super().__init__(message)
-        self.assignment = assignment
-        self.trace = trace
-
-
 class InstanceTooLarge(CoopMecError):
     """Exhaustive oracle refused: enumeration would be astronomically slow."""
 
 
 class UnknownAlgorithm(CoopMecError):
-    """Algorithm label not recognised by the dispatcher / overhead model."""
+    """Algorithm or step-rule label not recognised."""

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import decentral, icrbi, matching, oracle
-from .errors import ConfigError, NonConvergence, UnknownAlgorithm
+from .errors import ConfigError, UnknownAlgorithm
 from .model import Assignment, Scenario, ue_total_power
 from .scenario import GenConfig, generate
 
@@ -104,42 +104,24 @@ def apply_sweep(cfg: GenConfig, var: str, value) -> GenConfig:
 def run_algorithm(sc: Scenario, algorithm: str, step_rule: str = "diminish",
                   x0: float = 0.1, eps: float | None = None,
                   max_iter: int = 2000) -> tuple[Assignment, dict]:
-    """Dispatch one solver; extras report overhead/convergence bookkeeping.
-
-    Every solver builds its result with model.make_assignment, which
-    validates it, so the assignment returned here is already checked.  A
-    non-converged iterative run still yields its repaired assignment,
-    flagged converged=False."""
+    """Dispatch one solver; extras copy the overhead, converged and iterations
+    of the record it returns and keep that record as "trace" (None for the
+    baseline).  Every solver validates its result in make_assignment, and an
+    icrbi run stopped by max_iter still yields its repaired assignment."""
     if algorithm == "icrbi":
-        try:
-            asg, trace = icrbi.solve(sc, step_rule=step_rule, x0=x0, eps=eps,
-                                     max_iter=max_iter)
-            converged, iters = True, trace.iterations
-        except NonConvergence as exc:
-            asg, trace = exc.assignment, exc.trace
-            converged, iters = False, exc.trace.iterations
-        overhead = decentral.overhead_report("icrbi", {"n": sc.n})
-        extras = {"overhead": overhead, "converged": converged,
-                  "iterations": iters, "trace": trace}
+        asg, trace = icrbi.solve(sc, step_rule=step_rule, x0=x0, eps=eps,
+                                 max_iter=max_iter)
     elif algorithm in matching.CRITERIA:
-        asg, state = matching.run(sc, criterion=algorithm)
-        # only the local seeds run on their own UE
-        counters = {"n": sc.n,
-                    "n_h": sc.n - sum(1 for k, d in state.omega.items() if k == d),
-                    "n_mec": sum(1 for d in asg.target.values() if d == 0)}
-        extras = {"overhead": decentral.overhead_report(algorithm, counters),
-                  "converged": True, "iterations": len(state.trace),
-                  "trace": state}
+        asg, trace = matching.run(sc, criterion=algorithm)
     elif algorithm == "decentral":
-        asg, log = decentral.run(sc)
-        extras = {"overhead": decentral.overhead_report("decentral", log.counters()),
-                  "converged": True, "iterations": log.rounds, "trace": log}
+        asg, trace = decentral.run(sc)
     elif algorithm == "noncope":
-        asg = oracle.non_cope(sc)
-        extras = {"overhead": 0, "converged": True, "iterations": 0, "trace": None}
+        return oracle.non_cope(sc), {"overhead": 0, "converged": True,
+                                     "iterations": 0, "trace": None}
     else:
         raise UnknownAlgorithm(f"algorithm {algorithm!r}")
-    return asg, extras
+    return asg, {"overhead": trace.overhead, "converged": trace.converged,
+                 "iterations": trace.iterations, "trace": trace}
 
 
 def run_experiment(spec: ExperimentSpec) -> tuple[list[MetricRow], list[RunRecord]]:
@@ -197,11 +179,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
-METRICS_HEADER = ("algorithm,sweep_var,sweep_value,mean_total_cost,"
-                  "mean_accomplished,accomplished_ratio,mean_ue_power_w,"
-                  "mean_overhead,realizations")
-RUNS_HEADER = ("algorithm,sweep_var,sweep_value,realization,seed,total_cost,"
-               "accomplished,ratio,ue_power_w,overhead,converged,iterations")
+def _write_rows(path: Path, cls, rows, sweep_var: str) -> None:
+    """CSV of `rows` in the field order of `cls`, sweep_var after algorithm."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join([names[0], "sweep_var", *names[1:]]) + "\n")
+        for row in rows:
+            cells = [_fmt(getattr(row, name)) for name in names]
+            fh.write(",".join([cells[0], sweep_var, *cells[1:]]) + "\n")
 
 
 def write_outputs(spec: ExperimentSpec, table: list[MetricRow],
@@ -210,24 +195,8 @@ def write_outputs(spec: ExperimentSpec, table: list[MetricRow],
     out.mkdir(parents=True, exist_ok=True)
     paths = {"metrics": out / "metrics.csv", "runs": out / "runs.csv",
              "meta": out / "run_meta.txt"}
-    with open(paths["metrics"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        for row in table:
-            fh.write(",".join([row.algorithm, spec.sweep_var,
-                               _fmt(row.sweep_value), _fmt(row.mean_total_cost),
-                               _fmt(row.mean_accomplished),
-                               _fmt(row.accomplished_ratio),
-                               _fmt(row.mean_ue_power_w), _fmt(row.mean_overhead),
-                               str(row.realizations)]) + "\n")
-    with open(paths["runs"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(RUNS_HEADER + "\n")
-        for r in records:
-            fh.write(",".join([r.algorithm, spec.sweep_var, _fmt(r.sweep_value),
-                               str(r.realization), str(r.seed),
-                               _fmt(r.total_cost), str(r.accomplished),
-                               _fmt(r.ratio), _fmt(r.ue_power_w),
-                               str(r.overhead), _fmt(r.converged),
-                               str(r.iterations)]) + "\n")
+    _write_rows(paths["metrics"], MetricRow, table, spec.sweep_var)
+    _write_rows(paths["runs"], RunRecord, records, spec.sweep_var)
     with open(paths["meta"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"artifact = {ARTIFACT}\n")
         fh.write(f"algorithms = {', '.join(spec.algorithms)}\n")

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matching
-from .errors import InfeasiblePair, NonConvergence, UnknownAlgorithm
+from .errors import InfeasiblePair, UnknownAlgorithm
 from .model import (ROOT_RTOL, Assignment, FeasibilityBounds, Scenario,
                     feasibility_bounds, make_assignment, offload_power_derivs_vec,
                     offload_power_vec)
@@ -73,6 +73,11 @@ class DualState:
         return cls(mu=np.zeros(n), v=np.zeros(n + 1), step_rule=step_rule, x0=x0)
 
 
+def overhead(n: int) -> int:
+    """Signalling scalars of one solve: CSI and task data in, decisions out."""
+    return 8 * n + n * (n - 1)
+
+
 @dataclass
 class IcrbiTrace:
     """Per-iteration progress of one solve."""
@@ -81,13 +86,18 @@ class IcrbiTrace:
     num_assigned: list[int] = field(default_factory=list)
     mu_norm: list[float] = field(default_factory=list)
     v_norm: list[float] = field(default_factory=list)
-    termination: str = ""
+    termination: str = ""               # "converged" or "max_iter"
     eps: float = float("nan")
     n_root_pairs: int = 0
+    overhead: int = 0
 
     @property
     def iterations(self) -> int:
         return len(self.reduced_cost)
+
+    @property
+    def converged(self) -> bool:
+        return self.termination == "converged"
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -400,9 +410,9 @@ def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
           ) -> tuple[Assignment, IcrbiTrace]:
     """Run the dual iteration until the relaxed cost settles, then repair.
 
-    Stops when |C(t) - C(t-1)| < eps (default 1e-4 * |C(1)|).  Raises
-    NonConvergence after max_iter, carrying the trace and the repaired
-    assignment of the final iterate."""
+    Stops when |C(t) - C(t-1)| < eps (default 1e-4 * |C(1)|) or after
+    max_iter iterations, whichever comes first; trace.termination says which.
+    Either way the final iterate's decision map is repaired and returned."""
     if step_rule not in STEP_RULES:
         raise UnknownAlgorithm(f"step rule {step_rule!r}")
     if max_iter < 1:
@@ -410,11 +420,10 @@ def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
     bounds = feasibility_bounds(sc)
     kern = _Kernel(sc, bounds)
     duals = DualState.zeros(sc.n, step_rule=step_rule, x0=x0)
-    trace = IcrbiTrace(n_root_pairs=int(kern.ri.size))
+    trace = IcrbiTrace(termination="max_iter", n_root_pairs=int(kern.ri.size),
+                       overhead=overhead(sc.n))
     warm = None
     prev_cost = None
-    converged = False
-    x = a = None
     for _ in range(max_iter):
         x, a, warm = kern.primal(duals, warm)
         use = kern.evaluate(x, a)
@@ -426,14 +435,8 @@ def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
         if len(trace.reduced_cost) == 1:
             trace.eps = eps if eps is not None else max(1e-4 * abs(cost), 1e-12)
         elif abs(cost - prev_cost) < trace.eps:
-            converged = True
+            trace.termination = "converged"
             break
         duals = kern.dual_step(duals, use)
         prev_cost = cost
-    asg = repair_feasibility(sc, decisions_from(a), bounds)
-    if not converged:
-        trace.termination = "max_iter"
-        raise NonConvergence(f"no settlement within {max_iter} iterations",
-                             assignment=asg, trace=trace)
-    trace.termination = "converged"
-    return asg, trace
+    return repair_feasibility(sc, decisions_from(a), bounds), trace

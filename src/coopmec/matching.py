@@ -49,12 +49,16 @@ class PreferenceList:
         return self.entries[0]
 
 
+def overhead(n: int, n_h: int, n_mec: int) -> int:
+    """Signalling scalars of one run: n_h non-local tasks, n_mec on the server."""
+    return 2 * n_mec + (n_h + 1) * n_h * n // 2 + 3 * n + (2 * n + 1) * n_h
+
+
 @dataclass
 class MatchingState:
     """Mutable matching progress: committed pairs plus residual budgets."""
 
     omega: dict[int, int] = field(default_factory=dict)
-    hosted: dict[int, list[int]] = field(default_factory=dict)
     freqs: dict[int, float] = field(default_factory=dict)
     f_res: np.ndarray = None
     p_res: np.ndarray = None
@@ -62,6 +66,12 @@ class MatchingState:
     abandoned: set[int] = field(default_factory=set)
     trace: list[tuple] = field(default_factory=list)
     cost_series: list[float] = field(default_factory=list)
+    overhead: int = 0
+    converged = True                    # class constant, not a field: a one-pass run
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)          # one per commit
 
 
 def new_state(sc: Scenario) -> MatchingState:
@@ -204,7 +214,6 @@ def commit(sc: Scenario, state: MatchingState, k: int, dev: int, f: float) -> No
     """Bind task k to `dev` at frequency f and debit the residual budgets."""
     state.omega[k] = dev
     state.freqs[k] = f
-    state.hosted.setdefault(dev, []).append(k)
     state.unmatched.discard(k)
     state.f_res[dev] -= f
     host = sc.device(dev)
@@ -263,7 +272,8 @@ def run(sc: Scenario, criterion: str = "maxtask") -> tuple[Assignment, MatchingS
         raise UnknownAlgorithm(f"matching criterion {criterion!r}")
     bounds = feasibility_bounds(sc)
     state = new_state(sc)
-    for k in sorted(local_seed_set(sc, bounds)):
+    seeds = local_seed_set(sc, bounds)
+    for k in sorted(seeds):
         commit(sc, state, k, k, sc.task(k).f_min)
     state.cost_series.append(assignment_cost(sc, state.omega, state.freqs)[0].total)
 
@@ -285,4 +295,5 @@ def run(sc: Scenario, criterion: str = "maxtask") -> tuple[Assignment, MatchingS
     redistribute_mec(state, sc)
     asg = make_assignment(sc, state.omega, state.freqs)
     state.cost_series.append(asg.cost.total)
+    state.overhead = overhead(sc.n, sc.n - len(seeds), sum(d == 0 for d in asg.target.values()))
     return asg, state

@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from . import matching
-from .decentral import prefix_admit
+from . import decentral
 from .errors import InstanceTooLarge
 from .model import (Assignment, CHECK_TOL, FeasibilityBounds, Scenario,
                     feasibility_bounds, make_assignment, offload_power,
@@ -28,13 +27,13 @@ def non_cope(sc: Scenario) -> Assignment:
 
     Each task takes the cheaper of {local at its minimum frequency, edge
     server at its delay-tight frequency}, option costs taken at the request
-    point.  When the edge server cannot hold every request, admission is
-    cheapest-frequency-first and losers fall back to local when they can;
-    leftover server capacity is spread back over the admitted uploads."""
+    point.  The server requests go through the decentralized scheme's
+    admission (cheapest frequency first, leftover capacity spread back over
+    the admitted uploads); losers fall back to local when they can."""
     bounds = feasibility_bounds(sc)
     target: dict[int, int] = {}
     freqs: dict[int, float] = {}
-    requests: dict[int, float] = {}
+    requests: list[int] = []
     for i in range(1, sc.n + 1):
         task = sc.task(i)
         dev = sc.device(i)
@@ -46,14 +45,12 @@ def non_cope(sc: Scenario) -> Assignment:
             u = offload_power(task, sc.gain(i, 0), sc.bandwidth, sc.noise_w, f_req)
             mec_cost = task.power_price / dev.eta * u
             if not local_ok or mec_cost < local_cost:
-                requests[i] = f_req
+                requests.append(i)
                 continue
         if local_ok:
             target[i] = i
             freqs[i] = task.f_min
-    admitted = prefix_admit(requests, sc.device(0).f_max)
-    mec_freqs = matching.mec_topup(sc, {k: requests[k] for k in admitted},
-                                   sc.device(0).f_max)
+    admitted, mec_freqs = decentral.mec_admission(sc, bounds, requests)
     for k, f in mec_freqs.items():
         target[k] = 0
         freqs[k] = f

@@ -74,6 +74,8 @@ def _check(cfg: GenConfig) -> None:
         lo, hi = getattr(cfg, name)
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
             raise ConfigError(f"{name}: bad range ({lo!r}, {hi!r})")
+    if cfg.p_max_dbm[1] / 10.0 >= np.log10(np.finfo(float).max):    # generate's 10 ** (dBm / 10)
+        raise ConfigError(f"p_max_dbm: {cfg.p_max_dbm[1]!r} dBm overflows in watts")
     positive = ["f0_max", "bandwidth", "kappa", "nu", "phi_spread", "cell_m",
                 "pathloss_exponent", "pathloss_ref_gain"]
     for name in positive:
@@ -108,17 +110,20 @@ def generate(cfg: GenConfig) -> Scenario:
     if cfg.fading:
         gains = gains * rng.exponential(1.0, size=gains.shape)
 
-    tasks = tuple(TaskSpec(id=i + 1, cycles=float(cyc[i]), bits=float(bits[i]),
-                           deadline=float(deadline[i]), penalty=float(phi[i]),
-                           power_price=cfg.w)
-                  for i in range(n))
-    mec = DeviceProfile(id=0, f_max=cfg.f0_max, kappa=0.0, nu=cfg.nu, eta=cfg.eta,
-                        p_max=math.inf, p_cir=0.0, position=centre)
-    ues = tuple(DeviceProfile(id=i + 1, f_max=float(f_ue[i]), kappa=cfg.kappa,
-                              nu=cfg.nu, eta=cfg.eta, p_max=float(p_max[i]),
-                              p_cir=cfg.p_cir,
-                              position=(float(pos[i, 0]), float(pos[i, 1])))
-                for i in range(n))
+    try:
+        tasks = tuple(TaskSpec(id=i + 1, cycles=float(cyc[i]), bits=float(bits[i]),
+                               deadline=float(deadline[i]), penalty=float(phi[i]),
+                               power_price=cfg.w)
+                      for i in range(n))
+        mec = DeviceProfile(id=0, f_max=cfg.f0_max, kappa=0.0, nu=cfg.nu, eta=cfg.eta,
+                            p_max=math.inf, p_cir=0.0, position=centre)
+        ues = tuple(DeviceProfile(id=i + 1, f_max=float(f_ue[i]), kappa=cfg.kappa,
+                                  nu=cfg.nu, eta=cfg.eta, p_max=float(p_max[i]),
+                                  p_cir=cfg.p_cir,
+                                  position=(float(pos[i, 0]), float(pos[i, 1])))
+                    for i in range(n))
+    except ValueError as exc:
+        raise ConfigError(f"seed {cfg.seed}: {exc}") from exc
     return Scenario(tasks=tasks, devices=(mec,) + ues, gains=gains,
                     bandwidth=cfg.bandwidth, noise_w=cfg.noise_w(), seed=cfg.seed)
 

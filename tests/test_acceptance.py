@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import power_for_rate, required_rate
-from coopmec import oracle
-from coopmec.decentral import overhead_report
+from coopmec import decentral, icrbi, matching, oracle
 from coopmec.harness import ExperimentSpec, run_algorithm, run_experiment, write_outputs
 from coopmec.model import (device_speed_cap, feasibility_bounds, offload_power,
                            offload_power_derivs, validate_constraints)
@@ -242,17 +241,14 @@ def test_08_overhead_arithmetic():
         n_u = int(rng.integers(0, n + 1))
         n_mec = int(rng.integers(0, n + 1))
         n_h = int(rng.integers(0, n + 1))
-        if overhead_report("icrbi", {"n": n}) != 8 * n + n * (n - 1):
+        if icrbi.overhead(n) != 8 * n + n * (n - 1):
             mism += 1
         want = 2 * rounds * n_u + (n - 1) * n_u + 2 * n_mec + 2 * n
-        if overhead_report("decentral", {"n": n, "n_u": n_u, "n_mec": n_mec,
-                                         "rounds": rounds}) != want:
+        if decentral.overhead(n, n_u, n_mec, rounds) != want:
             mism += 1
         want = 2 * n_mec + (n_h + 1) * n_h * n // 2 + 3 * n + (2 * n + 1) * n_h
-        for crit in ("maxtask", "minpw"):
-            if overhead_report(crit, {"n": n, "n_h": n_h,
-                                      "n_mec": n_mec}) != want:
-                mism += 1
+        if matching.overhead(n, n_h, n_mec) != want:
+            mism += 1
     assert report(8, mism == 0, f"{mism} mismatches over 20 random tuples")
 
 

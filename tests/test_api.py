@@ -1,4 +1,4 @@
-"""No public function exists only for the tests.
+"""No public function exists only for the tests, and no export is stale.
 
 Every public top-level function and every public method of a top-level
 class in src/coopmec/*.py must be referenced somewhere in src/coopmec/ or
@@ -79,3 +79,9 @@ def test_allow_list_is_current():
     defined = {q for q, *_ in public_definitions()}
     assert set(ALLOWED) <= defined
     assert set(ALLOWED) <= set(unreferenced())
+
+
+def test_every_export_resolves():
+    import coopmec
+    assert [name for name in coopmec.__all__ if not hasattr(coopmec, name)] == []
+    assert len(set(coopmec.__all__)) == len(coopmec.__all__)

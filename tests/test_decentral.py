@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import gen, mk_dev, mk_scenario, mk_task
-from coopmec import decentral, icrbi
+from coopmec import decentral, icrbi, matching
 from coopmec.decentral import (RoundLog, deferred_acceptance, mec_admission,
-                               overhead_report, prefix_admit, run)
-from coopmec.errors import UnknownAlgorithm
+                               prefix_admit, run)
 from coopmec.model import feasibility_bounds, validate_constraints
 
 
@@ -111,12 +110,11 @@ def test_da_never_repeats_a_request():
 def test_run_validates_and_logs(sc10):
     asg, log = run(sc10)
     assert validate_constraints(sc10, asg) == []
-    assert log.n == sc10.n
     assert len(log.cost_series) >= 3
     assert math.isclose(log.cost_series[-1], asg.cost.total, rel_tol=1e-12)
     # the three steps only ever improve on the all-drop starting point
     assert log.cost_series[-1] <= log.cost_series[0] + 1e-9
-    assert set(log.counters()) == {"n", "n_u", "n_mec", "rounds"}
+    assert log.overhead == decentral.overhead(sc10.n, log.n_u, log.n_mec, log.rounds)
 
 
 def test_run_with_stub_server(sc10):
@@ -141,23 +139,17 @@ def test_decentral_rarely_beats_central():
 
 
 def test_overhead_closed_forms():
-    assert overhead_report("icrbi", {"n": 30}) == 8 * 30 + 30 * 29
-    assert overhead_report("icrbi", {"n": 1}) == 8
-    assert overhead_report("decentral",
-                           {"n": 10, "n_u": 0, "n_mec": 4, "rounds": 0}) == 28
-    assert overhead_report("decentral",
-                           {"n": 10, "n_u": 3, "n_mec": 2, "rounds": 5}) == \
+    assert icrbi.overhead(30) == 8 * 30 + 30 * 29
+    assert icrbi.overhead(1) == 8
+    assert decentral.overhead(n=10, n_u=0, n_mec=4, rounds=0) == 28
+    assert decentral.overhead(n=10, n_u=3, n_mec=2, rounds=5) == \
         2 * 5 * 3 + 9 * 3 + 2 * 2 + 2 * 10
-    assert overhead_report("maxtask",
-                           {"n": 10, "n_h": 0, "n_mec": 4}) == 2 * 4 + 3 * 10
-    assert overhead_report("minpw",
-                           {"n": 10, "n_h": 3, "n_mec": 2}) == \
+    assert matching.overhead(n=10, n_h=0, n_mec=4) == 2 * 4 + 3 * 10
+    assert matching.overhead(n=10, n_h=3, n_mec=2) == \
         2 * 2 + 4 * 3 * 10 // 2 + 3 * 10 + 21 * 3
-    with pytest.raises(UnknownAlgorithm):
-        overhead_report("noncope", {"n": 10})
 
 
 def test_round_log_lines():
-    log = RoundLog(n=2)
+    log = RoundLog()
     log.events.append((1, 2, 3, 5e8, "request"))
     assert list(log.lines()) == [f"1 2 3 {5e8!r} request"]

@@ -1,0 +1,34 @@
+"""Golden CSV bytes: the writer must reproduce them exactly.
+
+`data/golden_csv/` holds runs.csv, metrics.csv and run_meta.txt of
+
+    coopmec run --sweep f0_max=5e9,8e9 --realizations 4
+
+(all five algorithms, n = 10, seeds 0-3), written when the CSV columns were
+still spelled out by hand.  Unlike `test_golden.py`, which compares run
+records to 1e-12, this pins the header, the column order and every cell's
+formatting.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from coopmec.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden_csv"
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    assert main(["run", "--sweep", "f0_max=5e9,8e9", "--realizations", "4",
+                 "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", ["runs.csv", "metrics.csv", "run_meta.txt"])
+def test_run_outputs_match_golden_bytes(run_dir, name):
+    assert (run_dir / name).read_bytes() == (GOLDEN / name).read_bytes()

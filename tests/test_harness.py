@@ -219,3 +219,12 @@ def test_cli_rejects_malformed_arguments(capsys):
     assert cli.main(["run", "--step-rule", "sprint:0.1",
                      "--realizations", "1"]) != 0
     assert "step-rule" in capsys.readouterr().err
+
+
+def test_cli_reports_bad_generated_records(tmp_path, capsys):
+    # a 10 W circuit power exceeds some drawn UE budgets (0.1 to 100 W)
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text("p_cir = 10\n")
+    assert cli.main(["run", "--config", str(cfg_path), "--realizations", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -11,6 +11,7 @@ import pytest
 from conftest import gen, mk_dev, mk_scenario, mk_task
 from coopmec import icrbi, oracle
 from coopmec.errors import UnknownAlgorithm
+from coopmec.harness import run_algorithm
 from coopmec.icrbi import (DualState, decisions_from, dual_scales,
                            repair_feasibility, solve, step_size)
 from coopmec.model import feasibility_bounds, validate_constraints
@@ -166,6 +167,17 @@ def test_solve_is_deterministic(sc10):
 def test_solve_result_validates(sc10):
     asg, _ = solve(sc10)
     assert validate_constraints(sc10, asg) == []
+
+
+def test_iteration_cap_returns_repaired_assignment(sc10):
+    # sc10 settles after 26 iterations, so a cap of 3 stops the loop first
+    asg, trace = solve(sc10, max_iter=3)
+    assert trace.termination == "max_iter" and not trace.converged
+    assert trace.iterations == 3
+    assert validate_constraints(sc10, asg) == []
+    _, extras = run_algorithm(sc10, "icrbi", max_iter=3)
+    assert extras["converged"] is False and extras["iterations"] == 3
+    assert extras["trace"].reduced_cost == trace.reduced_cost
 
 
 def test_repair_is_idempotent(sc10):

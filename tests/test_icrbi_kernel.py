@@ -13,7 +13,6 @@ import pytest
 
 from conftest import gen
 from coopmec import icrbi
-from coopmec.errors import NonConvergence
 from coopmec.icrbi import (DualState, decisions_from, dual_scales,
                            repair_feasibility, step_size)
 from coopmec.model import (feasibility_bounds, offload_power_derivs_vec,
@@ -236,10 +235,10 @@ def test_pair_kernel_matches_dense_reference(cell, n):
     for seed in range(2):
         sc = gen(n=n, seed=seed, **CELLS[cell])
         costs, ra, bounds = replay(sc)
-        try:
-            asg, trace = icrbi.solve(sc)
-        except NonConvergence as exc:
-            asg, trace = exc.assignment, exc.trace
+        asg, trace = icrbi.solve(sc)
+        settled = (len(costs) >= 2 and abs(costs[-1] - costs[-2])
+                   < max(1e-4 * abs(costs[0]), 1e-12))
+        assert trace.termination == ("converged" if settled else "max_iter")
         assert trace.reduced_cost == costs
         ref_asg = repair_feasibility(sc, decisions_from(ra), bounds)
         assert asg.target == ref_asg.target

@@ -101,6 +101,23 @@ def test_config_validation():
         generate(GenConfig(pathloss_ref_gain=0.0))
 
 
+@pytest.mark.parametrize("override", [
+    {"p_max_dbm": (0.0, 0.0)},              # 1 mW, below the 0.1 W circuit power
+    {"p_max_dbm": (4000.0, 4000.0)},        # overflows in watts
+    {"p_cir": 1e6},
+    {"nu": 0.5},
+    {"f_ue": (0.0, 0.0)},
+    {"f_ue": (-1e9, 1e9)},
+    {"data_bits": (0.0, 0.0)},
+    {"deadline_s": (0.0, 0.0)},
+    {"cycles": (-1.0, 1.0)},
+], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+def test_generate_rejects_bad_records(override):
+    # the record constructors' checks surface as ConfigError, never raw
+    with pytest.raises(ConfigError):
+        generate(GenConfig(**override))
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = GenConfig(n=17, f0_max=7e9, seed=42, fading=False,
                     deadline_s=(0.01, 0.09))
