@@ -1,8 +1,7 @@
 """Cooperative edge-computing task offloading: solvers, baselines, harness."""
 
 from .errors import (ConfigError, CoopMecError, DomainError,
-                     InfeasibleAssignment, InfeasiblePair, InstanceTooLarge,
-                     UnknownAlgorithm)
+                     InfeasibleAssignment, InstanceTooLarge, UnknownAlgorithm)
 from .model import (Assignment, CostBreakdown, DeviceProfile, FeasibilityBounds,
                     Scenario, TaskSpec, Violation, assignment_cost,
                     feasibility_bounds, make_assignment, offload_power,
@@ -17,7 +16,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS", "Assignment", "ConfigError", "CoopMecError", "CostBreakdown",
     "DeviceProfile", "DomainError", "ExperimentSpec", "FeasibilityBounds",
-    "GenConfig", "InfeasibleAssignment", "InfeasiblePair", "InstanceTooLarge",
+    "GenConfig", "InfeasibleAssignment", "InstanceTooLarge",
     "MetricRow", "RunRecord", "Scenario", "TaskSpec", "UnknownAlgorithm",
     "Violation", "assignment_cost", "convergence_trace", "feasibility_bounds",
     "generate", "make_assignment", "offload_power", "read_config",

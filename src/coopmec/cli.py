@@ -57,18 +57,24 @@ def _load_config(path: str | None) -> scenario.GenConfig:
     return scenario.read_config(path) if path else scenario.GenConfig()
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="generator config file")
-    p.add_argument("--algo", action="append",
+_OPTIONS = {
+    "--config": dict(help="generator config file"),
+    "--algo": dict(action="append",
                    help=f"algorithms, comma separated (default varies); "
-                        f"known: {','.join(ALGORITHMS)}")
-    p.add_argument("--realizations", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0, help="seed base")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--step-rule", default="diminish:0.1",
-                   help="diminish:<x> or square:<x>")
-    p.add_argument("--eps", type=float, default=None,
-                   help="iterative-solver settlement threshold")
+                        f"known: {','.join(ALGORITHMS)}"),
+    "--realizations": dict(type=int, default=None),
+    "--seed": dict(type=int, default=0, help="seed base"),
+    "--out": dict(default=None, help="output directory"),
+    "--step-rule": dict(default="diminish:0.1", help="diminish:<x> or square:<x>"),
+    "--eps": dict(type=float, default=None, help="iterative-solver settlement threshold"),
+    "--sweep": dict(help="var=v1,v2,... (f0_max, n, w, phi0)"),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
+    """Register only the options a subcommand reads, so argparse rejects the rest."""
+    for name in names:
+        p.add_argument(name, **_OPTIONS[name])
 
 
 def cmd_gen(args) -> int:
@@ -94,7 +100,7 @@ def _build_spec(args, default_algos: tuple[str, ...]) -> ExperimentSpec:
     return ExperimentSpec(
         algorithms=_parse_algos(args.algo, default_algos), base=cfg,
         sweep_var=sweep_var, sweep_values=sweep_values,
-        realizations=args.realizations or 100, out=args.out,
+        realizations=getattr(args, "realizations", None) or 100, out=args.out,
         seed_base=args.seed, step_rule=rule, x0=x0, eps=args.eps)
 
 
@@ -157,20 +163,21 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="write scenario files")
-    _add_common(p_gen)
+    _add_options(p_gen, "--config", "--realizations", "--seed", "--out")
     p_gen.set_defaults(fn=cmd_gen)
 
     p_run = sub.add_parser("run", help="Monte-Carlo sweep")
-    _add_common(p_run)
-    p_run.add_argument("--sweep", help="var=v1,v2,... (f0_max, n, w, phi0)")
+    _add_options(p_run, "--config", "--algo", "--realizations", "--seed", "--out",
+                 "--step-rule", "--eps", "--sweep")
     p_run.set_defaults(fn=cmd_run)
 
     p_trace = sub.add_parser("trace", help="per-iteration cost series")
-    _add_common(p_trace)
+    _add_options(p_trace, "--config", "--algo", "--seed", "--out", "--step-rule", "--eps")
     p_trace.set_defaults(fn=cmd_trace)
 
     p_oc = sub.add_parser("oracle-check", help="compare against brute force")
-    _add_common(p_oc)
+    _add_options(p_oc, "--config", "--algo", "--realizations", "--seed",
+                 "--step-rule", "--eps")
     p_oc.set_defaults(fn=cmd_oracle_check)
 
     args = parser.parse_args(argv)

@@ -2,12 +2,12 @@
 
 Step 1 runs every task locally that fits its own UE.  Step 2 lets the
 remaining tasks request the edge server at their minimum admissible
-frequency; requests are admitted cheapest-first as long as they fit the
-server, and leftover capacity is spread back over the admitted uploads.
-Step 3 places the still-unmatched tasks on helper UEs by deferred
-acceptance with permanent rejections: requested frequencies are frozen at
-each pair's minimum, devices keep the cheapest prefix of their pooled
-offers that fits both their CPU capacity and their power budget.
+frequency, and leftover server capacity is spread back over the admitted
+uploads.  Step 3 places the still-unmatched tasks on helper UEs by deferred
+acceptance with permanent rejections, requested frequencies frozen at each
+pair's minimum.  Both steps admit by one rule, `prefix_admit`: a host keeps
+the longest cheapest-first prefix of its offers that fits its CPU capacity
+and its power budget (the server draws no power).
 
 A UE whose own task is still seeking a host must keep its battery free for
 the upload that placement would trigger (the minimum-frequency request
@@ -21,11 +21,12 @@ also serves the non-cooperative baseline, which requests the server alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import matching
-from .model import (Assignment, FeasibilityBounds, Scenario, assignment_cost,
-                    feasibility_bounds, make_assignment)
+from .model import (Assignment, DeviceProfile, FeasibilityBounds, Scenario,
+                    assignment_cost, feasibility_bounds, make_assignment)
 
 
 def overhead(n: int, n_u: int, n_mec: int, rounds: int) -> int:
@@ -58,43 +59,48 @@ class RoundLog:
             yield f"{rnd} {task} {dev} {f!r} {verdict}"
 
 
-def prefix_admit(requests: dict[int, float], capacity: float) -> list[int]:
-    """Ids of the longest cheapest-first prefix whose frequencies fit capacity.
-
-    Ties in the requested frequency break towards the lower id."""
-    admitted = []
-    used = 0.0
-    for k in sorted(requests, key=lambda k: (requests[k], k)):
-        if used + requests[k] > capacity:
-            break
-        used += requests[k]
-        admitted.append(k)
-    return admitted
+def prefix_admit(offers: list[tuple[float, int]], host: DeviceProfile,
+                 capacity: float, budget: float) -> int:
+    """Length of the longest prefix of `offers`, (frequency, task) pairs in
+    ascending order, that fits `capacity` and whose CPU power on `host` fits
+    `budget`.  A host with kappa == 0 (the edge server) draws no power."""
+    cum_f = 0.0
+    cum_p = 0.0
+    for keep, (f, _) in enumerate(offers):
+        cum_f += f
+        if cum_f > capacity:
+            return keep
+        if host.kappa > 0:
+            cum_p += f ** host.nu
+            if host.kappa * cum_p > budget:
+                return keep
+    return len(offers)
 
 
 def mec_admission(sc: Scenario, bounds: FeasibilityBounds,
                   candidates) -> tuple[set[int], dict[int, float]]:
-    """Step 2: admit edge-server requests of `candidates` cheapest-first, then
-    top up.  Returns the admitted set and their frequencies after leftover
-    capacity is spread."""
-    requests = {k: float(bounds.f_lower[k - 1, 0]) for k in candidates
-                if not bounds.blocked[k - 1, 0]}
-    admitted = prefix_admit(requests, sc.device(0).f_max)
-    freqs = {k: requests[k] for k in admitted}
-    freqs = matching.mec_topup(sc, freqs, sc.device(0).f_max)
-    return set(admitted), freqs
+    """Step 2: admit edge-server requests of `candidates` cheapest-first (ties
+    towards the lower id), then top up.  Returns the admitted set and their
+    frequencies after leftover capacity is spread."""
+    requests = sorted((float(bounds.f_lower[k - 1, 0]), k) for k in candidates
+                      if not bounds.blocked[k - 1, 0])
+    server = sc.device(0)
+    admitted = requests[:prefix_admit(requests, server, server.f_max, math.inf)]
+    freqs = matching.mec_topup(sc, {k: f for f, k in admitted}, server.f_max)
+    return {k for _, k in admitted}, freqs
 
 
-def deferred_acceptance(sc: Scenario, unmatched, state: matching.MatchingState,
+def deferred_acceptance(sc: Scenario, state: matching.MatchingState,
                         log: RoundLog, bounds: FeasibilityBounds) -> dict[int, int]:
     """Step 3: synchronized-round deferred acceptance among UE helpers.
 
-    Each round every unplaced task asks the cheapest device that has not yet
-    rejected it; each device pools newly asked and currently held offers,
-    sorts them by (frequency, task id) and keeps the longest prefix that fits
-    its residual CPU capacity and its residual power budget.  Rejections are
+    The participants are the tasks still unmatched in `state`.  Each round
+    every unplaced task asks the cheapest device that has not yet rejected
+    it; each device pools newly asked and currently held offers, sorts them
+    by (frequency, task id) and keeps the longest prefix that fits its
+    residual CPU capacity and its residual power budget.  Rejections are
     permanent.  Returns {task: device} for the offers held at termination."""
-    participants = sorted(unmatched)
+    participants = sorted(state.unmatched)
     prefs: dict[int, list[tuple[float, int]]] = {}
     for k in participants:
         prefs[k] = sorted((float(bounds.f_lower[k - 1, j]), j)
@@ -126,18 +132,7 @@ def deferred_acceptance(sc: Scenario, unmatched, state: matching.MatchingState,
             log.events.append((rnd, k, d, f, "request"))
         for d in sorted(new_req):
             pool = sorted(held_at.get(d, []) + new_req[d])
-            dev = sc.device(d)
-            cum_f = 0.0
-            cum_p = 0.0
-            keep = 0
-            for f, k in pool:
-                if cum_f + f > state.f_res[d]:
-                    break
-                if dev.kappa * (cum_p + f ** dev.nu) > open_budget[d]:
-                    break
-                cum_f += f
-                cum_p += f ** dev.nu
-                keep += 1
+            keep = prefix_admit(pool, sc.device(d), state.f_res[d], open_budget[d])
             accepted = pool[:keep]
             was_held = {k for _, k in held_at.get(d, [])}
             for f, k in pool[keep:]:
@@ -175,11 +170,9 @@ def run(sc: Scenario) -> tuple[Assignment, RoundLog]:
     log.cost_series.append(assignment_cost(sc, state.omega, state.freqs)[0].total)
 
     log.n_u = len(state.unmatched)
-    held = deferred_acceptance(sc, set(state.unmatched), state, log, bounds)
+    held = deferred_acceptance(sc, state, log, bounds)
     for k in sorted(held):
         matching.commit(sc, state, k, held[k], float(bounds.f_lower[k - 1, held[k]]))
-    state.abandoned |= state.unmatched - set(held)
-    state.unmatched -= state.abandoned
 
     asg = make_assignment(sc, state.omega, state.freqs)
     log.cost_series.append(asg.cost.total)

@@ -13,10 +13,6 @@ class DomainError(CoopMecError):
     """Frequency at or below the minimum F/T_max where the power curve diverges."""
 
 
-class InfeasiblePair(CoopMecError):
-    """A (task, device) pair cannot meet the deadline under current budgets."""
-
-
 class InfeasibleAssignment(CoopMecError):
     """An assignment violates at least one system constraint."""
 

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matching
-from .errors import InfeasiblePair, UnknownAlgorithm
+from .errors import UnknownAlgorithm
 from .model import (ROOT_RTOL, Assignment, FeasibilityBounds, Scenario,
                     feasibility_bounds, make_assignment, offload_power_derivs_vec,
                     offload_power_vec)
@@ -391,12 +391,10 @@ def repair_feasibility(sc: Scenario, decisions: dict[int, int],
     order = sorted(decisions, key=lambda k: (bounds.f_lower[k - 1, decisions[k]], k))
     for k in order:
         for dev in ([decisions[k]] if decisions[k] == 0 else [decisions[k], 0]):
-            try:
-                f = matching.pair_frequency(sc, state, k, dev)
-            except InfeasiblePair:
-                continue
-            matching.commit(sc, state, k, dev, f)
-            break
+            f = matching.pair_frequency(sc, state, k, dev)
+            if f is not None:
+                matching.commit(sc, state, k, dev, f)
+                break
     matching.redistribute_mec(state, sc)
     return make_assignment(sc, state.omega, state.freqs)
 

@@ -3,8 +3,11 @@
 Tasks that can run locally do so at their slowest admissible frequency.  The
 remaining tasks are matched one at a time: every unmatched task ranks the
 devices that can still fit it (cheapest marginal cost first) and an ordering
-criterion picks which task commits next.  The lists are built once, over the
-pairs the static feasibility bounds leave open, and then kept up to date: a
+criterion picks which task commits next.  A preference list is a plain sorted
+list of (psi, device, f) tuples: psi is the pair's marginal cost and f the
+frequency it would commit.  A pair that does not fit the residual budgets
+prices to None and gets no entry.  The lists are built once, over the pairs
+the static feasibility bounds leave open, and then kept up to date: a
 commitment of task k to device d shrinks only d's residual frequency/power
 and, for an offloaded task, k's residual power, so only the entries on
 devices d and k are priced again, plus every entry of task d itself when d
@@ -25,28 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasiblePair, UnknownAlgorithm
+from .errors import UnknownAlgorithm
 from .model import (LN2, Assignment, FeasibilityBounds, Scenario, assignment_cost,
                     balance_root_clamped, feasibility_bounds, make_assignment,
                     offload_power)
 
 CRITERIA = ("maxtask", "minpw")
-
-
-@dataclass(frozen=True)
-class PrefEntry:
-    device: int
-    f: float
-    psi: float
-
-
-@dataclass(frozen=True)
-class PreferenceList:
-    task: int
-    entries: tuple[PrefEntry, ...]
-
-    def head(self) -> PrefEntry:
-        return self.entries[0]
 
 
 def overhead(n: int, n_h: int, n_mec: int) -> int:
@@ -64,14 +51,13 @@ class MatchingState:
     p_res: np.ndarray = None
     unmatched: set[int] = field(default_factory=set)
     abandoned: set[int] = field(default_factory=set)
-    trace: list[tuple] = field(default_factory=list)
     cost_series: list[float] = field(default_factory=list)
     overhead: int = 0
     converged = True                    # class constant, not a field: a one-pass run
 
     @property
     def iterations(self) -> int:
-        return len(self.trace)          # one per commit
+        return len(self.omega)          # one per commit: a task commits at most once
 
 
 def new_state(sc: Scenario) -> MatchingState:
@@ -88,38 +74,39 @@ def local_seed_set(sc: Scenario, bounds: FeasibilityBounds) -> set[int]:
 
 
 def residual_window(sc: Scenario, state: MatchingState, k: int, dev: int
-                    ) -> tuple[float, float]:
+                    ) -> tuple[float, float] | None:
     """Admissible frequency window [lo, hi] for placing task k on `dev` given
-    current residual budgets; raises InfeasiblePair when empty."""
+    current residual budgets; None when it is empty."""
     task = sc.task(k)
     host = sc.device(dev)
     if dev == k:
         lo = task.f_min
-        hi = state.f_res[dev]
-        if host.kappa > 0:
-            hi = min(hi, (max(state.p_res[dev], 0.0) / host.kappa) ** (1.0 / host.nu))
     else:
         budget = state.p_res[k]
         if budget <= 0:
-            raise InfeasiblePair(f"task {k}: no transmit budget left")
+            return None                 # no transmit budget left
         snr = sc.gain(k, dev) * sc.device(k).eta * budget / sc.noise_w
         rate = sc.bandwidth * math.log1p(snr) / LN2
         if task.deadline * rate <= task.bits:
-            raise InfeasiblePair(f"task {k}->device {dev}: deadline unreachable")
+            return None                 # deadline unreachable
         lo = task.cycles / (task.deadline - task.bits / rate)
-        hi = state.f_res[dev]
-        if dev > 0 and host.kappa > 0:
-            hi = min(hi, (max(state.p_res[dev], 0.0) / host.kappa) ** (1.0 / host.nu))
+    hi = state.f_res[dev]
+    if dev > 0 and host.kappa > 0:
+        hi = min(hi, (max(state.p_res[dev], 0.0) / host.kappa) ** (1.0 / host.nu))
     if lo >= hi:
-        raise InfeasiblePair(f"task {k}->device {dev}: window [{lo:g}, {hi:g}] empty")
+        return None
     return lo, hi
 
 
-def pair_frequency(sc: Scenario, state: MatchingState, k: int, dev: int) -> float:
+def pair_frequency(sc: Scenario, state: MatchingState, k: int, dev: int) -> float | None:
     """Frequency this pair would commit: the slowest admissible one for the
     edge server and for local execution, otherwise the point balancing the
-    owner's marginal upload saving against the helper's marginal CPU power."""
-    lo, hi = residual_window(sc, state, k, dev)
+    owner's marginal upload saving against the helper's marginal CPU power.
+    None when the pair does not fit the residual budgets."""
+    window = residual_window(sc, state, k, dev)
+    if window is None:
+        return None
+    lo, hi = window
     if dev == 0 or dev == k:
         return lo
     task = sc.task(k)
@@ -141,46 +128,34 @@ def pair_cost(sc: Scenario, k: int, dev: int, f: float) -> float:
     if dev != k:
         u = offload_power(task, sc.gain(k, dev), sc.bandwidth, sc.noise_w, f)
         cost += task.power_price / sc.device(k).eta * u
-    host = sc.device(dev)
-    cost += sc.host_price(dev) * host.kappa * f ** host.nu
+    if dev > 0:                         # edge-server compute is free
+        host = sc.device(dev)
+        cost += sc.host_price(dev) * host.kappa * f ** host.nu
     return cost
 
 
-def _priced(sc: Scenario, state: MatchingState, k: int, devices) -> list[PrefEntry]:
-    """Entries of task k on those of `devices` that still fit it."""
+def _priced(sc: Scenario, state: MatchingState, k: int, devices) -> list[tuple]:
+    """(psi, device, f) entries of task k on those of `devices` that still fit it."""
     entries = []
     for dev in devices:
-        try:
-            f = pair_frequency(sc, state, k, dev)
-        except InfeasiblePair:
-            continue
-        entries.append(PrefEntry(device=dev, f=f, psi=pair_cost(sc, k, dev, f)))
+        f = pair_frequency(sc, state, k, dev)
+        if f is not None:
+            entries.append((pair_cost(sc, k, dev, f), dev, f))
     return entries
 
 
-def _ranked(k: int, entries) -> PreferenceList:
-    return PreferenceList(task=k, entries=tuple(sorted(entries,
-                                                       key=lambda e: (e.psi, e.device))))
-
-
-def build_preferences(sc: Scenario, state: MatchingState,
-                      bounds: FeasibilityBounds | None = None
-                      ) -> dict[int, PreferenceList]:
+def build_preferences(sc: Scenario, state: MatchingState, bounds: FeasibilityBounds
+                      ) -> dict[int, list[tuple]]:
     """Rank every still-fitting device for each unmatched task, cheapest first.
 
-    With `bounds`, pairs it marks as statically blocked are not tried: the
-    residual budgets never exceed the static ones, so they cannot fit."""
-    prefs = {}
-    for k in sorted(state.unmatched):
-        if bounds is None:
-            devices = range(sc.n + 1)
-        else:
-            devices = np.flatnonzero(~bounds.blocked[k - 1]).tolist()
-        prefs[k] = _ranked(k, _priced(sc, state, k, devices))
-    return prefs
+    Pairs `bounds` marks as statically blocked are not tried: the residual
+    budgets never exceed the static ones, so they cannot fit.  A device
+    appears once per list, so sorting never compares frequencies."""
+    return {k: sorted(_priced(sc, state, k, np.flatnonzero(~bounds.blocked[k - 1]).tolist()))
+            for k in sorted(state.unmatched)}
 
 
-def _reprice(sc: Scenario, state: MatchingState, prefs: dict[int, PreferenceList],
+def _reprice(sc: Scenario, state: MatchingState, prefs: dict[int, list[tuple]],
              k: int, dev: int) -> None:
     """Update the lists in place after task k committed to `dev`.
 
@@ -189,22 +164,19 @@ def _reprice(sc: Scenario, state: MatchingState, prefs: dict[int, PreferenceList
     on devices dev and k are stale, plus every entry of task dev, whose
     transmit budget is p_res[dev]."""
     stale = {dev, k}
-    for m, pl in prefs.items():
-        if m == dev:
-            redo = [e.device for e in pl.entries]
-        else:
-            redo = [e.device for e in pl.entries if e.device in stale]
+    for m, entries in prefs.items():
+        redo = [d for _, d, _ in entries if m == dev or d in stale]
         if redo:
-            kept = [e for e in pl.entries if e.device not in redo]
-            prefs[m] = _ranked(m, kept + _priced(sc, state, m, redo))
+            kept = [e for e in entries if e[1] not in redo]
+            prefs[m] = sorted(kept + _priced(sc, state, m, redo))
 
 
-def next_task(prefs: dict[int, PreferenceList], criterion: str) -> int:
+def next_task(prefs: dict[int, list[tuple]], criterion: str) -> int:
     """Pick which task commits now; ties always break towards lower task id."""
     if criterion == "maxtask":
-        key = lambda k: (len(prefs[k].entries), prefs[k].head().psi, k)
+        key = lambda k: (len(prefs[k]), prefs[k][0][0], k)
     elif criterion == "minpw":
-        key = lambda k: (prefs[k].head().psi, k)
+        key = lambda k: (prefs[k][0][0], k)
     else:
         raise UnknownAlgorithm(f"matching criterion {criterion!r}")
     return min(prefs, key=key)
@@ -222,15 +194,12 @@ def commit(sc: Scenario, state: MatchingState, k: int, dev: int, f: float) -> No
     if dev != k:
         u = offload_power(sc.task(k), sc.gain(k, dev), sc.bandwidth, sc.noise_w, f)
         state.p_res[k] = max(0.0, state.p_res[k] - u / sc.device(k).eta)
-    state.trace.append((len(state.trace) + 1, k, dev, f, pair_cost(sc, k, dev, f)))
 
 
 def mec_topup(sc: Scenario, mec_freqs: dict[int, float], capacity: float
               ) -> dict[int, float]:
     """Spread leftover edge-server capacity over its tasks proportionally to
     their current upload power cost (heavier uploads get more speed-up)."""
-    if not mec_freqs:
-        return dict(mec_freqs)
     residue = capacity - sum(mec_freqs.values())
     if residue <= 0:
         return dict(mec_freqs)
@@ -251,8 +220,6 @@ def redistribute_mec(state: MatchingState, sc: Scenario) -> None:
     """Apply the capacity top-up to the matching state (frequencies, residual
     capacity, and the owners' recovered transmit budgets)."""
     on_mec = {k: state.freqs[k] for k, dev in state.omega.items() if dev == 0}
-    if not on_mec:
-        return
     new_freqs = mec_topup(sc, on_mec, sc.device(0).f_max)
     for k, f_new in new_freqs.items():
         f_old = on_mec[k]
@@ -279,7 +246,7 @@ def run(sc: Scenario, criterion: str = "maxtask") -> tuple[Assignment, MatchingS
 
     prefs = build_preferences(sc, state, bounds)
     while True:
-        dead = {k for k, pl in prefs.items() if not pl.entries}
+        dead = {k for k, entries in prefs.items() if not entries}
         state.abandoned |= dead
         state.unmatched -= dead
         for k in dead:
@@ -287,10 +254,10 @@ def run(sc: Scenario, criterion: str = "maxtask") -> tuple[Assignment, MatchingS
         if not prefs:
             break
         k = next_task(prefs, criterion)
-        head = prefs.pop(k).head()
-        commit(sc, state, k, head.device, head.f)
+        _, dev, f = prefs.pop(k)[0]
+        commit(sc, state, k, dev, f)
         state.cost_series.append(assignment_cost(sc, state.omega, state.freqs)[0].total)
-        _reprice(sc, state, prefs, k, head.device)
+        _reprice(sc, state, prefs, k, dev)
 
     redistribute_mec(state, sc)
     asg = make_assignment(sc, state.omega, state.freqs)

@@ -136,6 +136,7 @@ class Scenario:
     bounds) is computed on first use and kept on the instance.  gains is a
     read-only copy and so is every cached array, so the cache cannot go
     stale; dataclasses.replace builds a new instance with an empty cache.
+    The total drop penalty, a constant term of every cost, must be finite.
     """
 
     tasks: tuple[TaskSpec, ...]
@@ -147,6 +148,8 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "gains", _read_only(np.array(self.gains, dtype=float)))
+        if not math.isfinite(sum(t.penalty for t in self.tasks)):
+            raise ValueError("the total drop penalty overflows")
 
     @cached_property
     def arrays(self) -> ScenarioArrays:
@@ -468,7 +471,8 @@ def assignment_cost(sc: Scenario, target, freqs) -> tuple[CostBreakdown, dict[in
             power = offload_power(task, sc.gain(task_id, dev), sc.bandwidth, sc.noise_w, f)
             p_t[task_id] = power
             transmit += task.power_price / sc.device(task.id).eta * power
-        compute += sc.host_price(dev) * sc.device(dev).kappa * f ** sc.device(dev).nu
+        if dev > 0:                     # edge-server compute is free
+            compute += sc.host_price(dev) * sc.device(dev).kappa * f ** sc.device(dev).nu
     circuit = sc.arrays.circuit
     penalty_all = sc.arrays.penalty_total
     saved = sum(sc.task(i).penalty for i in target)

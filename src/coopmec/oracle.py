@@ -39,12 +39,12 @@ def non_cope(sc: Scenario) -> Assignment:
         dev = sc.device(i)
         local_ok = not bounds.blocked[i - 1, i]
         mec_ok = not bounds.blocked[i - 1, 0]
-        local_cost = task.power_price * dev.kappa * task.f_min ** dev.nu
         if mec_ok:
             f_req = float(bounds.f_lower[i - 1, 0])
             u = offload_power(task, sc.gain(i, 0), sc.bandwidth, sc.noise_w, f_req)
             mec_cost = task.power_price / dev.eta * u
-            if not local_ok or mec_cost < local_cost:
+            # priced only when open: a blocked pair's f_min ** nu can overflow
+            if not local_ok or mec_cost < task.power_price * dev.kappa * task.f_min ** dev.nu:
                 requests.append(i)
                 continue
         if local_ok:

@@ -122,10 +122,10 @@ def generate(cfg: GenConfig) -> Scenario:
                                   p_cir=cfg.p_cir,
                                   position=(float(pos[i, 0]), float(pos[i, 1])))
                     for i in range(n))
+        return Scenario(tasks=tasks, devices=(mec,) + ues, gains=gains,
+                        bandwidth=cfg.bandwidth, noise_w=cfg.noise_w(), seed=cfg.seed)
     except ValueError as exc:
         raise ConfigError(f"seed {cfg.seed}: {exc}") from exc
-    return Scenario(tasks=tasks, devices=(mec,) + ues, gains=gains,
-                    bandwidth=cfg.bandwidth, noise_w=cfg.noise_w(), seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +271,9 @@ def read_scenario(path) -> Scenario:
     if any(len(gain_rows.get(i, ())) != n + 1 for i in range(1, n + 1)):
         raise ConfigError(f"{path}: gain matrix must be ({n}, {n + 1})")
     gains = np.array([gain_rows[i] for i in range(1, n + 1)])
-    return Scenario(tasks=tuple(tasks[i] for i in range(1, n + 1)),
-                    devices=tuple(devices[j] for j in range(n + 1)),
-                    gains=gains, bandwidth=bandwidth, noise_w=noise_w, seed=seed)
+    try:
+        return Scenario(tasks=tuple(tasks[i] for i in range(1, n + 1)),
+                        devices=tuple(devices[j] for j in range(n + 1)),
+                        gains=gains, bandwidth=bandwidth, noise_w=noise_w, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -6,6 +6,10 @@ scripts/ outside its own definition; `__init__.py` re-exports do not count.
 A function is referenced by a loaded name or attribute of its name, a
 method only by an attribute.  The check goes by name, so it can miss dead
 code that shares a name with live code, but it cannot flag live code.
+
+Likewise every `CoopMecError` subclass in errors.py must be raised, by a
+`raise` statement, somewhere in src/coopmec/: an error type nothing raises
+cannot linger in `__all__`.
 """
 
 from __future__ import annotations
@@ -85,3 +89,26 @@ def test_every_export_resolves():
     import coopmec
     assert [name for name in coopmec.__all__ if not hasattr(coopmec, name)] == []
     assert len(set(coopmec.__all__)) == len(coopmec.__all__)
+
+
+def raised_names() -> set[str]:
+    """Names a `raise` statement in the package raises or constructs."""
+    out = set()
+    for path in modules():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    out.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    out.add(exc.attr)
+    return out
+
+
+def test_every_error_type_is_raised():
+    from coopmec import errors
+    types = [name for name, obj in vars(errors).items()
+             if isinstance(obj, type) and issubclass(obj, errors.CoopMecError)
+             and obj is not errors.CoopMecError]
+    assert len(types) >= 5
+    assert [name for name in types if name not in raised_names()] == []

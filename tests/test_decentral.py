@@ -15,18 +15,32 @@ from coopmec.model import feasibility_bounds, validate_constraints
 
 
 def test_prefix_admit_orders_by_frequency():
-    reqs = {1: 1e9, 2: 2e9, 4: 1e9}
-    assert prefix_admit(reqs, 5e9) == [1, 4, 2]     # tie 1 vs 4 -> lower id
-    assert prefix_admit(reqs, 2.5e9) == [1, 4]
-    assert prefix_admit(reqs, 0.5e9) == []
-    assert prefix_admit({}, 5e9) == []
+    server = mk_dev(0)
+    offers = sorted((f, k) for k, f in {1: 1e9, 2: 2e9, 4: 1e9}.items())
+    assert offers == [(1e9, 1), (1e9, 4), (2e9, 2)]  # tie 1 vs 4 -> lower id
+    assert prefix_admit(offers, server, 5e9, math.inf) == 3
+    assert prefix_admit(offers, server, 2.5e9, math.inf) == 2
+    assert prefix_admit(offers, server, 0.5e9, math.inf) == 0
+    assert prefix_admit([], server, 5e9, math.inf) == 0
 
 
 def test_prefix_admit_is_a_prefix_not_a_packing():
     # the 4 GHz request blocks the scan even though 1 GHz would still fit
-    reqs = {1: 4e9, 2: 1e9, 3: 1e9}
-    assert prefix_admit(reqs, 2.5e9) == [2, 3]
-    assert prefix_admit({1: 4e9, 2: 1e9}, 2e9) == [2]
+    server = mk_dev(0)
+    assert prefix_admit([(1e9, 2), (1e9, 3), (4e9, 1)], server, 2.5e9, math.inf) == 2
+    assert prefix_admit([(1e9, 2), (4e9, 1)], server, 2e9, math.inf) == 1
+
+
+def test_prefix_admit_power_budget_binds_before_capacity():
+    # each 1 GHz guest draws kappa * f**3 = 1 W on the helper
+    helper = mk_dev(1, f_max=5e9)
+    offers = [(1e9, 2), (1e9, 3), (1e9, 4)]
+    assert prefix_admit(offers, helper, 5e9, 2.5) == 2
+    assert prefix_admit(offers, helper, 5e9, 0.5) == 0
+    # the server draws no power: its budget is never read, and f**nu is
+    # never taken, so even an overflowing frequency is admitted
+    assert prefix_admit(offers, mk_dev(0), 5e9, 0.0) == 3
+    assert prefix_admit([(1e200, 1)], mk_dev(0), 1e300, math.inf) == 1
 
 
 def test_mec_admission_spreads_leftover():

@@ -1,7 +1,7 @@
 """Golden run records: refactors that leave the numerics alone must
 reproduce them.
 
-`data/golden_runs.csv` is the runs.csv of
+`data/golden_csv/runs.csv` is the runs.csv of
 
     coopmec run --sweep f0_max=5e9,8e9 --realizations 4
 
@@ -27,7 +27,7 @@ from coopmec.cli import main
 from coopmec.harness import ALGORITHMS, ExperimentSpec, run_experiment
 from coopmec.scenario import GenConfig
 
-GOLDEN = Path(__file__).parent / "data" / "golden_runs.csv"
+GOLDEN = Path(__file__).parent / "data" / "golden_csv" / "runs.csv"
 GOLDEN_TRACE = Path(__file__).parent / "data" / "golden_trace"
 INT_COLUMNS = ("realization", "seed", "accomplished", "overhead", "converged",
                "iterations")

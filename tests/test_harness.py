@@ -53,6 +53,19 @@ def test_run_algorithm_dispatch(sc3):
         run_algorithm(sc3, "bogus")
 
 
+@pytest.mark.parametrize("algo", ["maxtask", "minpw", "decentral", "noncope"])
+@pytest.mark.parametrize("cell", [
+    dict(f0_max=1e120), dict(f0_max=1e300),           # server frequency ** nu
+    dict(cycles=(1e300, 1e300)), dict(deadline_s=(1e-300, 1e-300)),  # local f_min ** nu
+], ids=["f0max1e120", "f0max1e300", "cycles1e300", "deadline1e-300"])
+def test_extreme_magnitudes_do_not_overflow(algo, cell):
+    # the free server compute and a blocked local pair are never priced, so
+    # their overflowing power-law terms are never evaluated
+    sc = gen(n=4, **cell)
+    asg, _ = run_algorithm(sc, algo)
+    assert validate_constraints(sc, asg) == []
+
+
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_one_validation_per_solve(monkeypatch, algo):
     # every solver returns through make_assignment, which validates; the
@@ -219,6 +232,18 @@ def test_cli_rejects_malformed_arguments(capsys):
     assert cli.main(["run", "--step-rule", "sprint:0.1",
                      "--realizations", "1"]) != 0
     assert "step-rule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--step-rule", "bogus"], ["gen", "--algo", "icrbi"],
+    ["oracle-check", "--out", "X"], ["trace", "--realizations", "7"],
+], ids=lambda argv: " ".join(argv))
+def test_cli_rejects_options_the_command_ignores(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 def test_cli_reports_bad_generated_records(tmp_path, capsys):

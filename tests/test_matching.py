@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,9 +10,8 @@ import pytest
 
 from conftest import gen, mk_dev, mk_scenario, mk_task
 from coopmec import oracle
-from coopmec.errors import InfeasiblePair, UnknownAlgorithm
-from coopmec.matching import (CRITERIA, PrefEntry, PreferenceList,
-                              build_preferences, commit, local_seed_set,
+from coopmec.errors import UnknownAlgorithm
+from coopmec.matching import (CRITERIA, build_preferences, commit, local_seed_set,
                               mec_topup, new_state, next_task, pair_cost,
                               pair_frequency, redistribute_mec,
                               residual_window, run)
@@ -20,6 +20,13 @@ from coopmec.model import (LN2, assignment_cost, feasibility_bounds,
 
 # the steep-path-loss cell of the ratio experiment
 STEEP = dict(pathloss_exponent=4.5, pathloss_ref_gain=1e-2)
+
+
+def open_bounds(sc):
+    """The scenario's static bounds with no pair blocked: preferences built
+    over them price every device."""
+    bounds = feasibility_bounds(sc)
+    return dataclasses.replace(bounds, blocked=np.zeros_like(bounds.blocked))
 
 
 def two_ue_scenario():
@@ -53,10 +60,10 @@ def test_pair_frequency_minimises_pair_cost_on_grid():
             for dev in range(sc.n + 1):
                 if dev == k or dev == 0:
                     continue
-                try:
-                    lo, hi = residual_window(sc, state, k, dev)
-                except InfeasiblePair:
+                window = residual_window(sc, state, k, dev)
+                if window is None:
                     continue
+                lo, hi = window
                 f_star = pair_frequency(sc, state, k, dev)
                 grid = np.geomspace(lo * (1 + 1e-12), hi, 20001)
                 costs = [pair_cost(sc, k, dev, float(f)) for f in grid]
@@ -69,11 +76,11 @@ def test_pair_frequency_minimises_pair_cost_on_grid():
 
 def test_preferences_sorted_and_feasible_only():
     sc = two_ue_scenario()
-    prefs = build_preferences(sc, new_state(sc))
-    for k, pl in prefs.items():
-        psis = [e.psi for e in pl.entries]
+    prefs = build_preferences(sc, new_state(sc), open_bounds(sc))
+    for k, entries in prefs.items():
+        psis = [psi for psi, _, _ in entries]
         assert psis == sorted(psis)
-        devs = {e.device for e in pl.entries}
+        devs = {dev for _, dev, _ in entries}
         assert k in devs                 # both tasks fit locally here
     # an infeasible pair never shows up: kill task 1's radio entirely
     gains = np.full((2, 3), 1e-10)
@@ -81,31 +88,32 @@ def test_preferences_sorted_and_feasible_only():
     sc2 = mk_scenario([mk_task(1), mk_task(2)],
                       [mk_dev(0, f_max=5e9), mk_dev(1, p_max=2.0),
                        mk_dev(2, f_max=2e9, p_max=10.0)], gain=gains)
-    prefs2 = build_preferences(sc2, new_state(sc2))
-    assert {e.device for e in prefs2[1].entries} == {1}
+    state2 = new_state(sc2)
+    prefs2 = build_preferences(sc2, state2, open_bounds(sc2))
+    assert {dev for _, dev, _ in prefs2[1]} == {1}
+    assert pair_frequency(sc2, state2, 1, 0) is None
+    assert residual_window(sc2, state2, 1, 2) is None
 
 
 def test_commit_debits_and_shrinks_later_options():
     sc = gen(n=6, seed=1)
     state = new_state(sc)
-    before = build_preferences(sc, state)
-    k = min(k for k, pl in before.items() if pl.entries)
-    head = before[k].head()
-    f_res0 = state.f_res[head.device]
-    commit(sc, state, k, head.device, head.f)
-    assert state.omega[k] == head.device
-    assert state.f_res[head.device] == pytest.approx(f_res0 - head.f)
-    after = build_preferences(sc, state)
+    before = build_preferences(sc, state, open_bounds(sc))
+    k = min(k for k, entries in before.items() if entries)
+    _, dev, f = before[k][0]
+    f_res0 = state.f_res[dev]
+    commit(sc, state, k, dev, f)
+    assert state.omega[k] == dev
+    assert state.f_res[dev] == pytest.approx(f_res0 - f)
+    after = build_preferences(sc, state, open_bounds(sc))
     # residual windows only shrink, so nobody gains options
-    for m, pl in after.items():
-        assert len(pl.entries) <= len(before[m].entries)
+    for m, entries in after.items():
+        assert len(entries) <= len(before[m])
 
 
 def synthetic_prefs(spec):
     # spec: {task: [psi, ...]}, device ids are irrelevant for ordering
-    return {k: PreferenceList(task=k, entries=tuple(
-        PrefEntry(device=d, f=1e9, psi=p) for d, p in enumerate(psis)))
-        for k, psis in spec.items()}
+    return {k: [(p, d, 1e9) for d, p in enumerate(psis)] for k, psis in spec.items()}
 
 
 def test_next_task_maxtask_prefers_fewest_options():
@@ -153,7 +161,7 @@ def test_run_outputs_validate(sc10, sc3):
             assert validate_constraints(sc, asg) == []
             assert (state.f_res > -1e-6 * state.f_res.max()).all()
             assert (state.p_res >= 0).all()
-            assert len(state.trace) == asg.accomplished
+            assert state.iterations == asg.accomplished
 
 
 def test_matching_tracks_exhaustive_search():
@@ -200,17 +208,17 @@ def reference_run(sc, criterion):
     state.cost_series.append(assignment_cost(sc, state.omega, state.freqs)[0].total)
     unmatched_hosts = 0
     while state.unmatched:
-        prefs = build_preferences(sc, state)
-        fitting = {k: pl for k, pl in prefs.items() if pl.entries}
+        prefs = build_preferences(sc, state, open_bounds(sc))
+        fitting = {k: entries for k, entries in prefs.items() if entries}
         dead = state.unmatched - set(fitting)
         state.abandoned |= dead
         state.unmatched -= dead
         if not fitting:
             break
         k = next_task(fitting, criterion)
-        head = fitting[k].head()
-        unmatched_hosts += head.device in state.unmatched - {k}
-        commit(sc, state, k, head.device, head.f)
+        _, dev, f = fitting[k][0]
+        unmatched_hosts += dev in state.unmatched - {k}
+        commit(sc, state, k, dev, f)
         state.cost_series.append(assignment_cost(sc, state.omega, state.freqs)[0].total)
     redistribute_mec(state, sc)
     asg = make_assignment(sc, state.omega, state.freqs)
@@ -222,7 +230,9 @@ def assert_run_matches_reference(sc, criterion):
     want_asg, want, unmatched_hosts = reference_run(sc, criterion)
     got_asg, got = run(sc, criterion)
     assert got_asg == want_asg
-    assert got.trace == want.trace
+    # both dicts keep commit order; cost_series covers the pre-top-up freqs
+    assert list(got.omega.items()) == list(want.omega.items())
+    assert list(got.freqs.items()) == list(want.freqs.items())
     assert got.cost_series == want.cost_series
     assert got.abandoned == want.abandoned
     return unmatched_hosts
@@ -249,4 +259,5 @@ def test_static_bounds_skip_only_pairs_that_never_fit():
         sc = gen(n=30, seed=seed, **STEEP)
         state = new_state(sc)
         bounds = feasibility_bounds(sc)
-        assert build_preferences(sc, state, bounds) == build_preferences(sc, state)
+        assert build_preferences(sc, state, bounds) == \
+            build_preferences(sc, state, open_bounds(sc))

@@ -111,6 +111,8 @@ def test_config_validation():
     {"data_bits": (0.0, 0.0)},
     {"deadline_s": (0.0, 0.0)},
     {"cycles": (-1.0, 1.0)},
+    {"phi0": 1e308},                        # finite penalties, infinite total
+    {"phi_spread": 1e308},
 ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
 def test_generate_rejects_bad_records(override):
     # the record constructors' checks surface as ConfigError, never raw
@@ -222,6 +224,17 @@ def test_scenario_file_rejects_non_finite_field(tmp_path, prefix, name, index, v
                        match=rf"inst\.sc:{RECORD_LINES[prefix]}: .*{name} must be finite"):
         corrupt_line(tmp_path, prefix,
                      lambda parts: parts[:index] + [value] + parts[index + 1:])
+
+
+def test_scenario_file_rejects_overflowing_total_penalty(tmp_path):
+    # every penalty is finite, their sum is not
+    path = tmp_path / "inst.sc"
+    write_scenario(generate(GenConfig(n=4, seed=2)), path)
+    lines = [ln.split() for ln in path.read_text().splitlines()]
+    lines = [p[:5] + ["1e308"] + p[6:] if p[0] == "task" else p for p in lines]
+    path.write_text("\n".join(" ".join(p) for p in lines) + "\n")
+    with pytest.raises(ConfigError, match=r"inst\.sc: .*total drop penalty"):
+        read_scenario(path)
 
 
 @pytest.mark.parametrize("prefix", ["task 2 ", "device 3 ", "gains 1 "])
