@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from . import matching
 from .model import (Assignment, DeviceProfile, FeasibilityBounds, Scenario,
@@ -46,7 +47,6 @@ class RoundLog:
     n_mec: int = 0
     rounds: int = 0
     events: list[tuple[int, int, int, float, str]] = field(default_factory=list)
-    cost_series: list[float] = field(default_factory=list)
     overhead: int = 0
     converged = True                    # class constant, not a field: a one-pass run
 
@@ -57,6 +57,23 @@ class RoundLog:
     def lines(self):
         for rnd, task, dev, f, verdict in self.events:
             yield f"{rnd} {task} {dev} {f!r} {verdict}"
+
+    def cost_series(self, sc: Scenario, asg: Assignment) -> list[float]:
+        """Total cost after step 1, after step 2, with the offers held at the
+        end of each step-3 round (replayed from the events), and of `asg`."""
+        held, freqs = {}, dict(asg.f)
+        cost = lambda target: assignment_cost(sc, target, freqs)[0].total
+        local = {k: k for k, d in asg.target.items() if d == k}
+        placed = {**local, **{k: 0 for k, d in asg.target.items() if d == 0}}
+        series = [cost(local), cost(placed)]
+        for _, events in groupby(self.events, key=lambda e: e[0]):
+            for _, k, d, f, verdict in events:
+                if verdict == "hold":
+                    held[k], freqs[k] = d, f
+                elif verdict == "evict":
+                    del held[k]
+            series.append(cost({**placed, **dict(sorted(held.items()))}))
+        return series + [asg.cost.total]
 
 
 def prefix_admit(offers: list[tuple[float, int]], host: DeviceProfile,
@@ -144,13 +161,6 @@ def deferred_acceptance(sc: Scenario, state: matching.MatchingState,
                     holding[k] = d
                     log.events.append((rnd, k, d, f, "hold"))
             held_at[d] = accepted
-        target = dict(state.omega)
-        freqs = dict(state.freqs)
-        for k in participants:
-            if holding[k] is not None:
-                target[k] = holding[k]
-                freqs[k] = float(bounds.f_lower[k - 1, holding[k]])
-        log.cost_series.append(assignment_cost(sc, target, freqs)[0].total)
     return {k: d for k, d in holding.items() if d is not None}
 
 
@@ -161,13 +171,11 @@ def run(sc: Scenario) -> tuple[Assignment, RoundLog]:
     log = RoundLog()
     for k in sorted(matching.local_seed_set(sc, bounds)):
         matching.commit(sc, state, k, k, sc.task(k).f_min)
-    log.cost_series.append(assignment_cost(sc, state.omega, state.freqs)[0].total)
 
     k_mec, mec_freqs = mec_admission(sc, bounds, set(state.unmatched))
     for k in sorted(k_mec):
         matching.commit(sc, state, k, 0, mec_freqs[k])
     log.n_mec = len(k_mec)
-    log.cost_series.append(assignment_cost(sc, state.omega, state.freqs)[0].total)
 
     log.n_u = len(state.unmatched)
     held = deferred_acceptance(sc, state, log, bounds)
@@ -175,7 +183,6 @@ def run(sc: Scenario) -> tuple[Assignment, RoundLog]:
         matching.commit(sc, state, k, held[k], float(bounds.f_lower[k - 1, held[k]]))
 
     asg = make_assignment(sc, state.omega, state.freqs)
-    log.cost_series.append(asg.cost.total)
     log.overhead = overhead(sc.n, log.n_u, log.n_mec, log.rounds)
     return asg, log
 

@@ -6,7 +6,7 @@ class CoopMecError(Exception):
 
 
 class ConfigError(CoopMecError):
-    """Malformed generator configuration (empty or inverted ranges, bad keys)."""
+    """Malformed generator config (bad ranges, keys, magnitudes) or icrbi settings."""
 
 
 class DomainError(CoopMecError):

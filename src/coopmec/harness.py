@@ -224,8 +224,8 @@ def convergence_trace(spec: ExperimentSpec) -> dict[str, Path]:
     sc = generate(dataclasses.replace(spec.base, seed=spec.seed_base))
     paths: dict[str, Path] = {}
     for algo in spec.algorithms:
-        _, extras = run_algorithm(sc, algo, step_rule=spec.step_rule, x0=spec.x0,
-                                  eps=spec.eps)
+        asg, extras = run_algorithm(sc, algo, step_rule=spec.step_rule, x0=spec.x0,
+                                    eps=spec.eps)
         trace = extras["trace"]
         if trace is None:
             raise UnknownAlgorithm("the baseline has no iteration trace")
@@ -242,7 +242,7 @@ def convergence_trace(spec: ExperimentSpec) -> dict[str, Path]:
             path = out / f"{algo}.csv"
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("step,total_cost\n")
-                for i, c in enumerate(trace.cost_series):
+                for i, c in enumerate(trace.cost_series(sc, asg)):
                     fh.write(f"{i},{c!r}\n")
         paths[algo] = path
     return paths

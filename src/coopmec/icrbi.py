@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matching
-from .errors import UnknownAlgorithm
+from .errors import ConfigError, UnknownAlgorithm
 from .model import (ROOT_RTOL, Assignment, FeasibilityBounds, Scenario,
                     feasibility_bounds, make_assignment, offload_power_derivs_vec,
                     offload_power_vec)
@@ -395,8 +395,7 @@ def repair_feasibility(sc: Scenario, decisions: dict[int, int],
             if f is not None:
                 matching.commit(sc, state, k, dev, f)
                 break
-    matching.redistribute_mec(state, sc)
-    return make_assignment(sc, state.omega, state.freqs)
+    return make_assignment(sc, state.omega, matching.redistribute_mec(state, sc))
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +412,9 @@ def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
     Either way the final iterate's decision map is repaired and returned."""
     if step_rule not in STEP_RULES:
         raise UnknownAlgorithm(f"step rule {step_rule!r}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    if not (0 < x0 < math.inf and (eps is None or 0 < eps < math.inf) and max_iter >= 1):
+        raise ConfigError(f"icrbi needs finite x0 > 0, finite eps > 0 and max_iter >= 1, "
+                          f"got x0={x0!r}, eps={eps!r}, max_iter={max_iter!r}")
     bounds = feasibility_bounds(sc)
     kern = _Kernel(sc, bounds)
     duals = DualState.zeros(sc.n, step_rule=step_rule, x0=x0)

@@ -43,21 +43,28 @@ def overhead(n: int, n_h: int, n_mec: int) -> int:
 
 @dataclass
 class MatchingState:
-    """Mutable matching progress: committed pairs plus residual budgets."""
+    """Matching progress: committed pairs, residual budgets, the tasks left unmatched."""
 
     omega: dict[int, int] = field(default_factory=dict)
     freqs: dict[int, float] = field(default_factory=dict)
     f_res: np.ndarray = None
     p_res: np.ndarray = None
     unmatched: set[int] = field(default_factory=set)
-    abandoned: set[int] = field(default_factory=set)
-    cost_series: list[float] = field(default_factory=list)
     overhead: int = 0
     converged = True                    # class constant, not a field: a one-pass run
 
     @property
     def iterations(self) -> int:
         return len(self.omega)          # one per commit: a task commits at most once
+
+    def cost_series(self, sc: Scenario, asg: Assignment) -> list[float]:
+        """Total cost after the local seeds, after each later commit, and of
+        the returned assignment.  omega and freqs keep commit order and
+        commit-time frequencies; the seeds (omega[k] == k) commit first."""
+        pairs = list(self.omega.items())
+        seeds = sum(k == dev for k, dev in pairs)
+        return [assignment_cost(sc, dict(pairs[:m]), self.freqs)[0].total
+                for m in range(seeds, len(pairs) + 1)] + [asg.cost.total]
 
 
 def new_state(sc: Scenario) -> MatchingState:
@@ -216,21 +223,10 @@ def mec_topup(sc: Scenario, mec_freqs: dict[int, float], capacity: float
     return {k: f + share[k] * residue for k, f in mec_freqs.items()}
 
 
-def redistribute_mec(state: MatchingState, sc: Scenario) -> None:
-    """Apply the capacity top-up to the matching state (frequencies, residual
-    capacity, and the owners' recovered transmit budgets)."""
+def redistribute_mec(state: MatchingState, sc: Scenario) -> dict[int, float]:
+    """The committed frequencies with the edge-server top-up; the state is unchanged."""
     on_mec = {k: state.freqs[k] for k, dev in state.omega.items() if dev == 0}
-    new_freqs = mec_topup(sc, on_mec, sc.device(0).f_max)
-    for k, f_new in new_freqs.items():
-        f_old = on_mec[k]
-        if f_new == f_old:
-            continue
-        task = sc.task(k)
-        u_old = offload_power(task, sc.gain(k, 0), sc.bandwidth, sc.noise_w, f_old)
-        u_new = offload_power(task, sc.gain(k, 0), sc.bandwidth, sc.noise_w, f_new)
-        state.p_res[k] = max(0.0, state.p_res[k] + (u_old - u_new) / sc.device(k).eta)
-        state.f_res[0] -= f_new - f_old
-        state.freqs[k] = f_new
+    return {**state.freqs, **mec_topup(sc, on_mec, sc.device(0).f_max)}
 
 
 def run(sc: Scenario, criterion: str = "maxtask") -> tuple[Assignment, MatchingState]:
@@ -242,25 +238,17 @@ def run(sc: Scenario, criterion: str = "maxtask") -> tuple[Assignment, MatchingS
     seeds = local_seed_set(sc, bounds)
     for k in sorted(seeds):
         commit(sc, state, k, k, sc.task(k).f_min)
-    state.cost_series.append(assignment_cost(sc, state.omega, state.freqs)[0].total)
 
     prefs = build_preferences(sc, state, bounds)
     while True:
-        dead = {k for k, entries in prefs.items() if not entries}
-        state.abandoned |= dead
-        state.unmatched -= dead
-        for k in dead:
-            del prefs[k]
+        prefs = {k: entries for k, entries in prefs.items() if entries}  # empty: gave up
         if not prefs:
             break
         k = next_task(prefs, criterion)
         _, dev, f = prefs.pop(k)[0]
         commit(sc, state, k, dev, f)
-        state.cost_series.append(assignment_cost(sc, state.omega, state.freqs)[0].total)
         _reprice(sc, state, prefs, k, dev)
 
-    redistribute_mec(state, sc)
-    asg = make_assignment(sc, state.omega, state.freqs)
-    state.cost_series.append(asg.cost.total)
+    asg = make_assignment(sc, state.omega, redistribute_mec(state, sc))
     state.overhead = overhead(sc.n, sc.n - len(seeds), sum(d == 0 for d in asg.target.values()))
     return asg, state

@@ -398,8 +398,8 @@ def _compute_bounds(sc: Scenario) -> FeasibilityBounds:
     rows = np.arange(n)
     rate_cap[rows, own] = np.inf         # local execution has no radio link
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slack = deadline - bits / rate_cap
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slack = deadline - bits / rate_cap      # a vanishing rate gives -inf: blocked
         f_lower = np.where(slack > 0, cycles / np.where(slack > 0, slack, 1.0), np.inf)
     f_lower[rows, own] = arr.f_min
 

@@ -81,6 +81,9 @@ def _check(cfg: GenConfig) -> None:
     for name in positive:
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive")
+    if not (cfg.noise_dbm_per_hz / 10.0 < np.log10(np.finfo(float).max)    # guard the exponent
+            and 0 < cfg.noise_w() < math.inf):
+        raise ConfigError(f"noise_dbm_per_hz: {cfg.noise_dbm_per_hz!r} gives no finite watts > 0")
     if not (0 < cfg.eta <= 1):
         raise ConfigError(f"eta must be in (0, 1], got {cfg.eta}")
     if cfg.p_cir < 0 or cfg.phi0 < 0 or cfg.w < 0:

@@ -9,7 +9,10 @@ code that shares a name with live code, but it cannot flag live code.
 
 Likewise every `CoopMecError` subclass in errors.py must be raised, by a
 `raise` statement, somewhere in src/coopmec/: an error type nothing raises
-cannot linger in `__all__`.
+cannot linger in `__all__`.  And every annotated field of the solver
+records (`IcrbiTrace`, `MatchingState`, `RoundLog`) must be loaded as an
+attribute somewhere in src/coopmec/ or scripts/: a record holds only what
+the solve or its callers read, not write-only bookkeeping.
 """
 
 from __future__ import annotations
@@ -27,6 +30,13 @@ ALLOWED = {
     "scenario.read_scenario": "scenario-file reader: the package's input boundary",
     "scenario.write_config": "config-file writer, the inverse of read_config",
 }
+
+
+# solver record fields nothing in src/ or scripts/ reads, kept on purpose
+WRITE_ONLY = {
+    "IcrbiTrace.n_root_pairs": "solverbench reads it through getattr",
+}
+RECORDS = {"icrbi": "IcrbiTrace", "matching": "MatchingState", "decentral": "RoundLog"}
 
 
 def modules() -> list[Path]:
@@ -112,3 +122,21 @@ def test_every_error_type_is_raised():
              and obj is not errors.CoopMecError]
     assert len(types) >= 5
     assert [name for name in types if name not in raised_names()] == []
+
+
+def record_fields() -> list[str]:
+    """Class.field of every annotated field of the solver records."""
+    out = []
+    for stem, cls in RECORDS.items():
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+        node = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
+        out += [f"{cls}.{item.target.id}" for item in node.body
+                if isinstance(item, ast.AnnAssign)]
+    return out
+
+
+def test_every_record_field_is_read():
+    _, attrs = references()
+    unread = [q for q in record_fields() if not attrs[q.split(".")[1]]]
+    assert [q for q in unread if q not in WRITE_ONLY] == [], "write-only record fields"
+    assert set(WRITE_ONLY) <= set(unread)           # the allow-list is current

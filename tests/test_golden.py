@@ -9,10 +9,12 @@ reproduce them.
 exactly, float columns to 1e-12 relative.
 
 `data/golden_trace/` holds the files of `coopmec trace` on the default cell
-(seed 0), and its subdirectory `n12_f0max8e9_seed3/` those of the same
-command with `--seed 3` and a config setting `n = 12`, `f0_max = 8e9`.
-They must match byte for byte: they carry the per-commit cost series of
-matching and decentral, which runs.csv does not.
+(seed 0), its subdirectory `n12_f0max8e9_seed3/` those of the same command
+with `--seed 3` and a config setting `n = 12`, `f0_max = 8e9`, and
+`n40_seed88/` those with `--seed 88` and `n = 40`, whose decentralized run
+evicts a held offer (the other two cases evict none).  They must match byte
+for byte: they carry the per-commit cost series of matching and decentral,
+which runs.csv does not.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ def test_runs_match_golden_records(algorithm):
 @pytest.mark.parametrize("case, config, args", [
     ("", None, []),
     ("n12_f0max8e9_seed3", "n = 12\nf0_max = 8e9\n", ["--seed", "3"]),
-], ids=["default", "n12_f0max8e9_seed3"])
+    ("n40_seed88", "n = 40\n", ["--seed", "88"]),
+], ids=["default", "n12_f0max8e9_seed3", "n40_seed88"])
 def test_trace_files_match_golden_bytes(tmp_path, case, config, args):
     golden = GOLDEN_TRACE / case
     if config is not None:
@@ -67,6 +70,8 @@ def test_trace_files_match_golden_bytes(tmp_path, case, config, args):
     out = tmp_path / "trace"
     assert main(["trace", "--out", str(out)] + args) == 0
     want = sorted(p.name for p in golden.iterdir() if p.is_file())
+    if case == "n40_seed88":
+        assert (golden / "decentral_events.txt").read_text().count(" evict\n") == 1
     assert sorted(p.name for p in out.iterdir()) == want
     for name in want:
         assert (out / name).read_bytes() == (golden / name).read_bytes(), name

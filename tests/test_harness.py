@@ -67,24 +67,46 @@ def test_extreme_magnitudes_do_not_overflow(algo, cell):
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
+def test_noise_near_overflow_blocks_every_upload(algo):
+    # 3000 dBm/Hz is finite in watts, but every rate is then so small that
+    # bits / rate overflows: the upload pairs are blocked, not a raw error
+    sc = gen(n=4, noise_dbm_per_hz=3000.0)
+    asg, _ = run_algorithm(sc, algo)
+    assert validate_constraints(sc, asg) == []
+    assert all(dev == k for k, dev in asg.target.items())
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
 def test_one_validation_per_solve(monkeypatch, algo):
-    # every solver returns through make_assignment, which validates; the
-    # dispatcher must not check the same assignment again
+    # every solver returns through make_assignment, which costs and validates
+    # once; the dispatcher must not check the same assignment again, and no
+    # solver costs its partial assignments along the way
     calls = []
-    real = model.validate_constraints
+    costed = []
+    real_validate = model.validate_constraints
+    real_cost = model.assignment_cost
 
     def counting(sc, asg):
         calls.append(asg)
-        return real(sc, asg)
+        return real_validate(sc, asg)
+
+    def counting_cost(sc, target, freqs):
+        costed.append(dict(target))
+        return real_cost(sc, target, freqs)
 
     for name, mod in list(sys.modules.items()):
-        if (name.startswith("coopmec.")
-                and getattr(mod, "validate_constraints", None) is real):
+        if not name.startswith("coopmec."):
+            continue
+        if getattr(mod, "validate_constraints", None) is real_validate:
             monkeypatch.setattr(mod, "validate_constraints", counting)
+        if getattr(mod, "assignment_cost", None) is real_cost:
+            monkeypatch.setattr(mod, "assignment_cost", counting_cost)
     for k in range(3):
         asg, _ = run_algorithm(gen(n=10, seed=k), algo)
         assert len(calls) == k + 1
         assert calls[-1] is asg
+        assert len(costed) == k + 1
+        assert costed[-1] == asg.target
 
 
 def test_run_experiment_aggregates():
@@ -191,9 +213,9 @@ def test_decentral_settles_no_slower_than_matching():
     wins = 0
     for seed in range(100):
         sc = gen(n=10, seed=seed)
-        _, log = decentral.run(sc)
-        _, state = matching.run(sc, "maxtask")
-        if len(log.cost_series) <= len(state.cost_series):
+        d_asg, log = decentral.run(sc)
+        m_asg, state = matching.run(sc, "maxtask")
+        if len(log.cost_series(sc, d_asg)) <= len(state.cost_series(sc, m_asg)):
             wins += 1
     assert wins >= 80
 

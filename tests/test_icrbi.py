@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import gen, mk_dev, mk_scenario, mk_task
-from coopmec import icrbi, oracle
-from coopmec.errors import UnknownAlgorithm
+from coopmec import cli, icrbi, oracle
+from coopmec.errors import ConfigError, UnknownAlgorithm
 from coopmec.harness import run_algorithm
 from coopmec.icrbi import (DualState, decisions_from, dual_scales,
                            repair_feasibility, solve, step_size)
@@ -178,6 +178,28 @@ def test_iteration_cap_returns_repaired_assignment(sc10):
     _, extras = run_algorithm(sc10, "icrbi", max_iter=3)
     assert extras["converged"] is False and extras["iterations"] == 3
     assert extras["trace"].reduced_cost == trace.reduced_cost
+
+
+@pytest.mark.parametrize("settings", [
+    {"x0": math.nan}, {"x0": math.inf}, {"x0": 0.0}, {"x0": -1.0},
+    {"eps": math.nan}, {"eps": math.inf}, {"eps": 0.0}, {"eps": -1.0},
+    {"max_iter": 0}, {"max_iter": -1},
+], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+def test_solve_rejects_bad_settings(sc10, settings):
+    # a NaN step scale once "converged" with every task dropped, a
+    # non-positive eps stalled to the cap, and max_iter=0 raised ValueError
+    with pytest.raises(ConfigError):
+        solve(sc10, **settings)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--step-rule", "diminish:nan"], ["--step-rule", "square:inf"],
+    ["--step-rule", "diminish:0"], ["--eps", "nan"], ["--eps", "0"], ["--eps", "-1"],
+], ids=lambda argv: " ".join(argv))
+def test_cli_rejects_bad_icrbi_settings(capsys, argv):
+    assert cli.main(["run", "--algo", "icrbi", "--realizations", "1"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "x0" in err
 
 
 def test_repair_is_idempotent(sc10):

@@ -141,8 +141,8 @@ def test_run_trivial_all_local():
     for criterion in CRITERIA:
         asg, state = run(sc, criterion)
         assert asg.target == {1: 1, 2: 2}
-        assert state.unmatched == set() and state.abandoned == set()
-        assert math.isclose(state.cost_series[-1], asg.cost.total,
+        assert state.unmatched == set()
+        assert math.isclose(state.cost_series(sc, asg)[-1], asg.cost.total,
                             rel_tol=1e-12)
 
 
@@ -190,51 +190,48 @@ def test_redistribute_uses_all_server_capacity():
     commit(sc, state, 1, 0, f1)
     f2 = pair_frequency(sc, state, 2, 0)
     commit(sc, state, 2, 0, f2)
-    p_res_before = state.p_res.copy()
-    redistribute_mec(state, sc)
-    assert math.isclose(state.freqs[1] + state.freqs[2], 5e9, rel_tol=1e-12)
-    assert state.freqs[1] >= f1 and state.freqs[2] >= f2
-    # faster hosting can only lower upload powers, so budgets recover
-    assert (state.p_res >= p_res_before - 1e-12).all()
-    assert abs(state.f_res[0]) <= 5e9 * 1e-12
+    freqs = redistribute_mec(state, sc)
+    assert math.isclose(freqs[1] + freqs[2], 5e9, rel_tol=1e-12)
+    assert freqs[1] >= f1 and freqs[2] >= f2
+    # the top-up is returned; the state keeps the commit-time frequencies
+    assert state.freqs == {1: f1, 2: f2}
 
 
 def reference_run(sc, criterion):
     """The matching loop with every list rebuilt over all devices after each
-    commit.  Also counts the commits whose host is a still unmatched task."""
+    commit, costing the partial assignment eagerly after the seeds and after
+    each commit.  Also returns the tasks that gave up and counts the commits
+    whose host is a still unmatched task."""
     state = new_state(sc)
     for k in sorted(local_seed_set(sc, feasibility_bounds(sc))):
         commit(sc, state, k, k, sc.task(k).f_min)
-    state.cost_series.append(assignment_cost(sc, state.omega, state.freqs)[0].total)
+    series = [assignment_cost(sc, state.omega, state.freqs)[0].total]
+    abandoned = set()
     unmatched_hosts = 0
-    while state.unmatched:
+    while state.unmatched - abandoned:
         prefs = build_preferences(sc, state, open_bounds(sc))
         fitting = {k: entries for k, entries in prefs.items() if entries}
-        dead = state.unmatched - set(fitting)
-        state.abandoned |= dead
-        state.unmatched -= dead
+        abandoned |= state.unmatched - set(fitting)
         if not fitting:
             break
         k = next_task(fitting, criterion)
         _, dev, f = fitting[k][0]
-        unmatched_hosts += dev in state.unmatched - {k}
+        unmatched_hosts += dev in state.unmatched - abandoned - {k}
         commit(sc, state, k, dev, f)
-        state.cost_series.append(assignment_cost(sc, state.omega, state.freqs)[0].total)
-    redistribute_mec(state, sc)
-    asg = make_assignment(sc, state.omega, state.freqs)
-    state.cost_series.append(asg.cost.total)
-    return asg, state, unmatched_hosts
+        series.append(assignment_cost(sc, state.omega, state.freqs)[0].total)
+    asg = make_assignment(sc, state.omega, redistribute_mec(state, sc))
+    return asg, state, series + [asg.cost.total], abandoned, unmatched_hosts
 
 
 def assert_run_matches_reference(sc, criterion):
-    want_asg, want, unmatched_hosts = reference_run(sc, criterion)
+    want_asg, want, series, abandoned, unmatched_hosts = reference_run(sc, criterion)
     got_asg, got = run(sc, criterion)
     assert got_asg == want_asg
-    # both dicts keep commit order; cost_series covers the pre-top-up freqs
+    # both dicts keep commit order and the pre-top-up freqs
     assert list(got.omega.items()) == list(want.omega.items())
     assert list(got.freqs.items()) == list(want.freqs.items())
-    assert got.cost_series == want.cost_series
-    assert got.abandoned == want.abandoned
+    assert got.cost_series(sc, got_asg) == series
+    assert got.unmatched == abandoned
     return unmatched_hosts
 
 

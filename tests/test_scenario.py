@@ -104,6 +104,9 @@ def test_config_validation():
 @pytest.mark.parametrize("override", [
     {"p_max_dbm": (0.0, 0.0)},              # 1 mW, below the 0.1 W circuit power
     {"p_max_dbm": (4000.0, 4000.0)},        # overflows in watts
+    {"noise_dbm_per_hz": 4000.0},           # overflows in watts
+    {"noise_dbm_per_hz": 3050.0},           # infinite watts
+    {"noise_dbm_per_hz": -4000.0},          # zero watts
     {"p_cir": 1e6},
     {"nu": 0.5},
     {"f_ue": (0.0, 0.0)},
