@@ -17,7 +17,7 @@ from pathlib import Path
 from . import harness, oracle, scenario
 from .errors import ConfigError, CoopMecError
 from .harness import ALGORITHMS, ExperimentSpec
-from .icrbi import STEP_RULES
+from .icrbi import STEP_RULES, check_settings
 
 ORACLE_SLACK = 0.005          # relative margin an algorithm may beat the grid by
 
@@ -133,6 +133,7 @@ def cmd_oracle_check(args) -> int:
         cfg = dataclasses.replace(cfg, n=3)
     algos = _parse_algos(args.algo, ALGORITHMS)
     rule, x0 = _parse_step_rule(args.step_rule)
+    check_settings(rule, x0, args.eps)
     count = args.realizations or 20
     worst: dict[str, float] = {a: 0.0 for a in algos}
     for r in range(count):

@@ -58,8 +58,7 @@ class ExperimentSpec:
             raise ConfigError("realizations must be >= 1")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError("sweep values must be strictly increasing")
-        if self.step_rule not in icrbi.STEP_RULES:
-            raise UnknownAlgorithm(f"step rule {self.step_rule!r}")
+        icrbi.check_settings(self.step_rule, self.x0, self.eps)
 
 
 @dataclass(frozen=True)

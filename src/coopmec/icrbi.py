@@ -9,8 +9,9 @@ window), each task then keeps the cheapest option that beats dropping, with
 local execution taking priority whenever it survives the filter.  The
 multipliers follow a projected subgradient step; each coordinate's
 subgradient is normalised by the constraint magnitude (power budget or CPU
-capacity) and preconditioned by a static price scale (dual_scales) so one
-step scale works across the very different units of power and frequency.
+capacity) and preconditioned by a static price scale (the kernel's
+mu_scale and v_scale) so one step scale works across the very different
+units of power and frequency.
 
 The kernel keeps the admissible remote pairs as a flat list (a few percent
 of the (N, N+1) matrix on a default cell) and computes every term that does
@@ -52,25 +53,15 @@ def step_size(rule: str, x0: float, t: int) -> float:
     raise UnknownAlgorithm(f"step rule {rule!r}")
 
 
-@dataclass(frozen=True)
-class DualState:
-    """Nonnegative constraint prices, in raw objective units.
-
-    mu[i-1] prices UE i's power budget (adds to the task's per-watt price
-    w_i), v[j] prices device j's CPU capacity (per cycle/s).  Updates use
-    magnitude-normalised subgradients preconditioned by dual_scales() so a
-    handful of O(0.1) steps reaches binding-level prices in either unit.
-    """
-
-    mu: np.ndarray
-    v: np.ndarray
-    step_rule: str = "diminish"
-    x0: float = 0.1
-    t: int = 1
-
-    @classmethod
-    def zeros(cls, n: int, step_rule: str = "diminish", x0: float = 0.1) -> "DualState":
-        return cls(mu=np.zeros(n), v=np.zeros(n + 1), step_rule=step_rule, x0=x0)
+def check_settings(step_rule: str, x0: float, eps: float | None,
+                   max_iter: int = 2000) -> None:
+    """Reject an unknown step rule (UnknownAlgorithm), or a step scale, eps
+    or iteration cap that cannot run (ConfigError)."""
+    if step_rule not in STEP_RULES:
+        raise UnknownAlgorithm(f"step rule {step_rule!r}")
+    if not (0 < x0 < math.inf and (eps is None or 0 < eps < math.inf) and max_iter >= 1):
+        raise ConfigError(f"icrbi needs finite x0 > 0, finite eps > 0 and max_iter >= 1, "
+                          f"got x0={x0!r}, eps={eps!r}, max_iter={max_iter!r}")
 
 
 def overhead(n: int) -> int:
@@ -107,51 +98,15 @@ class IcrbiTrace:
                          f"{self.mu_norm[t]!r},{self.v_norm[t]!r}\n")
 
 
-def dual_scales(sc: Scenario, bounds: FeasibilityBounds) -> tuple[np.ndarray, np.ndarray]:
-    """Per-constraint step preconditioners: the price at which each
-    multiplier starts to bite.
-
-    Power: UE i's budget competes with its own per-watt price, so mu steps
-    are scaled by w_i.  Frequency: a capacity price only matters once it is
-    comparable to the marginal power cost of one more cycle/s at the fast
-    end, so v steps are scaled by that slope (mean weighted transmit slope
-    into the edge server for device 0; the compute-power slope at the speed
-    cap for UE hosts).  Without this, frequency prices sit ~9 orders of
-    magnitude below binding level and the dual loop never moves.  Where no
-    power price gives a slope (every task's w_i = 0), the server's scale
-    falls back to the mean penalty per cycle/s of its capacity: a unit scale
-    there would make the first step price every hosted task out at once."""
-    n = sc.n
-    arr = sc.arrays
-    w = arr.power_price
-    mu_scale = np.where(w > 0, w, 1.0)
-    v_scale = np.ones(n + 1)
-    v_scale[0] = np.mean(arr.penalty) / sc.devices[0].f_max
-    valid0 = ~bounds.blocked[:, 0]
-    if valid0.any():
-        f_up = np.where(valid0, bounds.f_upper[:, 0], 2.0 * arr.cycles / arr.deadline)
-        du, _ = offload_power_derivs_vec(arr.cycles, arr.bits, arr.deadline, sc.gains[:, 0],
-                                         sc.bandwidth, sc.noise_w, f_up)
-        slopes = (w / arr.eta) * np.abs(du)
-        mean_slope = float(slopes[valid0].mean())
-        if math.isfinite(mean_slope) and mean_slope > 0:
-            v_scale[0] = mean_slope
-    caps = arr.speed_cap.tolist()
-    for j in range(1, n + 1):
-        dev = sc.devices[j]
-        slope = w[j - 1] * dev.kappa * dev.nu * caps[j] ** (dev.nu - 1.0)
-        v_scale[j] = slope if slope > 0 else v_scale[0]
-    return mu_scale, v_scale
-
-
 # ---------------------------------------------------------------------------
 # pair-list kernel
 
 
 class _Usage(NamedTuple):
     """The committed pairs of one iterate, evaluated once and scattered into
-    zero (N, N+1) matrices: upload power U(x) at the remote pairs, hosted
-    CPU power kappa * x**nu, committed frequencies, and the 0/1 decisions."""
+    zero (N, N+1) matrices: upload power U(x) at the remote pairs and hosted
+    CPU power kappa * x**nu; then primal's committed frequencies x (zero off
+    the committed pairs) and its 0/1 decisions."""
 
     transmit: np.ndarray
     hosted: np.ndarray
@@ -170,7 +125,9 @@ class _Kernel:
     gathered once, here.  The decision rule still reads (N, N+1) matrices:
     primal scatters the per-pair minima and intercepts into them, so the
     argmin tie-break and the local-first priority work on the same values as
-    a dense evaluation would.
+    a dense evaluation would.  The dual iterate is a pair of nonnegative
+    prices in raw objective units: mu[i-1] adds to UE i's per-watt price
+    w_i for its power budget, v[j] prices device j's CPU capacity per cycle/s.
     """
 
     def __init__(self, sc: Scenario, bounds: FeasibilityBounds):
@@ -199,7 +156,6 @@ class _Kernel:
         self.f_min = arr.f_min
         self.own_kappa = self.kappa_d[self.own]
         self.fmin_nu = self.f_min ** nu_d[self.own]
-        self.mu_scale, self.v_scale = dual_scales(sc, bounds)
 
         ri, rj = np.nonzero(self.remote)
         self.ri, self.rj = ri, rj
@@ -219,6 +175,32 @@ class _Kernel:
         self.u_hi = offload_power_vec(*self.curve, self.bandwidth, self.noise_w, hi)
         self.du_lo = offload_power_derivs_vec(*self.curve, self.bandwidth, self.noise_w, lo)[0]
         self.du_hi = offload_power_derivs_vec(*self.curve, self.bandwidth, self.noise_w, hi)[0]
+        # step preconditioners, the price at which each multiplier starts to
+        # bite.  Power: UE i's budget competes with its own per-watt price, so
+        # mu steps are scaled by w_i.  Frequency: a capacity price only
+        # matters once it is comparable to the marginal power cost of one more
+        # cycle/s at the fast end, so v steps are scaled by that slope (mean
+        # weighted transmit slope U' at the window top of the open server
+        # pairs for device 0; the compute-power slope at the speed cap for UE
+        # hosts).  Without this, frequency prices sit ~9 orders of magnitude
+        # below binding level and the dual loop never moves.  Where no power
+        # price gives a slope (every task's w_i = 0), the server's scale falls
+        # back to the mean penalty per cycle/s of its capacity: a unit scale
+        # there would make the first step price every hosted task out at once.
+        w = self.w
+        self.mu_scale = np.where(w > 0, w, 1.0)
+        self.v_scale = np.ones(n + 1)
+        self.v_scale[0] = np.mean(self.phi) / sc.devices[0].f_max
+        srv = rj == 0
+        if srv.any():
+            slope = float(((w / self.eta)[ri[srv]] * np.abs(self.du_hi[srv])).mean())
+            if math.isfinite(slope) and slope > 0:
+                self.v_scale[0] = slope
+        caps = arr.speed_cap.tolist()
+        for j in range(1, n + 1):
+            dev = sc.devices[j]
+            slope = w[j - 1] * dev.kappa * dev.nu * caps[j] ** (dev.nu - 1.0)
+            self.v_scale[j] = slope if slope > 0 else self.v_scale[0]
         self.lo_nu, self.hi_nu = lo ** self.nu, hi ** self.nu
         self.lo_nu1, self.hi_nu1 = lo ** (self.nu - 1.0), hi ** (self.nu - 1.0)
         self.warm_lo, self.warm_hi = lo * (1 + 1e-12), hi * (1 - 1e-12)
@@ -275,16 +257,15 @@ class _Kernel:
         out[idx] = x
         return out
 
-    def primal(self, duals: DualState, warm=None):
+    def primal(self, mu, v, warm=None):
         """One exact minimisation of the priced objective.
 
         Returns (x, a, gamma): committed frequencies and 0/1 decisions as
         (N, N+1) matrices, and the per-pair stationary frequencies, which
         warm-start the next call."""
         n, ri, rj = self.n, self.ri, self.rj
-        v = duals.v
-        wi_eff = self.w + duals.mu
-        wh_eff = np.concatenate([[0.0], self.w + duals.mu])
+        wi_eff = self.w + mu
+        wh_eff = np.concatenate([[0.0], wi_eff])
         # a task whose power is free (w_i + mu_i = 0) pays nothing for upload,
         # so its priced pair cost is non-decreasing in f: gamma stays at lo
         free = wi_eff == 0.0
@@ -339,25 +320,22 @@ class _Kernel:
         f = x[r, c]
         transmit = np.zeros((n, n + 1))
         hosted = np.zeros((n, n + 1))
-        freq = np.zeros((n, n + 1))
         rem = self.remote[r, c]
         p = self.pair_of[r[rem], c[rem]]
         transmit[r[rem], c[rem]] = offload_power_vec(*self.curve[:, p], self.bandwidth,
                                                      self.noise_w, f[rem])
         hosted[r, c] = f ** self.nu_d[c] * self.kappa_d[c]
-        freq[r, c] = f
-        return _Usage(transmit, hosted, freq, a)
+        return _Usage(transmit, hosted, x, a)
 
-    def dual_step(self, duals: DualState, use: _Usage) -> DualState:
+    def dual_step(self, mu, v, use: _Usage, s: float):
+        """Projected, preconditioned subgradient step of size s; returns the
+        next (mu, v)."""
         transmit_in = use.transmit.sum(axis=1) / self.eta          # PA input watts
         compute_w = use.hosted[:, 1:].sum(axis=0)
         g_mu = self.mu_scale * (transmit_in + compute_w - self.p_m) / self.p_m
         load = use.freq.sum(axis=0)
         g_v = self.v_scale * (load - self.fmax_d) / self.fmax_d
-        s = step_size(duals.step_rule, duals.x0, duals.t)
-        return DualState(mu=np.maximum(0.0, duals.mu + s * g_mu),
-                         v=np.maximum(0.0, duals.v + s * g_v),
-                         step_rule=duals.step_rule, x0=duals.x0, t=duals.t + 1)
+        return np.maximum(0.0, mu + s * g_mu), np.maximum(0.0, v + s * g_v)
 
     def reduced_cost(self, use: _Usage) -> float:
         transmit = ((self.w / self.eta)[:, None] * use.transmit).sum()
@@ -410,31 +388,27 @@ def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
     Stops when |C(t) - C(t-1)| < eps (default 1e-4 * |C(1)|) or after
     max_iter iterations, whichever comes first; trace.termination says which.
     Either way the final iterate's decision map is repaired and returned."""
-    if step_rule not in STEP_RULES:
-        raise UnknownAlgorithm(f"step rule {step_rule!r}")
-    if not (0 < x0 < math.inf and (eps is None or 0 < eps < math.inf) and max_iter >= 1):
-        raise ConfigError(f"icrbi needs finite x0 > 0, finite eps > 0 and max_iter >= 1, "
-                          f"got x0={x0!r}, eps={eps!r}, max_iter={max_iter!r}")
+    check_settings(step_rule, x0, eps, max_iter)
     bounds = feasibility_bounds(sc)
     kern = _Kernel(sc, bounds)
-    duals = DualState.zeros(sc.n, step_rule=step_rule, x0=x0)
+    mu, v = np.zeros(sc.n), np.zeros(sc.n + 1)
     trace = IcrbiTrace(termination="max_iter", n_root_pairs=int(kern.ri.size),
                        overhead=overhead(sc.n))
     warm = None
     prev_cost = None
-    for _ in range(max_iter):
-        x, a, warm = kern.primal(duals, warm)
+    for t in range(1, max_iter + 1):
+        x, a, warm = kern.primal(mu, v, warm)
         use = kern.evaluate(x, a)
         cost = kern.reduced_cost(use)
         trace.reduced_cost.append(cost)
         trace.num_assigned.append(int(a.sum()))
-        trace.mu_norm.append(float(np.linalg.norm(duals.mu)))
-        trace.v_norm.append(float(np.linalg.norm(duals.v)))
+        trace.mu_norm.append(float(np.linalg.norm(mu)))
+        trace.v_norm.append(float(np.linalg.norm(v)))
         if len(trace.reduced_cost) == 1:
             trace.eps = eps if eps is not None else max(1e-4 * abs(cost), 1e-12)
         elif abs(cost - prev_cost) < trace.eps:
             trace.termination = "converged"
             break
-        duals = kern.dual_step(duals, use)
+        mu, v = kern.dual_step(mu, v, use, step_size(step_rule, x0, t))
         prev_cost = cost
     return repair_feasibility(sc, decisions_from(a), bounds), trace

@@ -132,11 +132,13 @@ class Scenario:
     gains towards devices 0..N.  The diagonal-like entry gains[i-1, i]
     (a UE towards itself) is never used.
 
-    Data that depends only on the scenario (`arrays`, the feasibility
-    bounds) is computed on first use and kept on the instance.  gains is a
-    read-only copy and so is every cached array, so the cache cannot go
-    stale; dataclasses.replace builds a new instance with an empty cache.
-    The total drop penalty, a constant term of every cost, must be finite.
+    Data that depends only on the scenario is computed once and kept on the
+    instance: `arrays` when the scenario is built, the feasibility bounds on
+    first use.  gains is a read-only copy and so is every cached array, so
+    the cache cannot go stale; dataclasses.replace builds a new instance
+    with its own cache.  The total drop penalty, a constant term of every
+    cost, must be finite, and so must each UE's full-power SNR over its best
+    link, from which the feasibility bounds derive every uplink rate.
     """
 
     tasks: tuple[TaskSpec, ...]
@@ -150,10 +152,15 @@ class Scenario:
         object.__setattr__(self, "gains", _read_only(np.array(self.gains, dtype=float)))
         if not math.isfinite(sum(t.penalty for t in self.tasks)):
             raise ValueError("the total drop penalty overflows")
+        arr = self.arrays
+        with np.errstate(all="ignore"):
+            snr = self.gains.max(axis=1) * arr.eta * arr.p_m / self.noise_w
+        if not np.isfinite(snr).all():
+            raise ValueError("the full-power SNR overflows")
 
     @cached_property
     def arrays(self) -> ScenarioArrays:
-        """Per-task and per-device parameter arrays, built on first use."""
+        """Per-task and per-device parameter arrays."""
         return _scenario_arrays(self)
 
     @cached_property
@@ -364,7 +371,6 @@ class FeasibilityBounds:
 
     f_upper: np.ndarray
     f_lower: np.ndarray
-    rate_cap: np.ndarray
     blocked: np.ndarray
 
 
@@ -408,7 +414,7 @@ def _compute_bounds(sc: Scenario) -> FeasibilityBounds:
     remote[rows, own] = False
     blocked |= remote.astype(bool) & (deadline * rate_cap <= bits)
     return FeasibilityBounds(f_upper=_read_only(f_upper), f_lower=_read_only(f_lower),
-                             rate_cap=_read_only(rate_cap), blocked=_read_only(blocked))
+                             blocked=_read_only(blocked))
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,8 @@ def generate(cfg: GenConfig) -> Scenario:
     d = np.sqrt(((pos[:, None, :] - xy[None, :, :]) ** 2).sum(axis=2))
     gains = cfg.pathloss_ref_gain * np.maximum(d, 1.0) ** (-cfg.pathloss_exponent)
     if cfg.fading:
-        gains = gains * rng.exponential(1.0, size=gains.shape)
+        with np.errstate(over="ignore"):     # an infinite gain fails Scenario's SNR check
+            gains = gains * rng.exponential(1.0, size=gains.shape)
 
     try:
         tasks = tuple(TaskSpec(id=i + 1, cycles=float(cyc[i]), bits=float(bits[i]),

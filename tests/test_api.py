@@ -10,9 +10,10 @@ code that shares a name with live code, but it cannot flag live code.
 Likewise every `CoopMecError` subclass in errors.py must be raised, by a
 `raise` statement, somewhere in src/coopmec/: an error type nothing raises
 cannot linger in `__all__`.  And every annotated field of the solver
-records (`IcrbiTrace`, `MatchingState`, `RoundLog`) must be loaded as an
-attribute somewhere in src/coopmec/ or scripts/: a record holds only what
-the solve or its callers read, not write-only bookkeeping.
+records (`IcrbiTrace`, `MatchingState`, `RoundLog`) and of the per-scenario
+data (`FeasibilityBounds`, `ScenarioArrays`) must be loaded as an attribute
+somewhere in src/coopmec/ or scripts/: a record holds only what the solve
+or its callers read, not write-only bookkeeping.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ ALLOWED = {
 }
 
 
-# solver record fields nothing in src/ or scripts/ reads, kept on purpose
+# record fields nothing in src/ or scripts/ reads, kept on purpose
 WRITE_ONLY = {
     "IcrbiTrace.n_root_pairs": "solverbench reads it through getattr",
 }
-RECORDS = {"icrbi": "IcrbiTrace", "matching": "MatchingState", "decentral": "RoundLog"}
+RECORDS = [("icrbi", "IcrbiTrace"), ("matching", "MatchingState"), ("decentral", "RoundLog"),
+           ("model", "FeasibilityBounds"), ("model", "ScenarioArrays")]
 
 
 def modules() -> list[Path]:
@@ -125,9 +127,9 @@ def test_every_error_type_is_raised():
 
 
 def record_fields() -> list[str]:
-    """Class.field of every annotated field of the solver records."""
+    """Class.field of every annotated field of the records."""
     out = []
-    for stem, cls in RECORDS.items():
+    for stem, cls in RECORDS:
         tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
         node = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
         out += [f"{cls}.{item.target.id}" for item in node.body

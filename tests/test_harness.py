@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import gen
-from coopmec import cli, decentral, matching, model
+from coopmec import cli, decentral, harness, matching, model, scenario
 from coopmec.errors import ConfigError, UnknownAlgorithm
 from coopmec.harness import (ALGORITHMS, ExperimentSpec, _fmt, aggregate,
                              apply_sweep, convergence_trace, run_algorithm,
@@ -39,6 +39,33 @@ def test_spec_normalisation():
         small_spec(sweep_var="bandwidth")
     with pytest.raises(ConfigError):
         apply_sweep(GenConfig(), "n", 2.5)
+
+
+@pytest.mark.parametrize("settings, error", [
+    (dict(step_rule="bogus"), UnknownAlgorithm), (dict(x0=-1.0), ConfigError),
+    (dict(x0=math.nan), ConfigError), (dict(x0=math.inf), ConfigError),
+    (dict(eps=-3.0), ConfigError), (dict(eps=0.0), ConfigError),
+    (dict(eps=math.nan), ConfigError),
+], ids=["step_rule=bogus", "x0=-1", "x0=nan", "x0=inf", "eps=-3", "eps=0", "eps=nan"])
+def test_spec_checks_icrbi_settings(settings, error):
+    # checked as icrbi.solve checks them, even when no icrbi run reads them
+    with pytest.raises(error):
+        small_spec(algorithms=("noncope",), **settings)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--algo", "noncope", "--step-rule", "square:-1"],
+    ["run", "--algo", "noncope", "--eps", "-3"],
+    ["run", "--algo", "noncope,icrbi", "--step-rule", "diminish:nan"],
+    ["oracle-check", "--algo", "noncope", "--step-rule", "square:-1"],
+], ids=lambda argv: " ".join(argv))
+def test_cli_checks_icrbi_settings_before_any_solve(monkeypatch, capsys, argv):
+    def no_scenario(cfg):
+        pytest.fail("generated a scenario")
+    monkeypatch.setattr(harness, "generate", no_scenario)
+    monkeypatch.setattr(scenario, "generate", no_scenario)
+    assert cli.main(argv + ["--realizations", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_run_algorithm_dispatch(sc3):

@@ -12,14 +12,18 @@ from conftest import gen, mk_dev, mk_scenario, mk_task
 from coopmec import cli, icrbi, oracle
 from coopmec.errors import ConfigError, UnknownAlgorithm
 from coopmec.harness import run_algorithm
-from coopmec.icrbi import (DualState, decisions_from, dual_scales,
-                           repair_feasibility, solve, step_size)
+from coopmec.icrbi import decisions_from, repair_feasibility, solve, step_size
 from coopmec.model import feasibility_bounds, validate_constraints
 
 
-def primal(sc, duals):
-    """(x, a) of one exact priced minimisation by the solver's kernel."""
-    x, a, _ = icrbi._Kernel(sc, feasibility_bounds(sc)).primal(duals)
+def unpriced(n):
+    """The dual iterate (mu, v) with every price at zero."""
+    return np.zeros(n), np.zeros(n + 1)
+
+
+def primal(sc):
+    """(x, a) of one exact unpriced minimisation by the solver's kernel."""
+    x, a, _ = icrbi._Kernel(sc, feasibility_bounds(sc)).primal(*unpriced(sc.n))
     return x, a
 
 
@@ -39,7 +43,7 @@ def test_unpriced_offload_runs_flat_out(sc10):
     # the window clamps it at the top
     bounds = feasibility_bounds(sc10)
     kern = icrbi._Kernel(sc10, bounds)
-    _, _, gamma = kern.primal(DualState.zeros(sc10.n))
+    _, _, gamma = kern.primal(*unpriced(sc10.n))
     server = [i for i in range(1, sc10.n + 1) if not bounds.blocked[i - 1, 0]]
     assert server
     for i in server:
@@ -53,8 +57,7 @@ def test_gamma_monotone_in_frequency_price():
     for seed in range(20):
         sc = gen(n=4, seed=seed)
         kern = icrbi._Kernel(sc, feasibility_bounds(sc))
-        gammas = [kern.primal(DualState(mu=np.zeros(sc.n),
-                                        v=np.full(sc.n + 1, v)))[2]
+        gammas = [kern.primal(np.zeros(sc.n), np.full(sc.n + 1, v))[2]
                   for v in (0.0, 1e-10, 1e-9, 3e-8)]
         for a, b in zip(gammas, gammas[1:]):
             assert (a >= b - 1e-6).all()
@@ -63,8 +66,8 @@ def test_gamma_monotone_in_frequency_price():
 
 
 def test_dual_scales_are_positive(sc10):
-    bounds = feasibility_bounds(sc10)
-    mu_scale, v_scale = dual_scales(sc10, bounds)
+    kern = icrbi._Kernel(sc10, feasibility_bounds(sc10))
+    mu_scale, v_scale = kern.mu_scale, kern.v_scale
     assert mu_scale.shape == (sc10.n,)
     assert v_scale.shape == (sc10.n + 1,)
     assert (mu_scale > 0).all() and (v_scale > 0).all()
@@ -72,20 +75,19 @@ def test_dual_scales_are_positive(sc10):
 
 def test_multipliers_stay_nonnegative(sc10):
     kern = icrbi._Kernel(sc10, feasibility_bounds(sc10))
-    duals = DualState.zeros(sc10.n)
-    for _ in range(6):
-        x, a, _ = kern.primal(duals)
-        duals = kern.dual_step(duals, kern.evaluate(x, a))
-        assert (duals.mu >= 0).all()
-        assert (duals.v >= 0).all()
-    assert duals.t == 7
+    mu, v = unpriced(sc10.n)
+    for t in range(1, 7):
+        x, a, _ = kern.primal(mu, v)
+        mu, v = kern.dual_step(mu, v, kern.evaluate(x, a), step_size("diminish", 0.1, t))
+        assert (mu >= 0).all()
+        assert (v >= 0).all()
 
 
 def test_primal_prefers_local_when_it_wins():
     # local compute at 0.5 GHz costs 1.25e-4 W versus a 40.0 penalty and a
     # decent channel; the priced objective must keep the task at home
     sc = mk_scenario([mk_task(1)], [mk_dev(0, f_max=5e9), mk_dev(1)])
-    x, a = primal(sc, DualState.zeros(1))
+    x, a = primal(sc)
     assert decisions_from(a) == {1: 1}
     assert math.isclose(x[0, 1], sc.task(1).f_min, rel_tol=1e-12)
 
@@ -95,7 +97,7 @@ def test_primal_drops_task_with_no_winning_option():
     # local compute at f_min costs 1.25e-1 W, uploads cost more than 1e-4
     sc = mk_scenario([mk_task(1, cycles=1e7, penalty=1e-6)],
                      [mk_dev(0, f_max=5e9), mk_dev(1, f_max=2e9, p_max=10.0)])
-    x, a = primal(sc, DualState.zeros(1))
+    x, a = primal(sc)
     assert a.sum() == 0
     assert decisions_from(a) == {}
 
@@ -112,7 +114,7 @@ def test_primal_tie_breaks_to_lower_device():
     sc = mk_scenario(tasks, devices, gain=gains)
     bounds = feasibility_bounds(sc)
     assert bounds.blocked[0, 0] and bounds.blocked[0, 1]
-    x, a = primal(sc, DualState.zeros(n))
+    x, a = primal(sc)
     assert decisions_from(a)[1] == 2
 
 
@@ -145,7 +147,7 @@ def test_free_power_settles():
         kern = icrbi._Kernel(sc, bounds)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            _, _, gamma = kern.primal(DualState.zeros(sc.n))
+            _, _, gamma = kern.primal(*unpriced(sc.n))
             asg, trace = solve(sc)
         assert np.array_equal(gamma, kern.lo)
         assert trace.termination == "converged"
@@ -204,7 +206,7 @@ def test_cli_rejects_bad_icrbi_settings(capsys, argv):
 
 def test_repair_is_idempotent(sc10):
     bounds = feasibility_bounds(sc10)
-    x, a = primal(sc10, DualState.zeros(sc10.n))
+    x, a = primal(sc10)
     asg = repair_feasibility(sc10, decisions_from(a), bounds)
     again = repair_feasibility(sc10, dict(asg.target), bounds)
     assert again.target == asg.target

@@ -3,20 +3,50 @@
 `DenseKernel` below is the earlier kernel, which evaluated U and U' over the
 whole (N, N+1) matrix on every Newton step.  The pair-list kernel performs
 the same per-pair arithmetic on the admissible remote pairs only, so every
-iterate must agree exactly: no tolerance anywhere.
+iterate must agree exactly: no tolerance anywhere.  `reference_scales` is
+the earlier step-preconditioner derivation, which evaluated U' afresh over
+every row of the server column; the kernel reuses its own window-top slopes.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from conftest import gen
+from conftest import gen, mk_dev, mk_scenario, mk_task
 from coopmec import icrbi
-from coopmec.icrbi import (DualState, decisions_from, dual_scales,
-                           repair_feasibility, step_size)
+from coopmec.icrbi import decisions_from, repair_feasibility, step_size
 from coopmec.model import (feasibility_bounds, offload_power_derivs_vec,
                            offload_power_vec)
+
+
+def reference_scales(sc, bounds):
+    """Reference step preconditioners: U' at the server's window top
+    recomputed over all N rows (a made-up 2F/T point on blocked rows, which
+    the mean then skips)."""
+    n = sc.n
+    arr = sc.arrays
+    w = arr.power_price
+    mu_scale = np.where(w > 0, w, 1.0)
+    v_scale = np.ones(n + 1)
+    v_scale[0] = np.mean(arr.penalty) / sc.devices[0].f_max
+    valid0 = ~bounds.blocked[:, 0]
+    if valid0.any():
+        f_up = np.where(valid0, bounds.f_upper[:, 0], 2.0 * arr.cycles / arr.deadline)
+        du, _ = offload_power_derivs_vec(arr.cycles, arr.bits, arr.deadline, sc.gains[:, 0],
+                                         sc.bandwidth, sc.noise_w, f_up)
+        slopes = (w / arr.eta) * np.abs(du)
+        mean_slope = float(slopes[valid0].mean())
+        if math.isfinite(mean_slope) and mean_slope > 0:
+            v_scale[0] = mean_slope
+    caps = arr.speed_cap.tolist()
+    for j in range(1, n + 1):
+        dev = sc.devices[j]
+        slope = w[j - 1] * dev.kappa * dev.nu * caps[j] ** (dev.nu - 1.0)
+        v_scale[j] = slope if slope > 0 else v_scale[0]
+    return mu_scale, v_scale
 
 
 class DenseKernel:
@@ -48,7 +78,7 @@ class DenseKernel:
         self.hi = np.where(self.remote, bounds.f_upper, 2.0)
         self.f_min = (self.cycles / self.deadline)[:, 0]
         self.host_w = np.concatenate([[0.0], self.w])
-        self.mu_scale, self.v_scale = dual_scales(sc, bounds)
+        self.mu_scale, self.v_scale = reference_scales(sc, bounds)
 
     def _u(self, x):
         return offload_power_vec(self.cycles, self.bits, self.deadline, self.gains,
@@ -59,15 +89,18 @@ class DenseKernel:
                                         self.gains, self.sc.bandwidth,
                                         self.sc.noise_w, x)
 
-    def _coeffs(self, duals):
-        wi_eff = self.w + duals.mu
-        wh_eff = np.concatenate([[0.0], self.w + duals.mu])
-        c1 = (self.kappa_d * self.nu_d * wh_eff)[None, :] * (self.eta / wi_eff)[:, None]
-        c2 = duals.v[None, :] * (self.eta / wi_eff)[:, None]
-        return wi_eff, wh_eff, duals.v, c1, c2
+    def _coeffs(self, mu, v):
+        wi_eff = self.w + mu
+        wh_eff = np.concatenate([[0.0], self.w + mu])
+        # a task whose power is free (w_i + mu_i = 0) stays at the lower end
+        # of each window, so its price ratio is never read
+        ratio = self.eta / np.where(wi_eff == 0.0, 1.0, wi_eff)
+        c1 = (self.kappa_d * self.nu_d * wh_eff)[None, :] * ratio[:, None]
+        c2 = v[None, :] * ratio[:, None]
+        return wi_eff, wh_eff, v, c1, c2
 
-    def _gamma_batch(self, c1, c2, warm=None, rtol=1e-9):
-        act = self.remote.copy()
+    def _gamma_batch(self, c1, c2, free, warm=None, rtol=1e-9):
+        act = self.remote & ~free[:, None]
         lo, hi = self.lo, self.hi
         nu1 = (self.nu_d - 1.0)[None, :]
         nu2 = (self.nu_d - 2.0)[None, :]
@@ -121,17 +154,21 @@ class DenseKernel:
         out = np.where(act, x, out)
         return out
 
-    def primal(self, duals, warm=None):
+    def primal(self, mu, v, warm=None):
         n = self.n
-        wi_eff, wh_eff, v_raw, c1, c2 = self._coeffs(duals)
-        gamma = self._gamma_batch(c1, c2, warm)
+        wi_eff, wh_eff, v_raw, c1, c2 = self._coeffs(mu, v)
+        gamma = self._gamma_batch(c1, c2, wi_eff == 0.0, warm)
 
         price_i = (wi_eff / self.eta)[:, None]
         comp_price = (wh_eff * self.kappa_d)[None, :]
 
         def lam_remote(x):
-            return (price_i * self._u(x) + comp_price * x ** self.nu_d[None, :]
-                    + v_raw[None, :] * x - self.phi[:, None])
+            # U is inf at the placeholder points of the pairs that are not
+            # remote, and a free task's zero price makes that NaN; np.where
+            # below drops both
+            with np.errstate(invalid="ignore"):
+                return (price_i * self._u(x) + comp_price * x ** self.nu_d[None, :]
+                        + v_raw[None, :] * x - self.phi[:, None])
 
         big = np.inf
         lam_min = np.where(self.remote,
@@ -166,7 +203,7 @@ class DenseKernel:
             x[rr, best] = gamma[rr, best]
         return x, a, gamma
 
-    def dual_step(self, duals, x, a):
+    def dual_step(self, mu, v, x, a, s):
         used_t = np.where(self.remote & (a > 0), self._u(x), 0.0)
         transmit_in = used_t.sum(axis=1) / self.eta
         hosted = (np.where(a > 0, x, 0.0) ** self.nu_d[None, :]) * self.kappa_d[None, :]
@@ -174,10 +211,7 @@ class DenseKernel:
         g_mu = self.mu_scale * (transmit_in + compute_w - self.p_m) / self.p_m
         load = np.where(a > 0, x, 0.0).sum(axis=0)
         g_v = self.v_scale * (load - self.fmax_d) / self.fmax_d
-        s = step_size(duals.step_rule, duals.x0, duals.t)
-        return DualState(mu=np.maximum(0.0, duals.mu + s * g_mu),
-                         v=np.maximum(0.0, duals.v + s * g_v),
-                         step_rule=duals.step_rule, x0=duals.x0, t=duals.t + 1)
+        return np.maximum(0.0, mu + s * g_mu), np.maximum(0.0, v + s * g_v)
 
     def reduced_cost(self, x, a):
         used_t = np.where(self.remote & (a > 0), self._u(x), 0.0)
@@ -202,13 +236,15 @@ def replay(sc, max_iter=2000):
     bounds = feasibility_bounds(sc)
     kern = icrbi._Kernel(sc, bounds)
     ref = DenseKernel(sc, bounds)
-    duals = DualState.zeros(sc.n)
+    assert np.array_equal(kern.mu_scale, ref.mu_scale)
+    assert np.array_equal(kern.v_scale, ref.v_scale)
+    mu, v = np.zeros(sc.n), np.zeros(sc.n + 1)
     warm = ref_warm = None
     costs = []
     eps = None
-    for _ in range(max_iter):
-        x, a, warm = kern.primal(duals, warm)
-        rx, ra, ref_warm = ref.primal(duals, ref_warm)
+    for t in range(1, max_iter + 1):
+        x, a, warm = kern.primal(mu, v, warm)
+        rx, ra, ref_warm = ref.primal(mu, v, ref_warm)
         assert np.array_equal(x, rx)
         assert np.array_equal(a, ra)
         assert np.array_equal(warm, ref_warm[kern.ri, kern.rj])
@@ -220,28 +256,57 @@ def replay(sc, max_iter=2000):
             eps = max(1e-4 * abs(cost), 1e-12)
         elif abs(cost - costs[-2]) < eps:
             break
-        nxt = kern.dual_step(duals, use)
-        ref_nxt = ref.dual_step(duals, rx, ra)
-        assert np.array_equal(nxt.mu, ref_nxt.mu)
-        assert np.array_equal(nxt.v, ref_nxt.v)
-        assert (nxt.step_rule, nxt.x0, nxt.t) == (ref_nxt.step_rule, ref_nxt.x0, ref_nxt.t)
-        duals = nxt
+        s = step_size("diminish", 0.1, t)
+        ref_mu, ref_v = ref.dual_step(mu, v, rx, ra, s)
+        mu, v = kern.dual_step(mu, v, use, s)
+        assert np.array_equal(mu, ref_mu)
+        assert np.array_equal(v, ref_v)
     return costs, ra, bounds
+
+
+def check_solve(sc):
+    """replay() on sc, then the solver's trace and repaired assignment must
+    be the reference's."""
+    costs, ra, bounds = replay(sc)
+    asg, trace = icrbi.solve(sc)
+    settled = (len(costs) >= 2 and abs(costs[-1] - costs[-2])
+               < max(1e-4 * abs(costs[0]), 1e-12))
+    assert trace.termination == ("converged" if settled else "max_iter")
+    assert trace.reduced_cost == costs
+    ref_asg = repair_feasibility(sc, decisions_from(ra), bounds)
+    assert asg.target == ref_asg.target
+    assert asg.f == ref_asg.f
+    assert asg.p_t == ref_asg.p_t
+    assert asg.cost == ref_asg.cost
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
 @pytest.mark.parametrize("n", [10, 30, 80])
 def test_pair_kernel_matches_dense_reference(cell, n):
     for seed in range(2):
-        sc = gen(n=n, seed=seed, **CELLS[cell])
-        costs, ra, bounds = replay(sc)
-        asg, trace = icrbi.solve(sc)
-        settled = (len(costs) >= 2 and abs(costs[-1] - costs[-2])
-                   < max(1e-4 * abs(costs[0]), 1e-12))
-        assert trace.termination == ("converged" if settled else "max_iter")
-        assert trace.reduced_cost == costs
-        ref_asg = repair_feasibility(sc, decisions_from(ra), bounds)
-        assert asg.target == ref_asg.target
-        assert asg.f == ref_asg.f
-        assert asg.p_t == ref_asg.p_t
-        assert asg.cost == ref_asg.cost
+        check_solve(gen(n=n, seed=seed, **CELLS[cell]))
+
+
+def server_blocked():
+    """Three tasks whose every server link is hopeless; task 1 is too big for
+    its own CPU, so it offloads to a helper."""
+    n = 3
+    gains = np.full((n, n + 1), 1e-10)
+    gains[:, 0] = 1e-16
+    devices = [mk_dev(0, f_max=5e9), mk_dev(1, f_max=0.3e9),
+               mk_dev(2, f_max=2e9, p_max=20.0), mk_dev(3, f_max=2e9, p_max=20.0)]
+    return mk_scenario([mk_task(i) for i in range(1, n + 1)], devices, gain=gains)
+
+
+@pytest.mark.parametrize("make, server_open", [
+    (lambda: gen(n=10, seed=0, w=0.0), True), (server_blocked, False),
+], ids=["w0", "server_blocked"])
+def test_server_scale_falls_back_to_the_penalty(make, server_open):
+    # no open server pair with a power price gives no slope, so the server's
+    # capacity price steps by the mean penalty per cycle/s of its capacity
+    sc = make()
+    check_solve(sc)
+    bounds = feasibility_bounds(sc)
+    assert (~bounds.blocked[:, 0]).any() == server_open
+    kern = icrbi._Kernel(sc, bounds)
+    assert kern.v_scale[0] == np.mean(sc.arrays.penalty) / sc.devices[0].f_max

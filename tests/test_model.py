@@ -174,7 +174,9 @@ def test_bounds_block_unreachable_uplinks():
     b = feasibility_bounds(sc)
     assert b.blocked[0, 0]
     assert not b.blocked[0, 1]          # local execution is unaffected
-    assert b.rate_cap[0, 0] < 1e5 / 0.02
+    arr = sc.arrays
+    rate = sc.bandwidth * math.log2(1 + sc.gain(1, 0) * arr.eta[0] * arr.p_m[0] / sc.noise_w)
+    assert rate < 1e5 / 0.02
 
 
 def test_bounds_lower_upper_consistency(sc10):

@@ -116,6 +116,9 @@ def test_config_validation():
     {"cycles": (-1.0, 1.0)},
     {"phi0": 1e308},                        # finite penalties, infinite total
     {"phi_spread": 1e308},
+    {"n": 4, "pathloss_ref_gain": 1e308},   # finite gains, infinite SNR
+    {"pathloss_ref_gain": 1e308},           # ... and at n=10 an infinite faded gain
+    {"n": 4, "noise_dbm_per_hz": -3200.0},  # finite SNR numerator over ~1e-323 W
 ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
 def test_generate_rejects_bad_records(override):
     # the record constructors' checks surface as ConfigError, never raw
@@ -238,6 +241,12 @@ def test_scenario_file_rejects_overflowing_total_penalty(tmp_path):
     path.write_text("\n".join(" ".join(p) for p in lines) + "\n")
     with pytest.raises(ConfigError, match=r"inst\.sc: .*total drop penalty"):
         read_scenario(path)
+
+
+def test_scenario_file_rejects_overflowing_snr(tmp_path):
+    # one finite gain whose full-power SNR is not
+    with pytest.raises(ConfigError, match=r"inst\.sc: .*SNR overflows"):
+        corrupt_line(tmp_path, "gains 3 ", lambda parts: parts[:4] + ["1e308"] + parts[5:])
 
 
 @pytest.mark.parametrize("prefix", ["task 2 ", "device 3 ", "gains 1 "])

@@ -19,7 +19,7 @@ from coopmec import decentral, icrbi, matching, model, oracle
 from coopmec.harness import ALGORITHMS, run_algorithm
 from coopmec.model import Scenario, feasibility_bounds
 
-BOUND_FIELDS = ("f_upper", "f_lower", "rate_cap", "blocked")
+BOUND_FIELDS = ("f_upper", "f_lower", "blocked")
 SOLVER_MODULES = (icrbi, matching, decentral, oracle)
 
 
@@ -50,7 +50,7 @@ def test_cached_arrays_and_gains_are_read_only():
     arrays = [v for v in sc.arrays if isinstance(v, np.ndarray)]
     bounds = feasibility_bounds(sc)
     arrays += [getattr(bounds, name) for name in BOUND_FIELDS]
-    assert len(arrays) == 16
+    assert len(arrays) == 15
     for a in arrays + [sc.gains]:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
