@@ -62,7 +62,7 @@ _OPTIONS = {
     "--algo": dict(action="append",
                    help=f"algorithms, comma separated (default varies); "
                         f"known: {','.join(ALGORITHMS)}"),
-    "--realizations": dict(type=int, default=None),
+    "--realizations": dict(type=int, help="scenarios to draw (default varies)"),
     "--seed": dict(type=int, default=0, help="seed base"),
     "--out": dict(default=None, help="output directory"),
     "--step-rule": dict(default="diminish:0.1", help="diminish:<x> or square:<x>"),
@@ -81,8 +81,7 @@ def cmd_gen(args) -> int:
     cfg = _load_config(args.config)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    count = args.realizations or 1
-    for r in range(count):
+    for r in range(args.realizations):
         seed = args.seed + r
         sc = scenario.generate(dataclasses.replace(cfg, seed=seed))
         path = out / f"scenario_{seed}.txt"
@@ -100,7 +99,7 @@ def _build_spec(args, default_algos: tuple[str, ...]) -> ExperimentSpec:
     return ExperimentSpec(
         algorithms=_parse_algos(args.algo, default_algos), base=cfg,
         sweep_var=sweep_var, sweep_values=sweep_values,
-        realizations=getattr(args, "realizations", None) or 100, out=args.out,
+        realizations=args.realizations, out=args.out,
         seed_base=args.seed, step_rule=rule, x0=x0, eps=args.eps)
 
 
@@ -134,9 +133,8 @@ def cmd_oracle_check(args) -> int:
     algos = _parse_algos(args.algo, ALGORITHMS)
     rule, x0 = _parse_step_rule(args.step_rule)
     check_settings(rule, x0, args.eps)
-    count = args.realizations or 20
     worst: dict[str, float] = {a: 0.0 for a in algos}
-    for r in range(count):
+    for r in range(args.realizations):
         seed = args.seed + r
         sc = scenario.generate(dataclasses.replace(cfg, seed=seed))
         ref = oracle.brute_force(sc).cost.total
@@ -165,24 +163,26 @@ def main(argv=None) -> int:
 
     p_gen = sub.add_parser("gen", help="write scenario files")
     _add_options(p_gen, "--config", "--realizations", "--seed", "--out")
-    p_gen.set_defaults(fn=cmd_gen)
+    p_gen.set_defaults(fn=cmd_gen, realizations=1)
 
     p_run = sub.add_parser("run", help="Monte-Carlo sweep")
     _add_options(p_run, "--config", "--algo", "--realizations", "--seed", "--out",
                  "--step-rule", "--eps", "--sweep")
-    p_run.set_defaults(fn=cmd_run)
+    p_run.set_defaults(fn=cmd_run, realizations=100)
 
     p_trace = sub.add_parser("trace", help="per-iteration cost series")
     _add_options(p_trace, "--config", "--algo", "--seed", "--out", "--step-rule", "--eps")
-    p_trace.set_defaults(fn=cmd_trace)
+    p_trace.set_defaults(fn=cmd_trace, realizations=1)       # one scenario
 
     p_oc = sub.add_parser("oracle-check", help="compare against brute force")
     _add_options(p_oc, "--config", "--algo", "--realizations", "--seed",
                  "--step-rule", "--eps")
-    p_oc.set_defaults(fn=cmd_oracle_check)
+    p_oc.set_defaults(fn=cmd_oracle_check, realizations=20)
 
     args = parser.parse_args(argv)
     try:
+        if args.realizations < 1:
+            raise ConfigError(f"--realizations must be >= 1, got {args.realizations}")
         return args.fn(args)
     except CoopMecError as exc:
         print(f"error: {exc}", file=sys.stderr)

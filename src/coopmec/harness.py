@@ -217,7 +217,9 @@ def convergence_trace(spec: ExperimentSpec) -> dict[str, Path]:
 
     The iterative solver writes its own trace format; the matching and
     decentralized algorithms emit (step, total_cost) series.  The baseline
-    has no iterations and is rejected."""
+    has no iterations and is rejected before anything is solved."""
+    if "noncope" in spec.algorithms:
+        raise UnknownAlgorithm("the baseline has no iteration trace")
     out = Path(spec.out if spec.out is not None else ".")
     out.mkdir(parents=True, exist_ok=True)
     sc = generate(dataclasses.replace(spec.base, seed=spec.seed_base))
@@ -226,8 +228,6 @@ def convergence_trace(spec: ExperimentSpec) -> dict[str, Path]:
         asg, extras = run_algorithm(sc, algo, step_rule=spec.step_rule, x0=spec.x0,
                                     eps=spec.eps)
         trace = extras["trace"]
-        if trace is None:
-            raise UnknownAlgorithm("the baseline has no iteration trace")
         if algo == "icrbi":
             path = out / f"icrbi_{spec.step_rule}_{_fmt(spec.x0)}.csv"
             trace.to_csv(path)

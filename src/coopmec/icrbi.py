@@ -19,7 +19,11 @@ not depend on the multipliers once per solve.  The Newton iteration for the
 stationary frequencies runs on 1-D arrays and drops each pair as soon as it
 is resolved; the per-pair arithmetic is the one a dense evaluation would do,
 so the iterates do not depend on the layout.  A task whose effective power
-price w_i + mu_i is zero stays at the lower end of each window.
+price w_i + mu_i is zero stays at the lower end of each window.  The priced
+pair cost is convex in f, so the clamped stationary frequency is its minimum
+over the window: each iteration prices a pair once, there, and the committed
+pairs' upload and hosted CPU power come from those same values.  The edge
+server's compute is free, so its hosted power is zero.
 
 The relaxed iterate may violate capacity, so the final decision map is
 re-committed through the matching module's residual-budget subproblem
@@ -103,10 +107,10 @@ class IcrbiTrace:
 
 
 class _Usage(NamedTuple):
-    """The committed pairs of one iterate, evaluated once and scattered into
-    zero (N, N+1) matrices: upload power U(x) at the remote pairs and hosted
-    CPU power kappa * x**nu; then primal's committed frequencies x (zero off
-    the committed pairs) and its 0/1 decisions."""
+    """The committed pairs of one iterate, as primal priced them, scattered
+    into zero (N, N+1) matrices: upload power U(x) at the remote pairs,
+    hosted CPU power kappa * x**nu (zero at the edge server), the committed
+    frequencies x and the 0/1 decisions."""
 
     transmit: np.ndarray
     hosted: np.ndarray
@@ -120,12 +124,12 @@ class _Kernel:
     Only a valid pair (task i, device j != i) has a stationary frequency, so
     those pairs are kept as a flat list: pair p is (task row ri[p], device
     rj[p]), in row-major order of the (N, N+1) remote mask.  The per-pair
-    curve constants and every term that does not depend on the duals (U and
-    U' at both window ends, the window ends raised to nu and nu - 1) are
-    gathered once, here.  The decision rule still reads (N, N+1) matrices:
-    primal scatters the per-pair minima and intercepts into them, so the
-    argmin tie-break and the local-first priority work on the same values as
-    a dense evaluation would.  The dual iterate is a pair of nonnegative
+    curve constants and every term that does not depend on the duals (U' at
+    both window ends, the window ends raised to nu - 1) are gathered once,
+    here.  The decision rule still reads (N, N+1) matrices: primal scatters
+    the intercepts of the pairs that beat dropping into them, so the argmin
+    tie-break and the local-first priority work on the same values as a
+    dense evaluation would.  The dual iterate is a pair of nonnegative
     prices in raw objective units: mu[i-1] adds to UE i's per-watt price
     w_i for its power budget, v[j] prices device j's CPU capacity per cycle/s.
     """
@@ -142,7 +146,6 @@ class _Kernel:
         self.p_m = arr.p_m
         self.kappa_d = arr.kappa
         nu_d = arr.nu
-        self.nu_d = nu_d
         self.kappa_nu = self.kappa_d * nu_d
         self.fmax_d = arr.f_max
         self.host_w = np.concatenate([[0.0], self.w])      # compute price per device
@@ -151,13 +154,13 @@ class _Kernel:
         own_mask = np.zeros((n, n + 1), dtype=bool)
         own_mask[self.rows, self.own] = True
         valid = ~bounds.blocked
-        self.remote = valid & ~own_mask
         self.local_ok = valid[self.rows, self.own]
         self.f_min = arr.f_min
         self.own_kappa = self.kappa_d[self.own]
-        self.fmin_nu = self.f_min ** nu_d[self.own]
+        # a blocked local pair is never priced
+        self.fmin_nu = np.where(self.local_ok, self.f_min, 0.0) ** nu_d[self.own]
 
-        ri, rj = np.nonzero(self.remote)
+        ri, rj = np.nonzero(valid & ~own_mask)
         self.ri, self.rj = ri, rj
         self.pair_of = np.full((n, n + 1), -1)
         self.pair_of[ri, rj] = np.arange(ri.size)
@@ -171,8 +174,6 @@ class _Kernel:
         hi = bounds.f_upper[ri, rj]
         self.lo, self.hi = lo, hi
         # dual-independent terms
-        self.u_lo = offload_power_vec(*self.curve, self.bandwidth, self.noise_w, lo)
-        self.u_hi = offload_power_vec(*self.curve, self.bandwidth, self.noise_w, hi)
         self.du_lo = offload_power_derivs_vec(*self.curve, self.bandwidth, self.noise_w, lo)[0]
         self.du_hi = offload_power_derivs_vec(*self.curve, self.bandwidth, self.noise_w, hi)[0]
         # step preconditioners, the price at which each multiplier starts to
@@ -201,7 +202,6 @@ class _Kernel:
             dev = sc.devices[j]
             slope = w[j - 1] * dev.kappa * dev.nu * caps[j] ** (dev.nu - 1.0)
             self.v_scale[j] = slope if slope > 0 else self.v_scale[0]
-        self.lo_nu, self.hi_nu = lo ** self.nu, hi ** self.nu
         self.lo_nu1, self.hi_nu1 = lo ** (self.nu - 1.0), hi ** (self.nu - 1.0)
         self.warm_lo, self.warm_hi = lo * (1 + 1e-12), hi * (1 - 1e-12)
         self.mid = np.sqrt(lo * hi)
@@ -260,8 +260,8 @@ class _Kernel:
     def primal(self, mu, v, warm=None):
         """One exact minimisation of the priced objective.
 
-        Returns (x, a, gamma): committed frequencies and 0/1 decisions as
-        (N, N+1) matrices, and the per-pair stationary frequencies, which
+        Returns (use, gamma): the committed pairs' power terms, frequencies
+        and 0/1 decisions, and the per-pair stationary frequencies, which
         warm-start the next call."""
         n, ri, rj = self.n, self.ri, self.rj
         wi_eff = self.w + mu
@@ -276,15 +276,11 @@ class _Kernel:
 
         pi = (wi_eff / self.eta)[ri]
         pc = (wh_eff * self.kappa_d)[rj]
-        vj = v[rj]
-        phi = self.phi[ri]
         u_g = offload_power_vec(*self.curve, self.bandwidth, self.noise_w, gamma)
         du_g, _ = offload_power_derivs_vec(*self.curve, self.bandwidth, self.noise_w, gamma)
-        # the priced pair cost is convex in f, so its minimum over the window
-        # is at lo, hi or gamma
-        lam = np.minimum(np.minimum(pi * self.u_lo + pc * self.lo_nu + vj * self.lo - phi,
-                                    pi * self.u_hi + pc * self.hi_nu + vj * self.hi - phi),
-                         pi * u_g + pc * gamma ** self.nu + vj * gamma - phi)
+        g_nu = np.where(rj > 0, gamma, 0.0) ** self.nu      # the server's compute is free
+        # gamma minimises the convex priced pair cost over its window
+        lam = pi * u_g + pc * g_nu + v[rj] * gamma - self.phi[ri]
         # local execution: the priced cost is increasing in f, so f_min is enough
         lam_local = (wi_eff * self.own_kappa * self.fmin_nu
                      + v[self.own] * self.f_min - self.phi)
@@ -298,34 +294,21 @@ class _Kernel:
         remote_rows[ri[ok]] = True
         remote_rows &= ~take_local
 
+        transmit, hosted, x = np.zeros((3, n, n + 1))
         a = np.zeros((n, n + 1), dtype=np.int8)
-        x = np.zeros((n, n + 1))
         lr = self.rows[take_local]
         a[lr, lr + 1] = 1
         x[lr, lr + 1] = self.f_min[take_local]
+        hosted[lr, lr + 1] = (self.fmin_nu * self.own_kappa)[take_local]
         if remote_rows.any():
             best = np.argmin(intercept[remote_rows], axis=1)
             rr = self.rows[remote_rows]
-            gamma_m = np.zeros((n, n + 1))
-            gamma_m[ri, rj] = gamma
+            p = self.pair_of[rr, best]
             a[rr, best] = 1
-            x[rr, best] = gamma_m[rr, best]
-        return x, a, gamma
-
-    def evaluate(self, x, a) -> _Usage:
-        """U and the hosted CPU power at the committed pairs (at most N), for
-        reduced_cost and dual_step to share."""
-        n = self.n
-        r, c = np.nonzero(a > 0)
-        f = x[r, c]
-        transmit = np.zeros((n, n + 1))
-        hosted = np.zeros((n, n + 1))
-        rem = self.remote[r, c]
-        p = self.pair_of[r[rem], c[rem]]
-        transmit[r[rem], c[rem]] = offload_power_vec(*self.curve[:, p], self.bandwidth,
-                                                     self.noise_w, f[rem])
-        hosted[r, c] = f ** self.nu_d[c] * self.kappa_d[c]
-        return _Usage(transmit, hosted, x, a)
+            x[rr, best] = gamma[p]
+            transmit[rr, best] = u_g[p]
+            hosted[rr, best] = g_nu[p] * self.kappa_d[best]
+        return _Usage(transmit, hosted, x, a), gamma
 
     def dual_step(self, mu, v, use: _Usage, s: float):
         """Projected, preconditioned subgradient step of size s; returns the
@@ -397,11 +380,10 @@ def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
     warm = None
     prev_cost = None
     for t in range(1, max_iter + 1):
-        x, a, warm = kern.primal(mu, v, warm)
-        use = kern.evaluate(x, a)
+        use, warm = kern.primal(mu, v, warm)
         cost = kern.reduced_cost(use)
         trace.reduced_cost.append(cost)
-        trace.num_assigned.append(int(a.sum()))
+        trace.num_assigned.append(int(use.a.sum()))
         trace.mu_norm.append(float(np.linalg.norm(mu)))
         trace.v_norm.append(float(np.linalg.norm(v)))
         if len(trace.reduced_cost) == 1:
@@ -411,4 +393,4 @@ def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
             break
         mu, v = kern.dual_step(mu, v, use, step_size(step_rule, x0, t))
         prev_cost = cost
-    return repair_feasibility(sc, decisions_from(a), bounds), trace
+    return repair_feasibility(sc, decisions_from(use.a), bounds), trace

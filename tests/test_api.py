@@ -13,7 +13,9 @@ cannot linger in `__all__`.  And every annotated field of the solver
 records (`IcrbiTrace`, `MatchingState`, `RoundLog`) and of the per-scenario
 data (`FeasibilityBounds`, `ScenarioArrays`) must be loaded as an attribute
 somewhere in src/coopmec/ or scripts/: a record holds only what the solve
-or its callers read, not write-only bookkeeping.
+or its callers read, not write-only bookkeeping.  Every attribute that
+`icrbi._Kernel.__init__` stores must be loaded by another kernel method: a
+term precomputed once per solve is dead once its last reader goes.
 """
 
 from __future__ import annotations
@@ -142,3 +144,29 @@ def test_every_record_field_is_read():
     unread = [q for q in record_fields() if not attrs[q.split(".")[1]]]
     assert [q for q in unread if q not in WRITE_ONLY] == [], "write-only record fields"
     assert set(WRITE_ONLY) <= set(unread)           # the allow-list is current
+
+
+def kernel_state() -> tuple[set[str], set[str]]:
+    """Attributes icrbi._Kernel.__init__ stores on self, and those the
+    kernel's other methods load."""
+    tree = ast.parse((PACKAGE / "icrbi.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Kernel")
+    stored, loaded = set(), set()
+    for fn in cls.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"):
+                continue
+            if fn.name == "__init__" and isinstance(node.ctx, ast.Store):
+                stored.add(node.attr)
+            elif fn.name != "__init__" and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return stored, loaded
+
+
+def test_every_kernel_term_is_read():
+    stored, loaded = kernel_state()
+    assert {"lo", "hi", "du_lo", "mu_scale"} <= stored           # the walk sees them
+    assert sorted(stored - loaded) == [], "kernel state that no other method reads"

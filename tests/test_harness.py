@@ -80,14 +80,20 @@ def test_run_algorithm_dispatch(sc3):
         run_algorithm(sc3, "bogus")
 
 
-@pytest.mark.parametrize("algo", ["maxtask", "minpw", "decentral", "noncope"])
+@pytest.mark.parametrize("algo", ALGORITHMS)
 @pytest.mark.parametrize("cell", [
     dict(f0_max=1e120), dict(f0_max=1e300),           # server frequency ** nu
     dict(cycles=(1e300, 1e300)), dict(deadline_s=(1e-300, 1e-300)),  # local f_min ** nu
-], ids=["f0max1e120", "f0max1e300", "cycles1e300", "deadline1e-300"])
-def test_extreme_magnitudes_do_not_overflow(algo, cell):
+    dict(kappa=1e300),                                # hosted CPU power
+], ids=["f0max1e120", "f0max1e300", "cycles1e300", "deadline1e-300", "kappa1e300"])
+def test_extreme_magnitudes_do_not_overflow(request, algo, cell):
     # the free server compute and a blocked local pair are never priced, so
     # their overflowing power-law terms are never evaluated
+    if algo == "icrbi" and cell == dict(f0_max=1e300):
+        request.applymarker(pytest.mark.xfail(
+            strict=True, raises=RuntimeWarning,
+            reason="extreme-magnitude FOUND in CHANGES.md: offload_power_derivs_vec "
+                   "squares the 1e300 window top"))
     sc = gen(n=4, **cell)
     asg, _ = run_algorithm(sc, algo)
     assert validate_constraints(sc, asg) == []
@@ -226,6 +232,13 @@ def test_convergence_trace_files(tmp_path):
                                          base=GenConfig(n=5)))
 
 
+def test_cli_trace_rejects_the_baseline_before_solving(tmp_path, capsys):
+    out = tmp_path / "tr"
+    assert cli.main(["trace", "--algo", "icrbi,noncope", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_converged_runs_settle_below_threshold(sc10):
     from coopmec import icrbi
     for rule in ("diminish", "square"):
@@ -275,12 +288,23 @@ def test_cli_trace_and_oracle_check(tmp_path, capsys):
     assert "ok:" in capsys.readouterr().out
 
 
-def test_cli_rejects_malformed_arguments(capsys):
+def test_cli_rejects_malformed_arguments(tmp_path, capsys):
     assert cli.main(["run", "--sweep", "f0_max", "--realizations", "1"]) != 0
     assert "--sweep" in capsys.readouterr().err
     assert cli.main(["run", "--step-rule", "sprint:0.1",
                      "--realizations", "1"]) != 0
     assert "step-rule" in capsys.readouterr().err
+    # a count below 1 is an error in every subcommand that takes one
+    out = ["--out", str(tmp_path / "out")]
+    for argv in (["run", "--realizations", "0", *out], ["gen", "--realizations", "0", *out],
+                 ["gen", "--realizations", "-2", *out],
+                 ["oracle-check", "--realizations", "0"],
+                 ["oracle-check", "--realizations", "-1"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "realizations" in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -23,8 +23,8 @@ def unpriced(n):
 
 def primal(sc):
     """(x, a) of one exact unpriced minimisation by the solver's kernel."""
-    x, a, _ = icrbi._Kernel(sc, feasibility_bounds(sc)).primal(*unpriced(sc.n))
-    return x, a
+    use, _ = icrbi._Kernel(sc, feasibility_bounds(sc)).primal(*unpriced(sc.n))
+    return use.freq, use.a
 
 
 def test_step_size_rules():
@@ -43,7 +43,7 @@ def test_unpriced_offload_runs_flat_out(sc10):
     # the window clamps it at the top
     bounds = feasibility_bounds(sc10)
     kern = icrbi._Kernel(sc10, bounds)
-    _, _, gamma = kern.primal(*unpriced(sc10.n))
+    _, gamma = kern.primal(*unpriced(sc10.n))
     server = [i for i in range(1, sc10.n + 1) if not bounds.blocked[i - 1, 0]]
     assert server
     for i in server:
@@ -57,7 +57,7 @@ def test_gamma_monotone_in_frequency_price():
     for seed in range(20):
         sc = gen(n=4, seed=seed)
         kern = icrbi._Kernel(sc, feasibility_bounds(sc))
-        gammas = [kern.primal(np.zeros(sc.n), np.full(sc.n + 1, v))[2]
+        gammas = [kern.primal(np.zeros(sc.n), np.full(sc.n + 1, v))[1]
                   for v in (0.0, 1e-10, 1e-9, 3e-8)]
         for a, b in zip(gammas, gammas[1:]):
             assert (a >= b - 1e-6).all()
@@ -77,8 +77,8 @@ def test_multipliers_stay_nonnegative(sc10):
     kern = icrbi._Kernel(sc10, feasibility_bounds(sc10))
     mu, v = unpriced(sc10.n)
     for t in range(1, 7):
-        x, a, _ = kern.primal(mu, v)
-        mu, v = kern.dual_step(mu, v, kern.evaluate(x, a), step_size("diminish", 0.1, t))
+        use, _ = kern.primal(mu, v)
+        mu, v = kern.dual_step(mu, v, use, step_size("diminish", 0.1, t))
         assert (mu >= 0).all()
         assert (v >= 0).all()
 
@@ -147,7 +147,7 @@ def test_free_power_settles():
         kern = icrbi._Kernel(sc, bounds)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            _, _, gamma = kern.primal(*unpriced(sc.n))
+            _, gamma = kern.primal(*unpriced(sc.n))
             asg, trace = solve(sc)
         assert np.array_equal(gamma, kern.lo)
         assert trace.termination == "converged"

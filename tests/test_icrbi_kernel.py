@@ -6,6 +6,12 @@ the same per-pair arithmetic on the admissible remote pairs only, so every
 iterate must agree exactly: no tolerance anywhere.  `reference_scales` is
 the earlier step-preconditioner derivation, which evaluated U' afresh over
 every row of the server column; the kernel reuses its own window-top slopes.
+The reference also prices each pair at both window ends as well as at its
+stationary frequency, and recomputes U and the hosted CPU power at the
+committed pairs; the kernel prices a pair once, at the stationary frequency,
+and returns the power terms it priced, so equal decisions and power terms
+show that neither the dropped candidates nor the dropped recomputation
+changes anything.
 """
 
 from __future__ import annotations
@@ -243,12 +249,14 @@ def replay(sc, max_iter=2000):
     costs = []
     eps = None
     for t in range(1, max_iter + 1):
-        x, a, warm = kern.primal(mu, v, warm)
+        use, warm = kern.primal(mu, v, warm)
         rx, ra, ref_warm = ref.primal(mu, v, ref_warm)
-        assert np.array_equal(x, rx)
-        assert np.array_equal(a, ra)
+        assert np.array_equal(use.freq, rx)
+        assert np.array_equal(use.a, ra)
         assert np.array_equal(warm, ref_warm[kern.ri, kern.rj])
-        use = kern.evaluate(x, a)
+        assert np.array_equal(use.transmit, np.where(ref.remote & (ra > 0), ref._u(rx), 0.0))
+        assert np.array_equal(use.hosted, (np.where(ra > 0, rx, 0.0) ** ref.nu_d[None, :])
+                              * ref.kappa_d[None, :])
         cost = kern.reduced_cost(use)
         assert cost == ref.reduced_cost(rx, ra)
         costs.append(cost)
