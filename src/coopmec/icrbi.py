@@ -29,6 +29,15 @@ The relaxed iterate may violate capacity, so the final decision map is
 re-committed through the matching module's residual-budget subproblem
 (cheapest-to-place first, edge-server fallback, leftover capacity
 redistributed); the returned assignment always validates.
+
+The repair reads only the 0/1 decision map, so the loop stops as soon as
+that map stops changing: when no new map has appeared for MAP_STABLE_K
+iterations ("map_stable"), unless the relaxed cost settled first
+("converged") or the iteration cap came first ("max_iter").  A map-stable
+stop probes along the current subgradient with ever longer steps for the
+first map the prices would move to, repairs it next to the final map, and
+keeps the cheaper (a Lagrangian heuristic in the sense of Fisher,
+Management Science 1981).  Both rule-based stops count as converged.
 """
 
 from __future__ import annotations
@@ -46,6 +55,12 @@ from .model import (ROOT_RTOL, Assignment, FeasibilityBounds, Scenario,
                     offload_power_vec)
 
 STEP_RULES = ("diminish", "square")
+MAP_STABLE_K = 10       # stop after this many iterations without a new decision map
+PROBE_DOUBLINGS = 12    # the exit probe tries steps 2s, 4s, ..., 2**12 s
+# Hz: the kernel clamps every window top here.  Far below it the upload curve
+# is flat to double precision, and the clamp keeps lo * hi and (T f - c)**2
+# finite however large a device's capacity
+F_TOP = 1e150
 
 
 def step_size(rule: str, x0: float, t: int) -> float:
@@ -81,7 +96,7 @@ class IcrbiTrace:
     num_assigned: list[int] = field(default_factory=list)
     mu_norm: list[float] = field(default_factory=list)
     v_norm: list[float] = field(default_factory=list)
-    termination: str = ""               # "converged" or "max_iter"
+    termination: str = ""               # "converged", "map_stable" or "max_iter"
     eps: float = float("nan")
     n_root_pairs: int = 0
     overhead: int = 0
@@ -92,7 +107,8 @@ class IcrbiTrace:
 
     @property
     def converged(self) -> bool:
-        return self.termination == "converged"
+        """Stopped by a rule (settled or map-stable), not by the cap."""
+        return self.termination in ("converged", "map_stable")
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -169,9 +185,13 @@ class _Kernel:
         self.curve = np.array([arr.cycles[ri], arr.bits[ri], arr.deadline[ri],
                                sc.gains[ri, rj]])
         self.nu = nu_d[rj]
-        self.newton_consts = np.vstack([self.curve, self.nu - 1.0, self.nu - 2.0])
+        # the server's compute is free (c1 = 0 at rj == 0), so its power law
+        # is never raised: exponent 0 there keeps c1 * f**(nu-1) at zero
+        nu1 = np.where(rj > 0, self.nu - 1.0, 0.0)
+        nu2 = np.where(rj > 0, self.nu - 2.0, 0.0)
+        self.newton_consts = np.vstack([self.curve, nu1, nu2])
         lo = bounds.f_lower[ri, rj]
-        hi = bounds.f_upper[ri, rj]
+        hi = np.minimum(bounds.f_upper[ri, rj], F_TOP)
         self.lo, self.hi = lo, hi
         # dual-independent terms
         self.du_lo = offload_power_derivs_vec(*self.curve, self.bandwidth, self.noise_w, lo)[0]
@@ -202,7 +222,7 @@ class _Kernel:
             dev = sc.devices[j]
             slope = w[j - 1] * dev.kappa * dev.nu * caps[j] ** (dev.nu - 1.0)
             self.v_scale[j] = slope if slope > 0 else self.v_scale[0]
-        self.lo_nu1, self.hi_nu1 = lo ** (self.nu - 1.0), hi ** (self.nu - 1.0)
+        self.lo_nu1, self.hi_nu1 = lo ** nu1, hi ** nu1
         self.warm_lo, self.warm_hi = lo * (1 + 1e-12), hi * (1 - 1e-12)
         self.mid = np.sqrt(lo * hi)
 
@@ -363,34 +383,72 @@ def repair_feasibility(sc: Scenario, decisions: dict[int, int],
 # full solve
 
 
+def _ray_map(kern: _Kernel, mu, v, use: _Usage, s: float, warm):
+    """The first decision map along the subgradient ray from (mu, v) that
+    differs from use.a, at steps 2s, 4s, ..., 2**PROBE_DOUBLINGS s; None if
+    every probe keeps the map.  The probes leave the iterate alone."""
+    for k in range(1, PROBE_DOUBLINGS + 1):
+        probe, _ = kern.primal(*kern.dual_step(mu, v, use, s * 2.0 ** k), warm)
+        if not np.array_equal(probe.a, use.a):
+            return probe.a
+    return None
+
+
 def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
           eps: float | None = None, max_iter: int = 2000
           ) -> tuple[Assignment, IcrbiTrace]:
-    """Run the dual iteration until the relaxed cost settles, then repair.
+    """Run the dual iteration until the relaxed cost settles or the decision
+    map stops changing, then repair.
 
-    Stops when |C(t) - C(t-1)| < eps (default 1e-4 * |C(1)|) or after
-    max_iter iterations, whichever comes first; trace.termination says which.
-    Either way the final iterate's decision map is repaired and returned."""
+    Stops when |C(t) - C(t-1)| < eps (default 1e-4 * |C(1)|), when no new
+    0/1 decision map has appeared for MAP_STABLE_K iterations, or after
+    max_iter iterations, whichever comes first; trace.termination says which
+    ("converged", "map_stable" or "max_iter").  A settled or capped run
+    repairs its final decision map.  A map-stable run also probes along the
+    current subgradient with ever longer steps (2s, 4s, ..., 2**12 s) for
+    the first map that differs, repairs both, and returns the cheaper, the
+    final map on a tie.  The probes are not iterations: they add nothing to
+    the trace."""
     check_settings(step_rule, x0, eps, max_iter)
     bounds = feasibility_bounds(sc)
-    kern = _Kernel(sc, bounds)
-    mu, v = np.zeros(sc.n), np.zeros(sc.n + 1)
-    trace = IcrbiTrace(termination="max_iter", n_root_pairs=int(kern.ri.size),
-                       overhead=overhead(sc.n))
-    warm = None
-    prev_cost = None
-    for t in range(1, max_iter + 1):
-        use, warm = kern.primal(mu, v, warm)
-        cost = kern.reduced_cost(use)
-        trace.reduced_cost.append(cost)
-        trace.num_assigned.append(int(use.a.sum()))
-        trace.mu_norm.append(float(np.linalg.norm(mu)))
-        trace.v_norm.append(float(np.linalg.norm(v)))
-        if len(trace.reduced_cost) == 1:
-            trace.eps = eps if eps is not None else max(1e-4 * abs(cost), 1e-12)
-        elif abs(cost - prev_cost) < trace.eps:
-            trace.termination = "converged"
-            break
-        mu, v = kern.dual_step(mu, v, use, step_size(step_rule, x0, t))
-        prev_cost = cost
-    return repair_feasibility(sc, decisions_from(use.a), bounds), trace
+    ray = None
+    # U'' divides by bandwidth * (T f - c), which overflows to inf for a huge
+    # bandwidth; the term then tends to zero, the value the overflow leaves
+    with np.errstate(over="ignore"):
+        kern = _Kernel(sc, bounds)
+        mu, v = np.zeros(sc.n), np.zeros(sc.n + 1)
+        trace = IcrbiTrace(termination="max_iter", n_root_pairs=int(kern.ri.size),
+                           overhead=overhead(sc.n))
+        warm = None
+        prev_cost = None
+        seen: set[bytes] = set()
+        last_new = 0
+        for t in range(1, max_iter + 1):
+            use, warm = kern.primal(mu, v, warm)
+            cost = kern.reduced_cost(use)
+            trace.reduced_cost.append(cost)
+            trace.num_assigned.append(int(use.a.sum()))
+            trace.mu_norm.append(float(np.linalg.norm(mu)))
+            trace.v_norm.append(float(np.linalg.norm(v)))
+            key = use.a.tobytes()
+            if key not in seen:
+                seen.add(key)
+                last_new = t
+            if len(trace.reduced_cost) == 1:
+                trace.eps = eps if eps is not None else max(1e-4 * abs(cost), 1e-12)
+            elif abs(cost - prev_cost) < trace.eps:
+                trace.termination = "converged"
+                break
+            s = step_size(step_rule, x0, t)
+            if t - last_new >= MAP_STABLE_K:
+                trace.termination = "map_stable"
+                ray = _ray_map(kern, mu, v, use, s, warm)
+                break
+            mu, v = kern.dual_step(mu, v, use, s)
+            prev_cost = cost
+    asg = repair_feasibility(sc, decisions_from(use.a), bounds)
+    if ray is not None:
+        alt = repair_feasibility(sc, decisions_from(ray), bounds)
+        if alt.cost.total < asg.cost.total:
+            asg = alt
+    return asg, trace

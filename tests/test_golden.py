@@ -15,6 +15,8 @@ with `--seed 3` and a config setting `n = 12`, `f0_max = 8e9`, and
 evicts a held offer (the other two cases evict none).  They must match byte
 for byte: they carry the per-commit cost series of matching and decentral,
 which runs.csv does not.
+
+`data/regen_golden.py` reruns these commands and rewrites both directories.
 """
 
 from __future__ import annotations
@@ -57,18 +59,29 @@ def test_runs_match_golden_records(algorithm):
                                 rel_tol=1e-12, abs_tol=0.0), (col, row)
 
 
-@pytest.mark.parametrize("case, config, args", [
+# (subdirectory of GOLDEN_TRACE, config file text or None, extra arguments)
+TRACE_CASES = [
     ("", None, []),
     ("n12_f0max8e9_seed3", "n = 12\nf0_max = 8e9\n", ["--seed", "3"]),
     ("n40_seed88", "n = 40\n", ["--seed", "88"]),
-], ids=["default", "n12_f0max8e9_seed3", "n40_seed88"])
+]
+
+
+def trace_argv(config, args, scratch: Path) -> list[str]:
+    """`coopmec trace` arguments of one case: its config is written to
+    scratch, and the trace files go to scratch / "trace"."""
+    if config is not None:
+        (scratch / "cell.cfg").write_text(config)
+        args = args + ["--config", str(scratch / "cell.cfg")]
+    return ["trace", "--out", str(scratch / "trace")] + args
+
+
+@pytest.mark.parametrize("case, config, args", TRACE_CASES,
+                         ids=["default", "n12_f0max8e9_seed3", "n40_seed88"])
 def test_trace_files_match_golden_bytes(tmp_path, case, config, args):
     golden = GOLDEN_TRACE / case
-    if config is not None:
-        (tmp_path / "cell.cfg").write_text(config)
-        args = args + ["--config", str(tmp_path / "cell.cfg")]
     out = tmp_path / "trace"
-    assert main(["trace", "--out", str(out)] + args) == 0
+    assert main(trace_argv(config, args, tmp_path)) == 0
     want = sorted(p.name for p in golden.iterdir() if p.is_file())
     if case == "n40_seed88":
         assert (golden / "decentral_events.txt").read_text().count(" evict\n") == 1

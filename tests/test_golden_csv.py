@@ -19,16 +19,17 @@ import pytest
 from coopmec.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden_csv"
+RUN_ARGV = ["run", "--sweep", "f0_max=5e9,8e9", "--realizations", "4"]
+FILES = ["runs.csv", "metrics.csv", "run_meta.txt"]
 
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
-    assert main(["run", "--sweep", "f0_max=5e9,8e9", "--realizations", "4",
-                 "--out", str(out)]) == 0
+    assert main(RUN_ARGV + ["--out", str(out)]) == 0
     return out
 
 
-@pytest.mark.parametrize("name", ["runs.csv", "metrics.csv", "run_meta.txt"])
+@pytest.mark.parametrize("name", FILES)
 def test_run_outputs_match_golden_bytes(run_dir, name):
     assert (run_dir / name).read_bytes() == (GOLDEN / name).read_bytes()

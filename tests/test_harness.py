@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import gen
-from coopmec import cli, decentral, harness, matching, model, scenario
+from coopmec import cli, decentral, harness, icrbi, matching, model, scenario
 from coopmec.errors import ConfigError, UnknownAlgorithm
 from coopmec.harness import (ALGORITHMS, ExperimentSpec, _fmt, aggregate,
                              apply_sweep, convergence_trace, run_algorithm,
@@ -85,15 +85,14 @@ def test_run_algorithm_dispatch(sc3):
     dict(f0_max=1e120), dict(f0_max=1e300),           # server frequency ** nu
     dict(cycles=(1e300, 1e300)), dict(deadline_s=(1e-300, 1e-300)),  # local f_min ** nu
     dict(kappa=1e300),                                # hosted CPU power
-], ids=["f0max1e120", "f0max1e300", "cycles1e300", "deadline1e-300", "kappa1e300"])
-def test_extreme_magnitudes_do_not_overflow(request, algo, cell):
+    dict(bandwidth=1e308),                            # bandwidth * (T f - c) in U''
+    dict(nu=300.0),                                   # window ends ** (nu - 1)
+], ids=["f0max1e120", "f0max1e300", "cycles1e300",
+        "deadline1e-300", "kappa1e300", "bandwidth1e308", "nu300"])
+def test_extreme_magnitudes_do_not_overflow(algo, cell):
     # the free server compute and a blocked local pair are never priced, so
-    # their overflowing power-law terms are never evaluated
-    if algo == "icrbi" and cell == dict(f0_max=1e300):
-        request.applymarker(pytest.mark.xfail(
-            strict=True, raises=RuntimeWarning,
-            reason="extreme-magnitude FOUND in CHANGES.md: offload_power_derivs_vec "
-                   "squares the 1e300 window top"))
+    # their overflowing power-law terms are never evaluated, and icrbi clamps
+    # a window top that would overflow (T f - c)**2 or a bracket product
     sc = gen(n=4, **cell)
     asg, _ = run_algorithm(sc, algo)
     assert validate_constraints(sc, asg) == []
@@ -134,12 +133,26 @@ def test_one_validation_per_solve(monkeypatch, algo):
             monkeypatch.setattr(mod, "validate_constraints", counting)
         if getattr(mod, "assignment_cost", None) is real_cost:
             monkeypatch.setattr(mod, "assignment_cost", counting_cost)
+    # icrbi builds one assignment per repaired decision map: its final map,
+    # and at a map-stable stop also the map its exit probe found; it returns
+    # one of them.  Every other solver builds exactly one.
+    repaired = []
+    real_repair = icrbi.repair_feasibility
+
+    def counting_repair(sc, decisions, bounds):
+        repaired.append(real_repair(sc, decisions, bounds))
+        return repaired[-1]
+
+    monkeypatch.setattr(icrbi, "repair_feasibility", counting_repair)
     for k in range(3):
+        n_calls, n_costed, n_repaired = len(calls), len(costed), len(repaired)
         asg, _ = run_algorithm(gen(n=10, seed=k), algo)
-        assert len(calls) == k + 1
-        assert calls[-1] is asg
-        assert len(costed) == k + 1
-        assert costed[-1] == asg.target
+        built = repaired[n_repaired:] if algo == "icrbi" else [asg]
+        assert 1 <= len(built) <= 2
+        assert any(b is asg for b in built)
+        assert len(calls) - n_calls == len(built)
+        assert all(c is b for c, b in zip(calls[n_calls:], built))
+        assert costed[n_costed:] == [b.target for b in built]
 
 
 def test_run_experiment_aggregates():
@@ -240,11 +253,19 @@ def test_cli_trace_rejects_the_baseline_before_solving(tmp_path, capsys):
 
 
 def test_converged_runs_settle_below_threshold(sc10):
+    # under the diminishing rule sc10's decision map never changes after
+    # iteration 1, so it stops map-stable at 11 before it would settle at
+    # 26; under the square rule it settles at 10
     from coopmec import icrbi
-    for rule in ("diminish", "square"):
+    for rule, stop, iterations in (("diminish", "map_stable", 11),
+                                   ("square", "converged", 10)):
         _, trace = icrbi.solve(sc10, step_rule=rule)
-        assert trace.termination == "converged"
-        assert abs(trace.reduced_cost[-1] - trace.reduced_cost[-2]) < trace.eps
+        assert trace.termination == stop and trace.converged
+        assert trace.iterations == iterations
+        costs = trace.reduced_cost
+        steps = [abs(b - a) for a, b in zip(costs, costs[1:])]
+        assert all(d >= trace.eps for d in steps[:-1])
+        assert (steps[-1] < trace.eps) == (stop == "converged")
 
 
 def test_decentral_settles_no_slower_than_matching():

@@ -11,7 +11,9 @@ stationary frequency, and recomputes U and the hosted CPU power at the
 committed pairs; the kernel prices a pair once, at the stationary frequency,
 and returns the power terms it priced, so equal decisions and power terms
 show that neither the dropped candidates nor the dropped recomputation
-changes anything.
+changes anything.  The replay follows the solver's stop rules, the
+map-stable stop and its probe along the subgradient ray included, so the
+returned assignment is checked as well as every iterate.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from conftest import gen, mk_dev, mk_scenario, mk_task
 from coopmec import icrbi
 from coopmec.icrbi import decisions_from, repair_feasibility, step_size
 from coopmec.model import (feasibility_bounds, offload_power_derivs_vec,
-                           offload_power_vec)
+                           offload_power_vec, validate_constraints)
 
 
 def reference_scales(sc, bounds):
@@ -235,10 +237,21 @@ CELLS = {
 }
 
 
+def assert_same_iterate(kern, ref, use, warm, rx, ra, ref_warm):
+    assert np.array_equal(use.freq, rx)
+    assert np.array_equal(use.a, ra)
+    assert np.array_equal(warm, ref_warm[kern.ri, kern.rj])
+    assert np.array_equal(use.transmit, np.where(ref.remote & (ra > 0), ref._u(rx), 0.0))
+    assert np.array_equal(use.hosted, (np.where(ra > 0, rx, 0.0) ** ref.nu_d[None, :])
+                          * ref.kappa_d[None, :])
+
+
 def replay(sc, max_iter=2000):
-    """Run both kernels on the pair kernel's dual sequence, asserting that
-    every iterate agrees; returns the reference's reduced costs and last
-    decision matrix."""
+    """Run both kernels on the pair kernel's dual sequence under the solver's
+    stop rules, asserting that every iterate, and at a map-stable stop every
+    probe along the subgradient ray, agrees.  Returns the reduced costs, the
+    stop reason, the decision matrices to repair (the final one, then the
+    probe's if it found another) and the bounds."""
     bounds = feasibility_bounds(sc)
     kern = icrbi._Kernel(sc, bounds)
     ref = DenseKernel(sc, bounds)
@@ -248,44 +261,66 @@ def replay(sc, max_iter=2000):
     warm = ref_warm = None
     costs = []
     eps = None
+    maps = []                   # distinct decision matrices, in order seen
+    last_new = 0
     for t in range(1, max_iter + 1):
         use, warm = kern.primal(mu, v, warm)
         rx, ra, ref_warm = ref.primal(mu, v, ref_warm)
-        assert np.array_equal(use.freq, rx)
-        assert np.array_equal(use.a, ra)
-        assert np.array_equal(warm, ref_warm[kern.ri, kern.rj])
-        assert np.array_equal(use.transmit, np.where(ref.remote & (ra > 0), ref._u(rx), 0.0))
-        assert np.array_equal(use.hosted, (np.where(ra > 0, rx, 0.0) ** ref.nu_d[None, :])
-                              * ref.kappa_d[None, :])
+        assert_same_iterate(kern, ref, use, warm, rx, ra, ref_warm)
         cost = kern.reduced_cost(use)
         assert cost == ref.reduced_cost(rx, ra)
         costs.append(cost)
+        if not any(np.array_equal(ra, m) for m in maps):
+            maps.append(ra)
+            last_new = t
         if eps is None:
             eps = max(1e-4 * abs(cost), 1e-12)
         elif abs(cost - costs[-2]) < eps:
-            break
+            return costs, "converged", [ra], bounds
         s = step_size("diminish", 0.1, t)
+        if t - last_new >= icrbi.MAP_STABLE_K:
+            return (costs, "map_stable",
+                    [ra] + probe(kern, ref, mu, v, use, rx, ra, s, warm, ref_warm), bounds)
         ref_mu, ref_v = ref.dual_step(mu, v, rx, ra, s)
         mu, v = kern.dual_step(mu, v, use, s)
         assert np.array_equal(mu, ref_mu)
         assert np.array_equal(v, ref_v)
-    return costs, ra, bounds
+    return costs, "max_iter", [ra], bounds
+
+
+def probe(kern, ref, mu, v, use, rx, ra, s, warm, ref_warm):
+    """Both kernels at steps 2s, 4s, ..., 2**PROBE_DOUBLINGS s along the
+    subgradient from (mu, v), until the decision matrix differs from ra;
+    returns [that matrix], or [] if none does."""
+    for k in range(1, icrbi.PROBE_DOUBLINGS + 1):
+        step = s * 2.0 ** k
+        pmu, pv = kern.dual_step(mu, v, use, step)
+        ref_mu, ref_v = ref.dual_step(mu, v, rx, ra, step)
+        assert np.array_equal(pmu, ref_mu)
+        assert np.array_equal(pv, ref_v)
+        puse, pwarm = kern.primal(pmu, pv, warm)
+        px, pa, pref_warm = ref.primal(pmu, pv, ref_warm)
+        assert_same_iterate(kern, ref, puse, pwarm, px, pa, pref_warm)
+        if not np.array_equal(pa, ra):
+            return [pa]
+    return []
 
 
 def check_solve(sc):
-    """replay() on sc, then the solver's trace and repaired assignment must
-    be the reference's."""
-    costs, ra, bounds = replay(sc)
+    """replay() on sc, then the solver's trace must be the reference's and
+    its assignment the cheaper repair of the reference's maps (the final
+    map's on a tie).  Returns the assignment and trace."""
+    costs, stop, maps, bounds = replay(sc)
     asg, trace = icrbi.solve(sc)
-    settled = (len(costs) >= 2 and abs(costs[-1] - costs[-2])
-               < max(1e-4 * abs(costs[0]), 1e-12))
-    assert trace.termination == ("converged" if settled else "max_iter")
+    assert trace.termination == stop
     assert trace.reduced_cost == costs
-    ref_asg = repair_feasibility(sc, decisions_from(ra), bounds)
+    repaired = [repair_feasibility(sc, decisions_from(m), bounds) for m in maps]
+    ref_asg = min(repaired, key=lambda r: r.cost.total)
     assert asg.target == ref_asg.target
     assert asg.f == ref_asg.f
     assert asg.p_t == ref_asg.p_t
     assert asg.cost == ref_asg.cost
+    return asg, trace
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
@@ -293,6 +328,22 @@ def check_solve(sc):
 def test_pair_kernel_matches_dense_reference(cell, n):
     for seed in range(2):
         check_solve(gen(n=n, seed=seed, **CELLS[cell]))
+
+
+@pytest.mark.parametrize("seed, f0_max, capped_cost", [
+    (2083, 8e9, 317.81618206568714),
+    (2092, 6e9, 406.6695336220989),
+    (7012, 5e9, 316.1732394073088),
+], ids=["2083", "2092", "7012"])
+def test_former_stalls_stop_map_stable(seed, f0_max, capped_cost):
+    # these cells alternate between maps already seen until the
+    # 2000-iteration cap; capped_cost is what that capped run returned
+    sc = gen(seed=seed, f0_max=f0_max)
+    asg, trace = check_solve(sc)
+    assert trace.termination == "map_stable" and trace.converged
+    assert trace.iterations <= 20
+    assert validate_constraints(sc, asg) == []
+    assert asg.cost.total <= capped_cost
 
 
 def server_blocked():
