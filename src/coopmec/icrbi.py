@@ -52,7 +52,7 @@ from . import matching
 from .errors import ConfigError, UnknownAlgorithm
 from .model import (ROOT_RTOL, Assignment, FeasibilityBounds, Scenario,
                     feasibility_bounds, make_assignment, offload_power_derivs_vec,
-                    offload_power_vec)
+                    offload_power_slope_vec, offload_power_vec)
 
 STEP_RULES = ("diminish", "square")
 MAP_STABLE_K = 10       # stop after this many iterations without a new decision map
@@ -194,8 +194,8 @@ class _Kernel:
         hi = np.minimum(bounds.f_upper[ri, rj], F_TOP)
         self.lo, self.hi = lo, hi
         # dual-independent terms
-        self.du_lo = offload_power_derivs_vec(*self.curve, self.bandwidth, self.noise_w, lo)[0]
-        self.du_hi = offload_power_derivs_vec(*self.curve, self.bandwidth, self.noise_w, hi)[0]
+        self.du_lo = offload_power_slope_vec(*self.curve, self.bandwidth, self.noise_w, lo)
+        self.du_hi = offload_power_slope_vec(*self.curve, self.bandwidth, self.noise_w, hi)
         # step preconditioners, the price at which each multiplier starts to
         # bite.  Power: UE i's budget competes with its own per-watt price, so
         # mu steps are scaled by w_i.  Frequency: a capacity price only
@@ -297,7 +297,7 @@ class _Kernel:
         pi = (wi_eff / self.eta)[ri]
         pc = (wh_eff * self.kappa_d)[rj]
         u_g = offload_power_vec(*self.curve, self.bandwidth, self.noise_w, gamma)
-        du_g, _ = offload_power_derivs_vec(*self.curve, self.bandwidth, self.noise_w, gamma)
+        du_g = offload_power_slope_vec(*self.curve, self.bandwidth, self.noise_w, gamma)
         g_nu = np.where(rj > 0, gamma, 0.0) ** self.nu      # the server's compute is free
         # gamma minimises the convex priced pair cost over its window
         lam = pi * u_g + pc * g_nu + v[rj] * gamma - self.phi[ri]
@@ -360,14 +360,10 @@ def decisions_from(a: np.ndarray) -> dict[int, int]:
     return out
 
 
-def repair_feasibility(sc: Scenario, decisions: dict[int, int],
-                       bounds: FeasibilityBounds) -> Assignment:
-    """Re-commit a raw decision map under residual budgets.
-
-    Tasks are placed cheapest-to-fit first (ascending static minimum
-    frequency at their chosen device); a task that no longer fits falls back
-    to the edge server if that still works, otherwise it is dropped.
-    Leftover edge capacity is redistributed.  The result always validates."""
+def _recommit(sc: Scenario, decisions: dict[int, int], bounds: FeasibilityBounds
+              ) -> tuple[dict[int, int], dict[int, float]]:
+    """The (target, frequencies) a decision map re-commits to under residual
+    budgets; see repair_feasibility."""
     state = matching.new_state(sc)
     order = sorted(decisions, key=lambda k: (bounds.f_lower[k - 1, decisions[k]], k))
     for k in order:
@@ -376,7 +372,32 @@ def repair_feasibility(sc: Scenario, decisions: dict[int, int],
             if f is not None:
                 matching.commit(sc, state, k, dev, f)
                 break
-    return make_assignment(sc, state.omega, matching.redistribute_mec(state, sc))
+    return state.omega, matching.redistribute_mec(state, sc)
+
+
+def _placed_cost(sc: Scenario, target: dict[int, int], freqs: dict[int, float]) -> float:
+    """Upload and host power cost of the placed pairs minus the penalties
+    they avoid: the total cost less the terms every map shares."""
+    return sum(matching.pair_cost(sc, k, dev, freqs[k]) for k, dev in sorted(target.items()))
+
+
+def repair_feasibility(sc: Scenario, decisions: dict[int, int],
+                       bounds: FeasibilityBounds,
+                       rival: dict[int, int] | None = None) -> Assignment:
+    """Re-commit a raw decision map under residual budgets.
+
+    Tasks are placed cheapest-to-fit first (ascending static minimum
+    frequency at their chosen device); a task that no longer fits falls back
+    to the edge server if that still works, otherwise it is dropped.
+    Leftover edge capacity is redistributed.  Given a rival map as well,
+    both are re-committed and the cheaper is kept, `decisions` on a tie;
+    only the kept one is assembled.  The result always validates."""
+    target, freqs = _recommit(sc, decisions, bounds)
+    if rival is not None:
+        alt = _recommit(sc, rival, bounds)
+        if _placed_cost(sc, *alt) < _placed_cost(sc, target, freqs):
+            target, freqs = alt
+    return make_assignment(sc, target, freqs)
 
 
 # ---------------------------------------------------------------------------
@@ -412,43 +433,36 @@ def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
     check_settings(step_rule, x0, eps, max_iter)
     bounds = feasibility_bounds(sc)
     ray = None
-    # U'' divides by bandwidth * (T f - c), which overflows to inf for a huge
-    # bandwidth; the term then tends to zero, the value the overflow leaves
-    with np.errstate(over="ignore"):
-        kern = _Kernel(sc, bounds)
-        mu, v = np.zeros(sc.n), np.zeros(sc.n + 1)
-        trace = IcrbiTrace(termination="max_iter", n_root_pairs=int(kern.ri.size),
-                           overhead=overhead(sc.n))
-        warm = None
-        prev_cost = None
-        seen: set[bytes] = set()
-        last_new = 0
-        for t in range(1, max_iter + 1):
-            use, warm = kern.primal(mu, v, warm)
-            cost = kern.reduced_cost(use)
-            trace.reduced_cost.append(cost)
-            trace.num_assigned.append(int(use.a.sum()))
-            trace.mu_norm.append(float(np.linalg.norm(mu)))
-            trace.v_norm.append(float(np.linalg.norm(v)))
-            key = use.a.tobytes()
-            if key not in seen:
-                seen.add(key)
-                last_new = t
-            if len(trace.reduced_cost) == 1:
-                trace.eps = eps if eps is not None else max(1e-4 * abs(cost), 1e-12)
-            elif abs(cost - prev_cost) < trace.eps:
-                trace.termination = "converged"
-                break
-            s = step_size(step_rule, x0, t)
-            if t - last_new >= MAP_STABLE_K:
-                trace.termination = "map_stable"
-                ray = _ray_map(kern, mu, v, use, s, warm)
-                break
-            mu, v = kern.dual_step(mu, v, use, s)
-            prev_cost = cost
-    asg = repair_feasibility(sc, decisions_from(use.a), bounds)
-    if ray is not None:
-        alt = repair_feasibility(sc, decisions_from(ray), bounds)
-        if alt.cost.total < asg.cost.total:
-            asg = alt
-    return asg, trace
+    kern = _Kernel(sc, bounds)
+    mu, v = np.zeros(sc.n), np.zeros(sc.n + 1)
+    trace = IcrbiTrace(termination="max_iter", n_root_pairs=int(kern.ri.size),
+                       overhead=overhead(sc.n))
+    warm = None
+    prev_cost = None
+    seen: set[bytes] = set()
+    last_new = 0
+    for t in range(1, max_iter + 1):
+        use, warm = kern.primal(mu, v, warm)
+        cost = kern.reduced_cost(use)
+        trace.reduced_cost.append(cost)
+        trace.num_assigned.append(int(use.a.sum()))
+        trace.mu_norm.append(float(np.linalg.norm(mu)))
+        trace.v_norm.append(float(np.linalg.norm(v)))
+        key = use.a.tobytes()
+        if key not in seen:
+            seen.add(key)
+            last_new = t
+        if len(trace.reduced_cost) == 1:
+            trace.eps = eps if eps is not None else max(1e-4 * abs(cost), 1e-12)
+        elif abs(cost - prev_cost) < trace.eps:
+            trace.termination = "converged"
+            break
+        s = step_size(step_rule, x0, t)
+        if t - last_new >= MAP_STABLE_K:
+            trace.termination = "map_stable"
+            ray = _ray_map(kern, mu, v, use, s, warm)
+            break
+        mu, v = kern.dual_step(mu, v, use, s)
+        prev_cost = cost
+    rival = decisions_from(ray) if ray is not None else None
+    return repair_feasibility(sc, decisions_from(use.a), bounds, rival), trace

@@ -227,8 +227,8 @@ def offload_power_vec(cycles, bits, deadline, gain, bandwidth, noise_w, f):
     out = np.where(x > EXP_CAP, np.inf, noise_w / gain * np.expm1(np.minimum(x, EXP_CAP)))
     return np.where(bad, np.inf, out)
 
-def offload_power_derivs_vec(cycles, bits, deadline, gain, bandwidth, noise_w, f):
-    """Vectorised (U', U''); saturates to (-inf, +inf)."""
+def _slope_terms(cycles, bits, deadline, gain, bandwidth, noise_w, f):
+    """(U', T f - c, saturated) before saturation is applied."""
     denom = deadline * f - cycles
     bad = denom <= 0
     denom = np.where(bad, 1.0, denom)
@@ -236,7 +236,24 @@ def offload_power_derivs_vec(cycles, bits, deadline, gain, bandwidth, noise_w, f
     sat = (x > EXP_CAP) | bad
     expx = np.exp(np.minimum(x, EXP_CAP))
     du = noise_w * LN2 / (bandwidth * gain) * expx * (-bits * cycles / denom**2)
-    d2u = -du / denom * (LN2 * bits * cycles / (bandwidth * denom) + 2.0 * deadline)
+    return du, denom, sat
+
+
+def offload_power_slope_vec(cycles, bits, deadline, gain, bandwidth, noise_w, f):
+    """Vectorised U'; saturates to -inf.  The first half of
+    offload_power_derivs_vec, bit for bit."""
+    du, _, sat = _slope_terms(cycles, bits, deadline, gain, bandwidth, noise_w, f)
+    return np.where(sat, -np.inf, du)
+
+
+def offload_power_derivs_vec(cycles, bits, deadline, gain, bandwidth, noise_w, f):
+    """Vectorised (U', U''); saturates to (-inf, +inf)."""
+    du, denom, sat = _slope_terms(cycles, bits, deadline, gain, bandwidth, noise_w, f)
+    # a huge bandwidth can overflow bandwidth * denom; the term it divides is
+    # then below LN2 * bits * cycles / DBL_MAX, and dividing by inf gives 0
+    with np.errstate(over="ignore"):
+        bw_denom = bandwidth * denom
+    d2u = -du / denom * (LN2 * bits * cycles / bw_denom + 2.0 * deadline)
     return np.where(sat, -np.inf, du), np.where(sat, np.inf, d2u)
 
 

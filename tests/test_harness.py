@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import gen
-from coopmec import cli, decentral, harness, icrbi, matching, model, scenario
+from coopmec import cli, decentral, harness, matching, model, scenario
 from coopmec.errors import ConfigError, UnknownAlgorithm
 from coopmec.harness import (ALGORITHMS, ExperimentSpec, _fmt, aggregate,
                              apply_sweep, convergence_trace, run_algorithm,
@@ -133,26 +133,12 @@ def test_one_validation_per_solve(monkeypatch, algo):
             monkeypatch.setattr(mod, "validate_constraints", counting)
         if getattr(mod, "assignment_cost", None) is real_cost:
             monkeypatch.setattr(mod, "assignment_cost", counting_cost)
-    # icrbi builds one assignment per repaired decision map: its final map,
-    # and at a map-stable stop also the map its exit probe found; it returns
-    # one of them.  Every other solver builds exactly one.
-    repaired = []
-    real_repair = icrbi.repair_feasibility
-
-    def counting_repair(sc, decisions, bounds):
-        repaired.append(real_repair(sc, decisions, bounds))
-        return repaired[-1]
-
-    monkeypatch.setattr(icrbi, "repair_feasibility", counting_repair)
     for k in range(3):
-        n_calls, n_costed, n_repaired = len(calls), len(costed), len(repaired)
         asg, _ = run_algorithm(gen(n=10, seed=k), algo)
-        built = repaired[n_repaired:] if algo == "icrbi" else [asg]
-        assert 1 <= len(built) <= 2
-        assert any(b is asg for b in built)
-        assert len(calls) - n_calls == len(built)
-        assert all(c is b for c, b in zip(calls[n_calls:], built))
-        assert costed[n_costed:] == [b.target for b in built]
+        assert len(calls) == k + 1
+        assert calls[-1] is asg
+        assert len(costed) == k + 1
+        assert costed[-1] == asg.target
 
 
 def test_run_experiment_aggregates():

@@ -16,8 +16,8 @@ from coopmec.harness import ALGORITHMS, run_algorithm
 from coopmec.model import (Assignment, DeviceProfile, TaskSpec, assignment_cost,
                            device_speed_cap, feasibility_bounds, make_assignment,
                            offload_power, offload_power_derivs,
-                           offload_power_derivs_vec, offload_power_vec,
-                           ue_total_power, validate_constraints)
+                           offload_power_derivs_vec, offload_power_slope_vec,
+                           offload_power_vec, ue_total_power, validate_constraints)
 
 # Reference operating point: 0.1 Mbit over a 2 MHz link with gain 1e-10,
 # 1e7 cycles due in 20 ms.  At f = 1 GHz the exponent is exactly 5 ln 2,
@@ -74,6 +74,8 @@ def test_vectorised_curve_matches_scalar():
                           2e6, NOISE_W, fs)
     u1, u2 = offload_power_derivs_vec(task.cycles, task.bits, task.deadline,
                                       REF_GAIN, 2e6, NOISE_W, fs)
+    assert np.array_equal(offload_power_slope_vec(task.cycles, task.bits, task.deadline,
+                                                  REF_GAIN, 2e6, NOISE_W, fs), u1)
     for k, f in enumerate(fs):
         s = ref_power(float(f))
         s1, s2 = offload_power_derivs(task, REF_GAIN, 2e6, NOISE_W, float(f))
@@ -99,6 +101,17 @@ def test_overflow_saturates_to_inf():
     u = offload_power_vec(task.cycles, task.bits, task.deadline, REF_GAIN,
                           10.0, NOISE_W, np.array([6e8, 7e8]))
     assert np.isinf(u).all()
+
+
+def test_huge_bandwidth_keeps_the_second_derivative_finite():
+    # bandwidth * (T f - c) overflows to inf, so the term it divides is 0
+    task = ref_task()
+    fs = np.array([1e9, 1e12])
+    denom = task.deadline * fs - task.cycles
+    u1, u2 = offload_power_derivs_vec(task.cycles, task.bits, task.deadline,
+                                      1.0, 1e308, 1e-3, fs)
+    assert (u1 < 0).all()
+    assert np.array_equal(u2, -u1 / denom * (2.0 * task.deadline))
 
 
 def test_finite_differences_match_derivatives():
