@@ -6,8 +6,7 @@ from .model import (Assignment, CostBreakdown, DeviceProfile, FeasibilityBounds,
                     Scenario, TaskSpec, Violation, assignment_cost,
                     feasibility_bounds, make_assignment, offload_power,
                     ue_total_power, validate_constraints)
-from .scenario import GenConfig, generate, read_config, read_scenario, \
-    write_config, write_scenario
+from .scenario import GenConfig, generate, read_config, read_scenario, write_scenario
 from .harness import (ALGORITHMS, ExperimentSpec, MetricRow, RunRecord,
                       convergence_trace, run_algorithm, run_experiment)
 
@@ -21,5 +20,5 @@ __all__ = [
     "Violation", "assignment_cost", "convergence_trace", "feasibility_bounds",
     "generate", "make_assignment", "offload_power", "read_config",
     "read_scenario", "run_algorithm", "run_experiment", "ue_total_power",
-    "validate_constraints", "write_config", "write_scenario", "__version__",
+    "validate_constraints", "write_scenario", "__version__",
 ]

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import harness, oracle, scenario
 from .errors import ConfigError, CoopMecError
 from .harness import ALGORITHMS, ExperimentSpec
-from .icrbi import STEP_RULES, check_settings
+from .icrbi import STEP_RULES
 
 ORACLE_SLACK = 0.005          # relative margin an algorithm may beat the grid by
 
@@ -99,7 +99,7 @@ def _build_spec(args, default_algos: tuple[str, ...]) -> ExperimentSpec:
     return ExperimentSpec(
         algorithms=_parse_algos(args.algo, default_algos), base=cfg,
         sweep_var=sweep_var, sweep_values=sweep_values,
-        realizations=args.realizations, out=args.out,
+        realizations=args.realizations, out=getattr(args, "out", None),
         seed_base=args.seed, step_rule=rule, x0=x0, eps=args.eps)
 
 
@@ -127,21 +127,19 @@ def cmd_trace(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    cfg = _load_config(args.config)
+    spec = _build_spec(args, ALGORITHMS)
+    cfg = spec.base
     if cfg.n > oracle.BRUTE_FORCE_LIMIT:
         cfg = dataclasses.replace(cfg, n=3)
-    algos = _parse_algos(args.algo, ALGORITHMS)
-    rule, x0 = _parse_step_rule(args.step_rule)
-    check_settings(rule, x0, args.eps)
-    worst: dict[str, float] = {a: 0.0 for a in algos}
-    for r in range(args.realizations):
-        seed = args.seed + r
+    worst: dict[str, float] = {a: 0.0 for a in spec.algorithms}
+    for r in range(spec.realizations):
+        seed = spec.seed_base + r
         sc = scenario.generate(dataclasses.replace(cfg, seed=seed))
         ref = oracle.brute_force(sc).cost.total
         parts = [f"seed={seed} oracle={ref:.6f}"]
-        for algo in algos:
-            asg, _ = harness.run_algorithm(sc, algo, step_rule=rule, x0=x0,
-                                           eps=args.eps)
+        for algo in spec.algorithms:
+            asg, _ = harness.run_algorithm(sc, algo, step_rule=spec.step_rule,
+                                           x0=spec.x0, eps=spec.eps)
             gap = (asg.cost.total - ref) / ref
             worst[algo] = min(worst[algo], gap)
             parts.append(f"{algo}={asg.cost.total:.6f} ({gap:+.3%})")
@@ -184,7 +182,7 @@ def main(argv=None) -> int:
         if args.realizations < 1:
             raise ConfigError(f"--realizations must be >= 1, got {args.realizations}")
         return args.fn(args)
-    except CoopMecError as exc:
+    except (CoopMecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

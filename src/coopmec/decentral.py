@@ -103,7 +103,7 @@ def mec_admission(sc: Scenario, bounds: FeasibilityBounds,
                       if not bounds.blocked[k - 1, 0])
     server = sc.device(0)
     admitted = requests[:prefix_admit(requests, server, server.f_max, math.inf)]
-    freqs = matching.mec_topup(sc, {k: f for f, k in admitted}, server.f_max)
+    freqs = matching.mec_topup(sc, {k: f for f, k in admitted})
     return {k for _, k in admitted}, freqs
 
 

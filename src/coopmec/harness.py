@@ -101,15 +101,13 @@ def apply_sweep(cfg: GenConfig, var: str, value) -> GenConfig:
 
 
 def run_algorithm(sc: Scenario, algorithm: str, step_rule: str = "diminish",
-                  x0: float = 0.1, eps: float | None = None,
-                  max_iter: int = 2000) -> tuple[Assignment, dict]:
+                  x0: float = 0.1, eps: float | None = None) -> tuple[Assignment, dict]:
     """Dispatch one solver; extras copy the overhead, converged and iterations
     of the record it returns and keep that record as "trace" (None for the
     baseline).  Every solver validates its result in make_assignment, and an
-    icrbi run stopped by max_iter still yields its repaired assignment."""
+    icrbi run stopped at icrbi.MAX_ITER still yields its repaired assignment."""
     if algorithm == "icrbi":
-        asg, trace = icrbi.solve(sc, step_rule=step_rule, x0=x0, eps=eps,
-                                 max_iter=max_iter)
+        asg, trace = icrbi.solve(sc, step_rule=step_rule, x0=x0, eps=eps)
     elif algorithm in matching.CRITERIA:
         asg, trace = matching.run(sc, criterion=algorithm)
     elif algorithm == "decentral":
@@ -124,7 +122,10 @@ def run_algorithm(sc: Scenario, algorithm: str, step_rule: str = "diminish",
 
 
 def run_experiment(spec: ExperimentSpec) -> tuple[list[MetricRow], list[RunRecord]]:
-    """Execute the full sweep; write CSVs + metadata when spec.out is set."""
+    """Execute the full sweep; write CSVs + metadata when spec.out is set
+    (the directory is made first, so a bad path fails before any solve)."""
+    if spec.out is not None:
+        Path(spec.out).mkdir(parents=True, exist_ok=True)
     records: list[RunRecord] = []
     for value in spec.sweep_values:
         cfg = apply_sweep(spec.base, spec.sweep_var, value)
@@ -191,7 +192,6 @@ def _write_rows(path: Path, cls, rows, sweep_var: str) -> None:
 def write_outputs(spec: ExperimentSpec, table: list[MetricRow],
                   records: list[RunRecord]) -> dict[str, Path]:
     out = Path(spec.out)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {"metrics": out / "metrics.csv", "runs": out / "runs.csv",
              "meta": out / "run_meta.txt"}
     _write_rows(paths["metrics"], MetricRow, table, spec.sweep_var)

@@ -55,6 +55,7 @@ from .model import (ROOT_RTOL, Assignment, FeasibilityBounds, Scenario,
                     offload_power_slope_vec, offload_power_vec)
 
 STEP_RULES = ("diminish", "square")
+MAX_ITER = 2000         # iteration cap: a run stopped here reports "max_iter"
 MAP_STABLE_K = 10       # stop after this many iterations without a new decision map
 PROBE_DOUBLINGS = 12    # the exit probe tries steps 2s, 4s, ..., 2**12 s
 # Hz: the kernel clamps every window top here.  Far below it the upload curve
@@ -72,15 +73,14 @@ def step_size(rule: str, x0: float, t: int) -> float:
     raise UnknownAlgorithm(f"step rule {rule!r}")
 
 
-def check_settings(step_rule: str, x0: float, eps: float | None,
-                   max_iter: int = 2000) -> None:
-    """Reject an unknown step rule (UnknownAlgorithm), or a step scale, eps
-    or iteration cap that cannot run (ConfigError)."""
+def check_settings(step_rule: str, x0: float, eps: float | None) -> None:
+    """Reject an unknown step rule (UnknownAlgorithm), or a step scale or
+    eps that cannot run (ConfigError)."""
     if step_rule not in STEP_RULES:
         raise UnknownAlgorithm(f"step rule {step_rule!r}")
-    if not (0 < x0 < math.inf and (eps is None or 0 < eps < math.inf) and max_iter >= 1):
-        raise ConfigError(f"icrbi needs finite x0 > 0, finite eps > 0 and max_iter >= 1, "
-                          f"got x0={x0!r}, eps={eps!r}, max_iter={max_iter!r}")
+    if not (0 < x0 < math.inf and (eps is None or 0 < eps < math.inf)):
+        raise ConfigError(f"icrbi needs finite x0 > 0 and finite eps > 0, "
+                          f"got x0={x0!r}, eps={eps!r}")
 
 
 def overhead(n: int) -> int:
@@ -416,21 +416,20 @@ def _ray_map(kern: _Kernel, mu, v, use: _Usage, s: float, warm):
 
 
 def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
-          eps: float | None = None, max_iter: int = 2000
-          ) -> tuple[Assignment, IcrbiTrace]:
+          eps: float | None = None) -> tuple[Assignment, IcrbiTrace]:
     """Run the dual iteration until the relaxed cost settles or the decision
     map stops changing, then repair.
 
     Stops when |C(t) - C(t-1)| < eps (default 1e-4 * |C(1)|), when no new
     0/1 decision map has appeared for MAP_STABLE_K iterations, or after
-    max_iter iterations, whichever comes first; trace.termination says which
+    MAX_ITER iterations, whichever comes first; trace.termination says which
     ("converged", "map_stable" or "max_iter").  A settled or capped run
     repairs its final decision map.  A map-stable run also probes along the
     current subgradient with ever longer steps (2s, 4s, ..., 2**12 s) for
     the first map that differs, repairs both, and returns the cheaper, the
     final map on a tie.  The probes are not iterations: they add nothing to
     the trace."""
-    check_settings(step_rule, x0, eps, max_iter)
+    check_settings(step_rule, x0, eps)
     bounds = feasibility_bounds(sc)
     ray = None
     kern = _Kernel(sc, bounds)
@@ -441,7 +440,7 @@ def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
     prev_cost = None
     seen: set[bytes] = set()
     last_new = 0
-    for t in range(1, max_iter + 1):
+    for t in range(1, MAX_ITER + 1):
         use, warm = kern.primal(mu, v, warm)
         cost = kern.reduced_cost(use)
         trace.reduced_cost.append(cost)

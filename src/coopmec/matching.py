@@ -203,11 +203,10 @@ def commit(sc: Scenario, state: MatchingState, k: int, dev: int, f: float) -> No
         state.p_res[k] = max(0.0, state.p_res[k] - u / sc.device(k).eta)
 
 
-def mec_topup(sc: Scenario, mec_freqs: dict[int, float], capacity: float
-              ) -> dict[int, float]:
+def mec_topup(sc: Scenario, mec_freqs: dict[int, float]) -> dict[int, float]:
     """Spread leftover edge-server capacity over its tasks proportionally to
     their current upload power cost (heavier uploads get more speed-up)."""
-    residue = capacity - sum(mec_freqs.values())
+    residue = sc.device(0).f_max - sum(mec_freqs.values())
     if residue <= 0:
         return dict(mec_freqs)
     weights = {}
@@ -226,7 +225,7 @@ def mec_topup(sc: Scenario, mec_freqs: dict[int, float], capacity: float
 def redistribute_mec(state: MatchingState, sc: Scenario) -> dict[int, float]:
     """The committed frequencies with the edge-server top-up; the state is unchanged."""
     on_mec = {k: state.freqs[k] for k, dev in state.omega.items() if dev == 0}
-    return {**state.freqs, **mec_topup(sc, on_mec, sc.device(0).f_max)}
+    return {**state.freqs, **mec_topup(sc, on_mec)}
 
 
 def run(sc: Scenario, criterion: str = "maxtask") -> tuple[Assignment, MatchingState]:

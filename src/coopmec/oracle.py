@@ -20,6 +20,7 @@ from .model import (Assignment, CHECK_TOL, FeasibilityBounds, Scenario,
                     offload_power_vec)
 
 BRUTE_FORCE_LIMIT = 4
+GRID_POINTS = 200       # frequency lattice size of one coupled component
 
 
 def non_cope(sc: Scenario) -> Assignment:
@@ -109,19 +110,18 @@ def _components(targets: dict[int, int]) -> list[list[int]]:
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
 
-def _grid_plan(dims: int, grid_points: int) -> tuple[int, int]:
+def _grid_plan(dims: int) -> tuple[int, int]:
     """(points per axis, passes): flat grids up to two coupled tasks, then a
     coarser lattice refined around the incumbent (the per-component problem
     is convex, so zooming is safe)."""
     if dims <= 2:
-        return grid_points, 1
+        return GRID_POINTS, 1
     if dims == 3:
-        return max(24, round(grid_points ** (2.0 / 3.0))), 3
-    return max(12, round(math.sqrt(grid_points))), 3
+        return max(24, round(GRID_POINTS ** (2.0 / 3.0))), 3
+    return max(12, round(math.sqrt(GRID_POINTS))), 3
 
 
-def _grid_min(sc: Scenario, bounds: FeasibilityBounds, pairs: tuple,
-              grid_points: int):
+def _grid_min(sc: Scenario, bounds: FeasibilityBounds, pairs: tuple):
     """Minimum cost of one coupled component {(task, device), ...} over a
     log-spaced frequency lattice; returns (cost, {task: f}) or None when no
     lattice point is feasible."""
@@ -129,7 +129,7 @@ def _grid_min(sc: Scenario, bounds: FeasibilityBounds, pairs: tuple,
     dims = len(pairs)
     lo = np.array([bounds.f_lower[k - 1, d] for k, d in pairs])
     hi = np.array([bounds.f_upper[k - 1, d] for k, d in pairs])
-    g, passes = _grid_plan(dims, grid_points)
+    g, passes = _grid_plan(dims)
     col = {k: c for c, (k, _) in enumerate(pairs)}
     hosts = sorted({d for _, d in pairs})
     slack = 1.0 + CHECK_TOL
@@ -179,7 +179,7 @@ def _grid_min(sc: Scenario, bounds: FeasibilityBounds, pairs: tuple,
     return best_cost, {k: float(best_pt[c]) for c, (k, _) in enumerate(pairs)}
 
 
-def brute_force(sc: Scenario, grid_points: int = 200) -> Assignment:
+def brute_force(sc: Scenario) -> Assignment:
     """Exhaustive optimum over decision maps with gridded frequencies.
 
     Ties between decision maps break towards the first map in enumeration
@@ -199,7 +199,7 @@ def brute_force(sc: Scenario, grid_points: int = 200) -> Assignment:
         for comp in _components(targets):
             key = tuple((k, targets[k]) for k in comp)
             if key not in cache:
-                cache[key] = _grid_min(sc, bounds, key, grid_points)
+                cache[key] = _grid_min(sc, bounds, key)
             r = cache[key]
             if r is None:
                 ok = False

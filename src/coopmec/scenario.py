@@ -65,11 +65,14 @@ _RANGE_FIELDS = {"p_max_dbm", "data_bits", "cycles", "deadline_s", "f_ue"}
 def _check(cfg: GenConfig) -> None:
     for f in fields(GenConfig):
         value = getattr(cfg, f.name)
-        if (f.name not in _RANGE_FIELDS and not isinstance(value, bool)
+        # an int is finite, and math.isfinite overflows on a long one
+        if (f.name not in _RANGE_FIELDS and not isinstance(value, int)
                 and not math.isfinite(value)):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
     if cfg.n < 1:
         raise ConfigError(f"n must be >= 1, got {cfg.n}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     for name in _RANGE_FIELDS:
         lo, hi = getattr(cfg, name)
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
@@ -137,18 +140,19 @@ def generate(cfg: GenConfig) -> Scenario:
 
 
 def _parse_value(name: str, raw: str):
+    """The typed value of one config line; ValueError when it does not parse."""
     raw = raw.strip()
     if name in _RANGE_FIELDS:
         parts = [p for p in raw.replace("(", " ").replace(")", " ").split(",") if p.strip()]
         if len(parts) != 2:
-            raise ConfigError(f"{name}: expected 'lo, hi', got {raw!r}")
+            raise ValueError(f"expected 'lo, hi', got {raw!r}")
         return (float(parts[0]), float(parts[1]))
     if name == "fading":
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ConfigError(f"fading: expected true/false, got {raw!r}")
+        raise ValueError(f"expected true/false, got {raw!r}")
     if name in ("n", "seed"):
         return int(raw)
     return float(raw)
@@ -169,20 +173,13 @@ def read_config(path) -> GenConfig:
             key = key.strip()
             if key not in known:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _parse_value(key, raw)
+            try:
+                values[key] = _parse_value(key, raw)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad {key!r} value: {exc}") from exc
     cfg = replace(GenConfig(), **values)
     _check(cfg)
     return cfg
-
-
-def write_config(cfg: GenConfig, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for f in fields(GenConfig):
-            v = getattr(cfg, f.name)
-            if isinstance(v, tuple):
-                fh.write(f"{f.name} = {v[0]!r}, {v[1]!r}\n")
-            else:
-                fh.write(f"{f.name} = {v!r}\n")
 
 
 # ---------------------------------------------------------------------------

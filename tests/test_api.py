@@ -16,6 +16,12 @@ somewhere in src/coopmec/ or scripts/: a record holds only what the solve
 or its callers read, not write-only bookkeeping.  Every attribute that
 `icrbi._Kernel.__init__` stores must be loaded by another kernel method: a
 term precomputed once per solve is dead once its last reader goes.
+
+No setting exists only for the tests either: every defaulted parameter of
+a public function or method must be passed, by keyword or by position, by
+some call in src/coopmec/ or scripts/ outside its own definition.  A call
+matches by the callee's name, as above, and one that unpacks `*args` or
+`**kwargs` counts as passing every parameter it could fill.
 """
 
 from __future__ import annotations
@@ -31,7 +37,11 @@ SCRIPTS = ROOT / "scripts"
 # public names nothing in src/ or scripts/ calls, kept on purpose
 ALLOWED = {
     "scenario.read_scenario": "scenario-file reader: the package's input boundary",
-    "scenario.write_config": "config-file writer, the inverse of read_config",
+}
+
+# defaulted parameters no call in src/ or scripts/ passes, kept on purpose
+UNPASSED = {
+    "cli.main.argv": "the console script calls main() and argparse reads sys.argv",
 }
 
 
@@ -47,8 +57,9 @@ def modules() -> list[Path]:
     return [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
 
 
-def public_definitions():
-    """(module.qualname, name, is_method, file, first line, last line)."""
+def public_functions():
+    """(module.qualname, is_method, file, FunctionDef) of every public
+    top-level function and public method of a top-level class."""
     for path in modules():
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.FunctionDef):
@@ -60,16 +71,21 @@ def public_definitions():
                 continue
             for qual, fn, is_method in defs:
                 if not fn.name.startswith("_"):
-                    yield (f"{path.stem}.{qual}", fn.name, is_method, path,
-                           fn.lineno, fn.end_lineno)
+                    yield f"{path.stem}.{qual}", is_method, path, fn
+
+
+def source_trees():
+    """(file, parsed module) over the package (without __init__.py) and the scripts."""
+    for path in modules() + sorted(SCRIPTS.glob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"))
 
 
 def references() -> tuple[dict, dict]:
     """Loaded names and loaded attributes -> [(file, line)] over the package
     (without __init__.py) and the scripts."""
     names, attrs = defaultdict(list), defaultdict(list)
-    for path in modules() + sorted(SCRIPTS.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path, tree in source_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names[node.id].append((path, node.lineno))
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -80,9 +96,9 @@ def references() -> tuple[dict, dict]:
 def unreferenced() -> list[str]:
     names, attrs = references()
     out = []
-    for qual, name, is_method, path, first, last in public_definitions():
-        sites = attrs[name] + ([] if is_method else names[name])
-        if not any(p != path or not first <= line <= last for p, line in sites):
+    for qual, is_method, path, fn in public_functions():
+        sites = attrs[fn.name] + ([] if is_method else names[fn.name])
+        if not any(p != path or not fn.lineno <= line <= fn.end_lineno for p, line in sites):
             out.append(qual)
     return out
 
@@ -94,7 +110,7 @@ def test_every_public_function_has_a_caller():
 
 def test_allow_list_is_current():
     # an entry that gained a caller, or whose function is gone, is dropped
-    defined = {q for q, *_ in public_definitions()}
+    defined = {q for q, *_ in public_functions()}
     assert set(ALLOWED) <= defined
     assert set(ALLOWED) <= set(unreferenced())
 
@@ -170,3 +186,54 @@ def test_every_kernel_term_is_read():
     stored, loaded = kernel_state()
     assert {"lo", "hi", "du_lo", "mu_scale"} <= stored           # the walk sees them
     assert sorted(stored - loaded) == [], "kernel state that no other method reads"
+
+
+def defaulted_parameters(fn: ast.FunctionDef, is_method: bool):
+    """(name, call position or None) of each parameter with a default; the
+    position counts the arguments a call spells out, so a method's is one
+    less than in its signature (`self` comes bound)."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = [(a.arg, i - is_method) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def passes(call: ast.Call, param: str, position: int | None) -> bool:
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (len(call.args) > position
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def calls() -> dict:
+    """Callee name -> [(file, line, Call)]: `f(...)` and `x.f(...)`."""
+    out = defaultdict(list)
+    for path, tree in source_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name is not None:
+                    out[name].append((path, node.lineno, node))
+    return out
+
+
+def unpassed_parameters() -> list[str]:
+    sites = calls()
+    out = []
+    for qual, is_method, path, fn in public_functions():
+        outside = [c for p, line, c in sites[fn.name]
+                   if p != path or not fn.lineno <= line <= fn.end_lineno]
+        out += [f"{qual}.{param}" for param, pos in defaulted_parameters(fn, is_method)
+                if not any(passes(c, param, pos) for c in outside)]
+    return out
+
+
+def test_every_default_is_overridden_somewhere():
+    unpassed = unpassed_parameters()
+    assert [q for q in unpassed if q not in UNPASSED] == [], "settings only the tests pass"
+    assert set(UNPASSED) <= set(unpassed)           # the allow-list is current

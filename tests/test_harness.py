@@ -15,7 +15,7 @@ from coopmec.harness import (ALGORITHMS, ExperimentSpec, _fmt, aggregate,
                              apply_sweep, convergence_trace, run_algorithm,
                              run_experiment, write_outputs)
 from coopmec.model import validate_constraints
-from coopmec.scenario import GenConfig, write_config
+from coopmec.scenario import GenConfig
 
 
 def small_spec(**kw) -> ExperimentSpec:
@@ -58,6 +58,7 @@ def test_spec_checks_icrbi_settings(settings, error):
     ["run", "--algo", "noncope", "--eps", "-3"],
     ["run", "--algo", "noncope,icrbi", "--step-rule", "diminish:nan"],
     ["oracle-check", "--algo", "noncope", "--step-rule", "square:-1"],
+    ["oracle-check", "--algo", "bogus"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_checks_icrbi_settings_before_any_solve(monkeypatch, capsys, argv):
     def no_scenario(cfg):
@@ -269,7 +270,7 @@ def test_decentral_settles_no_slower_than_matching():
 
 def test_cli_gen_and_run(tmp_path, capsys):
     cfg_path = tmp_path / "small.cfg"
-    write_config(GenConfig(n=3), cfg_path)
+    cfg_path.write_text("n = 3\n")
     out = tmp_path / "scen"
     assert cli.main(["gen", "--config", str(cfg_path), "--out", str(out),
                      "--realizations", "2"]) == 0
@@ -287,7 +288,7 @@ def test_cli_gen_and_run(tmp_path, capsys):
 
 def test_cli_trace_and_oracle_check(tmp_path, capsys):
     cfg_path = tmp_path / "small.cfg"
-    write_config(GenConfig(n=3), cfg_path)
+    cfg_path.write_text("n = 3\n")
     assert cli.main(["trace", "--config", str(cfg_path),
                      "--out", str(tmp_path / "tr")]) == 0
     assert cli.main(["oracle-check", "--config", str(cfg_path),
@@ -333,3 +334,25 @@ def test_cli_reports_bad_generated_records(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg_path), "--realizations", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["run", "--seed", "-1"], ["gen", "--seed", "-3"]],
+                         ids=lambda argv: " ".join(argv))
+def test_cli_rejects_negative_seed(tmp_path, capsys, argv):
+    # numpy's generator used to end these in a raw ValueError
+    assert cli.main(argv + ["--realizations", "1", "--out", str(tmp_path / "o")]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_cli_reports_file_system_errors(tmp_path, monkeypatch, capsys):
+    # both used to end in a traceback, the second only after the whole sweep
+    missing = str(tmp_path / "missing.cfg")
+    assert cli.main(["run", "--config", missing, "--realizations", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    def no_solve(*args, **kwargs):
+        pytest.fail("solved before the output directory was made")
+    monkeypatch.setattr(harness, "run_algorithm", no_solve)
+    assert cli.main(["run", "--out", str(taken), "--realizations", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")

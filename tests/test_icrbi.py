@@ -171,13 +171,14 @@ def test_solve_result_validates(sc10):
     assert validate_constraints(sc10, asg) == []
 
 
-def test_iteration_cap_returns_repaired_assignment(sc10):
-    # sc10 settles after 26 iterations, so a cap of 3 stops the loop first
-    asg, trace = solve(sc10, max_iter=3)
+def test_iteration_cap_returns_repaired_assignment(sc10, monkeypatch):
+    # sc10 stops map-stable after 11 iterations, so a cap of 3 stops the loop first
+    monkeypatch.setattr(icrbi, "MAX_ITER", 3)
+    asg, trace = solve(sc10)
     assert trace.termination == "max_iter" and not trace.converged
     assert trace.iterations == 3
     assert validate_constraints(sc10, asg) == []
-    _, extras = run_algorithm(sc10, "icrbi", max_iter=3)
+    _, extras = run_algorithm(sc10, "icrbi")
     assert extras["converged"] is False and extras["iterations"] == 3
     assert extras["trace"].reduced_cost == trace.reduced_cost
 
@@ -185,11 +186,10 @@ def test_iteration_cap_returns_repaired_assignment(sc10):
 @pytest.mark.parametrize("settings", [
     {"x0": math.nan}, {"x0": math.inf}, {"x0": 0.0}, {"x0": -1.0},
     {"eps": math.nan}, {"eps": math.inf}, {"eps": 0.0}, {"eps": -1.0},
-    {"max_iter": 0}, {"max_iter": -1},
 ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
 def test_solve_rejects_bad_settings(sc10, settings):
-    # a NaN step scale once "converged" with every task dropped, a
-    # non-positive eps stalled to the cap, and max_iter=0 raised ValueError
+    # a NaN step scale once "converged" with every task dropped, and a
+    # non-positive eps stalled to the cap
     with pytest.raises(ConfigError):
         solve(sc10, **settings)
 

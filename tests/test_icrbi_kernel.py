@@ -246,7 +246,7 @@ def assert_same_iterate(kern, ref, use, warm, rx, ra, ref_warm):
                           * ref.kappa_d[None, :])
 
 
-def replay(sc, max_iter=2000):
+def replay(sc):
     """Run both kernels on the pair kernel's dual sequence under the solver's
     stop rules, asserting that every iterate, and at a map-stable stop every
     probe along the subgradient ray, agrees.  Returns the reduced costs, the
@@ -263,7 +263,7 @@ def replay(sc, max_iter=2000):
     eps = None
     maps = []                   # distinct decision matrices, in order seen
     last_new = 0
-    for t in range(1, max_iter + 1):
+    for t in range(1, icrbi.MAX_ITER + 1):
         use, warm = kern.primal(mu, v, warm)
         rx, ra, ref_warm = ref.primal(mu, v, ref_warm)
         assert_same_iterate(kern, ref, use, warm, rx, ra, ref_warm)

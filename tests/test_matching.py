@@ -178,9 +178,10 @@ def test_matching_tracks_exhaustive_search():
 
 def test_mec_topup_edge_cases():
     sc = two_ue_scenario()
-    assert mec_topup(sc, {}, 5e9) == {}
+    assert sc.device(0).f_max == 5e9
+    assert mec_topup(sc, {}) == {}
     full = {1: 3e9, 2: 2e9}
-    assert mec_topup(sc, full, 5e9) == full       # nothing left to spread
+    assert mec_topup(sc, full) == full       # nothing left to spread
 
 
 def test_redistribute_uses_all_server_capacity():

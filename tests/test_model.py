@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (NOISE_W, c5_violations, gen, mk_dev, mk_scenario, mk_task,
                       power_for_rate, required_rate, ue_power_scan)
+from coopmec import icrbi
 from coopmec.errors import DomainError, InfeasibleAssignment
 from coopmec.harness import ALGORITHMS, run_algorithm
 from coopmec.model import (Assignment, DeviceProfile, TaskSpec, assignment_cost,
@@ -302,7 +304,8 @@ def scenario_and_assignment(draw):
     cell = POWER_CELLS[draw(st.sampled_from(sorted(POWER_CELLS)))]
     sc = gen(n=n, seed=draw(st.integers(0, 10_000)), **cell)
     if draw(st.booleans()):
-        asg, _ = run_algorithm(sc, draw(st.sampled_from(ALGORITHMS)), max_iter=50)
+        with mock.patch.object(icrbi, "MAX_ITER", 50):
+            asg, _ = run_algorithm(sc, draw(st.sampled_from(ALGORITHMS)))
         return sc, asg
     devices = draw(st.lists(st.one_of(st.none(), st.integers(0, n)),
                             min_size=n, max_size=n))

@@ -7,10 +7,12 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coopmec.errors import ConfigError
 from coopmec.scenario import (GenConfig, generate, read_config, read_scenario,
-                              write_config, write_scenario)
+                              write_scenario)
 
 
 def test_default_noise_power():
@@ -101,6 +103,12 @@ def test_config_validation():
         generate(GenConfig(pathloss_ref_gain=0.0))
 
 
+def test_config_rejects_negative_seed():
+    # numpy's generator used to reject it with a raw ValueError
+    with pytest.raises(ConfigError, match="seed"):
+        generate(GenConfig(seed=-1))
+
+
 @pytest.mark.parametrize("override", [
     {"p_max_dbm": (0.0, 0.0)},              # 1 mW, below the 0.1 W circuit power
     {"p_max_dbm": (4000.0, 4000.0)},        # overflows in watts
@@ -128,10 +136,48 @@ def test_generate_rejects_bad_records(override):
 
 def test_config_file_round_trip(tmp_path):
     cfg = GenConfig(n=17, f0_max=7e9, seed=42, fading=False,
-                    deadline_s=(0.01, 0.09))
+                    deadline_s=(0.01, 0.09), cycles=(1e4, 2e7))
     path = tmp_path / "gen.cfg"
-    write_config(cfg, path)
+    path.write_text("n = 17\nf0_max = 7000000000.0\nseed = 42\nfading = False\n"
+                    "deadline_s = 0.01, 0.09\ncycles = (1e4, 2e7)\n")
     assert read_config(path) == cfg
+
+
+@pytest.mark.parametrize("line", ["n = 3.5", "f0_max = abc", "cycles = 1, x",
+                                  "seed = true", "fading = maybe", "cycles = 1, 2, 3"])
+def test_config_file_rejects_bad_value(tmp_path, line):
+    # each names the file and line; the first four were raw ValueErrors
+    path = tmp_path / "gen.cfg"
+    path.write_text(f"# header\n{line}\n")
+    with pytest.raises(ConfigError, match=r"gen\.cfg:2: "):
+        read_config(path)
+
+
+FIELD_NAMES = [f.name for f in fields(GenConfig)]
+NUMBER = st.one_of(st.integers(-10, 10**6).map(str),
+                   st.integers(10**300, 10**400).map(str),     # overflows a float
+                   st.floats(allow_nan=True, allow_infinity=True).map(repr))
+TOKEN = st.one_of(NUMBER, st.sampled_from(
+    ["", "abc", "1e", "0x10", "--1", "1.2.3", "true", "False", "yes", "no", "(", ")"]))
+VALUE = st.one_of(TOKEN, st.lists(TOKEN, max_size=4).map(", ".join),
+                  st.lists(TOKEN, min_size=2, max_size=2).map(lambda p: f"({p[0]}, {p[1]})"))
+LINES = st.lists(st.tuples(st.sampled_from(FIELD_NAMES + ["bogus", "N", "n n", "n_max"]),
+                           VALUE), max_size=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lines=LINES)
+@example(lines=[("seed", "1" + "0" * 400)])     # math.isfinite overflowed on it
+def test_config_file_parse_fuzz(tmp_path_factory, lines):
+    # parsing alone: read_config returns a GenConfig or raises ConfigError,
+    # whatever the keys and values (generate is not called)
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in lines), encoding="utf-8")
+    try:
+        cfg = read_config(path)
+    except ConfigError:
+        return
+    assert isinstance(cfg, GenConfig)
 
 
 def test_config_file_parsing(tmp_path):
