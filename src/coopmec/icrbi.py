@@ -18,12 +18,19 @@ of the (N, N+1) matrix on a default cell) and computes every term that does
 not depend on the multipliers once per solve.  The Newton iteration for the
 stationary frequencies runs on 1-D arrays and drops each pair as soon as it
 is resolved; the per-pair arithmetic is the one a dense evaluation would do,
-so the iterates do not depend on the layout.  A task whose effective power
-price w_i + mu_i is zero stays at the lower end of each window.  The priced
-pair cost is convex in f, so the clamped stationary frequency is its minimum
-over the window: each iteration prices a pair once, there, and the committed
-pairs' upload and hosted CPU power come from those same values.  The edge
-server's compute is free, so its hosted power is zero.
+so the iterates do not depend on the layout.  The local test comes first,
+and only the pairs of the tasks whose local option lost are root-solved: a
+task that runs locally reads none of its remote pairs, so their stationary
+frequencies keep their previous values (the window midpoint before the
+first solve), which warm-start the Newton iteration once the task's local
+option loses.  A pair solved from such a stale start ends at the same root
+to within the root tolerance, not always bit for bit.  A task whose
+effective power price w_i + mu_i is zero stays at the lower end of each
+window.  The priced pair cost is convex in f, so the clamped stationary
+frequency is its minimum over the window: each iteration prices a pair
+once, there, and the committed pairs' upload and hosted CPU power come from
+those same values.  The edge server's compute is free, so its hosted power
+is zero.
 
 The relaxed iterate may violate capacity, so the final decision map is
 re-committed through the matching module's residual-budget subproblem
@@ -226,16 +233,18 @@ class _Kernel:
         self.warm_lo, self.warm_hi = lo * (1 + 1e-12), hi * (1 - 1e-12)
         self.mid = np.sqrt(lo * hi)
 
-    def _gamma_batch(self, c1, c2, fixed, warm=None):
-        """Clamped stationary frequency of every pair, in pair order.
+    def _gamma_batch(self, c1, c2, fixed, live, warm=None):
+        """Clamped stationary frequency of every `live` pair, in pair order.
 
         The marginal g = U' + c1 * f**(nu-1) + c2 is increasing in f, so a
-        pair sits at lo when g(lo) >= 0 (or when `fixed`), at hi when
+        live pair sits at lo when g(lo) >= 0 (or when `fixed`), at hi when
         g(hi) <= 0, and otherwise at the root that a safeguarded Newton
         iteration finds inside the bracket.  Each step works only on the
-        pairs still unresolved."""
-        out = self.lo.copy()
-        act = ~fixed & (self.du_lo + c1 * self.lo_nu1 + c2 < 0.0)
+        pairs still unresolved.  A pair that is not live is not solved: it
+        keeps its warm-start value (the window midpoint without one), ready
+        to warm-start a later call in which it is live again."""
+        out = np.where(live, self.lo, self.mid if warm is None else warm)
+        act = live & ~fixed & (self.du_lo + c1 * self.lo_nu1 + c2 < 0.0)
         take_hi = act & (self.du_hi + c1 * self.hi_nu1 + c2 <= 0.0)
         out[take_hi] = self.hi[take_hi]
         idx = np.flatnonzero(act & ~take_hi)
@@ -282,17 +291,24 @@ class _Kernel:
 
         Returns (use, gamma): the committed pairs' power terms, frequencies
         and 0/1 decisions, and the per-pair stationary frequencies, which
-        warm-start the next call."""
+        warm-start the next call.  A task whose local option survives never
+        reads its remote pairs, so only the pairs of the other tasks are
+        root-solved; the rest keep the gamma of `warm` (the window midpoint
+        on the first call), which no decision or power term reads."""
         n, ri, rj = self.n, self.ri, self.rj
         wi_eff = self.w + mu
         wh_eff = np.concatenate([[0.0], wi_eff])
+        # local execution: the priced cost is increasing in f, so f_min is enough
+        lam_local = (wi_eff * self.own_kappa * self.fmin_nu
+                     + v[self.own] * self.f_min - self.phi)
+        take_local = self.local_ok & (lam_local <= 0.0)
         # a task whose power is free (w_i + mu_i = 0) pays nothing for upload,
         # so its priced pair cost is non-decreasing in f: gamma stays at lo
         free = wi_eff == 0.0
         ratio = self.eta / np.where(free, 1.0, wi_eff)
         c1 = (self.kappa_nu * wh_eff)[rj] * ratio[ri]
         c2 = v[rj] * ratio[ri]
-        gamma = self._gamma_batch(c1, c2, free[ri], warm)
+        gamma = self._gamma_batch(c1, c2, free[ri], ~take_local[ri], warm)
 
         pi = (wi_eff / self.eta)[ri]
         pc = (wh_eff * self.kappa_d)[rj]
@@ -301,10 +317,6 @@ class _Kernel:
         g_nu = np.where(rj > 0, gamma, 0.0) ** self.nu      # the server's compute is free
         # gamma minimises the convex priced pair cost over its window
         lam = pi * u_g + pc * g_nu + v[rj] * gamma - self.phi[ri]
-        # local execution: the priced cost is increasing in f, so f_min is enough
-        lam_local = (wi_eff * self.own_kappa * self.fmin_nu
-                     + v[self.own] * self.f_min - self.phi)
-        take_local = self.local_ok & (lam_local <= 0.0)
         ok = lam <= 0.0
         with np.errstate(invalid="ignore"):
             icpt = pi[ok] * (u_g[ok] - gamma[ok] * du_g[ok])

@@ -72,6 +72,8 @@ class TaskSpec:
             _check_finite(f"task {self.id}", name, getattr(self, name))
         if not (self.cycles > 0 and self.bits > 0 and self.deadline > 0):
             raise ValueError(f"task {self.id}: cycles, bits, deadline must be positive")
+        if not math.isfinite(self.cycles / self.deadline):
+            raise ValueError(f"task {self.id}: f_min = cycles / deadline overflows")
         if self.penalty < 0 or self.power_price < 0:
             raise ValueError(f"task {self.id}: penalty and power_price must be >= 0")
 

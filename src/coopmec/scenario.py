@@ -158,25 +158,34 @@ def _parse_value(name: str, raw: str):
     return float(raw)
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, newlines stripped; ConfigError naming
+    the file when it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def read_config(path) -> GenConfig:
     """Parse a flat `key = value` file into a GenConfig (unknown keys rejected)."""
     known = {f.name for f in fields(GenConfig)}
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = line.split("=", 1)
-            key = key.strip()
-            if key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = _parse_value(key, raw)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad {key!r} value: {exc}") from exc
+    for lineno, line in enumerate(_read_lines(path), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = line.split("=", 1)
+        key = key.strip()
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = _parse_value(key, raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad {key!r} value: {exc}") from exc
     cfg = replace(GenConfig(), **values)
     _check(cfg)
     return cfg
@@ -220,8 +229,7 @@ def _header_value(kind: str, raw: str):
 
 
 def read_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    lines = [ln for ln in _read_lines(path) if ln.strip()]
     if not lines or lines[0] != SCENARIO_FORMAT:
         raise ConfigError(f"{path}: not a {SCENARIO_FORMAT!r} file")
     header = {}

@@ -336,6 +336,16 @@ def test_cli_reports_bad_generated_records(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_cli_reports_non_utf8_config(tmp_path, capsys):
+    # a latin-1 byte used to end in a raw UnicodeDecodeError traceback
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_bytes("# café\nn = 3\n".encode("latin-1"))
+    assert cli.main(["run", "--config", str(cfg_path), "--realizations", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}: not UTF-8") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [["run", "--seed", "-1"], ["gen", "--seed", "-3"]],
                          ids=lambda argv: " ".join(argv))
 def test_cli_rejects_negative_seed(tmp_path, capsys, argv):

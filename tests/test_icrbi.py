@@ -40,11 +40,13 @@ def test_step_size_rules():
 def test_unpriced_offload_runs_flat_out(sc10):
     # with all multipliers at zero the remote marginal is the upload power
     # derivative alone, strictly negative, so the root escapes upward and
-    # the window clamps it at the top
+    # the window clamps it at the top.  Only the pairs of a task that does
+    # not run locally are solved, so only those rows are read
     bounds = feasibility_bounds(sc10)
     kern = icrbi._Kernel(sc10, bounds)
-    _, gamma = kern.primal(*unpriced(sc10.n))
-    server = [i for i in range(1, sc10.n + 1) if not bounds.blocked[i - 1, 0]]
+    use, gamma = kern.primal(*unpriced(sc10.n))
+    server = [i for i in range(1, sc10.n + 1)
+              if not bounds.blocked[i - 1, 0] and not use.a[i - 1, i]]
     assert server
     for i in server:
         assert gamma[kern.pair_of[i - 1, 0]] == bounds.f_upper[i - 1, 0]
@@ -147,9 +149,12 @@ def test_free_power_settles():
         kern = icrbi._Kernel(sc, bounds)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            _, gamma = kern.primal(*unpriced(sc.n))
+            use, gamma = kern.primal(*unpriced(sc.n))
             asg, trace = solve(sc)
-        assert np.array_equal(gamma, kern.lo)
+        # the solved pairs: those of the tasks that do not run locally
+        live = use.a[kern.ri, kern.ri + 1] == 0
+        assert live.any()
+        assert np.array_equal(gamma[live], kern.lo[live])
         assert trace.termination == "converged"
         assert trace.iterations <= 10
         assert validate_constraints(sc, asg) == []

@@ -26,7 +26,7 @@ import pytest
 from conftest import gen, mk_dev, mk_scenario, mk_task
 from coopmec import icrbi
 from coopmec.icrbi import decisions_from, repair_feasibility, step_size
-from coopmec.model import (feasibility_bounds, offload_power_derivs_vec,
+from coopmec.model import (ROOT_RTOL, feasibility_bounds, offload_power_derivs_vec,
                            offload_power_vec, validate_constraints)
 
 
@@ -237,13 +237,27 @@ CELLS = {
 }
 
 
-def assert_same_iterate(kern, ref, use, warm, rx, ra, ref_warm):
+def assert_same_iterate(kern, ref, use, warm, rx, ra, ref_warm, warm_in, ref_warm_in):
+    """The two kernels' iterates agree: the decisions and power terms
+    exactly, and the stationary frequency at every pair the pair kernel
+    root-solves (the pairs of the tasks that do not run locally).  A solved
+    pair whose warm start differs from the reference's, because the pair
+    kernel left it unsolved in the previous call, starts its Newton
+    iteration elsewhere, so its root agrees to the root tolerance; every
+    other solved pair agrees exactly.  Returns how many pairs were
+    Newton-solved (strictly inside the window) from such a stale start."""
+    ri, rj = kern.ri, kern.rj
+    ref_gamma = ref_warm[ri, rj]
+    live = ra[ri, ri + 1] == 0
+    stale = live & (False if warm_in is None else warm_in != ref_warm_in[ri, rj])
+    assert np.array_equal(warm[live & ~stale], ref_gamma[live & ~stale])
+    assert np.allclose(warm[stale], ref_gamma[stale], rtol=ROOT_RTOL, atol=0.0)
     assert np.array_equal(use.freq, rx)
     assert np.array_equal(use.a, ra)
-    assert np.array_equal(warm, ref_warm[kern.ri, kern.rj])
     assert np.array_equal(use.transmit, np.where(ref.remote & (ra > 0), ref._u(rx), 0.0))
     assert np.array_equal(use.hosted, (np.where(ra > 0, rx, 0.0) ** ref.nu_d[None, :])
                           * ref.kappa_d[None, :])
+    return int((stale & (warm > kern.lo) & (warm < kern.hi)).sum())
 
 
 def replay(sc):
@@ -251,7 +265,8 @@ def replay(sc):
     stop rules, asserting that every iterate, and at a map-stable stop every
     probe along the subgradient ray, agrees.  Returns the reduced costs, the
     stop reason, the decision matrices to repair (the final one, then the
-    probe's if it found another) and the bounds."""
+    probe's if it found another), the bounds and the number of pairs
+    Newton-solved from a stale warm start (see assert_same_iterate)."""
     bounds = feasibility_bounds(sc)
     kern = icrbi._Kernel(sc, bounds)
     ref = DenseKernel(sc, bounds)
@@ -263,10 +278,13 @@ def replay(sc):
     eps = None
     maps = []                   # distinct decision matrices, in order seen
     last_new = 0
+    stale = 0
     for t in range(1, icrbi.MAX_ITER + 1):
+        warm_in, ref_warm_in = warm, ref_warm
         use, warm = kern.primal(mu, v, warm)
         rx, ra, ref_warm = ref.primal(mu, v, ref_warm)
-        assert_same_iterate(kern, ref, use, warm, rx, ra, ref_warm)
+        stale += assert_same_iterate(kern, ref, use, warm, rx, ra, ref_warm,
+                                     warm_in, ref_warm_in)
         cost = kern.reduced_cost(use)
         assert cost == ref.reduced_cost(rx, ra)
         costs.append(cost)
@@ -276,22 +294,23 @@ def replay(sc):
         if eps is None:
             eps = max(1e-4 * abs(cost), 1e-12)
         elif abs(cost - costs[-2]) < eps:
-            return costs, "converged", [ra], bounds
+            return costs, "converged", [ra], bounds, stale
         s = step_size("diminish", 0.1, t)
         if t - last_new >= icrbi.MAP_STABLE_K:
-            return (costs, "map_stable",
-                    [ra] + probe(kern, ref, mu, v, use, rx, ra, s, warm, ref_warm), bounds)
+            found, probe_stale = probe(kern, ref, mu, v, use, rx, ra, s, warm, ref_warm)
+            return costs, "map_stable", [ra] + found, bounds, stale + probe_stale
         ref_mu, ref_v = ref.dual_step(mu, v, rx, ra, s)
         mu, v = kern.dual_step(mu, v, use, s)
         assert np.array_equal(mu, ref_mu)
         assert np.array_equal(v, ref_v)
-    return costs, "max_iter", [ra], bounds
+    return costs, "max_iter", [ra], bounds, stale
 
 
 def probe(kern, ref, mu, v, use, rx, ra, s, warm, ref_warm):
     """Both kernels at steps 2s, 4s, ..., 2**PROBE_DOUBLINGS s along the
     subgradient from (mu, v), until the decision matrix differs from ra;
-    returns [that matrix], or [] if none does."""
+    returns [that matrix], or [] if none does, and the stale-start count."""
+    stale = 0
     for k in range(1, icrbi.PROBE_DOUBLINGS + 1):
         step = s * 2.0 ** k
         pmu, pv = kern.dual_step(mu, v, use, step)
@@ -300,17 +319,19 @@ def probe(kern, ref, mu, v, use, rx, ra, s, warm, ref_warm):
         assert np.array_equal(pv, ref_v)
         puse, pwarm = kern.primal(pmu, pv, warm)
         px, pa, pref_warm = ref.primal(pmu, pv, ref_warm)
-        assert_same_iterate(kern, ref, puse, pwarm, px, pa, pref_warm)
+        stale += assert_same_iterate(kern, ref, puse, pwarm, px, pa, pref_warm,
+                                     warm, ref_warm)
         if not np.array_equal(pa, ra):
-            return [pa]
-    return []
+            return [pa], stale
+    return [], stale
 
 
 def check_solve(sc):
     """replay() on sc, then the solver's trace must be the reference's and
     its assignment the cheaper repair of the reference's maps (the final
-    map's on a tie).  Returns the assignment and trace."""
-    costs, stop, maps, bounds = replay(sc)
+    map's on a tie).  Returns the assignment, the trace and replay()'s
+    stale-start count."""
+    costs, stop, maps, bounds, stale = replay(sc)
     asg, trace = icrbi.solve(sc)
     assert trace.termination == stop
     assert trace.reduced_cost == costs
@@ -320,7 +341,7 @@ def check_solve(sc):
     assert asg.f == ref_asg.f
     assert asg.p_t == ref_asg.p_t
     assert asg.cost == ref_asg.cost
-    return asg, trace
+    return asg, trace, stale
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
@@ -339,7 +360,7 @@ def test_former_stalls_stop_map_stable(seed, f0_max, capped_cost):
     # these cells alternate between maps already seen until the
     # 2000-iteration cap; capped_cost is what that capped run returned
     sc = gen(seed=seed, f0_max=f0_max)
-    asg, trace = check_solve(sc)
+    asg, trace, _ = check_solve(sc)
     assert trace.termination == "map_stable" and trace.converged
     assert trace.iterations <= 20
     assert validate_constraints(sc, asg) == []
@@ -355,6 +376,31 @@ def server_blocked():
     devices = [mk_dev(0, f_max=5e9), mk_dev(1, f_max=0.3e9),
                mk_dev(2, f_max=2e9, p_max=20.0), mk_dev(3, f_max=2e9, p_max=20.0)]
     return mk_scenario([mk_task(i) for i in range(1, n + 1)], devices, gain=gains)
+
+
+def local_turns_remote():
+    """Task 1 runs locally on UE 1 with little to spare under its penalty.
+    Task 2 is too big for its own CPU and reaches only UE 1, so it offloads
+    there, and hosting it breaks UE 1's power budget.  The first dual step
+    then prices task 1's local run above its penalty, so its pair to UE 3,
+    which the pair kernel left unsolved while task 1 ran locally, is
+    Newton-solved from a stale warm start."""
+    n = 3
+    gains = np.full((n, n + 1), 1e-16)
+    gains[1, 1] = gains[0, 3] = 1e-10
+    devices = [mk_dev(0, f_max=5e9), mk_dev(1, f_max=2e9, p_max=0.35),
+               mk_dev(2, f_max=0.1e9), mk_dev(3, f_max=2e9, p_max=20.0)]
+    tasks = [mk_task(1, penalty=0.13), mk_task(2), mk_task(3)]
+    return mk_scenario(tasks, devices, gain=gains)
+
+
+def test_task_turning_remote_is_solved_from_a_stale_start():
+    # the pool cells above never turn a local task remote, so none of their
+    # pairs starts stale; this cell does, and the replay still agrees
+    sc = local_turns_remote()
+    asg, trace, stale = check_solve(sc)
+    assert stale >= 1
+    assert validate_constraints(sc, asg) == []
 
 
 @pytest.mark.parametrize("make, server_open", [

@@ -127,6 +127,8 @@ def test_config_rejects_negative_seed():
     {"n": 4, "pathloss_ref_gain": 1e308},   # finite gains, infinite SNR
     {"pathloss_ref_gain": 1e308},           # ... and at n=10 an infinite faded gain
     {"n": 4, "noise_dbm_per_hz": -3200.0},  # finite SNR numerator over ~1e-323 W
+    {"n": 4, "deadline_s": (1e-320, 1e-320)},   # f_min = cycles / deadline overflows
+    {"n": 4, "cycles": (1e308, 1e308)},
 ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
 def test_generate_rejects_bad_records(override):
     # the record constructors' checks surface as ConfigError, never raw
@@ -178,6 +180,14 @@ def test_config_file_parse_fuzz(tmp_path_factory, lines):
     except ConfigError:
         return
     assert isinstance(cfg, GenConfig)
+
+
+def test_config_file_rejects_non_utf8(tmp_path):
+    # a latin-1 e-acute in a comment used to end in a raw UnicodeDecodeError
+    path = tmp_path / "gen.cfg"
+    path.write_bytes("# café\nn = 3\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match=r"gen\.cfg: not UTF-8"):
+        read_config(path)
 
 
 def test_config_file_parsing(tmp_path):
@@ -287,6 +297,23 @@ def test_scenario_file_rejects_overflowing_total_penalty(tmp_path):
     path.write_text("\n".join(" ".join(p) for p in lines) + "\n")
     with pytest.raises(ConfigError, match=r"inst\.sc: .*total drop penalty"):
         read_scenario(path)
+
+
+def test_scenario_file_rejects_non_utf8(tmp_path):
+    path = tmp_path / "inst.sc"
+    write_scenario(generate(GenConfig(n=4, seed=2)), path)
+    path.write_bytes(path.read_bytes() + "# café\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match=r"inst\.sc: not UTF-8"):
+        read_scenario(path)
+
+
+@pytest.mark.parametrize("index, value", [(2, "1e308"), (4, "1e-320")],
+                         ids=["cycles", "deadline"])
+def test_scenario_file_rejects_overflowing_f_min(tmp_path, index, value):
+    # task 2's cycles / deadline is not finite: numpy used to overflow on it
+    with pytest.raises(ConfigError, match=r"inst\.sc:7: .*f_min = cycles / deadline overflows"):
+        corrupt_line(tmp_path, "task 2 ",
+                     lambda parts: parts[:index] + [value] + parts[index + 1:])
 
 
 def test_scenario_file_rejects_overflowing_snr(tmp_path):
