@@ -15,16 +15,18 @@ units of power and frequency.
 
 The kernel keeps the admissible remote pairs as a flat list (a few percent
 of the (N, N+1) matrix on a default cell) and computes every term that does
-not depend on the multipliers once per solve.  The Newton iteration for the
-stationary frequencies runs on 1-D arrays and drops each pair as soon as it
-is resolved; the per-pair arithmetic is the one a dense evaluation would do,
-so the iterates do not depend on the layout.  The local test comes first,
-and only the pairs of the tasks whose local option lost are root-solved: a
-task that runs locally reads none of its remote pairs, so their stationary
+not depend on the multipliers once per solve.  A vector screen over all
+pairs settles each pair whose window end is already stationary; only the
+few pairs it leaves open are root-solved, one call each to the scalar
+safeguarded Newton that matching uses too (model.balance_root).  The
+per-pair arithmetic is the one a dense evaluation would do, so the iterates
+do not depend on the layout.  The local test comes first, and only the
+pairs of the tasks whose local option lost are root-solved: a task that
+runs locally reads none of its remote pairs, so their stationary
 frequencies keep their previous values (the window midpoint before the
-first solve), which warm-start the Newton iteration once the task's local
-option loses.  A pair solved from such a stale start ends at the same root
-to within the root tolerance, not always bit for bit.  A task whose
+first solve), which warm-start the root once the task's local option
+loses.  A pair solved from such a stale start ends at the same root to
+within the root tolerance, not always bit for bit.  A task whose
 effective power price w_i + mu_i is zero stays at the lower end of each
 window.  The priced pair cost is convex in f, so the clamped stationary
 frequency is its minimum over the window: each iteration prices a pair
@@ -57,9 +59,9 @@ import numpy as np
 
 from . import matching
 from .errors import ConfigError, UnknownAlgorithm
-from .model import (ROOT_RTOL, Assignment, FeasibilityBounds, Scenario,
-                    feasibility_bounds, make_assignment, offload_power_derivs_vec,
-                    offload_power_slope_vec, offload_power_vec)
+from .model import (Assignment, FeasibilityBounds, Scenario, balance_root,
+                    feasibility_bounds, make_assignment, offload_power_slope_vec,
+                    offload_power_vec)
 
 STEP_RULES = ("diminish", "square")
 MAX_ITER = 2000         # iteration cap: a run stopped here reports "max_iter"
@@ -187,19 +189,22 @@ class _Kernel:
         self.ri, self.rj = ri, rj
         self.pair_of = np.full((n, n + 1), -1)
         self.pair_of[ri, rj] = np.arange(ri.size)
-        # per-pair curve inputs, one row each: cycles, bits, deadline, gain;
-        # the Newton step also reads the host's nu - 1 and nu - 2
+        # per-pair curve inputs, one row each: cycles, bits, deadline, gain
         self.curve = np.array([arr.cycles[ri], arr.bits[ri], arr.deadline[ri],
                                sc.gains[ri, rj]])
         self.nu = nu_d[rj]
         # the server's compute is free (c1 = 0 at rj == 0), so its power law
-        # is never raised: exponent 0 there keeps c1 * f**(nu-1) at zero
+        # is never raised: exponent 0 there keeps c1 * f**(nu-1) at zero,
+        # where a large f**(nu-1) would overflow
         nu1 = np.where(rj > 0, self.nu - 1.0, 0.0)
         nu2 = np.where(rj > 0, self.nu - 2.0, 0.0)
-        self.newton_consts = np.vstack([self.curve, nu1, nu2])
         lo = bounds.f_lower[ri, rj]
         hi = np.minimum(bounds.f_upper[ri, rj], F_TOP)
         self.lo, self.hi = lo, hi
+        # each pair's balance_root inputs as plain floats: its curve inputs,
+        # the power law's exponents and the window
+        self.root_consts = list(zip(*self.curve.tolist(), nu1.tolist(), nu2.tolist(),
+                                    lo.tolist(), hi.tolist()))
         # dual-independent terms
         self.du_lo = offload_power_slope_vec(*self.curve, self.bandwidth, self.noise_w, lo)
         self.du_hi = offload_power_slope_vec(*self.curve, self.bandwidth, self.noise_w, hi)
@@ -237,12 +242,13 @@ class _Kernel:
         """Clamped stationary frequency of every `live` pair, in pair order.
 
         The marginal g = U' + c1 * f**(nu-1) + c2 is increasing in f, so a
-        live pair sits at lo when g(lo) >= 0 (or when `fixed`), at hi when
-        g(hi) <= 0, and otherwise at the root that a safeguarded Newton
-        iteration finds inside the bracket.  Each step works only on the
-        pairs still unresolved.  A pair that is not live is not solved: it
-        keeps its warm-start value (the window midpoint without one), ready
-        to warm-start a later call in which it is live again."""
+        live pair sits at lo when g(lo) >= 0 (or when `fixed`), and at hi
+        when g(hi) <= 0.  That screen runs on arrays over every pair; each
+        pair it leaves open gets its root from model.balance_root, started
+        at its warm-start value clipped just inside the window.  Without a
+        warm start, every pair's value is its window midpoint.  A pair that
+        is not live is not solved: it keeps its warm-start value, ready to
+        warm-start a later call in which it is live again."""
         out = np.where(live, self.lo, self.mid if warm is None else warm)
         act = live & ~fixed & (self.du_lo + c1 * self.lo_nu1 + c2 < 0.0)
         take_hi = act & (self.du_hi + c1 * self.hi_nu1 + c2 <= 0.0)
@@ -254,36 +260,14 @@ class _Kernel:
             x = np.clip(warm[idx], self.warm_lo[idx], self.warm_hi[idx])
         else:
             x = self.mid[idx]
-        # one row per quantity, one column per unresolved pair; a and b
-        # (the last two rows) bracket the root and are narrowed in place
-        s = np.vstack([self.newton_consts[:, idx], c1[idx], c2[idx],
-                       self.lo[idx], self.hi[idx]])
-        for _ in range(80):
-            cyc, bits, dl, gain, nu1, nu2, k1, k2, a, b = s
-            du, d2u = offload_power_derivs_vec(cyc, bits, dl, gain, self.bandwidth,
-                                               self.noise_w, x)
-            xp = x ** nu1
-            g = du + k1 * xp + k2
-            gp = d2u + k1 * nu1 * x ** nu2
-            scale = np.abs(du) + k1 * xp + np.abs(k2)
-            done = np.isfinite(g) & (np.abs(g) <= ROOT_RTOL * scale)
-            out[idx[done]] = x[done]
-            if done.all():
-                return out
-            neg = ~np.isfinite(g) | (g < 0.0)
-            np.copyto(a, x, where=neg)
-            np.copyto(b, x, where=~neg)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = x - g / gp
-            ok = np.isfinite(newton) & (newton > a) & (newton < b)
-            x = np.where(ok, newton, np.sqrt(a * b))
-            narrow = ~done & ((b - a) <= 1e-12 * b)
-            out[idx[narrow]] = x[narrow]
-            keep = ~(done | narrow)
-            if not keep.any():
-                return out
-            idx, s, x = idx[keep], s[:, keep], x[keep]
-        out[idx] = x
+        bw, noise, consts = self.bandwidth, self.noise_w, self.root_consts
+        roots = []
+        for p, k1, k2, x0 in zip(idx.tolist(), c1[idx].tolist(), c2[idx].tolist(),
+                                 x.tolist()):
+            cyc, bits, dl, gain, nu1, nu2, a, b = consts[p]
+            roots.append(balance_root(cyc, bits, dl, gain, bw, noise, nu1, nu2,
+                                      k1, k2, a, b, x0))
+        out[idx] = roots
         return out
 
     def primal(self, mu, v, warm=None):

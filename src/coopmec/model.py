@@ -208,15 +208,25 @@ def offload_power(task: TaskSpec, gain: float, bandwidth: float, noise_w: float,
 def offload_power_derivs(task: TaskSpec, gain: float, bandwidth: float, noise_w: float,
                          f: float) -> tuple[float, float]:
     """First and second derivative of U at f; (-inf, +inf) once saturated."""
-    F, D, T = task.cycles, task.bits, task.deadline
-    denom = T * f - F
-    if denom <= 0:
+    if task.deadline * f - task.cycles <= 0:
         raise DomainError(f"task {task.id}: frequency {f:g} at or below f_min {task.f_min:g}")
-    x = LN2 / bandwidth * D * f / denom
+    return _power_derivs(task.cycles, task.bits, task.deadline, gain, bandwidth, noise_w, f)
+
+
+def _power_derivs(cycles, bits, deadline, gain, bandwidth, noise_w, f):
+    """(U', U'') at f on plain floats.  Saturates to (-inf, +inf) at or below
+    f_min, where (T f - c)**2 underflows to zero, and where U overflows."""
+    denom = deadline * f - cycles
+    if denom <= 0:
+        return -math.inf, math.inf
+    x = LN2 / bandwidth * bits * f / denom
     if x > EXP_CAP:
         return -math.inf, math.inf
-    du = noise_w * LN2 / (bandwidth * gain) * math.exp(x) * (-D * F / denom**2)
-    d2u = -du / denom * (LN2 * D * F / (bandwidth * denom) + 2.0 * T)
+    sq = denom**2
+    if sq == 0.0:
+        return -math.inf, math.inf
+    du = noise_w * LN2 / (bandwidth * gain) * math.exp(x) * (-bits * cycles / sq)
+    d2u = -du / denom * (LN2 * bits * cycles / (bandwidth * denom) + 2.0 * deadline)
     return du, d2u
 
 
@@ -229,98 +239,88 @@ def offload_power_vec(cycles, bits, deadline, gain, bandwidth, noise_w, f):
     out = np.where(x > EXP_CAP, np.inf, noise_w / gain * np.expm1(np.minimum(x, EXP_CAP)))
     return np.where(bad, np.inf, out)
 
-def _slope_terms(cycles, bits, deadline, gain, bandwidth, noise_w, f):
-    """(U', T f - c, saturated) before saturation is applied."""
-    denom = deadline * f - cycles
-    bad = denom <= 0
-    denom = np.where(bad, 1.0, denom)
-    x = LN2 / bandwidth * bits * f / denom
-    sat = (x > EXP_CAP) | bad
-    expx = np.exp(np.minimum(x, EXP_CAP))
-    du = noise_w * LN2 / (bandwidth * gain) * expx * (-bits * cycles / denom**2)
-    return du, denom, sat
-
 
 def offload_power_slope_vec(cycles, bits, deadline, gain, bandwidth, noise_w, f):
-    """Vectorised U'; saturates to -inf.  The first half of
-    offload_power_derivs_vec, bit for bit."""
-    du, _, sat = _slope_terms(cycles, bits, deadline, gain, bandwidth, noise_w, f)
-    return np.where(sat, -np.inf, du)
-
-
-def offload_power_derivs_vec(cycles, bits, deadline, gain, bandwidth, noise_w, f):
-    """Vectorised (U', U''); saturates to (-inf, +inf)."""
-    du, denom, sat = _slope_terms(cycles, bits, deadline, gain, bandwidth, noise_w, f)
-    # a huge bandwidth can overflow bandwidth * denom; the term it divides is
-    # then below LN2 * bits * cycles / DBL_MAX, and dividing by inf gives 0
-    with np.errstate(over="ignore"):
-        bw_denom = bandwidth * denom
-    d2u = -du / denom * (LN2 * bits * cycles / bw_denom + 2.0 * deadline)
-    return np.where(sat, -np.inf, du), np.where(sat, np.inf, d2u)
+    """Vectorised U'; -inf at or below f_min, where (T f - c)**2 underflows
+    to zero, and where U overflows."""
+    denom = deadline * f - cycles
+    bad = (denom <= 0) | (denom**2 == 0.0)
+    denom = np.where(bad, 1.0, denom)
+    x = LN2 / bandwidth * bits * f / denom
+    expx = np.exp(np.minimum(x, EXP_CAP))
+    du = noise_w * LN2 / (bandwidth * gain) * expx * (-bits * cycles / denom**2)
+    return np.where((x > EXP_CAP) | bad, -np.inf, du)
 
 
 # ---------------------------------------------------------------------------
-# matching's stationary frequency:  U'(f) + power_coeff * f**(nu-1) = 0
+# the stationary frequency:  g(f) = U'(f) + c1 * f**(nu-1) + c2 = 0
 #
-# The left side is strictly increasing on (f_min, inf) and tends to -inf at
-# f_min, so its root clamped into a window [lo, hi] is the minimiser there.
-# icrbi solves this equation plus a capacity-price term for every admissible
-# pair at once on arrays (icrbi._Kernel._gamma_batch).  Matching prices a
-# handful of pairs per commit and stays scalar because that is faster there.
-# Routing matching through the vector kernel gave the same frequencies to
-# 1e-16 but was slower on a 2-core machine (Python 3.11, numpy 2.4), 60 seeds:
-# per pair, maxtask p50 at N = 80 went from 2.4 to 5.7 ms; batched per
-# preference build and reprice, +30 % at N = 40 and +18 % at N = 80; with
-# every helper pair precomputed, 3x at N = 10 and +60 % at N = 80.
+# g is strictly increasing on (f_min, inf) and tends to -inf at f_min, so its
+# root clamped into a window [lo, hi] is the minimiser there.  Both solvers
+# share one root: matching prices a pair through balance_root_clamped
+# (c2 = 0), and icrbi screens every admissible pair at once on arrays and
+# root-solves only the pairs left open, one balance_root call each
+# (icrbi._Kernel._gamma_batch).  At N = 10 a call leaves about two pairs
+# open and each root takes about 5 steps.  icrbi's earlier vector Newton paid
+# about 25 numpy calls per step over those few pairs; the scalar root halved
+# its primal time there (421 -> 202 us per call on the capacity-sweep
+# benchmark) and its median solve time (2.38 -> 1.29 ms), on a 2-core machine
+# with Python 3.11 and numpy 2.4.  The reverse, routing matching through that
+# vector Newton, gave the same frequencies to 1e-16 but was slower (2-core
+# machine, Python 3.11, numpy 2.4), 60 seeds: per pair, maxtask p50 at N = 80
+# went from 2.4 to 5.7 ms; batched per preference build and reprice, +30 % at
+# N = 40 and +18 % at N = 80; with every helper pair precomputed, 3x at
+# N = 10 and +60 % at N = 80.
 
-# residual target |g| <= ROOT_RTOL * scale of both stationary-point solvers
+# residual target |g| <= ROOT_RTOL * scale of the stationary-point root
 ROOT_RTOL = 1e-9
 
 
-def _balance_terms(task, gain, bandwidth, noise_w, nu, power_coeff, f):
-    du, d2u = offload_power_derivs(task, gain, bandwidth, noise_w, f)
-    cpu = power_coeff * f ** (nu - 1.0)
-    return du + cpu, d2u + power_coeff * (nu - 1.0) * f ** (nu - 2.0), abs(du) + cpu
+def balance_root(cycles, bits, deadline, gain, bandwidth, noise_w, nu1, nu2,
+                 c1, c2, a, b, x):
+    """Root of g(f) = U'(f) + c1*f**nu1 + c2 in the bracket (a, b), where
+    g(a) < 0 < g(b), from the start x inside it; g' reads c1*nu1*f**nu2.
+
+    Safeguarded Newton: the bracket is kept, and a step that leaves it or
+    meets a non-increasing g falls back to a geometric bisection.  Stops at
+    |g| <= ROOT_RTOL * (|U'| + c1*f**nu1 + |c2|), once the bracket is
+    narrower than 1e-13 * b, or after 200 steps."""
+    for _ in range(200):
+        du, d2u = _power_derivs(cycles, bits, deadline, gain, bandwidth, noise_w, x)
+        cpu = c1 * x ** nu1
+        g = du + cpu + c2
+        finite = math.isfinite(g)
+        if finite and abs(g) <= ROOT_RTOL * max(abs(du) + cpu + abs(c2), 1e-300):
+            return x
+        if finite and g >= 0.0:
+            b = x
+        else:
+            a = x                           # saturated side is the negative side
+        step = math.nan
+        if finite:
+            gp = d2u + c1 * nu1 * x ** nu2
+            if 0.0 < gp < math.inf:
+                step = x - g / gp
+        x = step if a < step < b else math.sqrt(a * b)
+        if (b - a) <= 1e-13 * b:
+            return x
+    return x
 
 
 def balance_root_clamped(task, gain, bandwidth, noise_w, nu, power_coeff,
                          lo: float, hi: float) -> float:
-    """Root of U'(f) + power_coeff*f**(nu-1) clamped into [lo, hi].
-
-    Safeguarded Newton: the bracket [a, b] is kept and any step leaving it
-    falls back to a geometric bisection."""
+    """Root of U'(f) + power_coeff*f**(nu-1) clamped into [lo, hi]: lo or hi
+    when g does not change sign there, else balance_root from sqrt(lo*hi)."""
     if hi < lo:
         raise ValueError(f"empty interval [{lo:g}, {hi:g}]")
-    g_lo, _, _ = _balance_terms(task, gain, bandwidth, noise_w, nu, power_coeff, lo)
-    if g_lo >= 0.0:
+    du_lo, _ = offload_power_derivs(task, gain, bandwidth, noise_w, lo)
+    if du_lo + power_coeff * lo ** (nu - 1.0) >= 0.0:
         return lo
-    g_hi, _, _ = _balance_terms(task, gain, bandwidth, noise_w, nu, power_coeff, hi)
-    if g_hi <= 0.0:
+    du_hi, _ = offload_power_derivs(task, gain, bandwidth, noise_w, hi)
+    if du_hi + power_coeff * hi ** (nu - 1.0) <= 0.0:
         return hi
-    # invariant: g(a) < 0 < g(b)
-    a, b = lo, hi
-    x = math.sqrt(a * b)
-    for _ in range(200):
-        g, gp, scale = _balance_terms(task, gain, bandwidth, noise_w, nu, power_coeff, x)
-        if math.isfinite(g) and abs(g) <= ROOT_RTOL * max(scale, 1e-300):
-            return x
-        if math.isfinite(g):
-            if g < 0.0:
-                a = x
-            else:
-                b = x
-        else:
-            a = x                           # saturated side is the negative side
-        step_ok = math.isfinite(g) and math.isfinite(gp) and gp > 0.0
-        if step_ok:
-            x_new = x - g / gp
-            step_ok = a < x_new < b
-        if not step_ok:
-            x_new = math.sqrt(a * b)
-        x = x_new
-        if (b - a) <= 1e-13 * b:
-            return x
-    return x
+    return balance_root(task.cycles, task.bits, task.deadline, gain, bandwidth, noise_w,
+                        nu - 1.0, nu - 2.0, power_coeff, 0.0, lo, hi, math.sqrt(lo * hi))
 
 
 # ---------------------------------------------------------------------------

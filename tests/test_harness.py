@@ -10,7 +10,7 @@ import pytest
 
 from conftest import gen
 from coopmec import cli, decentral, harness, matching, model, scenario
-from coopmec.errors import ConfigError, UnknownAlgorithm
+from coopmec.errors import ConfigError, CoopMecError, UnknownAlgorithm
 from coopmec.harness import (ALGORITHMS, ExperimentSpec, _fmt, aggregate,
                              apply_sweep, convergence_trace, run_algorithm,
                              run_experiment, write_outputs)
@@ -96,6 +96,31 @@ def test_extreme_magnitudes_do_not_overflow(algo, cell):
     # a window top that would overflow (T f - c)**2 or a bracket product
     sc = gen(n=4, **cell)
     asg, _ = run_algorithm(sc, algo)
+    assert validate_constraints(sc, asg) == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@pytest.mark.parametrize("seed", [0, 2, 3])
+def test_vanishing_cycles_do_not_divide_by_zero(algo, seed):
+    # 1e-300 cycles: near f_min, (T f - c)**2 underflows to zero, and the
+    # slope there saturates instead of dividing by it
+    sc = gen(n=4, seed=seed, cycles=(1e-300, 1e-300))
+    asg, _ = run_algorithm(sc, algo)
+    assert validate_constraints(sc, asg) == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_vanishing_upload_size_raises_a_package_error(algo):
+    # 1e-320 bits upload in no time, so a remote window starts at f_min
+    # itself, where U diverges: a solver may refuse such a pair, but only
+    # with a CoopMecError, never a raw numpy or Python error
+    sc = gen(n=4, data_bits=(1e-320, 1e-320))
+    try:
+        asg, _ = run_algorithm(sc, algo)
+    except CoopMecError:
+        return
     assert validate_constraints(sc, asg) == []
 
 

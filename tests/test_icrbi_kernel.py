@@ -1,19 +1,24 @@
 """The pair-list icrbi kernel against the dense reference it replaced.
 
-`DenseKernel` below is the earlier kernel, which evaluated U and U' over the
-whole (N, N+1) matrix on every Newton step.  The pair-list kernel performs
-the same per-pair arithmetic on the admissible remote pairs only, so every
-iterate must agree exactly: no tolerance anywhere.  `reference_scales` is
-the earlier step-preconditioner derivation, which evaluated U' afresh over
-every row of the server column; the kernel reuses its own window-top slopes.
-The reference also prices each pair at both window ends as well as at its
-stationary frequency, and recomputes U and the hosted CPU power at the
-committed pairs; the kernel prices a pair once, at the stationary frequency,
-and returns the power terms it priced, so equal decisions and power terms
-show that neither the dropped candidates nor the dropped recomputation
-changes anything.  The replay follows the solver's stop rules, the
-map-stable stop and its probe along the subgradient ray included, so the
-returned assignment is checked as well as every iterate.
+`DenseKernel` below is the earlier kernel, which screened U' over the whole
+(N, N+1) matrix.  It root-solves each cell the screen leaves open with the
+shared scalar root, model.balance_root, from the same start as the pair
+kernel, so every iterate must agree exactly: no tolerance, except for a pair
+the pair kernel starts from a stale warm start (see assert_same_iterate).
+The pair-list kernel performs the same per-pair arithmetic on the admissible
+remote pairs only.  `reference_scales` is the earlier step-preconditioner
+derivation, which evaluated U' afresh over every row of the server column;
+the kernel reuses its own window-top slopes.  The reference also prices each
+pair at both window ends as well as at its stationary frequency, and
+recomputes U and the hosted CPU power at the committed pairs; the kernel
+prices a pair once, at the stationary frequency, and returns the power terms
+it priced, so equal decisions and power terms show that neither the dropped
+candidates nor the dropped recomputation changes anything.  The reference
+passes the server's own nu - 1 to the root where the kernel passes 0, so
+agreement also shows that the kernel's exponent guard leaves the free
+server's zero power term as it is.  The replay follows the solver's stop
+rules, the map-stable stop and its probe along the subgradient ray included,
+so the returned assignment is checked as well as every iterate.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ import pytest
 from conftest import gen, mk_dev, mk_scenario, mk_task
 from coopmec import icrbi
 from coopmec.icrbi import decisions_from, repair_feasibility, step_size
-from coopmec.model import (ROOT_RTOL, feasibility_bounds, offload_power_derivs_vec,
-                           offload_power_vec, validate_constraints)
+from coopmec.model import (ROOT_RTOL, TaskSpec, balance_root, feasibility_bounds,
+                           offload_power_derivs, offload_power_slope_vec, offload_power_vec,
+                           validate_constraints)
 
 
 def reference_scales(sc, bounds):
@@ -43,8 +49,8 @@ def reference_scales(sc, bounds):
     valid0 = ~bounds.blocked[:, 0]
     if valid0.any():
         f_up = np.where(valid0, bounds.f_upper[:, 0], 2.0 * arr.cycles / arr.deadline)
-        du, _ = offload_power_derivs_vec(arr.cycles, arr.bits, arr.deadline, sc.gains[:, 0],
-                                         sc.bandwidth, sc.noise_w, f_up)
+        du = offload_power_slope_vec(arr.cycles, arr.bits, arr.deadline, sc.gains[:, 0],
+                                     sc.bandwidth, sc.noise_w, f_up)
         slopes = (w / arr.eta) * np.abs(du)
         mean_slope = float(slopes[valid0].mean())
         if math.isfinite(mean_slope) and mean_slope > 0:
@@ -93,9 +99,8 @@ class DenseKernel:
                                  self.sc.bandwidth, self.sc.noise_w, x)
 
     def _du(self, x):
-        return offload_power_derivs_vec(self.cycles, self.bits, self.deadline,
-                                        self.gains, self.sc.bandwidth,
-                                        self.sc.noise_w, x)
+        return offload_power_slope_vec(self.cycles, self.bits, self.deadline,
+                                       self.gains, self.sc.bandwidth, self.sc.noise_w, x)
 
     def _coeffs(self, mu, v):
         wi_eff = self.w + mu
@@ -107,59 +112,29 @@ class DenseKernel:
         c2 = v[None, :] * ratio[:, None]
         return wi_eff, wh_eff, v, c1, c2
 
-    def _gamma_batch(self, c1, c2, free, warm=None, rtol=1e-9):
-        act = self.remote & ~free[:, None]
+    def _gamma_batch(self, c1, c2, free, warm=None):
+        act0 = self.remote & ~free[:, None]
         lo, hi = self.lo, self.hi
         nu1 = (self.nu_d - 1.0)[None, :]
-        nu2 = (self.nu_d - 2.0)[None, :]
 
         def g_of(x):
-            du, d2u = self._du(np.where(act0, x, 2.0))
-            xp = x ** nu1
-            g = du + c1 * xp + c2
-            gp = d2u + c1 * nu1 * x ** nu2
-            scale = np.abs(du) + c1 * xp + np.abs(c2)
-            return g, gp, scale
+            return self._du(np.where(act0, x, 2.0)) + c1 * x ** nu1 + c2
 
-        act0 = act
         out = np.where(self.remote, lo, 0.0)
-        g_lo, _, _ = g_of(lo)
-        act = act & (g_lo < 0.0)
-        g_hi, _, _ = g_of(hi)
-        take_hi = act & (g_hi <= 0.0)
+        act = act0 & (g_of(lo) < 0.0)
+        take_hi = act & (g_of(hi) <= 0.0)
         out = np.where(take_hi, hi, out)
-        act = act & ~take_hi
-
-        if not act.any():
-            return out
-        a = lo.copy()
-        b = hi.copy()
+        act &= ~take_hi
         if warm is not None:
             x = np.clip(warm, lo * (1 + 1e-12), hi * (1 - 1e-12))
         else:
             x = np.sqrt(lo * hi)
-        act0 = act
-        for _ in range(80):
-            g, gp, scale = g_of(x)
-            done = act & np.isfinite(g) & (np.abs(g) <= rtol * scale)
-            out = np.where(done, x, out)
-            act = act & ~done
-            if not act.any():
-                break
-            neg = ~np.isfinite(g) | (g < 0.0)
-            a = np.where(act & neg, x, a)
-            b = np.where(act & ~neg, x, b)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = x - g / gp
-            ok = np.isfinite(newton) & (newton > a) & (newton < b)
-            x_new = np.where(ok, newton, np.sqrt(a * b))
-            narrow = act & ((b - a) <= 1e-12 * b)
-            out = np.where(narrow, x_new, out)
-            act = act & ~narrow
-            x = np.where(act, x_new, x)
-            if not act.any():
-                break
-        out = np.where(act, x, out)
+        cells = (*np.broadcast_arrays(self.cycles, self.bits, self.deadline, self.gains,
+                                      self.nu_d[None, :]), c1, c2, lo, hi, x)
+        for i, j in zip(*np.nonzero(act)):
+            cyc, bits, dl, gain, nu, k1, k2, a, b, x0 = (m.item(i, j) for m in cells)
+            out[i, j] = balance_root(cyc, bits, dl, gain, self.sc.bandwidth, self.sc.noise_w,
+                                     nu - 1.0, nu - 2.0, k1, k2, a, b, x0)
         return out
 
     def primal(self, mu, v, warm=None):
@@ -192,7 +167,7 @@ class DenseKernel:
 
         mtilde = self.valid & (lam_min <= 0.0)
 
-        du_g, _ = self._du(np.where(self.remote, gamma, 2.0))
+        du_g = self._du(np.where(self.remote, gamma, 2.0))
         with np.errstate(invalid="ignore"):
             intercept = price_i * (self._u(gamma) - gamma * du_g)
         intercept = np.where(mtilde & self.remote, intercept, np.inf)
@@ -415,3 +390,58 @@ def test_server_scale_falls_back_to_the_penalty(make, server_open):
     assert (~bounds.blocked[:, 0]).any() == server_open
     kern = icrbi._Kernel(sc, bounds)
     assert kern.v_scale[0] == np.mean(sc.arrays.penalty) / sc.devices[0].f_max
+
+
+# the shared root on one helper pair: 1e7 cycles and 1e5 bits due in 20 ms
+# (f_min = 5e8) over a 2 MHz link with gain 1e-10, hosted at nu = 3 with the
+# icrbi coefficient c1 = kappa * nu * eta at unit prices, plus a capacity price
+ROOT_TASK = TaskSpec(id=1, cycles=1e7, bits=1e5, deadline=0.02, penalty=40.0)
+ROOT_LINK = (1e-10, 2e6, 7.96e-15)          # gain, bandwidth, noise
+C1, C2 = 1e-27 * 3.0 * 0.5, 1e-19
+
+
+def root_terms(f):
+    """(g, residual scale) of U'(f) + C1 f**2 + C2."""
+    du, _ = offload_power_derivs(ROOT_TASK, *ROOT_LINK, f)
+    return du + C1 * f**2 + C2, abs(du) + C1 * f**2 + abs(C2)
+
+
+def root_from(a, b, x):
+    t = ROOT_TASK
+    return balance_root(t.cycles, t.bits, t.deadline, *ROOT_LINK, 2.0, 1.0, C1, C2, a, b, x)
+
+
+@pytest.mark.parametrize("a", [5.5e8, 5.005e8], ids=["open", "saturated_side"])
+@pytest.mark.parametrize("start", [1e-12, 0.25, 0.5, 1.0 - 1e-12])
+def test_shared_root_meets_its_residual_inside_the_bracket(a, start):
+    # at 5.005e8 the exponent passes the cap, so the bracket's low side
+    # begins saturated (U' = -inf) and the start may sit in it; every start,
+    # from either end of the bracket to its middle, must end at the root
+    b = 3e9
+    assert root_terms(a)[0] < 0.0 < root_terms(b)[0]
+    assert (root_terms(a)[0] == -math.inf) == (a == 5.005e8)
+    root = root_from(a, b, a * (b / a) ** start)
+    g, scale = root_terms(root)
+    assert a < root < b
+    assert abs(g) <= ROOT_RTOL * scale
+    assert math.isclose(root, root_from(5.5e8, b, math.sqrt(5.5e8 * b)), rel_tol=1e-9)
+
+
+def test_warm_starts_outside_the_window_are_clipped_into_it():
+    # a warm start at or beyond either end of the window is clipped just
+    # inside it before the root starts, so the open pairs end at the roots
+    # the window-midpoint start finds
+    sc = gen(n=20, seed=1)
+    kern = icrbi._Kernel(sc, feasibility_bounds(sc))
+    mu, v = np.zeros(sc.n), np.zeros(sc.n + 1)
+    use, _ = kern.primal(mu, v)
+    mu, v = kern.dual_step(mu, v, use, step_size("diminish", 0.1, 1))
+    use, fresh = kern.primal(mu, v)
+    live = use.a[kern.ri, kern.ri + 1] == 0
+    open_ = live & (fresh > kern.lo) & (fresh < kern.hi)
+    assert open_.sum() >= 3
+    for outside in (kern.lo * 0.5, kern.lo, kern.hi, kern.hi * 2.0):
+        _, gamma = kern.primal(mu, v, np.where(open_, outside, fresh))
+        assert np.array_equal(gamma[~open_], fresh[~open_])
+        assert (gamma[open_] > kern.lo[open_]).all() and (gamma[open_] < kern.hi[open_]).all()
+        assert np.allclose(gamma[open_], fresh[open_], rtol=ROOT_RTOL, atol=0.0)

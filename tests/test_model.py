@@ -17,8 +17,7 @@ from coopmec.errors import DomainError, InfeasibleAssignment
 from coopmec.harness import ALGORITHMS, run_algorithm
 from coopmec.model import (Assignment, DeviceProfile, TaskSpec, assignment_cost,
                            device_speed_cap, feasibility_bounds, make_assignment,
-                           offload_power, offload_power_derivs,
-                           offload_power_derivs_vec, offload_power_slope_vec,
+                           offload_power, offload_power_derivs, offload_power_slope_vec,
                            offload_power_vec, ue_total_power, validate_constraints)
 
 # Reference operating point: 0.1 Mbit over a 2 MHz link with gain 1e-10,
@@ -74,16 +73,13 @@ def test_vectorised_curve_matches_scalar():
     fs = np.geomspace(task.f_min * 1.02, task.f_min * 200, 64)
     u = offload_power_vec(task.cycles, task.bits, task.deadline, REF_GAIN,
                           2e6, NOISE_W, fs)
-    u1, u2 = offload_power_derivs_vec(task.cycles, task.bits, task.deadline,
-                                      REF_GAIN, 2e6, NOISE_W, fs)
-    assert np.array_equal(offload_power_slope_vec(task.cycles, task.bits, task.deadline,
-                                                  REF_GAIN, 2e6, NOISE_W, fs), u1)
+    u1 = offload_power_slope_vec(task.cycles, task.bits, task.deadline,
+                                 REF_GAIN, 2e6, NOISE_W, fs)
     for k, f in enumerate(fs):
         s = ref_power(float(f))
-        s1, s2 = offload_power_derivs(task, REF_GAIN, 2e6, NOISE_W, float(f))
+        s1, _ = offload_power_derivs(task, REF_GAIN, 2e6, NOISE_W, float(f))
         assert math.isclose(u[k], s, rel_tol=1e-14)
         assert math.isclose(u1[k], s1, rel_tol=1e-14)
-        assert math.isclose(u2[k], s2, rel_tol=1e-14)
 
 
 def test_below_fmin_is_domain_error():
@@ -108,12 +104,26 @@ def test_overflow_saturates_to_inf():
 def test_huge_bandwidth_keeps_the_second_derivative_finite():
     # bandwidth * (T f - c) overflows to inf, so the term it divides is 0
     task = ref_task()
-    fs = np.array([1e9, 1e12])
-    denom = task.deadline * fs - task.cycles
-    u1, u2 = offload_power_derivs_vec(task.cycles, task.bits, task.deadline,
-                                      1.0, 1e308, 1e-3, fs)
-    assert (u1 < 0).all()
-    assert np.array_equal(u2, -u1 / denom * (2.0 * task.deadline))
+    for f in (1e9, 1e12):
+        denom = task.deadline * f - task.cycles
+        u1, u2 = offload_power_derivs(task, 1.0, 1e308, 1e-3, f)
+        assert u1 < 0
+        assert u2 == -u1 / denom * (2.0 * task.deadline)
+
+
+def test_underflowing_denominator_saturates():
+    # 1e-300 cycles: at twice f_min, T f - c = 1e-300 and its square
+    # underflows to zero while the exponent is only 3.5.  The slope there is
+    # far below any double, so U' saturates to -inf as it does past the
+    # exponent cap, in the scalar and the vector form alike
+    task = TaskSpec(id=1, cycles=1e-300, bits=1e5, deadline=0.02, penalty=1.0)
+    f = 2.0 * task.f_min
+    assert (task.deadline * f - task.cycles)**2 == 0.0
+    assert offload_power_derivs(task, REF_GAIN, 2e6, NOISE_W, f) == (-math.inf, math.inf)
+    assert 0.0 < offload_power(task, REF_GAIN, 2e6, NOISE_W, f) < math.inf
+    u1 = offload_power_slope_vec(task.cycles, task.bits, task.deadline, REF_GAIN,
+                                 2e6, NOISE_W, np.array([f, 1e-150]))
+    assert u1[0] == -math.inf and -math.inf < u1[1] < 0.0
 
 
 def test_finite_differences_match_derivatives():
