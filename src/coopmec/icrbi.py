@@ -14,25 +14,24 @@ mu_scale and v_scale) so one step scale works across the very different
 units of power and frequency.
 
 The kernel keeps the admissible remote pairs as a flat list (a few percent
-of the (N, N+1) matrix on a default cell) and computes every term that does
-not depend on the multipliers once per solve.  A vector screen over all
-pairs settles each pair whose window end is already stationary; only the
-few pairs it leaves open are root-solved, one call each to the scalar
-safeguarded Newton that matching uses too (model.balance_root).  The
-per-pair arithmetic is the one a dense evaluation would do, so the iterates
-do not depend on the layout.  The local test comes first, and only the
-pairs of the tasks whose local option lost are root-solved: a task that
-runs locally reads none of its remote pairs, so their stationary
-frequencies keep their previous values (the window midpoint before the
-first solve), which warm-start the root once the task's local option
-loses.  A pair solved from such a stale start ends at the same root to
-within the root tolerance, not always bit for bit.  A task whose
-effective power price w_i + mu_i is zero stays at the lower end of each
-window.  The priced pair cost is convex in f, so the clamped stationary
-frequency is its minimum over the window: each iteration prices a pair
-once, there, and the committed pairs' upload and hosted CPU power come from
-those same values.  The edge server's compute is free, so its hosted power
-is zero.
+of all (task, device) pairs on a default cell), computes every term that
+does not depend on the multipliers once per solve, and holds an iterate as
+one host per task (local, the server, one helper, or none: dropped).  A
+vector screen over all pairs settles each pair whose window end is already
+stationary; only the few pairs it leaves open are root-solved, one call
+each to the scalar safeguarded Newton that matching uses too
+(model.balance_root).  The local test comes first, and only the pairs of
+the tasks whose local option lost are root-solved: a task that runs locally
+reads none of its remote pairs, so their stationary frequencies keep their
+previous values (the window midpoint before the first solve), which
+warm-start the root once the task's local option loses.  A pair solved from
+such a stale start ends at the same root to within the root tolerance, not
+always bit for bit.  A task whose effective power price w_i + mu_i is zero
+stays at the lower end of each window.  The priced pair cost is convex in
+f, so the clamped stationary frequency is its minimum over the window: each
+iteration prices a pair once, there, and the committed pairs' upload and
+hosted CPU power come from those same values.  The edge server's compute is
+free, so its hosted power is zero.
 
 The relaxed iterate may violate capacity, so the final decision map is
 re-committed through the matching module's residual-budget subproblem
@@ -132,15 +131,15 @@ class IcrbiTrace:
 
 
 class _Usage(NamedTuple):
-    """The committed pairs of one iterate, as primal priced them, scattered
-    into zero (N, N+1) matrices: upload power U(x) at the remote pairs,
-    hosted CPU power kappa * x**nu (zero at the edge server), the committed
-    frequencies x and the 0/1 decisions."""
+    """The iterate as primal priced it, one entry per task: the host device
+    (-1 for a dropped task), its frequency, its upload power U(x) (zero when
+    local) and its hosted CPU power kappa * x**nu (zero at the edge server);
+    a dropped task has all three at zero."""
 
+    dev: np.ndarray
+    freq: np.ndarray
     transmit: np.ndarray
     hosted: np.ndarray
-    freq: np.ndarray
-    a: np.ndarray
 
 
 class _Kernel:
@@ -148,15 +147,14 @@ class _Kernel:
 
     Only a valid pair (task i, device j != i) has a stationary frequency, so
     those pairs are kept as a flat list: pair p is (task row ri[p], device
-    rj[p]), in row-major order of the (N, N+1) remote mask.  The per-pair
+    rj[p]), in task order and, within a task, in device order.  The per-pair
     curve constants and every term that does not depend on the duals (U' at
     both window ends, the window ends raised to nu - 1) are gathered once,
-    here.  The decision rule still reads (N, N+1) matrices: primal scatters
-    the intercepts of the pairs that beat dropping into them, so the argmin
-    tie-break and the local-first priority work on the same values as a
-    dense evaluation would.  The dual iterate is a pair of nonnegative
-    prices in raw objective units: mu[i-1] adds to UE i's per-watt price
-    w_i for its power budget, v[j] prices device j's CPU capacity per cycle/s.
+    here.  Each iterate sends a task to one host at most, so primal returns it
+    as per-task vectors (_Usage), and the dual step and the relaxed cost reduce
+    those.  The dual iterate is a pair of nonnegative prices in raw objective
+    units: mu[i-1] adds to UE i's per-watt price w_i for its power budget, v[j]
+    prices device j's CPU capacity per cycle/s.
     """
 
     def __init__(self, sc: Scenario, bounds: FeasibilityBounds):
@@ -168,31 +166,29 @@ class _Kernel:
         self.phi = arr.penalty
         self.w = arr.power_price
         self.eta = arr.eta
+        # price per radiated watt: inf for an eta near zero (see primal)
+        with np.errstate(over="ignore"):
+            self.pa_price = self.w / self.eta
         self.p_m = arr.p_m
-        self.kappa_d = arr.kappa
         nu_d = arr.nu
-        self.kappa_nu = self.kappa_d * nu_d
         self.fmax_d = arr.f_max
         self.host_w = np.concatenate([[0.0], self.w])      # compute price per device
-        self.rows = np.arange(n)
-        self.own = self.rows + 1
-        own_mask = np.zeros((n, n + 1), dtype=bool)
-        own_mask[self.rows, self.own] = True
+        self.own = np.arange(1, n + 1)                  # each task's own UE
         valid = ~bounds.blocked
-        self.local_ok = valid[self.rows, self.own]
+        self.local_ok = valid[self.own - 1, self.own]
         self.f_min = arr.f_min
-        self.own_kappa = self.kappa_d[self.own]
-        # a blocked local pair is never priced
+        # a blocked local pair is never priced, however large its kappa or f_min
+        self.own_kappa = np.where(self.local_ok, arr.kappa[self.own], 0.0)
         self.fmin_nu = np.where(self.local_ok, self.f_min, 0.0) ** nu_d[self.own]
 
-        ri, rj = np.nonzero(valid & ~own_mask)
+        ri, rj = np.nonzero(valid & ~np.eye(n, n + 1, 1, dtype=bool))     # off the own UE
         self.ri, self.rj = ri, rj
-        self.pair_of = np.full((n, n + 1), -1)
-        self.pair_of[ri, rj] = np.arange(ri.size)
         # per-pair curve inputs, one row each: cycles, bits, deadline, gain
         self.curve = np.array([arr.cycles[ri], arr.bits[ri], arr.deadline[ri],
                                sc.gains[ri, rj]])
-        self.nu = nu_d[rj]
+        # each pair's host power law: a host that no pair reaches is never
+        # priced, however large its kappa
+        self.kappa, self.nu = arr.kappa[rj], nu_d[rj]
         # the server's compute is free (c1 = 0 at rj == 0), so its power law
         # is never raised: exponent 0 there keeps c1 * f**(nu-1) at zero,
         # where a large f**(nu-1) would overflow
@@ -226,14 +222,17 @@ class _Kernel:
         self.v_scale[0] = np.mean(self.phi) / sc.devices[0].f_max
         srv = rj == 0
         if srv.any():
-            slope = float(((w / self.eta)[ri[srv]] * np.abs(self.du_hi[srv])).mean())
+            slope = float((self.pa_price[ri[srv]] * np.abs(self.du_hi[srv])).mean())
             if math.isfinite(slope) and slope > 0:
                 self.v_scale[0] = slope
         caps = arr.speed_cap.tolist()
-        for j in range(1, n + 1):
-            dev = sc.devices[j]
-            slope = w[j - 1] * dev.kappa * dev.nu * caps[j] ** (dev.nu - 1.0)
-            self.v_scale[j] = slope if slope > 0 else self.v_scale[0]
+        # only a kappa near the float limit overflows a slope; its speed cap
+        # opens no window, so the host carries no load (see dual_step)
+        with np.errstate(over="ignore"):
+            for j in range(1, n + 1):
+                dev = sc.devices[j]
+                slope = w[j - 1] * dev.kappa * dev.nu * caps[j] ** (dev.nu - 1.0)
+                self.v_scale[j] = slope if slope > 0 else self.v_scale[0]
         self.lo_nu1, self.hi_nu1 = lo ** nu1, hi ** nu1
         self.warm_lo, self.warm_hi = lo * (1 + 1e-12), hi * (1 - 1e-12)
         self.mid = np.sqrt(lo * hi)
@@ -273,12 +272,12 @@ class _Kernel:
     def primal(self, mu, v, warm=None):
         """One exact minimisation of the priced objective.
 
-        Returns (use, gamma): the committed pairs' power terms, frequencies
-        and 0/1 decisions, and the per-pair stationary frequencies, which
-        warm-start the next call.  A task whose local option survives never
-        reads its remote pairs, so only the pairs of the other tasks are
-        root-solved; the rest keep the gamma of `warm` (the window midpoint
-        on the first call), which no decision or power term reads."""
+        Returns (use, gamma): each task's host with its frequency and power
+        terms, and the per-pair stationary frequencies, which warm-start the
+        next call.  A task whose local option survives never reads its remote
+        pairs, so only the pairs of the other tasks are root-solved; the rest
+        keep the gamma of `warm` (the window midpoint on the first call),
+        which no decision or power term reads."""
         n, ri, rj = self.n, self.ri, self.rj
         wi_eff = self.w + mu
         wh_eff = np.concatenate([[0.0], wi_eff])
@@ -290,56 +289,56 @@ class _Kernel:
         # so its priced pair cost is non-decreasing in f: gamma stays at lo
         free = wi_eff == 0.0
         ratio = self.eta / np.where(free, 1.0, wi_eff)
-        c1 = (self.kappa_nu * wh_eff)[rj] * ratio[ri]
+        wh = wh_eff[rj]
+        c1 = self.kappa * self.nu * wh * ratio[ri]
         c2 = v[rj] * ratio[ri]
         gamma = self._gamma_batch(c1, c2, free[ri], ~take_local[ri], warm)
 
-        pi = (wi_eff / self.eta)[ri]
-        pc = (wh_eff * self.kappa_d)[rj]
+        # inf for an eta near zero: each upload then prices above dropping
+        with np.errstate(over="ignore"):
+            pi = (wi_eff / self.eta)[ri]
+        pc = wh * self.kappa
         u_g = offload_power_vec(*self.curve, self.bandwidth, self.noise_w, gamma)
         du_g = offload_power_slope_vec(*self.curve, self.bandwidth, self.noise_w, gamma)
         g_nu = np.where(rj > 0, gamma, 0.0) ** self.nu      # the server's compute is free
         # gamma minimises the convex priced pair cost over its window
         lam = pi * u_g + pc * g_nu + v[rj] * gamma - self.phi[ri]
-        ok = lam <= 0.0
+        # each task not run locally takes its pair of least intercept among
+        # those that beat dropping: the first after a stable sort by task,
+        # then intercept, so a tie keeps the lower device
+        p = np.flatnonzero((lam <= 0.0) & ~take_local[ri])
         with np.errstate(invalid="ignore"):
-            icpt = pi[ok] * (u_g[ok] - gamma[ok] * du_g[ok])
-        intercept = np.full((n, n + 1), np.inf)
-        intercept[ri[ok], rj[ok]] = icpt
-        remote_rows = np.zeros(n, dtype=bool)
-        remote_rows[ri[ok]] = True
-        remote_rows &= ~take_local
-
-        transmit, hosted, x = np.zeros((3, n, n + 1))
-        a = np.zeros((n, n + 1), dtype=np.int8)
-        lr = self.rows[take_local]
-        a[lr, lr + 1] = 1
-        x[lr, lr + 1] = self.f_min[take_local]
-        hosted[lr, lr + 1] = (self.fmin_nu * self.own_kappa)[take_local]
-        if remote_rows.any():
-            best = np.argmin(intercept[remote_rows], axis=1)
-            rr = self.rows[remote_rows]
-            p = self.pair_of[rr, best]
-            a[rr, best] = 1
-            x[rr, best] = gamma[p]
-            transmit[rr, best] = u_g[p]
-            hosted[rr, best] = g_nu[p] * self.kappa_d[best]
-        return _Usage(transmit, hosted, x, a), gamma
+            icpt = pi[p] * (u_g[p] - gamma[p] * du_g[p])
+        p = p[np.lexsort((icpt, ri[p]))]
+        first = np.ones(p.size, dtype=bool)
+        first[1:] = ri[p[1:]] != ri[p[:-1]]
+        p = p[first]
+        task = ri[p]
+        use = _Usage(np.where(take_local, self.own, -1), np.where(take_local, self.f_min, 0.0),
+                     np.zeros(n), np.where(take_local, self.fmin_nu * self.own_kappa, 0.0))
+        use.dev[task], use.freq[task], use.transmit[task] = rj[p], gamma[p], u_g[p]
+        use.hosted[task] = g_nu[p] * self.kappa[p]
+        return use, gamma
 
     def dual_step(self, mu, v, use: _Usage, s: float):
         """Projected, preconditioned subgradient step of size s; returns the
         next (mu, v)."""
-        transmit_in = use.transmit.sum(axis=1) / self.eta          # PA input watts
-        compute_w = use.hosted[:, 1:].sum(axis=0)
+        transmit_in = use.transmit / self.eta          # PA input watts
+        host = use.dev + 1                              # 0 for a dropped task
+        compute_w = np.bincount(host, use.hosted, self.n + 2)[2:]
         g_mu = self.mu_scale * (transmit_in + compute_w - self.p_m) / self.p_m
-        load = use.freq.sum(axis=0)
-        g_v = self.v_scale * (load - self.fmax_d) / self.fmax_d
+        load = np.bincount(host, use.freq, self.n + 2)[1:]
+        # -inf for a scale near the float limit (no load, see __init__): v stays 0
+        with np.errstate(over="ignore"):
+            g_v = self.v_scale * (load - self.fmax_d) / self.fmax_d
         return np.maximum(0.0, mu + s * g_mu), np.maximum(0.0, v + s * g_v)
 
     def reduced_cost(self, use: _Usage) -> float:
-        transmit = ((self.w / self.eta)[:, None] * use.transmit).sum()
-        compute = (use.hosted * self.host_w[None, :]).sum()
-        saved = (self.phi * (use.a.sum(axis=1) > 0)).sum()
+        # a task priced at inf per watt never uploads: its term is 0, not inf * 0
+        with np.errstate(invalid="ignore"):
+            transmit = np.where(use.transmit > 0.0, self.pa_price * use.transmit, 0.0).sum()
+        compute = (self.host_w[use.dev] * use.hosted).sum()     # a dropped task hosts nothing
+        saved = (self.phi * (use.dev >= 0)).sum()
         return float(transmit + compute - saved)
 
 
@@ -347,13 +346,9 @@ class _Kernel:
 # repair
 
 
-def decisions_from(a: np.ndarray) -> dict[int, int]:
-    """Decision matrix -> {task id: device id} map (assigned tasks only)."""
-    out = {}
-    rows, cols = np.nonzero(a)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        out[r + 1] = c
-    return out
+def decisions_from(dev: np.ndarray) -> dict[int, int]:
+    """Per-task hosts -> {task id: device id} map (assigned tasks only)."""
+    return {i: d for i, d in enumerate(dev.tolist(), 1) if d >= 0}
 
 
 def _recommit(sc: Scenario, decisions: dict[int, int], bounds: FeasibilityBounds
@@ -402,12 +397,12 @@ def repair_feasibility(sc: Scenario, decisions: dict[int, int],
 
 def _ray_map(kern: _Kernel, mu, v, use: _Usage, s: float, warm):
     """The first decision map along the subgradient ray from (mu, v) that
-    differs from use.a, at steps 2s, 4s, ..., 2**PROBE_DOUBLINGS s; None if
+    differs from use.dev, at steps 2s, 4s, ..., 2**PROBE_DOUBLINGS s; None if
     every probe keeps the map.  The probes leave the iterate alone."""
     for k in range(1, PROBE_DOUBLINGS + 1):
         probe, _ = kern.primal(*kern.dual_step(mu, v, use, s * 2.0 ** k), warm)
-        if not np.array_equal(probe.a, use.a):
-            return probe.a
+        if not np.array_equal(probe.dev, use.dev):
+            return probe.dev
     return None
 
 
@@ -440,10 +435,10 @@ def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
         use, warm = kern.primal(mu, v, warm)
         cost = kern.reduced_cost(use)
         trace.reduced_cost.append(cost)
-        trace.num_assigned.append(int(use.a.sum()))
+        trace.num_assigned.append(int((use.dev >= 0).sum()))
         trace.mu_norm.append(float(np.linalg.norm(mu)))
         trace.v_norm.append(float(np.linalg.norm(v)))
-        key = use.a.tobytes()
+        key = use.dev.tobytes()
         if key not in seen:
             seen.add(key)
             last_new = t
@@ -460,4 +455,4 @@ def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
         mu, v = kern.dual_step(mu, v, use, s)
         prev_cost = cost
     rival = decisions_from(ray) if ray is not None else None
-    return repair_feasibility(sc, decisions_from(use.a), bounds, rival), trace
+    return repair_feasibility(sc, decisions_from(use.dev), bounds, rival), trace

@@ -140,7 +140,8 @@ class Scenario:
     the cache cannot go stale; dataclasses.replace builds a new instance
     with its own cache.  The total drop penalty, a constant term of every
     cost, must be finite, and so must each UE's full-power SNR over its best
-    link, from which the feasibility bounds derive every uplink rate.
+    link, from which the feasibility bounds derive every uplink rate, that
+    best rate itself, and the bits it carries by the task's deadline.
     """
 
     tasks: tuple[TaskSpec, ...]
@@ -157,8 +158,11 @@ class Scenario:
         arr = self.arrays
         with np.errstate(all="ignore"):
             snr = self.gains.max(axis=1) * arr.eta * arr.p_m / self.noise_w
+            deadline_bits = arr.deadline * (self.bandwidth * np.log1p(snr) / LN2)
         if not np.isfinite(snr).all():
             raise ValueError("the full-power SNR overflows")
+        if not np.isfinite(deadline_bits).all():        # also when the rate itself does
+            raise ValueError("the best-link uplink rate, or a deadline times it, overflows")
 
     @cached_property
     def arrays(self) -> ScenarioArrays:

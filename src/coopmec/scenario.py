@@ -69,8 +69,8 @@ def _check(cfg: GenConfig) -> None:
         if (f.name not in _RANGE_FIELDS and not isinstance(value, int)
                 and not math.isfinite(value)):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
-    if cfg.n < 1:
-        raise ConfigError(f"n must be >= 1, got {cfg.n}")
+    if not 1 <= cfg.n <= np.iinfo(np.intp).max:     # numpy's largest array dimension
+        raise ConfigError(f"n must be >= 1 and fit an array dimension, got {cfg.n}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     for name in _RANGE_FIELDS:

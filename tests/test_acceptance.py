@@ -53,7 +53,7 @@ def stop_verified(sc, trace) -> bool:
         use, warm = kern.primal(mu, v, warm)
         if kern.reduced_cost(use) != cost:
             return False
-        maps.append(use.a.tobytes())
+        maps.append(use.dev.tobytes())
         mu, v = kern.dual_step(mu, v, use, icrbi.step_size("diminish", 0.1, t))
     k = icrbi.MAP_STABLE_K
     return len(maps) > k and set(maps[-k:]) <= set(maps[:-k])

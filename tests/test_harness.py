@@ -88,13 +88,36 @@ def test_run_algorithm_dispatch(sc3):
     dict(kappa=1e300),                                # hosted CPU power
     dict(bandwidth=1e308),                            # bandwidth * (T f - c) in U''
     dict(nu=300.0),                                   # window ends ** (nu - 1)
+    dict(kappa=1e308),                                # kappa * nu
+    dict(kappa=1e308, w=0.0), dict(kappa=1e308, w=2.0),   # ... times a host price
+    dict(kappa=1e308, nu=1.0),                        # icrbi's capacity-price step
+    dict(eta=1e-320),                                 # icrbi's upload price w / eta
 ], ids=["f0max1e120", "f0max1e300", "cycles1e300",
-        "deadline1e-300", "kappa1e300", "bandwidth1e308", "nu300"])
+        "deadline1e-300", "kappa1e300", "bandwidth1e308", "nu300",
+        "kappa1e308", "kappa1e308w0", "kappa1e308w2", "kappa1e308nu1", "eta1e-320"])
 def test_extreme_magnitudes_do_not_overflow(algo, cell):
     # the free server compute and a blocked local pair are never priced, so
     # their overflowing power-law terms are never evaluated, and icrbi clamps
     # a window top that would overflow (T f - c)**2 or a bracket product
     sc = gen(n=4, **cell)
+    asg, _ = run_algorithm(sc, algo)
+    assert validate_constraints(sc, asg) == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@pytest.mark.parametrize("index, value", [(3, "1e308"), (5, "1e-320")], ids=["kappa", "eta"])
+def test_extreme_device_in_a_scenario_file_does_not_overflow(tmp_path, algo, index, value):
+    # one UE (device 3) with a CPU power law or a PA efficiency at the float
+    # limit: the other devices stay ordinary, so the cell still has work
+    path = tmp_path / "inst.sc"
+    scenario.write_scenario(gen(n=4, seed=2), path)
+    lines = path.read_text().splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("device 3 "))
+    parts = lines[i].split()
+    lines[i] = " ".join(parts[:index] + [value] + parts[index + 1:])
+    path.write_text("\n".join(lines) + "\n")
+    sc = scenario.read_scenario(path)
     asg, _ = run_algorithm(sc, algo)
     assert validate_constraints(sc, asg) == []
 
@@ -359,6 +382,17 @@ def test_cli_reports_bad_generated_records(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg_path), "--realizations", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_reports_unbounded_task_count(tmp_path, capsys):
+    # a 401-digit n used to end in numpy's raw "Maximum allowed dimension
+    # exceeded" inside generate
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text("n = 1" + "0" * 400 + "\n")
+    assert cli.main(["run", "--config", str(cfg_path), "--realizations", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n must be") and "Traceback" not in err
 
 
 def test_cli_reports_non_utf8_config(tmp_path, capsys):

@@ -13,12 +13,14 @@ pair at both window ends as well as at its stationary frequency, and
 recomputes U and the hosted CPU power at the committed pairs; the kernel
 prices a pair once, at the stationary frequency, and returns the power terms
 it priced, so equal decisions and power terms show that neither the dropped
-candidates nor the dropped recomputation changes anything.  The reference
-passes the server's own nu - 1 to the root where the kernel passes 0, so
-agreement also shows that the kernel's exponent guard leaves the free
-server's zero power term as it is.  The replay follows the solver's stop
-rules, the map-stable stop and its probe along the subgradient ray included,
-so the returned assignment is checked as well as every iterate.
+candidates nor the dropped recomputation changes anything.  The kernel's
+iterate is one host per task; the comparison scatters it into the
+reference's matrices.  The reference passes the server's own nu - 1 to the
+root where the kernel passes 0, so agreement also shows that the kernel's
+exponent guard leaves the free server's zero power term as it is.  The
+replay follows the solver's stop rules, the map-stable stop and its probe
+along the subgradient ray included, so the returned assignment is checked as
+well as every iterate.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import pytest
 
 from conftest import gen, mk_dev, mk_scenario, mk_task
 from coopmec import icrbi
-from coopmec.icrbi import decisions_from, repair_feasibility, step_size
+from coopmec.icrbi import repair_feasibility, step_size
 from coopmec.model import (ROOT_RTOL, TaskSpec, balance_root, feasibility_bounds,
                            offload_power_derivs, offload_power_slope_vec, offload_power_vec,
                            validate_constraints)
@@ -197,10 +199,12 @@ class DenseKernel:
         return np.maximum(0.0, mu + s * g_mu), np.maximum(0.0, v + s * g_v)
 
     def reduced_cost(self, x, a):
+        # each row holds one task's terms, so its sum is exact; the per-task
+        # sums then add up in the order the pair kernel's per-task vectors do
         used_t = np.where(self.remote & (a > 0), self._u(x), 0.0)
-        transmit = ((self.w / self.eta)[:, None] * used_t).sum()
+        transmit = ((self.w / self.eta)[:, None] * used_t).sum(axis=1).sum()
         hosted = (np.where(a > 0, x, 0.0) ** self.nu_d[None, :]) * self.kappa_d[None, :]
-        compute = (hosted * self.host_w[None, :]).sum()
+        compute = (hosted * self.host_w[None, :]).sum(axis=1).sum()
         saved = (self.phi * (a.sum(axis=1) > 0)).sum()
         return float(transmit + compute - saved)
 
@@ -210,6 +214,33 @@ CELLS = {
     "steep": dict(pathloss_exponent=4.5, pathloss_ref_gain=1e-2),
     "f0_8e9": dict(f0_max=8e9),
 }
+
+
+def scatter(use):
+    """The pair kernel's per-task iterate as the dense reference lays it
+    out: (N, N+1) matrices of the 0/1 decisions, the frequencies, the upload
+    power and the hosted CPU power, zero off each task's host.  A dropped
+    task must carry no frequency or power."""
+    dropped = use.dev < 0
+    assert not (use.freq[dropped].any() or use.transmit[dropped].any()
+                or use.hosted[dropped].any())
+    n = use.dev.size
+    rows = np.flatnonzero(~dropped)
+    cols = use.dev[rows]
+    a = np.zeros((n, n + 1), dtype=np.int8)
+    a[rows, cols] = 1
+    out = [a]
+    for vec in (use.freq, use.transmit, use.hosted):
+        m = np.zeros((n, n + 1))
+        m[rows, cols] = vec[rows]
+        out.append(m)
+    return out
+
+
+def dense_decisions(a):
+    """Decision matrix -> {task id: device id} map (assigned tasks only)."""
+    rows, cols = np.nonzero(a)
+    return {r + 1: c for r, c in zip(rows.tolist(), cols.tolist())}
 
 
 def assert_same_iterate(kern, ref, use, warm, rx, ra, ref_warm, warm_in, ref_warm_in):
@@ -227,10 +258,12 @@ def assert_same_iterate(kern, ref, use, warm, rx, ra, ref_warm, warm_in, ref_war
     stale = live & (False if warm_in is None else warm_in != ref_warm_in[ri, rj])
     assert np.array_equal(warm[live & ~stale], ref_gamma[live & ~stale])
     assert np.allclose(warm[stale], ref_gamma[stale], rtol=ROOT_RTOL, atol=0.0)
-    assert np.array_equal(use.freq, rx)
-    assert np.array_equal(use.a, ra)
-    assert np.array_equal(use.transmit, np.where(ref.remote & (ra > 0), ref._u(rx), 0.0))
-    assert np.array_equal(use.hosted, (np.where(ra > 0, rx, 0.0) ** ref.nu_d[None, :])
+    a, freq, transmit, hosted = scatter(use)
+    assert np.array_equal(freq, rx)
+    assert np.array_equal(a, ra)
+    assert icrbi.decisions_from(use.dev) == dense_decisions(ra)
+    assert np.array_equal(transmit, np.where(ref.remote & (ra > 0), ref._u(rx), 0.0))
+    assert np.array_equal(hosted, (np.where(ra > 0, rx, 0.0) ** ref.nu_d[None, :])
                           * ref.kappa_d[None, :])
     return int((stale & (warm > kern.lo) & (warm < kern.hi)).sum())
 
@@ -310,7 +343,7 @@ def check_solve(sc):
     asg, trace = icrbi.solve(sc)
     assert trace.termination == stop
     assert trace.reduced_cost == costs
-    repaired = [repair_feasibility(sc, decisions_from(m), bounds) for m in maps]
+    repaired = [repair_feasibility(sc, dense_decisions(m), bounds) for m in maps]
     ref_asg = min(repaired, key=lambda r: r.cost.total)
     assert asg.target == ref_asg.target
     assert asg.f == ref_asg.f
@@ -437,7 +470,7 @@ def test_warm_starts_outside_the_window_are_clipped_into_it():
     use, _ = kern.primal(mu, v)
     mu, v = kern.dual_step(mu, v, use, step_size("diminish", 0.1, 1))
     use, fresh = kern.primal(mu, v)
-    live = use.a[kern.ri, kern.ri + 1] == 0
+    live = use.dev[kern.ri] != kern.ri + 1
     open_ = live & (fresh > kern.lo) & (fresh < kern.hi)
     assert open_.sum() >= 3
     for outside in (kern.lo * 0.5, kern.lo, kern.hi, kern.hi * 2.0):

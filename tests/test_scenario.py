@@ -103,6 +103,13 @@ def test_config_validation():
         generate(GenConfig(pathloss_ref_gain=0.0))
 
 
+def test_config_rejects_unbounded_task_count():
+    # numpy's generator used to reject it with a raw "Maximum allowed
+    # dimension exceeded"
+    with pytest.raises(ConfigError, match="n must be"):
+        generate(GenConfig(n=10**400))
+
+
 def test_config_rejects_negative_seed():
     # numpy's generator used to reject it with a raw ValueError
     with pytest.raises(ConfigError, match="seed"):
@@ -320,6 +327,17 @@ def test_scenario_file_rejects_overflowing_snr(tmp_path):
     # one finite gain whose full-power SNR is not
     with pytest.raises(ConfigError, match=r"inst\.sc: .*SNR overflows"):
         corrupt_line(tmp_path, "gains 3 ", lambda parts: parts[:4] + ["1e308"] + parts[5:])
+
+
+@pytest.mark.parametrize("prefix, index", [("bandwidth ", 1), ("task 2 ", 4)],
+                         ids=["bandwidth", "deadline"])
+def test_scenario_file_rejects_overflowing_uplink_rate(tmp_path, prefix, index):
+    # a finite bandwidth or deadline whose best-link rate, or the bits that
+    # rate carries by the deadline, is not finite: every solver used to
+    # overflow on it in the feasibility bounds
+    with pytest.raises(ConfigError, match=r"inst\.sc: .*uplink rate, or a deadline times it"):
+        corrupt_line(tmp_path, prefix,
+                     lambda parts: parts[:index] + ["1e+308"] + parts[index + 1:])
 
 
 @pytest.mark.parametrize("prefix", ["task 2 ", "device 3 ", "gains 1 "])
