@@ -120,9 +120,8 @@ def deferred_acceptance(sc: Scenario, state: matching.MatchingState,
     participants = sorted(state.unmatched)
     prefs: dict[int, list[tuple[float, int]]] = {}
     for k in participants:
-        prefs[k] = sorted((float(bounds.f_lower[k - 1, j]), j)
-                          for j in range(1, sc.n + 1)
-                          if j != k and not bounds.blocked[k - 1, j])
+        lower, blocked = bounds.f_lower[k - 1].tolist(), bounds.blocked[k - 1].tolist()
+        prefs[k] = sorted((lower[j], j) for j in range(1, sc.n + 1) if j != k and not blocked[j])
     ptr = {k: 0 for k in participants}
     holding: dict[int, int | None] = {k: None for k in participants}
     held_at: dict[int, list[tuple[float, int]]] = {}

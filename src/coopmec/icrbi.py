@@ -13,18 +13,17 @@ capacity) and preconditioned by a static price scale (the kernel's
 mu_scale and v_scale) so one step scale works across the very different
 units of power and frequency.
 
-The kernel keeps the admissible remote pairs as a flat list (a few percent
-of all (task, device) pairs on a default cell), computes every term that
-does not depend on the multipliers once per solve, and holds an iterate as
-one host per task (local, the server, one helper, or none: dropped).  A
-vector screen over all pairs settles each pair whose window end is already
-stationary; only the few pairs it leaves open are root-solved, one call
-each to the scalar safeguarded Newton that matching uses too
-(model.balance_root).  The local test comes first, and only the pairs of
-the tasks whose local option lost are root-solved: a task that runs locally
-reads none of its remote pairs, so their stationary frequencies keep their
-previous values (the window midpoint before the first solve), which
-warm-start the root once the task's local option loses.  A pair solved from
+The kernel keeps the admissible remote pairs as a flat list of float rows
+(a few percent of all (task, device) pairs on a default cell), computes
+every term that does not depend on the multipliers once per solve, and
+holds an iterate as one host per task (local, the server, one helper, or
+none: dropped).  The local test runs on arrays over all tasks; only the
+pairs of the tasks whose local option lost (the live pairs) are then
+screened at their window ends, root-solved where the screen leaves them
+open (model.balance_root, the safeguarded Newton that matching uses too)
+and priced, on plain floats.  The other pairs keep their previous
+stationary frequencies (the window midpoint before the first solve), which
+warm-start the root once the task's local option loses; a pair solved from
 such a stale start ends at the same root to within the root tolerance, not
 always bit for bit.  A task whose effective power price w_i + mu_i is zero
 stays at the lower end of each window.  The priced pair cost is convex in
@@ -52,15 +51,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
 from . import matching
 from .errors import ConfigError, UnknownAlgorithm
-from .model import (Assignment, FeasibilityBounds, Scenario, balance_root,
-                    feasibility_bounds, make_assignment, offload_power_slope_vec,
-                    offload_power_vec)
+from .model import (EXP_CAP, LN2, Assignment, FeasibilityBounds, Scenario, balance_root,
+                    feasibility_bounds, make_assignment, offload_power_slope_vec)
 
 STEP_RULES = ("diminish", "square")
 MAX_ITER = 2000         # iteration cap: a run stopped here reports "max_iter"
@@ -146,14 +145,15 @@ class _Kernel:
     """Per-iteration primal/dual maths over the admissible remote pairs.
 
     Only a valid pair (task i, device j != i) has a stationary frequency, so
-    those pairs are kept as a flat list: pair p is (task row ri[p], device
-    rj[p]), in task order and, within a task, in device order.  The per-pair
-    curve constants and every term that does not depend on the duals (U' at
-    both window ends, the window ends raised to nu - 1) are gathered once,
-    here.  Each iterate sends a task to one host at most, so primal returns it
-    as per-task vectors (_Usage), and the dual step and the relaxed cost reduce
-    those.  The dual iterate is a pair of nonnegative prices in raw objective
-    units: mu[i-1] adds to UE i's per-watt price w_i for its power budget, v[j]
+    those pairs are kept as a flat list, in task order and, within a task,
+    in device order: task i's pairs are rows[starts[i]:starts[i + 1]].  Each
+    row holds the pair's dual-independent constants as plain floats (its
+    host, curve inputs and power law, its window, U' at both window ends and
+    the window ends raised to nu - 1), gathered once, here.  Each iterate
+    sends a task to one host at most, so primal returns it as per-task
+    vectors (_Usage), and the dual step and the relaxed cost reduce those.
+    The dual iterate is a pair of nonnegative prices in raw objective units:
+    mu[i-1] adds to UE i's per-watt price w_i for its power budget, v[j]
     prices device j's CPU capacity per cycle/s.
     """
 
@@ -180,30 +180,28 @@ class _Kernel:
         # a blocked local pair is never priced, however large its kappa or f_min
         self.own_kappa = np.where(self.local_ok, arr.kappa[self.own], 0.0)
         self.fmin_nu = np.where(self.local_ok, self.f_min, 0.0) ** nu_d[self.own]
+        # a local run's frequency, upload power and hosted CPU power
+        self.local_terms = np.array([self.f_min, np.zeros(n), self.fmin_nu * self.own_kappa])
 
         ri, rj = np.nonzero(valid & ~np.eye(n, n + 1, 1, dtype=bool))     # off the own UE
-        self.ri, self.rj = ri, rj
-        # per-pair curve inputs, one row each: cycles, bits, deadline, gain
-        self.curve = np.array([arr.cycles[ri], arr.bits[ri], arr.deadline[ri],
-                               sc.gains[ri, rj]])
+        self.starts = np.searchsorted(ri, np.arange(n + 1)).tolist()
+        curve = (arr.cycles[ri], arr.bits[ri], arr.deadline[ri], sc.gains[ri, rj])
         # each pair's host power law: a host that no pair reaches is never
-        # priced, however large its kappa
-        self.kappa, self.nu = arr.kappa[rj], nu_d[rj]
-        # the server's compute is free (c1 = 0 at rj == 0), so its power law
-        # is never raised: exponent 0 there keeps c1 * f**(nu-1) at zero,
-        # where a large f**(nu-1) would overflow
-        nu1 = np.where(rj > 0, self.nu - 1.0, 0.0)
-        nu2 = np.where(rj > 0, self.nu - 2.0, 0.0)
+        # priced, however large its kappa.  The server's compute is free
+        # (c1 = 0 at rj == 0), so its power law is never raised: exponent 0
+        # there keeps c1 * f**(nu-1) at zero, where a large f**(nu-1) would
+        # overflow
+        kappa, nu = arr.kappa[rj], nu_d[rj]
+        nu1 = np.where(rj > 0, nu - 1.0, 0.0)
         lo = bounds.f_lower[ri, rj]
         hi = np.minimum(bounds.f_upper[ri, rj], F_TOP)
-        self.lo, self.hi = lo, hi
-        # each pair's balance_root inputs as plain floats: its curve inputs,
-        # the power law's exponents and the window
-        self.root_consts = list(zip(*self.curve.tolist(), nu1.tolist(), nu2.tolist(),
-                                    lo.tolist(), hi.tolist()))
         # dual-independent terms
-        self.du_lo = offload_power_slope_vec(*self.curve, self.bandwidth, self.noise_w, lo)
-        self.du_hi = offload_power_slope_vec(*self.curve, self.bandwidth, self.noise_w, hi)
+        du_lo = offload_power_slope_vec(*curve, self.bandwidth, self.noise_w, lo)
+        du_hi = offload_power_slope_vec(*curve, self.bandwidth, self.noise_w, hi)
+        cols = np.array([*curve, kappa * nu, kappa, nu, lo, hi, du_lo, du_hi, lo ** nu1, hi ** nu1])
+        self.rows = list(zip(rj.tolist(), *cols.tolist()))
+        # a pair's stationary frequency before its first solve
+        self.mid = np.sqrt(lo * hi).tolist()
         # step preconditioners, the price at which each multiplier starts to
         # bite.  Power: UE i's budget competes with its own per-watt price, so
         # mu steps are scaled by w_i.  Frequency: a capacity price only
@@ -222,7 +220,7 @@ class _Kernel:
         self.v_scale[0] = np.mean(self.phi) / sc.devices[0].f_max
         srv = rj == 0
         if srv.any():
-            slope = float((self.pa_price[ri[srv]] * np.abs(self.du_hi[srv])).mean())
+            slope = float((self.pa_price[ri[srv]] * np.abs(du_hi[srv])).mean())
             if math.isfinite(slope) and slope > 0:
                 self.v_scale[0] = slope
         caps = arr.speed_cap.tolist()
@@ -233,91 +231,96 @@ class _Kernel:
                 dev = sc.devices[j]
                 slope = w[j - 1] * dev.kappa * dev.nu * caps[j] ** (dev.nu - 1.0)
                 self.v_scale[j] = slope if slope > 0 else self.v_scale[0]
-        self.lo_nu1, self.hi_nu1 = lo ** nu1, hi ** nu1
-        self.warm_lo, self.warm_hi = lo * (1 + 1e-12), hi * (1 - 1e-12)
-        self.mid = np.sqrt(lo * hi)
-
-    def _gamma_batch(self, c1, c2, fixed, live, warm=None):
-        """Clamped stationary frequency of every `live` pair, in pair order.
-
-        The marginal g = U' + c1 * f**(nu-1) + c2 is increasing in f, so a
-        live pair sits at lo when g(lo) >= 0 (or when `fixed`), and at hi
-        when g(hi) <= 0.  That screen runs on arrays over every pair; each
-        pair it leaves open gets its root from model.balance_root, started
-        at its warm-start value clipped just inside the window.  Without a
-        warm start, every pair's value is its window midpoint.  A pair that
-        is not live is not solved: it keeps its warm-start value, ready to
-        warm-start a later call in which it is live again."""
-        out = np.where(live, self.lo, self.mid if warm is None else warm)
-        act = live & ~fixed & (self.du_lo + c1 * self.lo_nu1 + c2 < 0.0)
-        take_hi = act & (self.du_hi + c1 * self.hi_nu1 + c2 <= 0.0)
-        out[take_hi] = self.hi[take_hi]
-        idx = np.flatnonzero(act & ~take_hi)
-        if idx.size == 0:
-            return out
-        if warm is not None:
-            x = np.clip(warm[idx], self.warm_lo[idx], self.warm_hi[idx])
-        else:
-            x = self.mid[idx]
-        bw, noise, consts = self.bandwidth, self.noise_w, self.root_consts
-        roots = []
-        for p, k1, k2, x0 in zip(idx.tolist(), c1[idx].tolist(), c2[idx].tolist(),
-                                 x.tolist()):
-            cyc, bits, dl, gain, nu1, nu2, a, b = consts[p]
-            roots.append(balance_root(cyc, bits, dl, gain, bw, noise, nu1, nu2,
-                                      k1, k2, a, b, x0))
-        out[idx] = roots
-        return out
 
     def primal(self, mu, v, warm=None):
         """One exact minimisation of the priced objective.
 
         Returns (use, gamma): each task's host with its frequency and power
-        terms, and the per-pair stationary frequencies, which warm-start the
-        next call.  A task whose local option survives never reads its remote
-        pairs, so only the pairs of the other tasks are root-solved; the rest
-        keep the gamma of `warm` (the window midpoint on the first call),
-        which no decision or power term reads."""
-        n, ri, rj = self.n, self.ri, self.rj
+        terms, and the per-pair stationary frequencies as a list, which
+        warm-starts the next call.  Only the live pairs are solved and
+        priced; the rest keep the gamma of `warm` (the window midpoint on the
+        first call).  The exp, expm1 and power law at gamma each run as one
+        numpy call over the live pairs: the math module's versions differ
+        from numpy's in the last bit."""
         wi_eff = self.w + mu
-        wh_eff = np.concatenate([[0.0], wi_eff])
         # local execution: the priced cost is increasing in f, so f_min is enough
-        lam_local = (wi_eff * self.own_kappa * self.fmin_nu
-                     + v[self.own] * self.f_min - self.phi)
+        lam_local = wi_eff * self.own_kappa * self.fmin_nu + v[1:] * self.f_min - self.phi
         take_local = self.local_ok & (lam_local <= 0.0)
-        # a task whose power is free (w_i + mu_i = 0) pays nothing for upload,
-        # so its priced pair cost is non-decreasing in f: gamma stays at lo
-        free = wi_eff == 0.0
-        ratio = self.eta / np.where(free, 1.0, wi_eff)
-        wh = wh_eff[rj]
-        c1 = self.kappa * self.nu * wh * ratio[ri]
-        c2 = v[rj] * ratio[ri]
-        gamma = self._gamma_batch(c1, c2, free[ri], ~take_local[ri], warm)
-
-        # inf for an eta near zero: each upload then prices above dropping
-        with np.errstate(over="ignore"):
-            pi = (wi_eff / self.eta)[ri]
-        pc = wh * self.kappa
-        u_g = offload_power_vec(*self.curve, self.bandwidth, self.noise_w, gamma)
-        du_g = offload_power_slope_vec(*self.curve, self.bandwidth, self.noise_w, gamma)
-        g_nu = np.where(rj > 0, gamma, 0.0) ** self.nu      # the server's compute is free
-        # gamma minimises the convex priced pair cost over its window
-        lam = pi * u_g + pc * g_nu + v[rj] * gamma - self.phi[ri]
-        # each task not run locally takes its pair of least intercept among
-        # those that beat dropping: the first after a stable sort by task,
-        # then intercept, so a tie keeps the lower device
-        p = np.flatnonzero((lam <= 0.0) & ~take_local[ri])
-        with np.errstate(invalid="ignore"):
-            icpt = pi[p] * (u_g[p] - gamma[p] * du_g[p])
-        p = p[np.lexsort((icpt, ri[p]))]
-        first = np.ones(p.size, dtype=bool)
-        first[1:] = ri[p[1:]] != ri[p[:-1]]
-        p = p[first]
-        task = ri[p]
-        use = _Usage(np.where(take_local, self.own, -1), np.where(take_local, self.f_min, 0.0),
-                     np.zeros(n), np.where(take_local, self.fmin_nu * self.own_kappa, 0.0))
-        use.dev[task], use.freq[task], use.transmit[task] = rj[p], gamma[p], u_g[p]
-        use.hosted[task] = g_nu[p] * self.kappa[p]
+        terms = np.where(take_local, self.local_terms, 0.0)
+        use = _Usage(np.where(take_local, self.own, -1), *terms)
+        gamma = list(self.mid if warm is None else warm)
+        tasks = np.flatnonzero(~take_local).tolist()
+        wi, eta, vj = wi_eff.tolist(), self.eta.tolist(), v.tolist()
+        wh = [0.0, *wi]                                 # compute price per host
+        rows, starts, bw, noise = self.rows, self.starts, self.bandwidth, self.noise_w
+        ln2_bw, cap = LN2 / bw, EXP_CAP
+        # the marginal g = U' + c1 * f**(nu-1) + c2 is increasing in f, so a
+        # pair sits at lo when g(lo) >= 0 and at hi when g(hi) <= 0; a pair
+        # open in between gets its root from model.balance_root, started at
+        # its warm-start value clipped just inside the window
+        live, xs, bases, nus = [], [], [], []
+        add_live, add_x, add_base, add_nu = live.append, xs.append, bases.append, nus.append
+        for i in tasks:
+            # a task whose power is free (w_i + mu_i = 0) pays nothing for
+            # upload, so its priced pair cost is non-decreasing in f: gamma
+            # stays at lo
+            fixed = wi[i] == 0.0
+            r = eta[i] / (1.0 if fixed else wi[i])     # prices per watt of upload
+            for p in range(starts[i], starts[i + 1]):
+                j, cyc, bits, dl, gain, knu, kappa, nu, lo, hi, du_lo, du_hi, lo_nu1, hi_nu1 \
+                    = rows[p]
+                c1, c2 = knu * wh[j] * r, vj[j] * r
+                if fixed or not du_lo + c1 * lo_nu1 + c2 < 0.0:
+                    g = lo
+                elif du_hi + c1 * hi_nu1 + c2 <= 0.0:
+                    g = hi
+                else:
+                    x0 = (self.mid[p] if warm is None
+                          else min(max(warm[p], lo * (1 + 1e-12)), hi * (1 - 1e-12)))
+                    nu1, nu2 = (nu - 1.0, nu - 2.0) if j else (0.0, 0.0)
+                    g = balance_root(cyc, bits, dl, gain, bw, noise, nu1, nu2, c1, c2,
+                                     lo, hi, x0)
+                gamma[p] = g
+                # U and U' at g as model.offload_power_vec and
+                # offload_power_slope_vec evaluate them, saturation included:
+                # the exponent here, the rest in the pricing below
+                denom = dl * g - cyc
+                x = ln2_bw * bits * g / denom if denom > 0.0 else 0.0
+                add_live((j, g, denom, x, cyc, bits, gain, kappa))
+                add_x(cap if x > cap else x)
+                add_base(g if j else 0.0)               # the server's compute is free
+                add_nu(nu)
+        if not live:
+            return use, gamma
+        phi, noise_ln2 = self.phi.tolist(), noise * LN2
+        # gamma minimises the convex priced pair cost over its window.  Each
+        # task not run locally takes its pair of least intercept among those
+        # that beat dropping; a NaN intercept loses to any other, and a tie
+        # keeps the lower device
+        xs = np.array(xs)
+        priced = zip(live, np.expm1(xs).tolist(), np.exp(xs).tolist(),
+                     np.power(bases, nus).tolist())
+        picks = []
+        for i in tasks:
+            # inf for an eta near zero: each upload then prices above dropping
+            pi, phi_i, best, least = wi[i] / eta[i], phi[i], None, math.nan
+            for (j, g, denom, x, cyc, bits, gain, kappa), e1, e, g_nu in islice(
+                    priced, starts[i + 1] - starts[i]):
+                u = math.inf if denom <= 0.0 or x > cap else noise / gain * e1
+                lam = pi * u + wh[j] * kappa * g_nu + vj[j] * g - phi_i
+                if lam <= 0.0:                  # so u is finite: denom > 0, x <= cap
+                    sq = denom * denom
+                    du = (noise_ln2 / (bw * gain) * e * (-bits * cyc / sq) if sq != 0.0
+                          else -math.inf)
+                    c = pi * (u - g * du)
+                    if best is None or c < least or (least != least and c == c):
+                        best, least = (i, j, g, u, g_nu * kappa), c
+            if best is not None:
+                picks.append(best)
+        if picks:
+            task, dev, *chosen = zip(*picks)
+            task = np.array(task)
+            use.dev[task], terms[:, task] = dev, chosen
         return use, gamma
 
     def dual_step(self, mu, v, use: _Usage, s: float):
@@ -425,7 +428,7 @@ def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
     ray = None
     kern = _Kernel(sc, bounds)
     mu, v = np.zeros(sc.n), np.zeros(sc.n + 1)
-    trace = IcrbiTrace(termination="max_iter", n_root_pairs=int(kern.ri.size),
+    trace = IcrbiTrace(termination="max_iter", n_root_pairs=len(kern.rows),
                        overhead=overhead(sc.n))
     warm = None
     prev_cost = None

@@ -262,19 +262,15 @@ def offload_power_slope_vec(cycles, bits, deadline, gain, bandwidth, noise_w, f)
 # g is strictly increasing on (f_min, inf) and tends to -inf at f_min, so its
 # root clamped into a window [lo, hi] is the minimiser there.  Both solvers
 # share one root: matching prices a pair through balance_root_clamped
-# (c2 = 0), and icrbi screens every admissible pair at once on arrays and
+# (c2 = 0), and icrbi screens each live pair at its window ends on floats and
 # root-solves only the pairs left open, one balance_root call each
-# (icrbi._Kernel._gamma_batch).  At N = 10 a call leaves about two pairs
-# open and each root takes about 5 steps.  icrbi's earlier vector Newton paid
-# about 25 numpy calls per step over those few pairs; the scalar root halved
-# its primal time there (421 -> 202 us per call on the capacity-sweep
-# benchmark) and its median solve time (2.38 -> 1.29 ms), on a 2-core machine
-# with Python 3.11 and numpy 2.4.  The reverse, routing matching through that
-# vector Newton, gave the same frequencies to 1e-16 but was slower (2-core
-# machine, Python 3.11, numpy 2.4), 60 seeds: per pair, maxtask p50 at N = 80
-# went from 2.4 to 5.7 ms; batched per preference build and reprice, +30 % at
-# N = 40 and +18 % at N = 80; with every helper pair precomputed, 3x at
-# N = 10 and +60 % at N = 80.
+# (icrbi._Kernel.primal).  At N = 10 a call leaves about 1.3 pairs open and
+# each root takes about 5 steps.  A vector Newton over those few pairs paid
+# about 25 numpy calls per step; the scalar root halved icrbi's primal time
+# (421 -> 202 us per call on the capacity-sweep benchmark; 2-core machine,
+# Python 3.11, numpy 2.4).  Routing matching through that vector Newton gave
+# the same frequencies to 1e-16 but was slower: maxtask p50 at N = 80 went
+# from 2.4 to 5.7 ms per pair, and +18 % batched per preference build.
 
 # residual target |g| <= ROOT_RTOL * scale of the stationary-point root
 ROOT_RTOL = 1e-9

@@ -275,7 +275,9 @@ def read_scenario(path) -> Scenario:
     if missing:
         raise ConfigError(f"{path}: missing header field(s) {', '.join(missing)}")
     n, bandwidth, noise_w, seed = (header[k] for k in _HEADER)
-    if set(tasks) != set(range(1, n + 1)) or set(devices) != set(range(n + 1)):
+    # count the records first: the header's n may be far too large for a range set
+    if (len(tasks) != n or len(devices) != n + 1 or set(tasks) != set(range(1, n + 1))
+            or set(devices) != set(range(n + 1))):
         raise ConfigError(f"{path}: incomplete task/device records")
     if any(len(gain_rows.get(i, ())) != n + 1 for i in range(1, n + 1)):
         raise ConfigError(f"{path}: gain matrix must be ({n}, {n + 1})")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from coopmec.errors import DomainError
+from coopmec.icrbi import F_TOP
 from coopmec.model import (CHECK_TOL, EXP_CAP, LN2, DeviceProfile, Scenario, TaskSpec,
                            Violation)
 from coopmec.scenario import GenConfig, generate
@@ -37,6 +38,15 @@ def power_for_rate(gain: float, bandwidth: float, noise_w: float, rate: float) -
     if x > EXP_CAP:
         return math.inf
     return noise_w / gain * math.expm1(x)
+
+
+def remote_pairs(sc: Scenario, bounds):
+    """(ri, rj, lo, hi): the admissible remote pairs (task row, device) in
+    icrbi's pair order, by task and then by device, with the frequency
+    window the kernel clamps each one into."""
+    n = sc.n
+    ri, rj = np.nonzero(~bounds.blocked & ~np.eye(n, n + 1, 1, dtype=bool))
+    return ri, rj, bounds.f_lower[ri, rj], np.minimum(bounds.f_upper[ri, rj], F_TOP)
 
 
 def c5_violations(sc: Scenario, asg) -> list[Violation]:

@@ -184,7 +184,7 @@ def kernel_state() -> tuple[set[str], set[str]]:
 
 def test_every_kernel_term_is_read():
     stored, loaded = kernel_state()
-    assert {"lo", "hi", "du_lo", "mu_scale"} <= stored           # the walk sees them
+    assert {"rows", "starts", "mid", "mu_scale"} <= stored           # the walk sees them
     assert sorted(stored - loaded) == [], "kernel state that no other method reads"
 
 

@@ -5,22 +5,27 @@
 shared scalar root, model.balance_root, from the same start as the pair
 kernel, so every iterate must agree exactly: no tolerance, except for a pair
 the pair kernel starts from a stale warm start (see assert_same_iterate).
-The pair-list kernel performs the same per-pair arithmetic on the admissible
-remote pairs only.  `reference_scales` is the earlier step-preconditioner
-derivation, which evaluated U' afresh over every row of the server column;
-the kernel reuses its own window-top slopes.  The reference also prices each
-pair at both window ends as well as at its stationary frequency, and
-recomputes U and the hosted CPU power at the committed pairs; the kernel
-prices a pair once, at the stationary frequency, and returns the power terms
-it priced, so equal decisions and power terms show that neither the dropped
-candidates nor the dropped recomputation changes anything.  The kernel's
-iterate is one host per task; the comparison scatters it into the
-reference's matrices.  The reference passes the server's own nu - 1 to the
-root where the kernel passes 0, so agreement also shows that the kernel's
-exponent guard leaves the free server's zero power term as it is.  The
-replay follows the solver's stop rules, the map-stable stop and its probe
-along the subgradient ray included, so the returned assignment is checked as
-well as every iterate.
+The pair-list kernel performs the same per-pair arithmetic on the
+admissible remote pairs of the tasks whose local option lost only, on plain
+floats, with its exp, expm1 and power law batched through numpy as the
+reference's are; its gamma list is compared in the order of
+conftest.remote_pairs.  The `free` cell prices every task's power at zero,
+and `tiny_eta` prices every upload at inf per watt, where intercepts can be
+NaN.  `reference_scales` is the earlier step-preconditioner derivation,
+which evaluated U' afresh over every row of the server column; the kernel
+reuses its own window-top slopes.  The reference also prices each pair at
+both window ends as well as at its stationary frequency, and recomputes U
+and the hosted CPU power at the committed pairs; the kernel prices a pair
+once, at the stationary frequency, and returns the power terms it priced,
+so equal decisions and power terms show that neither the dropped candidates
+nor the dropped recomputation changes anything.  The kernel's iterate is
+one host per task; the comparison scatters it into the reference's
+matrices.  The reference passes the server's own nu - 1 to the root where
+the kernel passes 0, so agreement also shows that the kernel's exponent
+guard leaves the free server's zero power term as it is.  The replay
+follows the solver's stop rules, the map-stable stop and its probe along
+the subgradient ray included, so the returned assignment is checked as well
+as every iterate.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gen, mk_dev, mk_scenario, mk_task
+from conftest import gen, mk_dev, mk_scenario, mk_task, remote_pairs
 from coopmec import icrbi
 from coopmec.icrbi import repair_feasibility, step_size
 from coopmec.model import (ROOT_RTOL, TaskSpec, balance_root, feasibility_bounds,
@@ -213,6 +218,8 @@ CELLS = {
     "default": {},
     "steep": dict(pathloss_exponent=4.5, pathloss_ref_gain=1e-2),
     "f0_8e9": dict(f0_max=8e9),
+    "free": dict(w=0.0),
+    "tiny_eta": dict(eta=1e-300),
 }
 
 
@@ -243,7 +250,7 @@ def dense_decisions(a):
     return {r + 1: c for r, c in zip(rows.tolist(), cols.tolist())}
 
 
-def assert_same_iterate(kern, ref, use, warm, rx, ra, ref_warm, warm_in, ref_warm_in):
+def assert_same_iterate(pairs, ref, use, warm, rx, ra, ref_warm, warm_in, ref_warm_in):
     """The two kernels' iterates agree: the decisions and power terms
     exactly, and the stationary frequency at every pair the pair kernel
     root-solves (the pairs of the tasks that do not run locally).  A solved
@@ -251,11 +258,14 @@ def assert_same_iterate(kern, ref, use, warm, rx, ra, ref_warm, warm_in, ref_war
     kernel left it unsolved in the previous call, starts its Newton
     iteration elsewhere, so its root agrees to the root tolerance; every
     other solved pair agrees exactly.  Returns how many pairs were
-    Newton-solved (strictly inside the window) from such a stale start."""
-    ri, rj = kern.ri, kern.rj
+    Newton-solved (strictly inside the window) from such a stale start.
+    `pairs` is remote_pairs() of the scenario, the order of the pair
+    kernel's gamma lists."""
+    ri, rj, lo, hi = pairs
+    warm = np.array(warm)
     ref_gamma = ref_warm[ri, rj]
     live = ra[ri, ri + 1] == 0
-    stale = live & (False if warm_in is None else warm_in != ref_warm_in[ri, rj])
+    stale = live & (False if warm_in is None else np.array(warm_in) != ref_warm_in[ri, rj])
     assert np.array_equal(warm[live & ~stale], ref_gamma[live & ~stale])
     assert np.allclose(warm[stale], ref_gamma[stale], rtol=ROOT_RTOL, atol=0.0)
     a, freq, transmit, hosted = scatter(use)
@@ -265,7 +275,7 @@ def assert_same_iterate(kern, ref, use, warm, rx, ra, ref_warm, warm_in, ref_war
     assert np.array_equal(transmit, np.where(ref.remote & (ra > 0), ref._u(rx), 0.0))
     assert np.array_equal(hosted, (np.where(ra > 0, rx, 0.0) ** ref.nu_d[None, :])
                           * ref.kappa_d[None, :])
-    return int((stale & (warm > kern.lo) & (warm < kern.hi)).sum())
+    return int((stale & (warm > lo) & (warm < hi)).sum())
 
 
 def replay(sc):
@@ -278,6 +288,7 @@ def replay(sc):
     bounds = feasibility_bounds(sc)
     kern = icrbi._Kernel(sc, bounds)
     ref = DenseKernel(sc, bounds)
+    pairs = remote_pairs(sc, bounds)
     assert np.array_equal(kern.mu_scale, ref.mu_scale)
     assert np.array_equal(kern.v_scale, ref.v_scale)
     mu, v = np.zeros(sc.n), np.zeros(sc.n + 1)
@@ -291,7 +302,7 @@ def replay(sc):
         warm_in, ref_warm_in = warm, ref_warm
         use, warm = kern.primal(mu, v, warm)
         rx, ra, ref_warm = ref.primal(mu, v, ref_warm)
-        stale += assert_same_iterate(kern, ref, use, warm, rx, ra, ref_warm,
+        stale += assert_same_iterate(pairs, ref, use, warm, rx, ra, ref_warm,
                                      warm_in, ref_warm_in)
         cost = kern.reduced_cost(use)
         assert cost == ref.reduced_cost(rx, ra)
@@ -305,7 +316,8 @@ def replay(sc):
             return costs, "converged", [ra], bounds, stale
         s = step_size("diminish", 0.1, t)
         if t - last_new >= icrbi.MAP_STABLE_K:
-            found, probe_stale = probe(kern, ref, mu, v, use, rx, ra, s, warm, ref_warm)
+            found, probe_stale = probe(kern, ref, pairs, mu, v, use, rx, ra, s, warm,
+                                       ref_warm)
             return costs, "map_stable", [ra] + found, bounds, stale + probe_stale
         ref_mu, ref_v = ref.dual_step(mu, v, rx, ra, s)
         mu, v = kern.dual_step(mu, v, use, s)
@@ -314,7 +326,7 @@ def replay(sc):
     return costs, "max_iter", [ra], bounds, stale
 
 
-def probe(kern, ref, mu, v, use, rx, ra, s, warm, ref_warm):
+def probe(kern, ref, pairs, mu, v, use, rx, ra, s, warm, ref_warm):
     """Both kernels at steps 2s, 4s, ..., 2**PROBE_DOUBLINGS s along the
     subgradient from (mu, v), until the decision matrix differs from ra;
     returns [that matrix], or [] if none does, and the stale-start count."""
@@ -327,7 +339,7 @@ def probe(kern, ref, mu, v, use, rx, ra, s, warm, ref_warm):
         assert np.array_equal(pv, ref_v)
         puse, pwarm = kern.primal(pmu, pv, warm)
         px, pa, pref_warm = ref.primal(pmu, pv, ref_warm)
-        stale += assert_same_iterate(kern, ref, puse, pwarm, px, pa, pref_warm,
+        stale += assert_same_iterate(pairs, ref, puse, pwarm, px, pa, pref_warm,
                                      warm, ref_warm)
         if not np.array_equal(pa, ra):
             return [pa], stale
@@ -465,16 +477,20 @@ def test_warm_starts_outside_the_window_are_clipped_into_it():
     # inside it before the root starts, so the open pairs end at the roots
     # the window-midpoint start finds
     sc = gen(n=20, seed=1)
-    kern = icrbi._Kernel(sc, feasibility_bounds(sc))
+    bounds = feasibility_bounds(sc)
+    kern = icrbi._Kernel(sc, bounds)
+    ri, _, lo, hi = remote_pairs(sc, bounds)
     mu, v = np.zeros(sc.n), np.zeros(sc.n + 1)
     use, _ = kern.primal(mu, v)
     mu, v = kern.dual_step(mu, v, use, step_size("diminish", 0.1, 1))
     use, fresh = kern.primal(mu, v)
-    live = use.dev[kern.ri] != kern.ri + 1
-    open_ = live & (fresh > kern.lo) & (fresh < kern.hi)
+    fresh = np.array(fresh)
+    live = use.dev[ri] != ri + 1
+    open_ = live & (fresh > lo) & (fresh < hi)
     assert open_.sum() >= 3
-    for outside in (kern.lo * 0.5, kern.lo, kern.hi, kern.hi * 2.0):
-        _, gamma = kern.primal(mu, v, np.where(open_, outside, fresh))
+    for outside in (lo * 0.5, lo, hi, hi * 2.0):
+        _, gamma = kern.primal(mu, v, np.where(open_, outside, fresh).tolist())
+        gamma = np.array(gamma)
         assert np.array_equal(gamma[~open_], fresh[~open_])
-        assert (gamma[open_] > kern.lo[open_]).all() and (gamma[open_] < kern.hi[open_]).all()
+        assert (gamma[open_] > lo[open_]).all() and (gamma[open_] < hi[open_]).all()
         assert np.allclose(gamma[open_], fresh[open_], rtol=ROOT_RTOL, atol=0.0)

@@ -366,8 +366,12 @@ def test_scenario_file_rejects_duplicate_record(tmp_path, prefix):
      r"inst\.sc:2: .*n must be >= 1"),
     (lambda lines: [ln for ln in lines if not ln.startswith("seed ")],
      r"inst\.sc: missing header field\(s\) seed"),
+    # a 401-digit n must be refused by counting the 4 task records, never
+    # by building a range of n ids
+    (lambda lines: [("n 1" + "0" * 400 if ln.startswith("n ") else ln) for ln in lines],
+     r"inst\.sc: incomplete task/device records"),
 ], ids=["negative-bandwidth", "nan-noise", "duplicate-bandwidth", "unknown-kind",
-        "zero-tasks", "missing-seed"])
+        "zero-tasks", "missing-seed", "unbounded-n"])
 def test_scenario_file_rejects_bad_header(tmp_path, edit, message):
     # an n=4 file: format line, n, bandwidth, noise_w, seed, 4 task lines,
     # 5 device lines, 4 gains lines (18 lines)
