@@ -19,9 +19,12 @@ every term that does not depend on the multipliers once per solve, and
 holds an iterate as one host per task (local, the server, one helper, or
 none: dropped).  The local test runs on arrays over all tasks; only the
 pairs of the tasks whose local option lost (the live pairs) are then
-screened at their window ends, root-solved where the screen leaves them
-open (model.balance_root, the safeguarded Newton that matching uses too)
-and priced, on plain floats.  The other pairs keep their previous
+walked, once each, on plain floats: screened at their window ends,
+root-solved where the screen leaves them open (model.balance_root, the
+safeguarded Newton that matching uses too) and priced on the spot, with
+the upload power U that model.offload_power evaluates and the slope that
+model's scalar derivative evaluates.  So icrbi and the cost model price an
+upload with one float implementation of U.  The other pairs keep their previous
 stationary frequencies (the window midpoint before the first solve), which
 warm-start the root once the task's local option loses; a pair solved from
 such a stale start ends at the same root to within the root tolerance, not
@@ -51,7 +54,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -238,10 +240,11 @@ class _Kernel:
         Returns (use, gamma): each task's host with its frequency and power
         terms, and the per-pair stationary frequencies as a list, which
         warm-starts the next call.  Only the live pairs are solved and
-        priced; the rest keep the gamma of `warm` (the window midpoint on the
-        first call).  The exp, expm1 and power law at gamma each run as one
-        numpy call over the live pairs: the math module's versions differ
-        from numpy's in the last bit."""
+        priced, each in one pass on plain floats; the rest keep the gamma of
+        `warm` (the window midpoint on the first call).  A pair's upload
+        power is U as model.offload_power evaluates it and its slope as
+        model's scalar derivative does, so a committed pair's power terms
+        are the cost model's to the last bit."""
         wi_eff = self.w + mu
         # local execution: the priced cost is increasing in f, so f_min is enough
         lam_local = wi_eff * self.own_kappa * self.fmin_nu + v[1:] * self.f_min - self.phi
@@ -250,25 +253,29 @@ class _Kernel:
         use = _Usage(np.where(take_local, self.own, -1), *terms)
         gamma = list(self.mid if warm is None else warm)
         tasks = np.flatnonzero(~take_local).tolist()
-        wi, eta, vj = wi_eff.tolist(), self.eta.tolist(), v.tolist()
+        if not tasks:
+            return use, gamma
+        wi, eta, vj, phi = wi_eff.tolist(), self.eta.tolist(), v.tolist(), self.phi.tolist()
         wh = [0.0, *wi]                                 # compute price per host
         rows, starts, bw, noise = self.rows, self.starts, self.bandwidth, self.noise_w
-        ln2_bw, cap = LN2 / bw, EXP_CAP
-        # the marginal g = U' + c1 * f**(nu-1) + c2 is increasing in f, so a
-        # pair sits at lo when g(lo) >= 0 and at hi when g(hi) <= 0; a pair
-        # open in between gets its root from model.balance_root, started at
-        # its warm-start value clipped just inside the window
-        live, xs, bases, nus = [], [], [], []
-        add_live, add_x, add_base, add_nu = live.append, xs.append, bases.append, nus.append
+        ln2_bw, noise_ln2, cap = LN2 / bw, noise * LN2, EXP_CAP
+        picks = []
         for i in tasks:
             # a task whose power is free (w_i + mu_i = 0) pays nothing for
             # upload, so its priced pair cost is non-decreasing in f: gamma
             # stays at lo
             fixed = wi[i] == 0.0
             r = eta[i] / (1.0 if fixed else wi[i])     # prices per watt of upload
+            # inf for an eta near zero: each upload then prices above dropping
+            pi, phi_i, best, least = wi[i] / eta[i], phi[i], None, math.nan
             for p in range(starts[i], starts[i + 1]):
                 j, cyc, bits, dl, gain, knu, kappa, nu, lo, hi, du_lo, du_hi, lo_nu1, hi_nu1 \
                     = rows[p]
+                # the marginal g = U' + c1 * f**(nu-1) + c2 is increasing in
+                # f, so a pair sits at lo when g(lo) >= 0 and at hi when
+                # g(hi) <= 0; a pair open in between gets its root from
+                # model.balance_root, started at its warm-start value clipped
+                # just inside the window
                 c1, c2 = knu * wh[j] * r, vj[j] * r
                 if fixed or not du_lo + c1 * lo_nu1 + c2 < 0.0:
                     g = lo
@@ -281,37 +288,19 @@ class _Kernel:
                     g = balance_root(cyc, bits, dl, gain, bw, noise, nu1, nu2, c1, c2,
                                      lo, hi, x0)
                 gamma[p] = g
-                # U and U' at g as model.offload_power_vec and
-                # offload_power_slope_vec evaluate them, saturation included:
-                # the exponent here, the rest in the pricing below
+                # gamma minimises the convex priced pair cost over its window.
+                # The task takes its pair of least intercept among those that
+                # beat dropping; a NaN intercept loses to any other, and a tie
+                # keeps the lower device
                 denom = dl * g - cyc
-                x = ln2_bw * bits * g / denom if denom > 0.0 else 0.0
-                add_live((j, g, denom, x, cyc, bits, gain, kappa))
-                add_x(cap if x > cap else x)
-                add_base(g if j else 0.0)               # the server's compute is free
-                add_nu(nu)
-        if not live:
-            return use, gamma
-        phi, noise_ln2 = self.phi.tolist(), noise * LN2
-        # gamma minimises the convex priced pair cost over its window.  Each
-        # task not run locally takes its pair of least intercept among those
-        # that beat dropping; a NaN intercept loses to any other, and a tie
-        # keeps the lower device
-        xs = np.array(xs)
-        priced = zip(live, np.expm1(xs).tolist(), np.exp(xs).tolist(),
-                     np.power(bases, nus).tolist())
-        picks = []
-        for i in tasks:
-            # inf for an eta near zero: each upload then prices above dropping
-            pi, phi_i, best, least = wi[i] / eta[i], phi[i], None, math.nan
-            for (j, g, denom, x, cyc, bits, gain, kappa), e1, e, g_nu in islice(
-                    priced, starts[i + 1] - starts[i]):
-                u = math.inf if denom <= 0.0 or x > cap else noise / gain * e1
+                x = ln2_bw * bits * g / denom if denom > 0.0 else math.inf
+                u = math.inf if x > cap else noise / gain * math.expm1(x)
+                g_nu = g ** nu if j else 0.0            # the server's compute is free
                 lam = pi * u + wh[j] * kappa * g_nu + vj[j] * g - phi_i
                 if lam <= 0.0:                  # so u is finite: denom > 0, x <= cap
                     sq = denom * denom
-                    du = (noise_ln2 / (bw * gain) * e * (-bits * cyc / sq) if sq != 0.0
-                          else -math.inf)
+                    du = (noise_ln2 / (bw * gain) * math.exp(x) * (-bits * cyc / sq)
+                          if sq != 0.0 else -math.inf)
                     c = pi * (u - g * du)
                     if best is None or c < least or (least != least and c == c):
                         best, least = (i, j, g, u, g_nu * kappa), c

@@ -7,9 +7,12 @@ kernel, so every iterate must agree exactly: no tolerance, except for a pair
 the pair kernel starts from a stale warm start (see assert_same_iterate).
 The pair-list kernel performs the same per-pair arithmetic on the
 admissible remote pairs of the tasks whose local option lost only, on plain
-floats, with its exp, expm1 and power law batched through numpy as the
-reference's are; its gamma list is compared in the order of
-conftest.remote_pairs.  The `free` cell prices every task's power at zero,
+floats.  The reference evaluates U, the U' it prices an intercept with and
+the power law at those pairs cell by cell on floats too, U and U' through
+the cost model's own scalar functions, so the kernel's upload powers are
+the cost model's to the last bit; the window-end screen stays on numpy's
+U', as the kernel's is.  The kernel's gamma list is compared in the order
+of conftest.remote_pairs.  The `free` cell prices every task's power at zero,
 and `tiny_eta` prices every upload at inf per watt, where intercepts can be
 NaN.  `reference_scales` is the earlier step-preconditioner derivation,
 which evaluated U' afresh over every row of the server column; the kernel
@@ -39,7 +42,7 @@ from conftest import gen, mk_dev, mk_scenario, mk_task, remote_pairs
 from coopmec import icrbi
 from coopmec.icrbi import repair_feasibility, step_size
 from coopmec.model import (ROOT_RTOL, TaskSpec, balance_root, feasibility_bounds,
-                           offload_power_derivs, offload_power_slope_vec, offload_power_vec,
+                           offload_power, offload_power_derivs, offload_power_slope_vec,
                            validate_constraints)
 
 
@@ -88,6 +91,7 @@ class DenseKernel:
         self.nu_d = np.array([d.nu for d in sc.devices])
         self.fmax_d = np.array([d.f_max for d in sc.devices])
         self.gains = sc.gains
+        self.tasks = sc.tasks
         self.rows = np.arange(n)
         self.own = self.rows + 1
         own_mask = np.zeros((n, n + 1), dtype=bool)
@@ -101,13 +105,44 @@ class DenseKernel:
         self.host_w = np.concatenate([[0.0], self.w])
         self.mu_scale, self.v_scale = reference_scales(sc, bounds)
 
+    def _remote_cells(self, fn, x, fill):
+        """fn(task, gain, f) on Python floats at each remote pair of x, fill
+        elsewhere."""
+        out = np.full(x.shape, fill)
+        ri, rj = np.nonzero(self.remote)
+        out[ri, rj] = [fn(self.tasks[i], g, f) for i, g, f in
+                       zip(ri.tolist(), self.gains[ri, rj].tolist(), x[ri, rj].tolist())]
+        return out
+
     def _u(self, x):
-        return offload_power_vec(self.cycles, self.bits, self.deadline, self.gains,
-                                 self.sc.bandwidth, self.sc.noise_w, x)
+        """U at the remote pairs through model.offload_power, +inf at or
+        below f_min; +inf off them, where it is never read."""
+        bw, noise = self.sc.bandwidth, self.sc.noise_w
+        return self._remote_cells(
+            lambda t, g, f: (offload_power(t, g, bw, noise, f)
+                             if t.deadline * f - t.cycles > 0 else math.inf), x, math.inf)
+
+    def _du_at(self, x):
+        """U' at the remote pairs through model.offload_power_derivs, -inf at
+        or below f_min; -inf off them, where it is never read."""
+        bw, noise = self.sc.bandwidth, self.sc.noise_w
+        return self._remote_cells(
+            lambda t, g, f: (offload_power_derivs(t, g, bw, noise, f)[0]
+                             if t.deadline * f - t.cycles > 0 else -math.inf), x, -math.inf)
 
     def _du(self, x):
+        """U' through numpy, as the pair kernel screens the window ends."""
         return offload_power_slope_vec(self.cycles, self.bits, self.deadline,
                                        self.gains, self.sc.bandwidth, self.sc.noise_w, x)
+
+    def _pow(self, x):
+        """x ** nu of each column's host: float ** at the remote pairs, as the
+        pair kernel prices them, numpy's power elsewhere, as the kernel's
+        local terms are."""
+        out = x ** self.nu_d[None, :]
+        ri, rj = np.nonzero(self.remote)
+        out[ri, rj] = [f ** nu for f, nu in zip(x[ri, rj].tolist(), self.nu_d[rj].tolist())]
+        return out
 
     def _coeffs(self, mu, v):
         wi_eff = self.w + mu
@@ -157,7 +192,7 @@ class DenseKernel:
             # remote, and a free task's zero price makes that NaN; np.where
             # below drops both
             with np.errstate(invalid="ignore"):
-                return (price_i * self._u(x) + comp_price * x ** self.nu_d[None, :]
+                return (price_i * self._u(x) + comp_price * self._pow(x)
                         + v_raw[None, :] * x - self.phi[:, None])
 
         big = np.inf
@@ -174,7 +209,7 @@ class DenseKernel:
 
         mtilde = self.valid & (lam_min <= 0.0)
 
-        du_g = self._du(np.where(self.remote, gamma, 2.0))
+        du_g = self._du_at(gamma)
         with np.errstate(invalid="ignore"):
             intercept = price_i * (self._u(gamma) - gamma * du_g)
         intercept = np.where(mtilde & self.remote, intercept, np.inf)
@@ -196,7 +231,7 @@ class DenseKernel:
     def dual_step(self, mu, v, x, a, s):
         used_t = np.where(self.remote & (a > 0), self._u(x), 0.0)
         transmit_in = used_t.sum(axis=1) / self.eta
-        hosted = (np.where(a > 0, x, 0.0) ** self.nu_d[None, :]) * self.kappa_d[None, :]
+        hosted = self._pow(np.where(a > 0, x, 0.0)) * self.kappa_d[None, :]
         compute_w = hosted[:, 1:].sum(axis=0)
         g_mu = self.mu_scale * (transmit_in + compute_w - self.p_m) / self.p_m
         load = np.where(a > 0, x, 0.0).sum(axis=0)
@@ -208,7 +243,7 @@ class DenseKernel:
         # sums then add up in the order the pair kernel's per-task vectors do
         used_t = np.where(self.remote & (a > 0), self._u(x), 0.0)
         transmit = ((self.w / self.eta)[:, None] * used_t).sum(axis=1).sum()
-        hosted = (np.where(a > 0, x, 0.0) ** self.nu_d[None, :]) * self.kappa_d[None, :]
+        hosted = self._pow(np.where(a > 0, x, 0.0)) * self.kappa_d[None, :]
         compute = (hosted * self.host_w[None, :]).sum(axis=1).sum()
         saved = (self.phi * (a.sum(axis=1) > 0)).sum()
         return float(transmit + compute - saved)
@@ -273,7 +308,7 @@ def assert_same_iterate(pairs, ref, use, warm, rx, ra, ref_warm, warm_in, ref_wa
     assert np.array_equal(a, ra)
     assert icrbi.decisions_from(use.dev) == dense_decisions(ra)
     assert np.array_equal(transmit, np.where(ref.remote & (ra > 0), ref._u(rx), 0.0))
-    assert np.array_equal(hosted, (np.where(ra > 0, rx, 0.0) ** ref.nu_d[None, :])
+    assert np.array_equal(hosted, ref._pow(np.where(ra > 0, rx, 0.0))
                           * ref.kappa_d[None, :])
     return int((stale & (warm > lo) & (warm < hi)).sum())
 
@@ -494,3 +529,29 @@ def test_warm_starts_outside_the_window_are_clipped_into_it():
         assert np.array_equal(gamma[~open_], fresh[~open_])
         assert (gamma[open_] > lo[open_]).all() and (gamma[open_] < hi[open_]).all()
         assert np.allclose(gamma[open_], fresh[open_], rtol=ROOT_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("n, seeds", [(10, range(20)), (80, range(2))])
+def test_committed_pairs_are_priced_as_the_cost_model_prices_them(n, seeds):
+    # the kernel's upload power at a committed remote pair is
+    # model.offload_power to the last bit, and its hosted CPU power is
+    # kappa * f ** nu as the cost model writes it (zero at the server)
+    pairs = 0
+    for seed in seeds:
+        sc = gen(n=n, seed=seed)
+        kern = icrbi._Kernel(sc, feasibility_bounds(sc))
+        mu, v, warm = np.zeros(sc.n), np.zeros(sc.n + 1), None
+        for t in range(1, 15):
+            use, warm = kern.primal(mu, v, warm)
+            for k, (dev, f, u, hosted) in enumerate(zip(
+                    use.dev.tolist(), use.freq.tolist(), use.transmit.tolist(),
+                    use.hosted.tolist()), 1):
+                if dev in (-1, k):
+                    continue
+                host = sc.device(dev)
+                assert u == offload_power(sc.task(k), sc.gain(k, dev), sc.bandwidth,
+                                          sc.noise_w, f)
+                assert hosted == (host.kappa * f ** host.nu if dev else 0.0)
+                pairs += 1
+            mu, v = kern.dual_step(mu, v, use, step_size("diminish", 0.1, t))
+    assert pairs >= 100
