@@ -143,7 +143,7 @@ def deferred_acceptance(sc: Scenario, state: matching.MatchingState,
         open_budget = {}
         for d in new_req:
             own_seeks = d in holding and seeking(d)
-            open_budget[d] = 0.0 if own_seeks else float(state.p_res[d])
+            open_budget[d] = 0.0 if own_seeks else state.p_res[d]
         for d, f, k in sorted((d, f, k) for d, reqs in new_req.items() for f, k in reqs):
             log.events.append((rnd, k, d, f, "request"))
         for d in sorted(new_req):

@@ -47,8 +47,8 @@ class MatchingState:
 
     omega: dict[int, int] = field(default_factory=dict)
     freqs: dict[int, float] = field(default_factory=dict)
-    f_res: np.ndarray = None
-    p_res: np.ndarray = None
+    f_res: list[float] = field(default_factory=list)     # per device 0..N
+    p_res: list[float] = field(default_factory=list)     # per device; inf at the server
     unmatched: set[int] = field(default_factory=set)
     overhead: int = 0
     converged = True                    # class constant, not a field: a one-pass run
@@ -68,9 +68,10 @@ class MatchingState:
 
 
 def new_state(sc: Scenario) -> MatchingState:
-    f_res = sc.arrays.f_max.copy()
-    p_res = np.concatenate([[math.inf], sc.arrays.p_m])
-    return MatchingState(f_res=f_res, p_res=p_res,
+    """Full budgets, nothing committed.  The budgets are Python floats, so
+    every frequency and power committed from them is one too."""
+    return MatchingState(f_res=sc.arrays.f_max.tolist(),
+                         p_res=[math.inf, *sc.arrays.p_m.tolist()],
                          unmatched=set(range(1, sc.n + 1)))
 
 

@@ -397,7 +397,10 @@ def device_speed_cap(dev: DeviceProfile) -> float:
     """Fastest frequency a device can host: capacity and CPU power budget."""
     if dev.id == 0 or dev.kappa == 0.0:
         return dev.f_max
-    return min(dev.f_max, (dev.p_m / dev.kappa) ** (1.0 / dev.nu))
+    quotient = dev.p_m / dev.kappa
+    if quotient == math.inf:            # a subnormal kappa: take each side's root
+        return min(dev.f_max, dev.p_m ** (1.0 / dev.nu) / dev.kappa ** (1.0 / dev.nu))
+    return min(dev.f_max, quotient ** (1.0 / dev.nu))
 
 
 def feasibility_bounds(sc: Scenario) -> FeasibilityBounds:

@@ -92,9 +92,14 @@ def test_run_algorithm_dispatch(sc3):
     dict(kappa=1e308, w=0.0), dict(kappa=1e308, w=2.0),   # ... times a host price
     dict(kappa=1e308, nu=1.0),                        # icrbi's capacity-price step
     dict(eta=1e-320),                                 # icrbi's upload price w / eta
+    # p_m / kappa overflows: the speed cap is the ratio of the two roots
+    dict(kappa=1e-320, f_ue=(1e300, 1e300)), dict(kappa=1e-320, f_ue=(1e300, 1e300), w=0.0),
+    dict(kappa=5e-324, f_ue=(1e200, 1e200)),
+    dict(kappa=1e-310, f_ue=(1e120, 1e120)),          # a residual budget / kappa
 ], ids=["f0max1e120", "f0max1e300", "cycles1e300",
         "deadline1e-300", "kappa1e300", "bandwidth1e308", "nu300",
-        "kappa1e308", "kappa1e308w0", "kappa1e308w2", "kappa1e308nu1", "eta1e-320"])
+        "kappa1e308", "kappa1e308w0", "kappa1e308w2", "kappa1e308nu1", "eta1e-320",
+        "kappa1e-320", "kappa1e-320w0", "kappa5e-324", "kappa1e-310"])
 def test_extreme_magnitudes_do_not_overflow(algo, cell):
     # the free server compute and a blocked local pair are never priced, so
     # their overflowing power-law terms are never evaluated, and icrbi clamps

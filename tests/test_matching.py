@@ -159,8 +159,9 @@ def test_run_outputs_validate(sc10, sc3):
         for criterion in CRITERIA:
             asg, state = run(sc, criterion)
             assert validate_constraints(sc, asg) == []
-            assert (state.f_res > -1e-6 * state.f_res.max()).all()
-            assert (state.p_res >= 0).all()
+            f_res, p_res = np.asarray(state.f_res), np.asarray(state.p_res)
+            assert (f_res > -1e-6 * f_res.max()).all()
+            assert (p_res >= 0).all()
             assert state.iterations == asg.accomplished
 
 
