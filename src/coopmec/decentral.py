@@ -181,7 +181,7 @@ def run(sc: Scenario) -> tuple[Assignment, RoundLog]:
     for k in sorted(held):
         matching.commit(sc, state, k, held[k], float(bounds.f_lower[k - 1, held[k]]))
 
-    asg = make_assignment(sc, state.omega, state.freqs)
+    asg = make_assignment(sc, matching.prune(sc, state.omega, state.freqs)[0], state.freqs)
     log.overhead = overhead(sc.n, log.n_u, log.n_mec, log.rounds)
     return asg, log
 

@@ -344,9 +344,11 @@ def decisions_from(dev: np.ndarray) -> dict[int, int]:
 
 
 def _recommit(sc: Scenario, decisions: dict[int, int], bounds: FeasibilityBounds
-              ) -> tuple[dict[int, int], dict[int, float]]:
+              ) -> tuple[dict[int, int], dict[int, float], float]:
     """The (target, frequencies) a decision map re-commits to under residual
-    budgets; see repair_feasibility."""
+    budgets, pruned (matching.prune), and the placed cost: the upload and
+    host power cost of the placed pairs minus the penalties they avoid, the
+    total cost less the terms every map shares.  See repair_feasibility."""
     state = matching.new_state(sc)
     order = sorted(decisions, key=lambda k: (bounds.f_lower[k - 1, decisions[k]], k))
     for k in order:
@@ -355,13 +357,8 @@ def _recommit(sc: Scenario, decisions: dict[int, int], bounds: FeasibilityBounds
             if f is not None:
                 matching.commit(sc, state, k, dev, f)
                 break
-    return state.omega, matching.redistribute_mec(state, sc)
-
-
-def _placed_cost(sc: Scenario, target: dict[int, int], freqs: dict[int, float]) -> float:
-    """Upload and host power cost of the placed pairs minus the penalties
-    they avoid: the total cost less the terms every map shares."""
-    return sum(matching.pair_cost(sc, k, dev, freqs[k]) for k, dev in sorted(target.items()))
+    freqs = matching.redistribute_mec(state, sc)
+    return *matching.prune(sc, state.omega, freqs), freqs
 
 
 def repair_feasibility(sc: Scenario, decisions: dict[int, int],
@@ -375,11 +372,11 @@ def repair_feasibility(sc: Scenario, decisions: dict[int, int],
     Leftover edge capacity is redistributed.  Given a rival map as well,
     both are re-committed and the cheaper is kept, `decisions` on a tie;
     only the kept one is assembled.  The result always validates."""
-    target, freqs = _recommit(sc, decisions, bounds)
+    target, placed, freqs = _recommit(sc, decisions, bounds)
     if rival is not None:
         alt = _recommit(sc, rival, bounds)
-        if _placed_cost(sc, *alt) < _placed_cost(sc, target, freqs):
-            target, freqs = alt
+        if alt[1] < placed:
+            target, _, freqs = alt
     return make_assignment(sc, target, freqs)
 
 

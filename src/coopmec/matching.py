@@ -14,7 +14,8 @@ devices d and k are priced again, plus every entry of task d itself when d
 is a still unmatched UE (its residual power is also its transmit budget).
 Budgets only shrink during the loop, so an entry that stops fitting is
 dropped for good.  Leftover edge-server capacity is finally redistributed
-over the tasks it hosts to cut their upload power.
+over the tasks it hosts to cut their upload power, and a placement that then
+costs more than dropping its task is dropped (`prune`).
 
 Two ordering criteria are provided: "maxtask" favours the task with the
 fewest remaining options (ties by cheapest head entry), "minpw" always
@@ -142,6 +143,24 @@ def pair_cost(sc: Scenario, k: int, dev: int, f: float) -> float:
     return cost
 
 
+def prune(sc: Scenario, target: dict[int, int], freqs: dict[int, float]
+          ) -> tuple[dict[int, int], float]:
+    """The placements of `target` whose pair_cost at their frequency in
+    `freqs` is at most zero, in target order, and the sum of those costs.
+
+    A placement that costs more than dropping its task is dropped.  That
+    only frees budget, so the kept map still validates, and its total cost
+    is at most the cost of dropping every task.  Every solver calls this
+    just before make_assignment."""
+    kept, placed = {}, 0.0
+    for k, dev in target.items():
+        cost = pair_cost(sc, k, dev, freqs[k])
+        if cost <= 0.0:
+            kept[k] = dev
+            placed += cost
+    return kept, placed
+
+
 def _priced(sc: Scenario, state: MatchingState, k: int, devices) -> list[tuple]:
     """(psi, device, f) entries of task k on those of `devices` that still fit it."""
     entries = []
@@ -230,7 +249,8 @@ def redistribute_mec(state: MatchingState, sc: Scenario) -> dict[int, float]:
 
 
 def run(sc: Scenario, criterion: str = "maxtask") -> tuple[Assignment, MatchingState]:
-    """Full heuristic: local seeding, ordered matching loop, capacity top-up."""
+    """Full heuristic: local seeding, ordered matching loop, capacity top-up,
+    prune."""
     if criterion not in CRITERIA:
         raise UnknownAlgorithm(f"matching criterion {criterion!r}")
     bounds = feasibility_bounds(sc)
@@ -249,6 +269,7 @@ def run(sc: Scenario, criterion: str = "maxtask") -> tuple[Assignment, MatchingS
         commit(sc, state, k, dev, f)
         _reprice(sc, state, prefs, k, dev)
 
-    asg = make_assignment(sc, state.omega, redistribute_mec(state, sc))
+    freqs = redistribute_mec(state, sc)
+    asg = make_assignment(sc, prune(sc, state.omega, freqs)[0], freqs)
     state.overhead = overhead(sc.n, sc.n - len(seeds), sum(d == 0 for d in asg.target.values()))
     return asg, state

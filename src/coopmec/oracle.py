@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from . import decentral
+from . import decentral, matching
 from .errors import InstanceTooLarge
 from .model import (Assignment, CHECK_TOL, FeasibilityBounds, Scenario,
                     feasibility_bounds, make_assignment, offload_power,
@@ -59,7 +59,7 @@ def non_cope(sc: Scenario) -> Assignment:
         if k not in admitted and not bounds.blocked[k - 1, k]:
             target[k] = k
             freqs[k] = sc.task(k).f_min
-    return make_assignment(sc, target, freqs)
+    return make_assignment(sc, matching.prune(sc, target, freqs)[0], freqs)
 
 
 # ---------------------------------------------------------------------------

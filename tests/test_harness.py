@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gen
 from coopmec import cli, decentral, harness, matching, model, scenario
@@ -193,6 +195,50 @@ def test_one_validation_per_solve(monkeypatch, algo):
         assert calls[-1] is asg
         assert len(costed) == k + 1
         assert costed[-1] == asg.target
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@pytest.mark.parametrize("cell, costs", [
+    (dict(n=3, seed=5), dict.fromkeys(ALGORITHMS, 132.45)),
+    (dict(n=3, seed=19), dict.fromkeys(ALGORITHMS, 133.41)),
+    (dict(seed=4104, f0_max=6e9), {**dict.fromkeys(ALGORITHMS, 397.09),
+                                   "maxtask": 354.50, "minpw": 354.50}),
+], ids=["n3seed5", "n3seed19", "seed4104"])
+def test_no_solver_costs_more_than_dropping_every_task(algo, cell, costs):
+    # each solver once placed a task here whose upload cost more than its
+    # penalty (144.24, 145.95 and 463.22 against dropping everything); the
+    # prune drops such a task, and no solver then exceeds the drop cost
+    sc = gen(**cell)
+    asg, _ = run_algorithm(sc, algo)
+    assert asg.cost.total <= sc.arrays.circuit + sc.arrays.penalty_total
+    assert asg.cost.total == pytest.approx(costs[algo], abs=0.005)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       f0_exp=st.floats(8.0, 11.0), w=st.floats(0.0, 10.0), phi0=st.floats(0.0, 60.0),
+       pathloss_exponent=st.floats(2.5, 5.0), ref_gain_exp=st.floats(-5.0, -1.0))
+def test_generated_cells_stay_within_the_drop_bound(n, seed, f0_exp, w, phi0,
+                                                    pathloss_exponent, ref_gain_exp):
+    # every solver either refuses a generated cell with a CoopMecError or
+    # returns a validated assignment of finite cost that costs no more than
+    # dropping every task (to float round-off).  Penalties low against the
+    # power price make uploads that cost more than their penalty common:
+    # about one cell in twenty breached the bound before the prune
+    try:
+        sc = gen(n=n, seed=seed, f0_max=10.0 ** f0_exp, w=w, phi0=phi0,
+                 pathloss_exponent=pathloss_exponent, pathloss_ref_gain=10.0 ** ref_gain_exp)
+    except CoopMecError:
+        return
+    ceiling = sc.arrays.circuit + sc.arrays.penalty_total
+    for algo in ALGORITHMS:
+        try:
+            asg, _ = run_algorithm(sc, algo)
+        except CoopMecError:
+            continue
+        assert validate_constraints(sc, asg) == []
+        assert math.isfinite(asg.cost.total)
+        assert asg.cost.total <= ceiling * (1.0 + 1e-9)
 
 
 def test_run_experiment_aggregates():

@@ -13,7 +13,7 @@ from coopmec import oracle
 from coopmec.errors import UnknownAlgorithm
 from coopmec.matching import (CRITERIA, build_preferences, commit, local_seed_set,
                               mec_topup, new_state, next_task, pair_cost,
-                              pair_frequency, redistribute_mec,
+                              pair_frequency, prune, redistribute_mec,
                               residual_window, run)
 from coopmec.model import (LN2, assignment_cost, feasibility_bounds,
                            make_assignment, validate_constraints)
@@ -163,6 +163,24 @@ def test_run_outputs_validate(sc10, sc3):
             assert (f_res > -1e-6 * f_res.max()).all()
             assert (p_res >= 0).all()
             assert state.iterations == asg.accomplished
+
+
+def test_prune_keeps_only_the_placements_that_beat_dropping():
+    # on this cell task 3's server upload at its slowest admissible
+    # frequency costs less than its penalty and task 1's costs more
+    sc = gen(n=3, seed=27)
+    bounds = feasibility_bounds(sc)
+    target = {3: 0, 1: 0}
+    freqs = {k: float(bounds.f_lower[k - 1, 0]) for k in target}
+    costs = {k: pair_cost(sc, k, 0, freqs[k]) for k in target}
+    assert costs[3] < 0.0 < costs[1]
+    kept, placed = prune(sc, target, freqs)
+    assert kept == {3: 0}
+    assert placed == costs[3]
+    assert prune(sc, {1: 0, 3: 0}, freqs)[0] == {3: 0}
+    asg = make_assignment(sc, kept, freqs)
+    assert asg.cost.total == pytest.approx(sc.arrays.circuit + sc.arrays.penalty_total
+                                           + costs[3], rel=1e-12)
 
 
 def test_matching_tracks_exhaustive_search():
