@@ -99,8 +99,8 @@ def mec_admission(sc: Scenario, bounds: FeasibilityBounds,
     """Step 2: admit edge-server requests of `candidates` cheapest-first (ties
     towards the lower id), then top up.  Returns the admitted set and their
     frequencies after leftover capacity is spread."""
-    requests = sorted((float(bounds.f_lower[k - 1, 0]), k) for k in candidates
-                      if not bounds.blocked[k - 1, 0])
+    f_mec, blocked = bounds.f_lower[:, 0].tolist(), bounds.blocked[:, 0].tolist()
+    requests = sorted((f_mec[k - 1], k) for k in candidates if not blocked[k - 1])
     server = sc.device(0)
     admitted = requests[:prefix_admit(requests, server, server.f_max, math.inf)]
     freqs = matching.mec_topup(sc, {k: f for f, k in admitted})

@@ -19,12 +19,10 @@ every term that does not depend on the multipliers once per solve, and
 holds an iterate as one host per task (local, the server, one helper, or
 none: dropped).  The local test runs on arrays over all tasks; only the
 pairs of the tasks whose local option lost (the live pairs) are then
-walked, once each, on plain floats: screened at their window ends,
-root-solved where the screen leaves them open (model.balance_root, the
-safeguarded Newton that matching uses too) and priced on the spot, with
-the upload power U that model.offload_power evaluates and the slope that
-model's scalar derivative evaluates.  So icrbi and the cost model price an
-upload with one float implementation of U.  The other pairs keep their previous
+walked once, on plain floats: screened at their window ends, root-solved
+where the screen leaves them open (model.balance_root, the safeguarded
+Newton that matching uses too) and priced on the spot with the cost
+model's own scalar U and U'.  The other pairs keep their previous
 stationary frequencies (the window midpoint before the first solve), which
 warm-start the root once the task's local option loses; a pair solved from
 such a stale start ends at the same root to within the root tolerance, not
@@ -38,7 +36,8 @@ free, so its hosted power is zero.
 The relaxed iterate may violate capacity, so the final decision map is
 re-committed through the matching module's residual-budget subproblem
 (cheapest-to-place first, edge-server fallback, leftover capacity
-redistributed); the returned assignment always validates.
+redistributed, placements that cost more than dropping pruned); the
+returned assignment always validates.
 
 The repair reads only the 0/1 decision map, so the loop stops as soon as
 that map stops changing: when no new map has appeared for MAP_STABLE_K
@@ -240,11 +239,9 @@ class _Kernel:
         Returns (use, gamma): each task's host with its frequency and power
         terms, and the per-pair stationary frequencies as a list, which
         warm-starts the next call.  Only the live pairs are solved and
-        priced, each in one pass on plain floats; the rest keep the gamma of
-        `warm` (the window midpoint on the first call).  A pair's upload
-        power is U as model.offload_power evaluates it and its slope as
-        model's scalar derivative does, so a committed pair's power terms
-        are the cost model's to the last bit."""
+        priced, in one pass on floats; the rest keep the gamma of `warm` (the
+        window midpoint on the first call).  U and U' at gamma are model's
+        scalar expressions, so a committed upload is the cost model's."""
         wi_eff = self.w + mu
         # local execution: the priced cost is increasing in f, so f_min is enough
         lam_local = wi_eff * self.own_kappa * self.fmin_nu + v[1:] * self.f_min - self.phi
@@ -253,8 +250,6 @@ class _Kernel:
         use = _Usage(np.where(take_local, self.own, -1), *terms)
         gamma = list(self.mid if warm is None else warm)
         tasks = np.flatnonzero(~take_local).tolist()
-        if not tasks:
-            return use, gamma
         wi, eta, vj, phi = wi_eff.tolist(), self.eta.tolist(), v.tolist(), self.phi.tolist()
         wh = [0.0, *wi]                                 # compute price per host
         rows, starts, bw, noise = self.rows, self.starts, self.bandwidth, self.noise_w
@@ -271,11 +266,9 @@ class _Kernel:
             for p in range(starts[i], starts[i + 1]):
                 j, cyc, bits, dl, gain, knu, kappa, nu, lo, hi, du_lo, du_hi, lo_nu1, hi_nu1 \
                     = rows[p]
-                # the marginal g = U' + c1 * f**(nu-1) + c2 is increasing in
-                # f, so a pair sits at lo when g(lo) >= 0 and at hi when
-                # g(hi) <= 0; a pair open in between gets its root from
-                # model.balance_root, started at its warm-start value clipped
-                # just inside the window
+                # g = U' + c1 * f**(nu-1) + c2 increases in f: a pair sits at
+                # lo when g(lo) >= 0, at hi when g(hi) <= 0, else at the root,
+                # started from its warm start clipped just inside the window
                 c1, c2 = knu * wh[j] * r, vj[j] * r
                 if fixed or not du_lo + c1 * lo_nu1 + c2 < 0.0:
                     g = lo
@@ -288,10 +281,9 @@ class _Kernel:
                     g = balance_root(cyc, bits, dl, gain, bw, noise, nu1, nu2, c1, c2,
                                      lo, hi, x0)
                 gamma[p] = g
-                # gamma minimises the convex priced pair cost over its window.
-                # The task takes its pair of least intercept among those that
-                # beat dropping; a NaN intercept loses to any other, and a tie
-                # keeps the lower device
+                # g minimises the convex priced pair cost.  The task takes its
+                # pair of least intercept among those that beat dropping; a
+                # NaN intercept loses to any other, a tie keeps the lower device
                 denom = dl * g - cyc
                 x = ln2_bw * bits * g / denom if denom > 0.0 else math.inf
                 u = math.inf if x > cap else noise / gain * math.expm1(x)
@@ -345,10 +337,9 @@ def decisions_from(dev: np.ndarray) -> dict[int, int]:
 
 def _recommit(sc: Scenario, decisions: dict[int, int], bounds: FeasibilityBounds
               ) -> tuple[dict[int, int], dict[int, float], float]:
-    """The (target, frequencies) a decision map re-commits to under residual
-    budgets, pruned (matching.prune), and the placed cost: the upload and
-    host power cost of the placed pairs minus the penalties they avoid, the
-    total cost less the terms every map shares.  See repair_feasibility."""
+    """The pruned target a decision map re-commits to under residual budgets,
+    its placed cost (the total less the terms every map shares) and its
+    frequencies; see repair_feasibility."""
     state = matching.new_state(sc)
     order = sorted(decisions, key=lambda k: (bounds.f_lower[k - 1, decisions[k]], k))
     for k in order:
@@ -369,7 +360,8 @@ def repair_feasibility(sc: Scenario, decisions: dict[int, int],
     Tasks are placed cheapest-to-fit first (ascending static minimum
     frequency at their chosen device); a task that no longer fits falls back
     to the edge server if that still works, otherwise it is dropped.
-    Leftover edge capacity is redistributed.  Given a rival map as well,
+    Leftover edge capacity is redistributed, and a placement that then
+    costs more than dropping its task is dropped.  Given a rival map as well,
     both are re-committed and the cheaper is kept, `decisions` on a tie;
     only the kept one is assembled.  The result always validates."""
     target, placed, freqs = _recommit(sc, decisions, bounds)

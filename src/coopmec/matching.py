@@ -69,8 +69,7 @@ class MatchingState:
 
 
 def new_state(sc: Scenario) -> MatchingState:
-    """Full budgets, nothing committed.  The budgets are Python floats, so
-    every frequency and power committed from them is one too."""
+    """Full budgets as Python floats, so every committed value is one too."""
     return MatchingState(f_res=sc.arrays.f_max.tolist(),
                          p_res=[math.inf, *sc.arrays.p_m.tolist()],
                          unmatched=set(range(1, sc.n + 1)))
@@ -79,7 +78,7 @@ def new_state(sc: Scenario) -> MatchingState:
 def local_seed_set(sc: Scenario, bounds: FeasibilityBounds) -> set[int]:
     """Tasks whose own UE can execute them: f_min within the CPU capacity and
     the compute power it implies within the device's budget."""
-    return {i for i in range(1, sc.n + 1) if not bounds.blocked[i - 1, i]}
+    return {i for i, b in enumerate(np.diagonal(bounds.blocked, 1).tolist(), 1) if not b}
 
 
 def residual_window(sc: Scenario, state: MatchingState, k: int, dev: int
@@ -145,13 +144,10 @@ def pair_cost(sc: Scenario, k: int, dev: int, f: float) -> float:
 
 def prune(sc: Scenario, target: dict[int, int], freqs: dict[int, float]
           ) -> tuple[dict[int, int], float]:
-    """The placements of `target` whose pair_cost at their frequency in
-    `freqs` is at most zero, in target order, and the sum of those costs.
-
-    A placement that costs more than dropping its task is dropped.  That
-    only frees budget, so the kept map still validates, and its total cost
-    is at most the cost of dropping every task.  Every solver calls this
-    just before make_assignment."""
+    """The placements of `target` whose pair_cost at `freqs` is at most zero,
+    in target order, and the sum of those costs.  Dropping a task only frees
+    budget, so the kept map still validates, and it costs no more than
+    dropping every task.  Every solver calls this before make_assignment."""
     kept, placed = {}, 0.0
     for k, dev in target.items():
         cost = pair_cost(sc, k, dev, freqs[k])

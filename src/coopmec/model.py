@@ -184,7 +184,7 @@ class Scenario:
         return self.devices[device_id]
 
     def gain(self, task_id: int, device_id: int) -> float:
-        return float(self.gains[task_id - 1, device_id])
+        return self.gains.item(task_id - 1, device_id)
 
     def host_price(self, device_id: int) -> float:
         """Power price of a hosting device; edge-server compute is free."""

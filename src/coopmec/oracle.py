@@ -35,13 +35,16 @@ def non_cope(sc: Scenario) -> Assignment:
     target: dict[int, int] = {}
     freqs: dict[int, float] = {}
     requests: list[int] = []
+    # each task's own-UE and server columns, read once as plain values
+    local_open = (~np.diagonal(bounds.blocked, 1)).tolist()
+    mec_open = (~bounds.blocked[:, 0]).tolist()
+    f_mec = bounds.f_lower[:, 0].tolist()
     for i in range(1, sc.n + 1):
         task = sc.task(i)
         dev = sc.device(i)
-        local_ok = not bounds.blocked[i - 1, i]
-        mec_ok = not bounds.blocked[i - 1, 0]
-        if mec_ok:
-            f_req = float(bounds.f_lower[i - 1, 0])
+        local_ok = local_open[i - 1]
+        if mec_open[i - 1]:
+            f_req = f_mec[i - 1]
             u = offload_power(task, sc.gain(i, 0), sc.bandwidth, sc.noise_w, f_req)
             mec_cost = task.power_price / dev.eta * u
             # priced only when open: a blocked pair's f_min ** nu can overflow
@@ -56,7 +59,7 @@ def non_cope(sc: Scenario) -> Assignment:
         target[k] = 0
         freqs[k] = f
     for k in requests:
-        if k not in admitted and not bounds.blocked[k - 1, k]:
+        if k not in admitted and local_open[k - 1]:
             target[k] = k
             freqs[k] = sc.task(k).f_min
     return make_assignment(sc, matching.prune(sc, target, freqs)[0], freqs)
