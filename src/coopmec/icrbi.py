@@ -36,8 +36,7 @@ free, so its hosted power is zero.
 The relaxed iterate may violate capacity, so the final decision map is
 re-committed through the matching module's residual-budget subproblem
 (cheapest-to-place first, edge-server fallback, leftover capacity
-redistributed, placements that cost more than dropping pruned); the
-returned assignment always validates.
+redistributed, then matching.prune); the result always validates.
 
 The repair reads only the 0/1 decision map, so the loop stops as soon as
 that map stops changing: when no new map has appeared for MAP_STABLE_K
@@ -256,9 +255,8 @@ class _Kernel:
         ln2_bw, noise_ln2, cap = LN2 / bw, noise * LN2, EXP_CAP
         picks = []
         for i in tasks:
-            # a task whose power is free (w_i + mu_i = 0) pays nothing for
-            # upload, so its priced pair cost is non-decreasing in f: gamma
-            # stays at lo
+            # free power (w_i + mu_i = 0) leaves the priced pair cost
+            # non-decreasing in f: gamma stays at lo
             fixed = wi[i] == 0.0
             r = eta[i] / (1.0 if fixed else wi[i])     # prices per watt of upload
             # inf for an eta near zero: each upload then prices above dropping

@@ -35,7 +35,6 @@ def non_cope(sc: Scenario) -> Assignment:
     target: dict[int, int] = {}
     freqs: dict[int, float] = {}
     requests: list[int] = []
-    # each task's own-UE and server columns, read once as plain values
     local_open = (~np.diagonal(bounds.blocked, 1)).tolist()
     mec_open = (~bounds.blocked[:, 0]).tolist()
     f_mec = bounds.f_lower[:, 0].tolist()
