@@ -107,6 +107,13 @@ def mec_admission(sc: Scenario, bounds: FeasibilityBounds,
     return {k for _, k in admitted}, freqs
 
 
+def helper_preferences(bounds: FeasibilityBounds, k: int) -> list[tuple[float, int]]:
+    """(minimum frequency, device) of each UE helper open to task k, in the
+    order step 3 asks them: cheapest first, ties towards the lower id."""
+    lower = bounds.f_lower
+    return sorted((lower.item(k - 1, j), j) for j in bounds.pairs.devices[k - 1] if j and j != k)
+
+
 def deferred_acceptance(sc: Scenario, state: matching.MatchingState,
                         log: RoundLog, bounds: FeasibilityBounds) -> dict[int, int]:
     """Step 3: synchronized-round deferred acceptance among UE helpers.
@@ -118,10 +125,7 @@ def deferred_acceptance(sc: Scenario, state: matching.MatchingState,
     residual CPU capacity and its residual power budget.  Rejections are
     permanent.  Returns {task: device} for the offers held at termination."""
     participants = sorted(state.unmatched)
-    prefs: dict[int, list[tuple[float, int]]] = {}
-    for k in participants:
-        lower, blocked = bounds.f_lower[k - 1].tolist(), bounds.blocked[k - 1].tolist()
-        prefs[k] = sorted((lower[j], j) for j in range(1, sc.n + 1) if j != k and not blocked[j])
+    prefs = {k: helper_preferences(bounds, k) for k in participants}
     ptr = {k: 0 for k in participants}
     holding: dict[int, int | None] = {k: None for k in participants}
     held_at: dict[int, list[tuple[float, int]]] = {}
@@ -179,7 +183,7 @@ def run(sc: Scenario) -> tuple[Assignment, RoundLog]:
     log.n_u = len(state.unmatched)
     held = deferred_acceptance(sc, state, log, bounds)
     for k in sorted(held):
-        matching.commit(sc, state, k, held[k], float(bounds.f_lower[k - 1, held[k]]))
+        matching.commit(sc, state, k, held[k], bounds.f_lower.item(k - 1, held[k]))
 
     asg = make_assignment(sc, matching.prune(sc, state.omega, state.freqs)[0], state.freqs)
     log.overhead = overhead(sc.n, log.n_u, log.n_mec, log.rounds)

@@ -13,16 +13,18 @@ capacity) and preconditioned by a static price scale (the kernel's
 mu_scale and v_scale) so one step scale works across the very different
 units of power and frequency.
 
-The kernel keeps the admissible remote pairs as a flat list of float rows
-(a few percent of all (task, device) pairs on a default cell), computes
-every term that does not depend on the multipliers once per solve, and
-holds an iterate as one host per task (local, the server, one helper, or
-none: dropped).  The local test runs on arrays over all tasks; only the
-pairs of the tasks whose local option lost (the live pairs) are then
-walked once, on plain floats: screened at their window ends, root-solved
-where the screen leaves them open (model.balance_root, the safeguarded
-Newton that matching uses too) and priced on the spot with the cost
-model's own scalar U and U'.  The other pairs keep their previous
+The kernel keeps the admissible remote pairs, read from the scenario's
+cached enumeration of the open pairs (FeasibilityBounds.pairs), as a flat
+list of float rows (a few percent of all (task, device) pairs on a default
+cell), computes every term that does not depend on the multipliers once
+per solve, and holds an iterate as one host per task (local, the server,
+one helper, or none: dropped).  The local test runs on arrays over all
+tasks; a task whose local option lost and that has no remote pair is
+dropped at once, and only the pairs of the other tasks whose local option
+lost (the live pairs) are walked, once, on plain floats: screened at their
+window ends, root-solved where the screen leaves them open
+(model.balance_root, the safeguarded Newton that matching uses too) and
+priced on the spot with the cost model's own scalar U and U'.  The other pairs keep their previous
 stationary frequencies (the window midpoint before the first solve), which
 warm-start the root once the task's local option loses; a pair solved from
 such a stale start ends at the same root to within the root tolerance, not
@@ -174,8 +176,7 @@ class _Kernel:
         self.fmax_d = arr.f_max
         self.host_w = np.concatenate([[0.0], self.w])      # compute price per device
         self.own = np.arange(1, n + 1)                  # each task's own UE
-        valid = ~bounds.blocked
-        self.local_ok = valid[self.own - 1, self.own]
+        self.local_ok = ~np.diagonal(bounds.blocked, 1)
         self.f_min = arr.f_min
         # a blocked local pair is never priced, however large its kappa or f_min
         self.own_kappa = np.where(self.local_ok, arr.kappa[self.own], 0.0)
@@ -183,8 +184,12 @@ class _Kernel:
         # a local run's frequency, upload power and hosted CPU power
         self.local_terms = np.array([self.f_min, np.zeros(n), self.fmin_nu * self.own_kappa])
 
-        ri, rj = np.nonzero(valid & ~np.eye(n, n + 1, 1, dtype=bool))     # off the own UE
-        self.starts = np.searchsorted(ri, np.arange(n + 1)).tolist()
+        pairs = bounds.pairs
+        remote = pairs.cols != pairs.rows + 1                           # off the own UE
+        ri, rj = pairs.rows[remote], pairs.cols[remote]
+        starts = np.searchsorted(ri, np.arange(n + 1))
+        self.starts = starts.tolist()
+        self.remote_ok = starts[1:] > starts[:-1]       # the tasks with a remote pair
         curve = (arr.cycles[ri], arr.bits[ri], arr.deadline[ri], sc.gains[ri, rj])
         # each pair's host power law: a host that no pair reaches is never
         # priced, however large its kappa.  The server's compute is free
@@ -248,7 +253,7 @@ class _Kernel:
         terms = np.where(take_local, self.local_terms, 0.0)
         use = _Usage(np.where(take_local, self.own, -1), *terms)
         gamma = list(self.mid if warm is None else warm)
-        tasks = np.flatnonzero(~take_local).tolist()
+        tasks = np.flatnonzero(self.remote_ok & ~take_local).tolist()
         wi, eta, vj, phi = wi_eff.tolist(), self.eta.tolist(), v.tolist(), self.phi.tolist()
         wh = [0.0, *wi]                                 # compute price per host
         rows, starts, bw, noise = self.rows, self.starts, self.bandwidth, self.noise_w

@@ -171,11 +171,11 @@ def build_preferences(sc: Scenario, state: MatchingState, bounds: FeasibilityBou
                       ) -> dict[int, list[tuple]]:
     """Rank every still-fitting device for each unmatched task, cheapest first.
 
-    Pairs `bounds` marks as statically blocked are not tried: the residual
-    budgets never exceed the static ones, so they cannot fit.  A device
-    appears once per list, so sorting never compares frequencies."""
-    return {k: sorted(_priced(sc, state, k, np.flatnonzero(~bounds.blocked[k - 1]).tolist()))
-            for k in sorted(state.unmatched)}
+    Only the pairs `bounds` leaves open are tried: the residual budgets never
+    exceed the static ones, so a blocked pair cannot fit.  A device appears
+    once per list, so sorting never compares frequencies."""
+    devices = bounds.pairs.devices
+    return {k: sorted(_priced(sc, state, k, devices[k - 1])) for k in sorted(state.unmatched)}
 
 
 def _reprice(sc: Scenario, state: MatchingState, prefs: dict[int, list[tuple]],

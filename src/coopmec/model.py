@@ -211,18 +211,12 @@ def offload_power(task: TaskSpec, gain: float, bandwidth: float, noise_w: float,
 
 def offload_power_derivs(task: TaskSpec, gain: float, bandwidth: float, noise_w: float,
                          f: float) -> tuple[float, float]:
-    """First and second derivative of U at f; (-inf, +inf) once saturated."""
-    if task.deadline * f - task.cycles <= 0:
-        raise DomainError(f"task {task.id}: frequency {f:g} at or below f_min {task.f_min:g}")
-    return _power_derivs(task.cycles, task.bits, task.deadline, gain, bandwidth, noise_w, f)
-
-
-def _power_derivs(cycles, bits, deadline, gain, bandwidth, noise_w, f):
-    """(U', U'') at f on plain floats.  Saturates to (-inf, +inf) at or below
-    f_min, where (T f - c)**2 underflows to zero, and where U overflows."""
+    """First and second derivative of U at f; (-inf, +inf) once saturated:
+    where U overflows, and where (T f - c)**2 underflows to zero."""
+    cycles, bits, deadline = task.cycles, task.bits, task.deadline
     denom = deadline * f - cycles
     if denom <= 0:
-        return -math.inf, math.inf
+        raise DomainError(f"task {task.id}: frequency {f:g} at or below f_min {task.f_min:g}")
     x = LN2 / bandwidth * bits * f / denom
     if x > EXP_CAP:
         return -math.inf, math.inf
@@ -264,16 +258,23 @@ def offload_power_slope_vec(cycles, bits, deadline, gain, bandwidth, noise_w, f)
 # share one root: matching prices a pair through balance_root_clamped
 # (c2 = 0), and icrbi screens each live pair at its window ends on floats and
 # root-solves only the pairs left open, one balance_root call each
-# (icrbi._Kernel.primal).  At N = 10 a call leaves about 1.3 pairs open and
-# each root takes about 5 steps.  A vector Newton over those few pairs paid
-# about 25 numpy calls per step; the scalar root halved icrbi's primal time
-# (421 -> 202 us per call on the capacity-sweep benchmark; 2-core machine,
-# Python 3.11, numpy 2.4).  Routing matching through that vector Newton gave
-# the same frequencies to 1e-16 but was slower: maxtask p50 at N = 80 went
-# from 2.4 to 5.7 ms per pair, and +18 % batched per preference build.
+# (icrbi._Kernel.primal).  A vector Newton over the open pairs paid about
+# 25 numpy calls per step and was slower for both solvers.  At N = 80 a
+# primal call makes 17-23 roots, most of them done in about 5 steps.  The
+# root evaluates U' and U'' inline, with the factors that do not change from
+# step to step computed once per call: on roots recorded from icrbi and
+# maxtask solves at N = 10, 80 and 200 that takes about 35 % less time per
+# root than calling a U'/U'' helper every step, with identical outputs
+# (2-core machine, Python 3.11, numpy 2.4).  No root of the benchmark pools
+# takes more than 18 steps.  Started just above f_min, where U' is finite
+# but huge, Newton moves by about (T f - c)**2 / (ln2 D F / B) per step and
+# would crawl to the step cap, so after ROOT_NEWTON_STEPS steps the root
+# only bisects.
 
 # residual target |g| <= ROOT_RTOL * scale of the stationary-point root
 ROOT_RTOL = 1e-9
+ROOT_STEPS = 200            # balance_root's step cap
+ROOT_NEWTON_STEPS = 30      # later steps bisect geometrically
 
 
 def balance_root(cycles, bits, deadline, gain, bandwidth, noise_w, nu1, nu2,
@@ -282,25 +283,46 @@ def balance_root(cycles, bits, deadline, gain, bandwidth, noise_w, nu1, nu2,
     g(a) < 0 < g(b), from the start x inside it; g' reads c1*nu1*f**nu2.
 
     Safeguarded Newton: the bracket is kept, and a step that leaves it or
-    meets a non-increasing g falls back to a geometric bisection.  Stops at
+    meets a non-increasing g falls back to a geometric bisection, as does
+    every step after the first ROOT_NEWTON_STEPS.  Stops at
     |g| <= ROOT_RTOL * (|U'| + c1*f**nu1 + |c2|), once the bracket is
-    narrower than 1e-13 * b, or after 200 steps."""
-    for _ in range(200):
-        du, d2u = _power_derivs(cycles, bits, deadline, gain, bandwidth, noise_w, x)
+    narrower than 1e-13 * b, or after ROOT_STEPS steps.  U' and U'' are
+    offload_power_derivs' expressions, saturated alike."""
+    k_x = LN2 / bandwidth * bits
+    k_du = noise_w * LN2 / (bandwidth * gain)
+    k_bc = -bits * cycles
+    k_d2 = LN2 * bits * cycles
+    t2 = 2.0 * deadline
+    c1_nu1 = c1 * nu1
+    c2_abs = c2 if c2 >= 0.0 else -c2
+    for it in range(ROOT_STEPS):
+        denom = deadline * x - cycles
+        if denom <= 0.0:
+            du, d2u = -math.inf, math.inf
+        else:
+            e = k_x * x / denom
+            sq = 0.0 if e > EXP_CAP else denom**2
+            if sq == 0.0:
+                du, d2u = -math.inf, math.inf
+            else:
+                du = k_du * math.exp(e) * (k_bc / sq)
+                d2u = -du / denom * (k_d2 / (bandwidth * denom) + t2)
         cpu = c1 * x ** nu1
         g = du + cpu + c2
-        finite = math.isfinite(g)
-        if finite and abs(g) <= ROOT_RTOL * max(abs(du) + cpu + abs(c2), 1e-300):
-            return x
-        if finite and g >= 0.0:
-            b = x
+        step = math.nan
+        if math.isfinite(g):
+            scale = (-du if du < 0.0 else du) + cpu + c2_abs
+            if (-g if g < 0.0 else g) <= ROOT_RTOL * (1e-300 if scale < 1e-300 else scale):
+                return x
+            if g >= 0.0:
+                b = x
+            else:
+                a = x
+            gp = d2u + c1_nu1 * x ** nu2
+            if 0.0 < gp < math.inf and it < ROOT_NEWTON_STEPS:
+                step = x - g / gp
         else:
             a = x                           # saturated side is the negative side
-        step = math.nan
-        if finite:
-            gp = d2u + c1 * nu1 * x ** nu2
-            if 0.0 < gp < math.inf:
-                step = x - g / gp
         x = step if a < step < b else math.sqrt(a * b)
         if (b - a) <= 1e-13 * b:
             return x
@@ -378,6 +400,16 @@ def _scenario_arrays(sc: Scenario) -> ScenarioArrays:
         penalty_total=sum(t.penalty for t in tasks))
 
 
+class OpenPairs(NamedTuple):
+    """The admissible (task, device) pairs, by task and, within a task, by
+    device: pair p is task rows[p] + 1 on device cols[p] (read-only arrays),
+    and devices[i - 1] lists task i's open devices as Python ints."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    devices: list[list[int]]
+
+
 @dataclass
 class FeasibilityBounds:
     """Static per-pair frequency windows and the blocked-pair mask.
@@ -386,11 +418,22 @@ class FeasibilityBounds:
     f_lower is the slowest admissible host frequency (delay side), f_upper the
     fastest the host can afford (capacity and power side); a pair is blocked
     when the window is empty or the deadline cannot be met at any power.
+    `pairs` enumerates the pairs left open once, on first use, so a solver
+    that never reads it (noncope) never pays for it; the solvers that walk
+    the admissible pairs walk only those.
     """
 
     f_upper: np.ndarray
     f_lower: np.ndarray
     blocked: np.ndarray
+
+    @cached_property
+    def pairs(self) -> OpenPairs:
+        rows, cols = np.nonzero(~self.blocked)
+        starts = np.searchsorted(rows, np.arange(len(self.blocked) + 1)).tolist()
+        devices = cols.tolist()
+        return OpenPairs(_read_only(rows), _read_only(cols),
+                         [devices[a:b] for a, b in zip(starts, starts[1:])])
 
 
 def device_speed_cap(dev: DeviceProfile) -> float:

@@ -11,7 +11,7 @@ Likewise every `CoopMecError` subclass in errors.py must be raised, by a
 `raise` statement, somewhere in src/coopmec/: an error type nothing raises
 cannot linger in `__all__`.  And every annotated field of the solver
 records (`IcrbiTrace`, `MatchingState`, `RoundLog`) and of the per-scenario
-data (`FeasibilityBounds`, `ScenarioArrays`) must be loaded as an attribute
+data (`FeasibilityBounds`, `ScenarioArrays`, `OpenPairs`) must be loaded as an attribute
 somewhere in src/coopmec/ or scripts/: a record holds only what the solve
 or its callers read, not write-only bookkeeping.  Every attribute that
 `icrbi._Kernel.__init__` stores must be loaded by another kernel method: a
@@ -50,7 +50,7 @@ WRITE_ONLY = {
     "IcrbiTrace.n_root_pairs": "solverbench reads it through getattr",
 }
 RECORDS = [("icrbi", "IcrbiTrace"), ("matching", "MatchingState"), ("decentral", "RoundLog"),
-           ("model", "FeasibilityBounds"), ("model", "ScenarioArrays")]
+           ("model", "FeasibilityBounds"), ("model", "ScenarioArrays"), ("model", "OpenPairs")]
 
 
 def modules() -> list[Path]:

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from conftest import (NOISE_W, c5_violations, gen, mk_dev, mk_scenario, mk_task,
                       power_for_rate, required_rate, ue_power_scan)
-from coopmec import icrbi
+from coopmec import icrbi, model
 from coopmec.errors import DomainError, InfeasibleAssignment
 from coopmec.harness import ALGORITHMS, run_algorithm
-from coopmec.model import (Assignment, DeviceProfile, TaskSpec, assignment_cost,
-                           device_speed_cap, feasibility_bounds, make_assignment,
+from coopmec.model import (ROOT_RTOL, Assignment, DeviceProfile, TaskSpec, assignment_cost,
+                           balance_root, device_speed_cap, feasibility_bounds, make_assignment,
                            offload_power, offload_power_derivs, offload_power_slope_vec,
                            offload_power_vec, ue_total_power, validate_constraints)
 
@@ -153,6 +153,26 @@ def test_curve_is_decreasing_and_convex(a: float, b: float):
         assert u1 > u2
     mid = ref_power(0.5 * (f1 + f2))
     assert mid <= 0.5 * (u1 + u2) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("guarded", [True, False])
+def test_root_started_just_above_f_min_does_not_crawl(monkeypatch, guarded):
+    # started just above f_min, where U' is finite but huge, each Newton step
+    # moves by about (T f - c)**2 / (ln2 D F / B): unguarded, the root is
+    # still at its start after 200 steps (relative |g| = 1); the geometric
+    # bisection after ROOT_NEWTON_STEPS steps meets the tolerance within 80
+    task = ref_task()
+    c1, c2, a, b = 1e-27 * 3.0 * 0.5, 1e-19, 5.005e8, 3e9
+    if guarded:
+        monkeypatch.setattr(model, "ROOT_STEPS", 80)
+    else:
+        monkeypatch.setattr(model, "ROOT_NEWTON_STEPS", model.ROOT_STEPS)
+    root = balance_root(task.cycles, task.bits, task.deadline, REF_GAIN, 2e6, NOISE_W,
+                        2.0, 1.0, c1, c2, a, b, a * (b / a) ** 1e-3)
+    du, _ = offload_power_derivs(task, REF_GAIN, 2e6, NOISE_W, root)
+    g, scale = du + c1 * root**2 + c2, abs(du) + c1 * root**2 + c2
+    assert a < root < b
+    assert (abs(g) <= ROOT_RTOL * scale) == guarded
 
 
 def test_domain_type_validation():

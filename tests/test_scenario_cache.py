@@ -4,7 +4,10 @@ Every solver reads the feasibility bounds, the parameter arrays and the
 constant cost terms from a cache on the Scenario instance.  These tests pin
 down that the cache is filled once, shared, read-only, empty on a
 dataclasses.replace copy, and that a solve does not depend on whether the
-cache was already warm.
+cache was already warm.  The enumeration of the open pairs is cached on the
+bounds in turn: it must list exactly the unblocked pairs, give decentral's
+step 3 the preference lists of a full scan, and stay unbuilt by a solve
+that does not read it.
 """
 
 from __future__ import annotations
@@ -13,9 +16,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gen, mk_dev, mk_scenario, mk_task
 from coopmec import decentral, icrbi, matching, model, oracle
+from coopmec.errors import CoopMecError
 from coopmec.harness import ALGORITHMS, run_algorithm
 from coopmec.model import Scenario, feasibility_bounds
 
@@ -109,3 +115,48 @@ def test_cold_and_warm_solves_agree(algorithm, n, seed, cell):
             run_algorithm(warm, other)
     assert "_bounds" in vars(warm) and "_bounds" not in vars(cold)
     assert run_algorithm(cold, algorithm)[0] == run_algorithm(warm, algorithm)[0]
+
+
+def full_scan_preferences(sc: Scenario, bounds, k: int) -> list[tuple[float, int]]:
+    """Task k's step-3 preference list by a scan over every UE: the
+    reference for decentral.helper_preferences."""
+    lower, blocked = bounds.f_lower[k - 1].tolist(), bounds.blocked[k - 1].tolist()
+    return sorted((lower[j], j) for j in range(1, sc.n + 1) if j != k and not blocked[j])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+       f0_exp=st.floats(8.0, 11.0), w=st.floats(0.0, 10.0),
+       pathloss_exponent=st.floats(2.5, 5.0), ref_gain_exp=st.floats(-5.0, -1.0))
+def test_open_pairs_are_the_unblocked_pairs(n, seed, f0_exp, w, pathloss_exponent,
+                                            ref_gain_exp):
+    # the cached enumeration lists each task's unblocked devices in order,
+    # as Python ints, and its pair arrays are read-only and in the same order;
+    # decentral's preference lists equal a scan over every UE
+    try:
+        sc = gen(n=n, seed=seed, f0_max=10.0 ** f0_exp, w=w,
+                 pathloss_exponent=pathloss_exponent, pathloss_ref_gain=10.0 ** ref_gain_exp)
+    except CoopMecError:
+        return
+    bounds = feasibility_bounds(sc)
+    pairs = bounds.pairs
+    assert bounds.pairs is pairs
+    assert len(pairs.devices) == n
+    for k in range(1, n + 1):
+        assert pairs.devices[k - 1] == np.flatnonzero(~bounds.blocked[k - 1]).tolist()
+        assert all(type(j) is int for j in pairs.devices[k - 1])
+        assert decentral.helper_preferences(bounds, k) == full_scan_preferences(sc, bounds, k)
+    assert pairs.rows.tolist() == [k - 1 for k in range(1, n + 1) for _ in pairs.devices[k - 1]]
+    assert pairs.cols.tolist() == [j for row in pairs.devices for j in row]
+    for a in (pairs.rows, pairs.cols):
+        with pytest.raises(ValueError, match="read-only"):
+            a[:1] = a[:1]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_only_the_pair_walking_solvers_build_the_enumeration(algorithm):
+    # noncope reads the own-UE and server columns only: a scenario it alone
+    # solves never pays for the enumeration of the open pairs
+    sc = gen(n=10, seed=3)
+    run_algorithm(sc, algorithm)
+    assert ("pairs" in vars(feasibility_bounds(sc))) == (algorithm != "noncope")
