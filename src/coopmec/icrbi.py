@@ -253,7 +253,8 @@ class _Kernel:
         terms = np.where(take_local, self.local_terms, 0.0)
         use = _Usage(np.where(take_local, self.own, -1), *terms)
         gamma = list(self.mid if warm is None else warm)
-        tasks = np.flatnonzero(self.remote_ok & ~take_local).tolist()
+        # the tasks whose local option lost and that have a remote pair
+        tasks = np.flatnonzero(self.remote_ok > take_local).tolist()
         wi, eta, vj, phi = wi_eff.tolist(), self.eta.tolist(), v.tolist(), self.phi.tolist()
         wh = [0.0, *wi]                                 # compute price per host
         rows, starts, bw, noise = self.rows, self.starts, self.bandwidth, self.noise_w
