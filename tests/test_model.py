@@ -159,7 +159,7 @@ def test_curve_is_decreasing_and_convex(a: float, b: float):
 def test_root_started_just_above_f_min_does_not_crawl(monkeypatch, guarded):
     # started just above f_min, where U' is finite but huge, each Newton step
     # moves by about (T f - c)**2 / (ln2 D F / B): unguarded, the root is
-    # still at its start after 200 steps (relative |g| = 1); the geometric
+    # still near f_min after 200 steps (relative |g| = 1); the geometric
     # bisection after ROOT_NEWTON_STEPS steps meets the tolerance within 80
     task = ref_task()
     c1, c2, a, b = 1e-27 * 3.0 * 0.5, 1e-19, 5.005e8, 3e9
