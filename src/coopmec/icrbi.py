@@ -168,9 +168,11 @@ class _Kernel:
         self.phi = arr.penalty
         self.w = arr.power_price
         self.eta = arr.eta
-        # price per radiated watt: inf for an eta near zero (see primal)
+        # price per radiated watt: inf for an eta near zero (see primal); such
+        # a task never uploads, so its relaxed-cost price is 0, not inf * 0
         with np.errstate(over="ignore"):
-            self.pa_price = self.w / self.eta
+            pa_price = self.w / self.eta
+        self.pa_price = np.where(pa_price < math.inf, pa_price, 0.0)
         self.p_m = arr.p_m
         nu_d = arr.nu
         self.fmax_d = arr.f_max
@@ -200,10 +202,10 @@ class _Kernel:
         nu1 = np.where(rj > 0, nu - 1.0, 0.0)
         lo = bounds.f_lower[ri, rj]
         hi = np.minimum(bounds.f_upper[ri, rj], F_TOP)
-        # dual-independent terms
-        du_lo = offload_power_slope_vec(*curve, self.bandwidth, self.noise_w, lo)
-        du_hi = offload_power_slope_vec(*curve, self.bandwidth, self.noise_w, hi)
-        cols = np.array([*curve, kappa * nu, kappa, nu, lo, hi, du_lo, du_hi, lo ** nu1, hi ** nu1])
+        # dual-independent terms, at both window ends at once
+        ends = np.array([lo, hi])
+        du_lo, du_hi = offload_power_slope_vec(*curve, self.bandwidth, self.noise_w, ends)
+        cols = np.array([*curve, kappa * nu, kappa, nu, lo, hi, du_lo, du_hi, *(ends ** nu1)])
         self.rows = list(zip(rj.tolist(), *cols.tolist()))
         # a pair's stationary frequency before its first solve
         self.mid = np.sqrt(lo * hi).tolist()
@@ -225,17 +227,16 @@ class _Kernel:
         self.v_scale[0] = np.mean(self.phi) / sc.devices[0].f_max
         srv = rj == 0
         if srv.any():
-            slope = float((self.pa_price[ri[srv]] * np.abs(du_hi[srv])).mean())
+            slope = float((pa_price[ri[srv]] * np.abs(du_hi[srv])).mean())
             if math.isfinite(slope) and slope > 0:
                 self.v_scale[0] = slope
-        caps = arr.speed_cap.tolist()
-        # only a kappa near the float limit overflows a slope; its speed cap
-        # opens no window, so the host carries no load (see dual_step)
-        with np.errstate(over="ignore"):
-            for j in range(1, n + 1):
-                dev = sc.devices[j]
-                slope = w[j - 1] * dev.kappa * dev.nu * caps[j] ** (dev.nu - 1.0)
-                self.v_scale[j] = slope if slope > 0 else self.v_scale[0]
+        # Python's **, which numpy's power can differ from in the last bit.  A
+        # slope overflows only for a kappa near the float limit, whose speed
+        # cap opens no window: the host carries no load (see dual_step)
+        host_kappa, host_nu, caps = arr.kappa.tolist(), nu_d.tolist(), arr.speed_cap.tolist()
+        for j, wj in enumerate(w.tolist(), 1):
+            slope = wj * host_kappa[j] * host_nu[j] * caps[j] ** (host_nu[j] - 1.0)
+            self.v_scale[j] = slope if slope > 0 else self.v_scale[0]
 
     def primal(self, mu, v, warm=None):
         """One exact minimisation of the priced objective.
@@ -322,11 +323,10 @@ class _Kernel:
         return np.maximum(0.0, mu + s * g_mu), np.maximum(0.0, v + s * g_v)
 
     def reduced_cost(self, use: _Usage) -> float:
-        # a task priced at inf per watt never uploads: its term is 0, not inf * 0
-        with np.errstate(invalid="ignore"):
-            transmit = np.where(use.transmit > 0.0, self.pa_price * use.transmit, 0.0).sum()
-        compute = (self.host_w[use.dev] * use.hosted).sum()     # a dropped task hosts nothing
-        saved = (self.phi * (use.dev >= 0)).sum()
+        add = np.add.reduce
+        transmit = add(self.pa_price * use.transmit)
+        compute = add(self.host_w[use.dev] * use.hosted)        # a dropped task hosts nothing
+        saved = add(self.phi * (use.dev >= 0))
         return float(transmit + compute - saved)
 
 
@@ -421,8 +421,8 @@ def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
         cost = kern.reduced_cost(use)
         trace.reduced_cost.append(cost)
         trace.num_assigned.append(int((use.dev >= 0).sum()))
-        trace.mu_norm.append(float(np.linalg.norm(mu)))
-        trace.v_norm.append(float(np.linalg.norm(v)))
+        trace.mu_norm.append(math.sqrt(mu.dot(mu)))
+        trace.v_norm.append(math.sqrt(v.dot(v)))
         key = use.dev.tobytes()
         if key not in seen:
             seen.add(key)

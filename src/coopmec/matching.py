@@ -131,14 +131,14 @@ def pair_frequency(sc: Scenario, state: MatchingState, k: int, dev: int) -> floa
 def pair_cost(sc: Scenario, k: int, dev: int, f: float) -> float:
     """Marginal system cost of accomplishing task k on `dev` at frequency f
     (upload power, host CPU power, minus the avoided drop penalty)."""
-    task = sc.task(k)
+    task = sc.tasks[k - 1]
     cost = -task.penalty
     if dev != k:
-        u = offload_power(task, sc.gain(k, dev), sc.bandwidth, sc.noise_w, f)
-        cost += task.power_price / sc.device(k).eta * u
+        u = offload_power(task, sc.gains.item(k - 1, dev), sc.bandwidth, sc.noise_w, f)
+        cost += task.power_price / sc.devices[k].eta * u
     if dev > 0:                         # edge-server compute is free
-        host = sc.device(dev)
-        cost += sc.host_price(dev) * host.kappa * f ** host.nu
+        host = sc.devices[dev]
+        cost += sc.tasks[dev - 1].power_price * host.kappa * f ** host.nu
     return cost
 
 

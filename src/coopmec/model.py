@@ -113,8 +113,8 @@ class DeviceProfile:
             _check_finite(f"device {self.id}", name, value)
         if self.f_max <= 0:
             raise ValueError(f"device {self.id}: f_max must be positive")
-        if self.kappa < 0 or self.nu < 1:
-            raise ValueError(f"device {self.id}: need kappa >= 0 and nu >= 1")
+        if self.kappa < 0 or self.nu < 1 or self.p_cir < 0:
+            raise ValueError(f"device {self.id}: need kappa >= 0, nu >= 1 and p_cir >= 0")
         if not (0 < self.eta <= 1):
             raise ValueError(f"device {self.id}: eta must be in (0, 1]")
         if self.id > 0 and self.p_max - self.p_cir <= 0:
@@ -417,7 +417,8 @@ class FeasibilityBounds:
     All arrays are (N, N+1): row i-1 belongs to task i, column j to device j.
     f_lower is the slowest admissible host frequency (delay side), f_upper the
     fastest the host can afford (capacity and power side); a pair is blocked
-    when the window is empty or the deadline cannot be met at any power.
+    when the window is empty, the deadline cannot be met at any power, or
+    (remote) the window would start at f_min, where U is not usable.
     `pairs` enumerates the pairs left open once, on first use, so a solver
     that never reads it (noncope) never pays for it; the solvers that walk
     the admissible pairs walk only those.
@@ -472,12 +473,15 @@ def _compute_bounds(sc: Scenario) -> FeasibilityBounds:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         slack = deadline - bits / rate_cap      # a vanishing rate gives -inf: blocked
         f_lower = np.where(slack > 0, cycles / np.where(slack > 0, slack, 1.0), np.inf)
+        # an upload time lost against the deadline starts the window at f_min,
+        # where U is undefined or, a rounding error above it, zero
+        at_f_min = (slack >= deadline) | (deadline * f_lower - cycles <= 0)
     f_lower[rows, own] = arr.f_min
 
     blocked = f_lower >= f_upper
     remote = np.ones_like(blocked)
     remote[rows, own] = False
-    blocked |= remote.astype(bool) & (deadline * rate_cap <= bits)
+    blocked |= remote.astype(bool) & ((deadline * rate_cap <= bits) | at_f_min)
     return FeasibilityBounds(f_upper=_read_only(f_upper), f_lower=_read_only(f_lower),
                              blocked=_read_only(blocked))
 
@@ -530,101 +534,108 @@ class Violation:
 
 def assignment_cost(sc: Scenario, target, freqs) -> tuple[CostBreakdown, dict[int, float]]:
     """Cost breakdown of a (target, frequency) choice; also returns the
-    delay-tight transmit powers implied for the offloaded tasks."""
+    delay-tight transmit powers implied for the offloaded tasks.  Transmit and
+    compute add up in task order, the avoided penalties in `target` order."""
+    tasks, devices, gain = sc.tasks, sc.devices, sc.gains.item
+    bandwidth, noise_w = sc.bandwidth, sc.noise_w
     transmit = 0.0
     compute = 0.0
     p_t: dict[int, float] = {}
     for task_id in sorted(target):
         dev = target[task_id]
-        task = sc.task(task_id)
+        task = tasks[task_id - 1]
         f = freqs[task_id]
         if dev != task.id:
-            power = offload_power(task, sc.gain(task_id, dev), sc.bandwidth, sc.noise_w, f)
+            power = offload_power(task, gain(task_id - 1, dev), bandwidth, noise_w, f)
             p_t[task_id] = power
-            transmit += task.power_price / sc.device(task.id).eta * power
+            transmit += task.power_price / devices[task.id].eta * power
         if dev > 0:                     # edge-server compute is free
-            compute += sc.host_price(dev) * sc.device(dev).kappa * f ** sc.device(dev).nu
+            host = devices[dev]
+            compute += tasks[dev - 1].power_price * host.kappa * f ** host.nu
     circuit = sc.arrays.circuit
     penalty_all = sc.arrays.penalty_total
-    saved = sum(sc.task(i).penalty for i in target)
+    saved = sum(tasks[i - 1].penalty for i in target)
     total = transmit + compute + circuit + (penalty_all - saved)
     reduced = transmit + compute - saved
     return CostBreakdown(transmit=transmit, compute=compute, circuit=circuit,
                          penalty=penalty_all - saved, total=total, reduced=reduced), p_t
 
 
-def _ue_power_terms(sc: Scenario, asg: Assignment):
-    """(device, hosted compute watts, own transmit watts) of UE 1..N.
-
-    The hosted tasks are grouped by host once, in target order, so each
-    UE's compute sum adds the same terms in the same order as a scan of the
-    whole target map would."""
-    f, p_t, target = asg.f, asg.p_t, asg.target
-    hosted: dict[int, list[int]] = {}
-    for k, tgt in target.items():
-        hosted.setdefault(tgt, []).append(k)
-    for i in range(1, sc.n + 1):
-        dev = sc.devices[i]
+def _ue_power_terms(sc: Scenario, ues, hosted: dict[int, list[float]],
+                    uploads: dict[int, float]):
+    """(UE id, device, hosted compute watts, transmit watts) of each UE of `ues`;
+    hosted maps a UE to its guests' frequencies in target order, uploads an
+    offloading UE to its task's transmit power."""
+    devices = sc.devices
+    for i in ues:
+        dev = devices[i]
         guests = hosted.get(i)
-        compute = dev.kappa * sum(f.get(k, 0.0) ** dev.nu for k in guests) if guests else 0.0
-        yield dev, compute, (p_t.get(i, 0.0) / dev.eta if target.get(i) not in (None, i) else 0.0)
+        compute = dev.kappa * sum(f ** dev.nu for f in guests) if guests else 0.0
+        yield i, dev, compute, (uploads[i] / dev.eta if i in uploads else 0.0)
 
 
 def validate_constraints(sc: Scenario, asg: Assignment) -> list[Violation]:
-    """Check decision structure, deadlines (C3), host capacity (C4) and UE
-    power budgets (C5).  Returns one Violation per breach; empty means clean."""
-    out: list[Violation] = []
-    n = sc.n
-    for task_id, dev in asg.target.items():
+    """Check decision structure (C1; C2: a task id not in 1..N or a device id
+    not in 0..N, an entry then left out of C3-C5), deadlines (C3), host
+    capacity (C4) and UE power budgets (C5).  Returns one Violation per
+    breach, in that order; empty means clean.  One pass over the target
+    checks C1-C3 and sums loads and hosted frequencies in target order; one
+    pass over the devices checks C4 and C5.  It skips the idle UEs, which
+    carry no load and draw only their circuit power, below their budget."""
+    f, p_t, target, n = asg.f, asg.p_t, asg.target, sc.n
+    tasks, gain, bandwidth, noise_w = sc.tasks, sc.gains.item, sc.bandwidth, sc.noise_w
+    tol = 1.0 + CHECK_TOL
+    out, late, over = [], [], []        # C1-C2 and C4, C3, C5
+    load = [0.0] * (n + 1)
+    hosted: dict[int, list[float]] = {}
+    uploads: dict[int, float] = {}
+    for task_id, dev in target.items():
         if not (1 <= task_id <= n) or not (0 <= dev <= n):
             out.append(Violation("C2", task_id, dev, math.inf))
             continue
-        if task_id not in asg.f:
+        if task_id not in f:
             out.append(Violation("C1", task_id, dev, math.inf))
-        if dev != task_id and task_id not in asg.p_t:
-            out.append(Violation("C1", task_id, dev, math.inf))
-    for task_id in asg.f:
-        if task_id not in asg.target:
-            out.append(Violation("C1", task_id, None, math.inf))
-
-    # C3: deadline per assigned task, from the stored frequency and power
-    for task_id, dev in asg.target.items():
-        task = sc.task(task_id)
-        f = asg.f.get(task_id)
-        if f is None or f <= 0:
-            continue
-        delay = task.cycles / f
         if dev != task_id:
-            p = asg.p_t.get(task_id, 0.0)
-            snr = p * sc.gain(task_id, dev) / sc.noise_w
-            rate = sc.bandwidth * math.log1p(snr) / LN2 if snr > 0 else 0.0
+            if task_id not in p_t:
+                out.append(Violation("C1", task_id, dev, math.inf))
+            uploads[task_id] = p_t.get(task_id, 0.0)
+        fk = f.get(task_id, 0.0)
+        load[dev] += fk
+        if dev:
+            hosted.setdefault(dev, []).append(fk)
+        if fk <= 0:                     # C3, from the stored frequency and power
+            continue
+        task = tasks[task_id - 1]
+        delay = task.cycles / fk
+        if dev != task_id:
+            snr = uploads[task_id] * gain(task_id - 1, dev) / noise_w
+            rate = bandwidth * math.log1p(snr) / LN2 if snr > 0 else 0.0
             delay += task.bits / rate if rate > 0 else math.inf
-        if delay > task.deadline * (1.0 + CHECK_TOL):
-            out.append(Violation("C3", task_id, dev, delay - task.deadline))
+        if delay > task.deadline * tol:
+            late.append(Violation("C3", task_id, dev, delay - task.deadline))
+    out += [Violation("C1", k, None, math.inf) for k in f if k not in target] + late
 
-    # C4: per-device frequency capacity
-    load = {j: 0.0 for j in range(n + 1)}
-    for task_id, dev in asg.target.items():
-        load[dev] += asg.f.get(task_id, 0.0)
-    for j, used in load.items():
-        cap = sc.device(j).f_max
-        if used > cap * (1.0 + CHECK_TOL):
-            out.append(Violation("C4", None, j, used - cap))
-
-    # C5: per-UE total power (hosted compute + own transmit + circuit)
-    for i, (dev, compute, transmit) in enumerate(_ue_power_terms(sc, asg), 1):
+    # C4: per-device frequency capacity; C5: per-UE total power (hosted
+    # compute + own transmit + circuit)
+    server = sc.devices[0]
+    if load[0] > server.f_max * tol:
+        out.append(Violation("C4", None, 0, load[0] - server.f_max))
+    for i, dev, compute, transmit in _ue_power_terms(sc, sorted(hosted.keys() | uploads.keys()),
+                                                     hosted, uploads):
+        if load[i] > dev.f_max * tol:
+            out.append(Violation("C4", None, i, load[i] - dev.f_max))
         draw = dev.p_cir + compute + transmit
-        if draw > dev.p_max * (1.0 + CHECK_TOL):
-            out.append(Violation("C5", None, i, draw - dev.p_max))
-    return out
+        if draw > dev.p_max * tol:
+            over.append(Violation("C5", None, i, draw - dev.p_max))
+    return out + over
 
 
 def make_assignment(sc: Scenario, target, freqs) -> Assignment:
     """Assemble an Assignment (recomputing delay-tight transmit powers), then
     validate it; raises InfeasibleAssignment on any violation."""
     cost, p_t = assignment_cost(sc, target, freqs)
-    asg = Assignment(target=dict(sorted(target.items())),
-                     f={k: freqs[k] for k in sorted(target)},
+    order = sorted(target)
+    asg = Assignment(target={k: target[k] for k in order}, f={k: freqs[k] for k in order},
                      p_t=p_t, cost=cost)
     violations = validate_constraints(sc, asg)
     if violations:
@@ -634,8 +645,12 @@ def make_assignment(sc: Scenario, target, freqs) -> Assignment:
 
 def ue_total_power(sc: Scenario, asg: Assignment) -> float:
     """Total watts drawn by all UEs (compute + transmit + circuit)."""
+    hosted: dict[int, list[float]] = {}
+    for k, tgt in asg.target.items():
+        hosted.setdefault(tgt, []).append(asg.f.get(k, 0.0))
+    uploads = {k: asg.p_t.get(k, 0.0) for k, tgt in asg.target.items() if tgt != k}
     total = 0.0
-    for dev, compute, transmit in _ue_power_terms(sc, asg):
+    for _, dev, compute, transmit in _ue_power_terms(sc, range(1, sc.n + 1), hosted, uploads):
         total += dev.p_cir
         total += compute
         total += transmit

@@ -14,8 +14,8 @@ import pytest
 
 from coopmec.errors import DomainError
 from coopmec.icrbi import F_TOP
-from coopmec.model import (CHECK_TOL, EXP_CAP, LN2, DeviceProfile, Scenario, TaskSpec,
-                           Violation)
+from coopmec.model import (CHECK_TOL, EXP_CAP, LN2, CostBreakdown, DeviceProfile, Scenario,
+                           TaskSpec, Violation, offload_power)
 from coopmec.scenario import GenConfig, generate
 
 # -174 dBm/Hz over 2 MHz, rounded to three significant digits.  The round
@@ -60,6 +60,104 @@ def c5_violations(sc: Scenario, asg) -> list[Violation]:
                                 for k, tgt in asg.target.items() if tgt == i)
         if asg.target.get(i) not in (None, i):
             draw += asg.p_t.get(i, 0.0) / dev.eta
+        if draw > dev.p_max * (1.0 + CHECK_TOL):
+            out.append(Violation("C5", None, i, draw - dev.p_max))
+    return out
+
+
+# Reference copies of model.assignment_cost and model.validate_constraints as
+# they stood before both were rewritten as single passes over the target and
+# the devices, kept verbatim (with their UE power helper) so a test can
+# require the rewrite to give equal results on in-range assignments.
+
+
+def reference_assignment_cost(sc: Scenario, target, freqs
+                              ) -> tuple[CostBreakdown, dict[int, float]]:
+    """Cost breakdown of a (target, frequency) choice; also returns the
+    delay-tight transmit powers implied for the offloaded tasks."""
+    transmit = 0.0
+    compute = 0.0
+    p_t: dict[int, float] = {}
+    for task_id in sorted(target):
+        dev = target[task_id]
+        task = sc.task(task_id)
+        f = freqs[task_id]
+        if dev != task.id:
+            power = offload_power(task, sc.gain(task_id, dev), sc.bandwidth, sc.noise_w, f)
+            p_t[task_id] = power
+            transmit += task.power_price / sc.device(task.id).eta * power
+        if dev > 0:                     # edge-server compute is free
+            compute += sc.host_price(dev) * sc.device(dev).kappa * f ** sc.device(dev).nu
+    circuit = sc.arrays.circuit
+    penalty_all = sc.arrays.penalty_total
+    saved = sum(sc.task(i).penalty for i in target)
+    total = transmit + compute + circuit + (penalty_all - saved)
+    reduced = transmit + compute - saved
+    return CostBreakdown(transmit=transmit, compute=compute, circuit=circuit,
+                         penalty=penalty_all - saved, total=total, reduced=reduced), p_t
+
+
+def _reference_ue_power_terms(sc: Scenario, asg):
+    """(device, hosted compute watts, own transmit watts) of UE 1..N.
+
+    The hosted tasks are grouped by host once, in target order, so each
+    UE's compute sum adds the same terms in the same order as a scan of the
+    whole target map would."""
+    f, p_t, target = asg.f, asg.p_t, asg.target
+    hosted: dict[int, list[int]] = {}
+    for k, tgt in target.items():
+        hosted.setdefault(tgt, []).append(k)
+    for i in range(1, sc.n + 1):
+        dev = sc.devices[i]
+        guests = hosted.get(i)
+        compute = dev.kappa * sum(f.get(k, 0.0) ** dev.nu for k in guests) if guests else 0.0
+        yield dev, compute, (p_t.get(i, 0.0) / dev.eta if target.get(i) not in (None, i) else 0.0)
+
+
+def reference_validate_constraints(sc: Scenario, asg) -> list[Violation]:
+    """Check decision structure, deadlines (C3), host capacity (C4) and UE
+    power budgets (C5).  Returns one Violation per breach; empty means clean."""
+    out: list[Violation] = []
+    n = sc.n
+    for task_id, dev in asg.target.items():
+        if not (1 <= task_id <= n) or not (0 <= dev <= n):
+            out.append(Violation("C2", task_id, dev, math.inf))
+            continue
+        if task_id not in asg.f:
+            out.append(Violation("C1", task_id, dev, math.inf))
+        if dev != task_id and task_id not in asg.p_t:
+            out.append(Violation("C1", task_id, dev, math.inf))
+    for task_id in asg.f:
+        if task_id not in asg.target:
+            out.append(Violation("C1", task_id, None, math.inf))
+
+    # C3: deadline per assigned task, from the stored frequency and power
+    for task_id, dev in asg.target.items():
+        task = sc.task(task_id)
+        f = asg.f.get(task_id)
+        if f is None or f <= 0:
+            continue
+        delay = task.cycles / f
+        if dev != task_id:
+            p = asg.p_t.get(task_id, 0.0)
+            snr = p * sc.gain(task_id, dev) / sc.noise_w
+            rate = sc.bandwidth * math.log1p(snr) / LN2 if snr > 0 else 0.0
+            delay += task.bits / rate if rate > 0 else math.inf
+        if delay > task.deadline * (1.0 + CHECK_TOL):
+            out.append(Violation("C3", task_id, dev, delay - task.deadline))
+
+    # C4: per-device frequency capacity
+    load = {j: 0.0 for j in range(n + 1)}
+    for task_id, dev in asg.target.items():
+        load[dev] += asg.f.get(task_id, 0.0)
+    for j, used in load.items():
+        cap = sc.device(j).f_max
+        if used > cap * (1.0 + CHECK_TOL):
+            out.append(Violation("C4", None, j, used - cap))
+
+    # C5: per-UE total power (hosted compute + own transmit + circuit)
+    for i, (dev, compute, transmit) in enumerate(_reference_ue_power_terms(sc, asg), 1):
+        draw = dev.p_cir + compute + transmit
         if draw > dev.p_max * (1.0 + CHECK_TOL):
             out.append(Violation("C5", None, i, draw - dev.p_max))
     return out

@@ -142,16 +142,35 @@ def test_vanishing_cycles_do_not_divide_by_zero(algo, seed):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("algo", ALGORITHMS)
-def test_vanishing_upload_size_raises_a_package_error(algo):
-    # 1e-320 bits upload in no time, so a remote window starts at f_min
-    # itself, where U diverges: a solver may refuse such a pair, but only
-    # with a CoopMecError, never a raw numpy or Python error
+def test_vanishing_upload_size_validates(algo):
+    # 1e-320 bits upload in no time, so a remote window would start at f_min
+    # itself, where U is undefined or, a rounding error above, underflows to
+    # a zero power that uploads nothing: the bounds block such a pair, and
+    # every solver returns a validated assignment within the drop bound
     sc = gen(n=4, data_bits=(1e-320, 1e-320))
-    try:
-        asg, _ = run_algorithm(sc, algo)
-    except CoopMecError:
-        return
+    asg, _ = run_algorithm(sc, algo)
     assert validate_constraints(sc, asg) == []
+    assert asg.cost.total <= sc.arrays.circuit + sc.arrays.penalty_total
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_vanishing_upload_size_in_a_scenario_file_validates(tmp_path, algo):
+    # task 2 of a written cell uploads 1e-300 bits: its upload time is lost
+    # against its deadline, so its remote windows would start at f_min
+    path = tmp_path / "inst.sc"
+    scenario.write_scenario(gen(n=4, seed=2), path)
+    lines = path.read_text().splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("task 2 "))
+    parts = lines[i].split()
+    parts[3] = "1e-300"                 # task <id> <cycles> <bits> ...
+    lines[i] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    sc = scenario.read_scenario(path)
+    assert sc.task(2).bits == 1e-300
+    asg, _ = run_algorithm(sc, algo)
+    assert validate_constraints(sc, asg) == []
+    assert asg.cost.total <= sc.arrays.circuit + sc.arrays.penalty_total
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (NOISE_W, c5_violations, gen, mk_dev, mk_scenario, mk_task,
-                      power_for_rate, required_rate, ue_power_scan)
+                      power_for_rate, reference_assignment_cost, reference_validate_constraints,
+                      required_rate, ue_power_scan)
 from coopmec import icrbi, model
-from coopmec.errors import DomainError, InfeasibleAssignment
+from coopmec.errors import CoopMecError, DomainError, InfeasibleAssignment
 from coopmec.harness import ALGORITHMS, run_algorithm
 from coopmec.model import (ROOT_RTOL, Assignment, DeviceProfile, TaskSpec, assignment_cost,
                            balance_root, device_speed_cap, feasibility_bounds, make_assignment,
@@ -187,6 +188,9 @@ def test_domain_type_validation():
         # circuit draw alone exhausts the budget
         DeviceProfile(id=1, f_max=1e9, kappa=1e-27, nu=3.0, eta=0.5,
                       p_max=0.1, p_cir=0.1)
+    with pytest.raises(ValueError, match="p_cir >= 0"):
+        DeviceProfile(id=1, f_max=1e9, kappa=1e-27, nu=3.0, eta=0.5,
+                      p_max=-1.0, p_cir=-1.0000000005)
 
 
 def test_device_speed_cap():
@@ -312,6 +316,20 @@ def test_validate_accepts_clean_assignment():
     assert asg.accomplished == 1
 
 
+@pytest.mark.parametrize("target, f", [({1: 5}, 5e9), ({4: 0}, 5e9), ({0: 0}, 1e3),
+                                       ({-1: 1}, 5e9)],
+                         ids=["device5", "task4", "task0", "task-1"])
+def test_validate_reports_an_out_of_range_id_as_c2_only(target, f):
+    # the entry is reported once, as C2, and left out of C3-C5: it once raised
+    # IndexError ({1: 5}, {4: 0}), missed task 3's deadline at 1 kHz ({0: 0})
+    # or broke UE 1's power budget at 5 GHz ({-1: 1})
+    sc = gen(n=3, seed=1)
+    (k, dev), = target.items()
+    asg = Assignment(target=target, f={k: f}, p_t={k: 1.0},
+                     cost=assignment_cost(sc, {}, {})[0])
+    assert validate_constraints(sc, asg) == [model.Violation("C2", k, dev, math.inf)]
+
+
 def test_ue_total_power_accounting():
     tasks = [mk_task(1), mk_task(2)]
     sc = mk_scenario(tasks, [mk_dev(0, f_max=5e9), mk_dev(1), mk_dev(2)])
@@ -360,3 +378,21 @@ def test_power_checks_match_quadratic_scan(case):
     c5 = [v for v in validate_constraints(sc, asg) if v.constraint == "C5"]
     assert c5 == c5_violations(sc, asg)
     assert ue_total_power(sc, asg) == ue_power_scan(sc, asg)
+
+
+def _priced(cost_fn, sc, asg):
+    try:
+        return cost_fn(sc, asg.target, asg.f)
+    except (CoopMecError, KeyError) as exc:     # a missing frequency, or one at f_min
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=scenario_and_assignment())
+def test_one_pass_checks_match_the_reference(case):
+    # validate_constraints and assignment_cost against verbatim copies of
+    # their multi-pass forms: the same violations (kind, task, device,
+    # amount, order), the same cost breakdown and transmit powers
+    sc, asg = case
+    assert validate_constraints(sc, asg) == reference_validate_constraints(sc, asg)
+    assert _priced(assignment_cost, sc, asg) == _priced(reference_assignment_cost, sc, asg)
