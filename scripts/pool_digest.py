@@ -15,7 +15,7 @@ GenConfig:
     large     seeds 0-139, n 80
 
     PYTHONPATH=src python scripts/pool_digest.py                # all three pools
-    PYTHONPATH=src python scripts/pool_digest.py --seeds 3 --pool large
+    PYTHONPATH=src python scripts/pool_digest.py --seeds 2      # a quick slice
 """
 
 import argparse
@@ -62,13 +62,10 @@ def pool_digest(seeds: int, cells: list[dict]) -> str:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--pool", choices=sorted(POOLS), action="append",
-                    help="pool to digest (repeatable; default: all three)")
     ap.add_argument("--seeds", type=int, default=None,
                     help="digest only the first SEEDS seeds of each pool")
     args = ap.parse_args()
-    for name in args.pool or POOLS:
-        seeds, cells = POOLS[name]
+    for name, (seeds, cells) in POOLS.items():
         if args.seeds is not None:
             seeds = min(seeds, args.seeds)
         print(f"{name} seeds 0-{seeds - 1} sha256:{pool_digest(seeds, cells)}", flush=True)

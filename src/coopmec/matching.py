@@ -138,7 +138,7 @@ def pair_cost(sc: Scenario, k: int, dev: int, f: float) -> float:
         cost += task.power_price / sc.devices[k].eta * u
     if dev > 0:                         # edge-server compute is free
         host = sc.devices[dev]
-        cost += sc.tasks[dev - 1].power_price * host.kappa * f ** host.nu
+        cost += sc.arrays.host_price[dev] * host.kappa * f ** host.nu
     return cost
 
 

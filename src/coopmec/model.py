@@ -188,7 +188,7 @@ class Scenario:
 
     def host_price(self, device_id: int) -> float:
         """Power price of a hosting device; edge-server compute is free."""
-        return 0.0 if device_id == 0 else self.tasks[device_id - 1].power_price
+        return self.arrays.host_price[device_id]
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +354,11 @@ class ScenarioArrays(NamedTuple):
 
     Per task (length N, entry i-1 is task i): cycles, bits, deadline, f_min,
     penalty, power_price, and the owner UE's eta and p_m.  Per device
-    (length N+1, entry j is device j): kappa, nu, f_max and speed_cap.
-    circuit (the priced circuit power of every UE) and penalty_total (the
-    penalty of dropping every task) are the constant terms of the cost.
+    (length N+1, entry j is device j): kappa, nu, f_max, speed_cap and
+    host_price (a tuple of floats: UE j's power price, 0 for the edge server,
+    whose compute is free).  circuit (the priced circuit power of every UE)
+    and penalty_total (the penalty of dropping every task) are the constant
+    terms of the cost.
     """
 
     cycles: np.ndarray
@@ -371,6 +373,7 @@ class ScenarioArrays(NamedTuple):
     nu: np.ndarray
     f_max: np.ndarray
     speed_cap: np.ndarray
+    host_price: tuple[float, ...]
     circuit: float
     penalty_total: float
 
@@ -396,6 +399,7 @@ def _scenario_arrays(sc: Scenario) -> ScenarioArrays:
         kappa=_array([d.kappa for d in devices]), nu=_array([d.nu for d in devices]),
         f_max=_array([d.f_max for d in devices]),
         speed_cap=_array([device_speed_cap(d) for d in devices]),
+        host_price=(0.0, *(t.power_price for t in tasks)),
         circuit=sum(t.power_price * devices[t.id].p_cir for t in tasks),
         penalty_total=sum(t.penalty for t in tasks))
 
@@ -537,7 +541,7 @@ def assignment_cost(sc: Scenario, target, freqs) -> tuple[CostBreakdown, dict[in
     delay-tight transmit powers implied for the offloaded tasks.  Transmit and
     compute add up in task order, the avoided penalties in `target` order."""
     tasks, devices, gain = sc.tasks, sc.devices, sc.gains.item
-    bandwidth, noise_w = sc.bandwidth, sc.noise_w
+    bandwidth, noise_w, price = sc.bandwidth, sc.noise_w, sc.arrays.host_price
     transmit = 0.0
     compute = 0.0
     p_t: dict[int, float] = {}
@@ -551,7 +555,7 @@ def assignment_cost(sc: Scenario, target, freqs) -> tuple[CostBreakdown, dict[in
             transmit += task.power_price / devices[task.id].eta * power
         if dev > 0:                     # edge-server compute is free
             host = devices[dev]
-            compute += tasks[dev - 1].power_price * host.kappa * f ** host.nu
+            compute += price[dev] * host.kappa * f ** host.nu
     circuit = sc.arrays.circuit
     penalty_all = sc.arrays.penalty_total
     saved = sum(tasks[i - 1].penalty for i in target)
@@ -561,16 +565,23 @@ def assignment_cost(sc: Scenario, target, freqs) -> tuple[CostBreakdown, dict[in
                          penalty=penalty_all - saved, total=total, reduced=reduced), p_t
 
 
-def _ue_power_terms(sc: Scenario, ues, hosted: dict[int, list[float]],
-                    uploads: dict[int, float]):
-    """(UE id, device, hosted compute watts, transmit watts) of each UE of `ues`;
-    hosted maps a UE to its guests' frequencies in target order, uploads an
-    offloading UE to its task's transmit power."""
-    devices = sc.devices
-    for i in ues:
+def _ue_power_terms(sc: Scenario, asg: Assignment):
+    """(UE id, device, hosted compute watts, own transmit watts) of each UE
+    that hosts or uploads a task, by id, over the target entries with ids in
+    range; each UE's compute adds its guests' terms in target order."""
+    f, p_t, n, devices = asg.f, asg.p_t, sc.n, sc.devices
+    hosted: dict[int, list[float]] = {}
+    uploads: dict[int, float] = {}
+    for k, dev in asg.target.items():
+        if 1 <= k <= n and 0 <= dev <= n:
+            if dev:
+                hosted.setdefault(dev, []).append(f.get(k, 0.0))
+            if dev != k:
+                uploads[k] = p_t.get(k, 0.0)
+    for i in sorted(hosted.keys() | uploads.keys()):
         dev = devices[i]
         guests = hosted.get(i)
-        compute = dev.kappa * sum(f ** dev.nu for f in guests) if guests else 0.0
+        compute = dev.kappa * sum(fk ** dev.nu for fk in guests) if guests else 0.0
         yield i, dev, compute, (uploads[i] / dev.eta if i in uploads else 0.0)
 
 
@@ -579,36 +590,30 @@ def validate_constraints(sc: Scenario, asg: Assignment) -> list[Violation]:
     not in 0..N, an entry then left out of C3-C5), deadlines (C3), host
     capacity (C4) and UE power budgets (C5).  Returns one Violation per
     breach, in that order; empty means clean.  One pass over the target
-    checks C1-C3 and sums loads and hosted frequencies in target order; one
-    pass over the devices checks C4 and C5.  It skips the idle UEs, which
-    carry no load and draw only their circuit power, below their budget."""
+    checks C1-C3 and sums loads in target order; one pass over the devices
+    checks C4 and C5.  It skips the idle UEs, which carry no load and draw
+    only their circuit power, below their budget."""
     f, p_t, target, n = asg.f, asg.p_t, asg.target, sc.n
     tasks, gain, bandwidth, noise_w = sc.tasks, sc.gains.item, sc.bandwidth, sc.noise_w
     tol = 1.0 + CHECK_TOL
     out, late, over = [], [], []        # C1-C2 and C4, C3, C5
     load = [0.0] * (n + 1)
-    hosted: dict[int, list[float]] = {}
-    uploads: dict[int, float] = {}
     for task_id, dev in target.items():
         if not (1 <= task_id <= n) or not (0 <= dev <= n):
             out.append(Violation("C2", task_id, dev, math.inf))
             continue
         if task_id not in f:
             out.append(Violation("C1", task_id, dev, math.inf))
-        if dev != task_id:
-            if task_id not in p_t:
-                out.append(Violation("C1", task_id, dev, math.inf))
-            uploads[task_id] = p_t.get(task_id, 0.0)
+        if dev != task_id and task_id not in p_t:
+            out.append(Violation("C1", task_id, dev, math.inf))
         fk = f.get(task_id, 0.0)
         load[dev] += fk
-        if dev:
-            hosted.setdefault(dev, []).append(fk)
         if fk <= 0:                     # C3, from the stored frequency and power
             continue
         task = tasks[task_id - 1]
         delay = task.cycles / fk
         if dev != task_id:
-            snr = uploads[task_id] * gain(task_id - 1, dev) / noise_w
+            snr = p_t.get(task_id, 0.0) * gain(task_id - 1, dev) / noise_w
             rate = bandwidth * math.log1p(snr) / LN2 if snr > 0 else 0.0
             delay += task.bits / rate if rate > 0 else math.inf
         if delay > task.deadline * tol:
@@ -620,8 +625,7 @@ def validate_constraints(sc: Scenario, asg: Assignment) -> list[Violation]:
     server = sc.devices[0]
     if load[0] > server.f_max * tol:
         out.append(Violation("C4", None, 0, load[0] - server.f_max))
-    for i, dev, compute, transmit in _ue_power_terms(sc, sorted(hosted.keys() | uploads.keys()),
-                                                     hosted, uploads):
+    for i, dev, compute, transmit in _ue_power_terms(sc, asg):
         if load[i] > dev.f_max * tol:
             out.append(Violation("C4", None, i, load[i] - dev.f_max))
         draw = dev.p_cir + compute + transmit
@@ -645,13 +649,9 @@ def make_assignment(sc: Scenario, target, freqs) -> Assignment:
 
 def ue_total_power(sc: Scenario, asg: Assignment) -> float:
     """Total watts drawn by all UEs (compute + transmit + circuit)."""
-    hosted: dict[int, list[float]] = {}
-    for k, tgt in asg.target.items():
-        hosted.setdefault(tgt, []).append(asg.f.get(k, 0.0))
-    uploads = {k: asg.p_t.get(k, 0.0) for k, tgt in asg.target.items() if tgt != k}
     total = 0.0
-    for _, dev, compute, transmit in _ue_power_terms(sc, range(1, sc.n + 1), hosted, uploads):
-        total += dev.p_cir
-        total += compute
-        total += transmit
+    terms = {i: (compute, transmit) for i, _, compute, transmit in _ue_power_terms(sc, asg)}
+    for i, dev in enumerate(sc.devices[1:], 1):
+        compute, transmit = terms.get(i, (0.0, 0.0))
+        total = total + dev.p_cir + compute + transmit
     return total
