@@ -590,9 +590,9 @@ def validate_constraints(sc: Scenario, asg: Assignment) -> list[Violation]:
     not in 0..N, an entry then left out of C3-C5), deadlines (C3), host
     capacity (C4) and UE power budgets (C5).  Returns one Violation per
     breach, in that order; empty means clean.  One pass over the target
-    checks C1-C3 and sums loads in target order; one pass over the devices
-    checks C4 and C5.  It skips the idle UEs, which carry no load and draw
-    only their circuit power, below their budget."""
+    checks C1-C3 and sums loads in target order; one over the server and
+    the UEs that host or upload (_ue_power_terms) checks C4 and C5: an idle
+    UE carries no load and draws only its circuit power, below its budget."""
     f, p_t, target, n = asg.f, asg.p_t, asg.target, sc.n
     tasks, gain, bandwidth, noise_w = sc.tasks, sc.gains.item, sc.bandwidth, sc.noise_w
     tol = 1.0 + CHECK_TOL
