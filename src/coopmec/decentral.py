@@ -101,7 +101,7 @@ def mec_admission(sc: Scenario, bounds: FeasibilityBounds,
     frequencies after leftover capacity is spread."""
     f_mec, blocked = bounds.f_lower[:, 0].tolist(), bounds.blocked[:, 0].tolist()
     requests = sorted((f_mec[k - 1], k) for k in candidates if not blocked[k - 1])
-    server = sc.device(0)
+    server = sc.devices[0]
     admitted = requests[:prefix_admit(requests, server, server.f_max, math.inf)]
     freqs = matching.mec_topup(sc, {k: f for f, k in admitted})
     return {k for _, k in admitted}, freqs
@@ -152,7 +152,7 @@ def deferred_acceptance(sc: Scenario, state: matching.MatchingState,
             log.events.append((rnd, k, d, f, "request"))
         for d in sorted(new_req):
             pool = sorted(held_at.get(d, []) + new_req[d])
-            keep = prefix_admit(pool, sc.device(d), state.f_res[d], open_budget[d])
+            keep = prefix_admit(pool, sc.devices[d], state.f_res[d], open_budget[d])
             accepted = pool[:keep]
             was_held = {k for _, k in held_at.get(d, [])}
             for f, k in pool[keep:]:
@@ -173,7 +173,7 @@ def run(sc: Scenario) -> tuple[Assignment, RoundLog]:
     bounds = feasibility_bounds(sc)
     log = RoundLog()
     for k in sorted(matching.local_seed_set(sc, bounds)):
-        matching.commit(sc, state, k, k, sc.task(k).f_min)
+        matching.commit(sc, state, k, k, sc.tasks[k - 1].f_min)
 
     k_mec, mec_freqs = mec_admission(sc, bounds, set(state.unmatched))
     for k in sorted(k_mec):

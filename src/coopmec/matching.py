@@ -85,15 +85,15 @@ def residual_window(sc: Scenario, state: MatchingState, k: int, dev: int
                     ) -> tuple[float, float] | None:
     """Admissible frequency window [lo, hi] for placing task k on `dev` given
     current residual budgets; None when it is empty."""
-    task = sc.task(k)
-    host = sc.device(dev)
+    task = sc.tasks[k - 1]
+    host = sc.devices[dev]
     if dev == k:
         lo = task.f_min
     else:
         budget = state.p_res[k]
         if budget <= 0:
             return None                 # no transmit budget left
-        snr = sc.gain(k, dev) * sc.device(k).eta * budget / sc.noise_w
+        snr = sc.gains.item(k - 1, dev) * sc.devices[k].eta * budget / sc.noise_w
         rate = sc.bandwidth * math.log1p(snr) / LN2
         if task.deadline * rate <= task.bits:
             return None                 # deadline unreachable
@@ -117,14 +117,13 @@ def pair_frequency(sc: Scenario, state: MatchingState, k: int, dev: int) -> floa
     lo, hi = window
     if dev == 0 or dev == k:
         return lo
-    task = sc.task(k)
-    host = sc.device(dev)
+    task = sc.tasks[k - 1]
+    host = sc.devices[dev]
     w_k = task.power_price
-    w_host = sc.host_price(dev)
     if w_k == 0.0:
         return lo                       # only the helper's CPU power matters
-    coeff = w_host * host.kappa * host.nu * sc.device(k).eta / w_k
-    return balance_root_clamped(task, sc.gain(k, dev), sc.bandwidth, sc.noise_w,
+    coeff = sc.arrays.host_price[dev] * host.kappa * host.nu * sc.devices[k].eta / w_k
+    return balance_root_clamped(task, sc.gains.item(k - 1, dev), sc.bandwidth, sc.noise_w,
                                 host.nu, coeff, lo, hi)
 
 
@@ -211,25 +210,25 @@ def commit(sc: Scenario, state: MatchingState, k: int, dev: int, f: float) -> No
     state.freqs[k] = f
     state.unmatched.discard(k)
     state.f_res[dev] -= f
-    host = sc.device(dev)
     if dev > 0:
+        host = sc.devices[dev]
         state.p_res[dev] = max(0.0, state.p_res[dev] - host.kappa * f ** host.nu)
     if dev != k:
-        u = offload_power(sc.task(k), sc.gain(k, dev), sc.bandwidth, sc.noise_w, f)
-        state.p_res[k] = max(0.0, state.p_res[k] - u / sc.device(k).eta)
+        u = offload_power(sc.tasks[k - 1], sc.gains.item(k - 1, dev), sc.bandwidth, sc.noise_w, f)
+        state.p_res[k] = max(0.0, state.p_res[k] - u / sc.devices[k].eta)
 
 
 def mec_topup(sc: Scenario, mec_freqs: dict[int, float]) -> dict[int, float]:
     """Spread leftover edge-server capacity over its tasks proportionally to
     their current upload power cost (heavier uploads get more speed-up)."""
-    residue = sc.device(0).f_max - sum(mec_freqs.values())
+    residue = sc.devices[0].f_max - sum(mec_freqs.values())
     if residue <= 0:
         return dict(mec_freqs)
     weights = {}
     for k, f in mec_freqs.items():
-        task = sc.task(k)
-        u = offload_power(task, sc.gain(k, 0), sc.bandwidth, sc.noise_w, f)
-        weights[k] = task.power_price / sc.device(k).eta * u
+        task = sc.tasks[k - 1]
+        u = offload_power(task, sc.gains.item(k - 1, 0), sc.bandwidth, sc.noise_w, f)
+        weights[k] = task.power_price / sc.devices[k].eta * u
     total = sum(weights.values())
     if total <= 0:
         share = {k: 1.0 / len(mec_freqs) for k in mec_freqs}
@@ -253,7 +252,7 @@ def run(sc: Scenario, criterion: str = "maxtask") -> tuple[Assignment, MatchingS
     state = new_state(sc)
     seeds = local_seed_set(sc, bounds)
     for k in sorted(seeds):
-        commit(sc, state, k, k, sc.task(k).f_min)
+        commit(sc, state, k, k, sc.tasks[k - 1].f_min)
 
     prefs = build_preferences(sc, state, bounds)
     while True:

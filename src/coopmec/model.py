@@ -177,19 +177,6 @@ class Scenario:
     def n(self) -> int:
         return len(self.tasks)
 
-    def task(self, task_id: int) -> TaskSpec:
-        return self.tasks[task_id - 1]
-
-    def device(self, device_id: int) -> DeviceProfile:
-        return self.devices[device_id]
-
-    def gain(self, task_id: int, device_id: int) -> float:
-        return self.gains.item(task_id - 1, device_id)
-
-    def host_price(self, device_id: int) -> float:
-        """Power price of a hosting device; edge-server compute is free."""
-        return self.arrays.host_price[device_id]
-
 
 # ---------------------------------------------------------------------------
 # transmit-power curve

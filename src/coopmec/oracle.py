@@ -39,12 +39,12 @@ def non_cope(sc: Scenario) -> Assignment:
     mec_open = (~bounds.blocked[:, 0]).tolist()
     f_mec = bounds.f_lower[:, 0].tolist()
     for i in range(1, sc.n + 1):
-        task = sc.task(i)
-        dev = sc.device(i)
+        task = sc.tasks[i - 1]
+        dev = sc.devices[i]
         local_ok = local_open[i - 1]
         if mec_open[i - 1]:
             f_req = f_mec[i - 1]
-            u = offload_power(task, sc.gain(i, 0), sc.bandwidth, sc.noise_w, f_req)
+            u = offload_power(task, sc.gains.item(i - 1, 0), sc.bandwidth, sc.noise_w, f_req)
             mec_cost = task.power_price / dev.eta * u
             # priced only when open: a blocked pair's f_min ** nu can overflow
             if not local_ok or mec_cost < task.power_price * dev.kappa * task.f_min ** dev.nu:
@@ -60,7 +60,7 @@ def non_cope(sc: Scenario) -> Assignment:
     for k in requests:
         if k not in admitted and local_open[k - 1]:
             target[k] = k
-            freqs[k] = sc.task(k).f_min
+            freqs[k] = sc.tasks[k - 1].f_min
     return make_assignment(sc, matching.prune(sc, target, freqs)[0], freqs)
 
 
@@ -127,7 +127,7 @@ def _grid_min(sc: Scenario, bounds: FeasibilityBounds, pairs: tuple):
     """Minimum cost of one coupled component {(task, device), ...} over a
     log-spaced frequency lattice; returns (cost, {task: f}) or None when no
     lattice point is feasible."""
-    tasks = [sc.task(k) for k, _ in pairs]
+    tasks = [sc.tasks[k - 1] for k, _ in pairs]
     dims = len(pairs)
     lo = np.array([bounds.f_lower[k - 1, d] for k, d in pairs])
     hi = np.array([bounds.f_upper[k - 1, d] for k, d in pairs])
@@ -147,27 +147,27 @@ def _grid_min(sc: Scenario, bounds: FeasibilityBounds, pairs: tuple):
         cost = np.zeros(F.shape[0])
         for d in hosts:
             cols = [col[k] for k, dd in pairs if dd == d]
-            host = sc.device(d)
+            host = sc.devices[d]
             load = F[:, cols].sum(axis=1)
             feas &= load <= host.f_max * slack
             if d >= 1:
                 draw = host.kappa * (F[:, cols] ** host.nu).sum(axis=1)
                 if d in col and dict(pairs)[d] != d:
-                    ud = offload_power_vec(sc.task(d).cycles, sc.task(d).bits,
-                                           sc.task(d).deadline,
-                                           sc.gain(d, dict(pairs)[d]),
+                    own = sc.tasks[d - 1]
+                    ud = offload_power_vec(own.cycles, own.bits, own.deadline,
+                                           sc.gains.item(d - 1, dict(pairs)[d]),
                                            sc.bandwidth, sc.noise_w, F[:, col[d]])
                     draw = draw + ud / host.eta
                 feas &= draw + host.p_cir <= host.p_max * slack
         for c, (k, d) in enumerate(pairs):
             task = tasks[c]
-            host = sc.device(d)
+            host = sc.devices[d]
             if d != k:
                 u = offload_power_vec(task.cycles, task.bits, task.deadline,
-                                      sc.gain(k, d), sc.bandwidth, sc.noise_w,
+                                      sc.gains.item(k - 1, d), sc.bandwidth, sc.noise_w,
                                       F[:, c])
-                cost += task.power_price / sc.device(k).eta * u
-            cost += sc.host_price(d) * host.kappa * F[:, c] ** host.nu
+                cost += task.power_price / sc.devices[k].eta * u
+            cost += sc.arrays.host_price[d] * host.kappa * F[:, c] ** host.nu
         cost = np.where(feas, cost, np.inf)
         i = int(np.argmin(cost))
         if cost[i] < best_cost:
@@ -195,7 +195,7 @@ def brute_force(sc: Scenario) -> Assignment:
     cache: dict[tuple, object] = {}
     best = (math.inf, None, None)
     for targets in decision_maps(sc, bounds):
-        total = circuit + phi_all - sum(sc.task(k).penalty for k in targets)
+        total = circuit + phi_all - sum(sc.tasks[k - 1].penalty for k in targets)
         freqs: dict[int, float] = {}
         ok = True
         for comp in _components(targets):

@@ -54,7 +54,7 @@ def c5_violations(sc: Scenario, asg) -> list[Violation]:
     the O(N^2) reference for model.validate_constraints."""
     out = []
     for i in range(1, sc.n + 1):
-        dev = sc.device(i)
+        dev = sc.devices[i]
         draw = dev.p_cir
         draw += dev.kappa * sum(asg.f.get(k, 0.0) ** dev.nu
                                 for k, tgt in asg.target.items() if tgt == i)
@@ -67,8 +67,9 @@ def c5_violations(sc: Scenario, asg) -> list[Violation]:
 
 # Reference copies of model.assignment_cost and model.validate_constraints as
 # they stood before both were rewritten as single passes over the target and
-# the devices, kept verbatim (with their UE power helper) so a test can
-# require the rewrite to give equal results on in-range assignments.
+# the devices, kept with the same float expressions (and their UE power
+# helper) so a test can require the rewrite to give equal results on
+# in-range assignments.
 
 
 def reference_assignment_cost(sc: Scenario, target, freqs
@@ -80,17 +81,19 @@ def reference_assignment_cost(sc: Scenario, target, freqs
     p_t: dict[int, float] = {}
     for task_id in sorted(target):
         dev = target[task_id]
-        task = sc.task(task_id)
+        task = sc.tasks[task_id - 1]
         f = freqs[task_id]
         if dev != task.id:
-            power = offload_power(task, sc.gain(task_id, dev), sc.bandwidth, sc.noise_w, f)
+            gain = sc.gains.item(task_id - 1, dev)
+            power = offload_power(task, gain, sc.bandwidth, sc.noise_w, f)
             p_t[task_id] = power
-            transmit += task.power_price / sc.device(task.id).eta * power
+            transmit += task.power_price / sc.devices[task.id].eta * power
         if dev > 0:                     # edge-server compute is free
-            compute += sc.host_price(dev) * sc.device(dev).kappa * f ** sc.device(dev).nu
+            host = sc.devices[dev]
+            compute += sc.arrays.host_price[dev] * host.kappa * f ** host.nu
     circuit = sc.arrays.circuit
     penalty_all = sc.arrays.penalty_total
-    saved = sum(sc.task(i).penalty for i in target)
+    saved = sum(sc.tasks[i - 1].penalty for i in target)
     total = transmit + compute + circuit + (penalty_all - saved)
     reduced = transmit + compute - saved
     return CostBreakdown(transmit=transmit, compute=compute, circuit=circuit,
@@ -133,14 +136,14 @@ def reference_validate_constraints(sc: Scenario, asg) -> list[Violation]:
 
     # C3: deadline per assigned task, from the stored frequency and power
     for task_id, dev in asg.target.items():
-        task = sc.task(task_id)
+        task = sc.tasks[task_id - 1]
         f = asg.f.get(task_id)
         if f is None or f <= 0:
             continue
         delay = task.cycles / f
         if dev != task_id:
             p = asg.p_t.get(task_id, 0.0)
-            snr = p * sc.gain(task_id, dev) / sc.noise_w
+            snr = p * sc.gains.item(task_id - 1, dev) / sc.noise_w
             rate = sc.bandwidth * math.log1p(snr) / LN2 if snr > 0 else 0.0
             delay += task.bits / rate if rate > 0 else math.inf
         if delay > task.deadline * (1.0 + CHECK_TOL):
@@ -151,7 +154,7 @@ def reference_validate_constraints(sc: Scenario, asg) -> list[Violation]:
     for task_id, dev in asg.target.items():
         load[dev] += asg.f.get(task_id, 0.0)
     for j, used in load.items():
-        cap = sc.device(j).f_max
+        cap = sc.devices[j].f_max
         if used > cap * (1.0 + CHECK_TOL):
             out.append(Violation("C4", None, j, used - cap))
 
@@ -168,7 +171,7 @@ def ue_power_scan(sc: Scenario, asg) -> float:
     model.ue_total_power."""
     total = 0.0
     for i in range(1, sc.n + 1):
-        dev = sc.device(i)
+        dev = sc.devices[i]
         total += dev.p_cir
         total += dev.kappa * sum(asg.f.get(k, 0.0) ** dev.nu
                                  for k, tgt in asg.target.items() if tgt == i)

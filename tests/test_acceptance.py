@@ -98,7 +98,7 @@ def test_01_transmit_curve_calculus():
         j = int(rng.integers(0, sc.n + 1))
         if j == i or b.blocked[i - 1, j]:
             continue
-        task, g = sc.task(i), sc.gain(i, j)
+        task, g = sc.tasks[i - 1], sc.gains.item(i - 1, j)
         lo = max(b.f_lower[i - 1, j], task.f_min * 1.02)
         hi = b.f_upper[i - 1, j]
         if lo >= hi:
@@ -127,22 +127,23 @@ def test_01_transmit_curve_calculus():
         sc = generate(GenConfig(n=2 + s % 4, seed=1000 + s))
         b = feasibility_bounds(sc)
         for i in range(1, sc.n + 1):
-            task = sc.task(i)
+            task = sc.tasks[i - 1]
             for j in range(sc.n + 1):
                 if not b.blocked[i - 1, j]:
                     continue
                 pairs += 1
-                cap = device_speed_cap(sc.device(j))
+                cap = device_speed_cap(sc.devices[j])
                 if cap <= task.f_min:
                     continue
-                eta, pm = sc.device(i).eta, sc.device(i).p_m
+                own = sc.devices[i]
+                eta, pm = own.eta, own.p_m
                 for f in np.geomspace(task.f_min * (1 + 1e-12), cap, 400):
                     if f <= task.f_min:
                         continue
                     if j == i:
-                        ok = sc.device(i).kappa * f ** sc.device(i).nu <= pm
+                        ok = own.kappa * f ** own.nu <= pm
                     else:
-                        u = offload_power(task, sc.gain(i, j), sc.bandwidth,
+                        u = offload_power(task, sc.gains.item(i - 1, j), sc.bandwidth,
                                           sc.noise_w, float(f))
                         ok = u / eta <= pm
                     if ok:

@@ -167,7 +167,7 @@ def test_vanishing_upload_size_in_a_scenario_file_validates(tmp_path, algo):
     lines[i] = " ".join(parts)
     path.write_text("\n".join(lines) + "\n")
     sc = scenario.read_scenario(path)
-    assert sc.task(2).bits == 1e-300
+    assert sc.tasks[1].bits == 1e-300
     asg, _ = run_algorithm(sc, algo)
     assert validate_constraints(sc, asg) == []
     assert asg.cost.total <= sc.arrays.circuit + sc.arrays.penalty_total

@@ -91,7 +91,7 @@ def test_primal_prefers_local_when_it_wins():
     sc = mk_scenario([mk_task(1)], [mk_dev(0, f_max=5e9), mk_dev(1)])
     x, dev = primal(sc)
     assert decisions_from(dev) == {1: 1}
-    assert math.isclose(x[0], sc.task(1).f_min, rel_tol=1e-12)
+    assert math.isclose(x[0], sc.tasks[0].f_min, rel_tol=1e-12)
 
 
 def test_primal_drops_task_with_no_winning_option():
@@ -126,7 +126,7 @@ def test_solve_single_local_task_converges_fast():
     assert trace.termination == "converged"
     assert trace.iterations <= 2
     assert asg.target == {1: 1}
-    assert math.isclose(asg.f[1], sc.task(1).f_min, rel_tol=1e-12)
+    assert math.isclose(asg.f[1], sc.tasks[0].f_min, rel_tol=1e-12)
 
 
 def test_solve_bracketed_by_reference_solvers():

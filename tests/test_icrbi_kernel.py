@@ -548,9 +548,9 @@ def test_committed_pairs_are_priced_as_the_cost_model_prices_them(n, seeds):
                     use.hosted.tolist()), 1):
                 if dev in (-1, k):
                     continue
-                host = sc.device(dev)
-                assert u == offload_power(sc.task(k), sc.gain(k, dev), sc.bandwidth,
-                                          sc.noise_w, f)
+                host = sc.devices[dev]
+                assert u == offload_power(sc.tasks[k - 1], sc.gains.item(k - 1, dev),
+                                          sc.bandwidth, sc.noise_w, f)
                 assert hosted == (host.kappa * f ** host.nu if dev else 0.0)
                 pairs += 1
             mu, v = kern.dual_step(mu, v, use, step_size("diminish", 0.1, t))

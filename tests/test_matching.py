@@ -40,7 +40,7 @@ def test_pair_frequency_closed_forms():
     sc = two_ue_scenario()
     state = new_state(sc)
     # local execution pins the slowest deadline-feasible frequency
-    assert math.isclose(pair_frequency(sc, state, 1, 1), sc.task(1).f_min,
+    assert math.isclose(pair_frequency(sc, state, 1, 1), sc.tasks[0].f_min,
                         rel_tol=1e-12)
     # the edge server request point is delay tight at the full-budget rate
     snr = 1e-10 * 0.5 * (2.0 - 0.1) / sc.noise_w
@@ -197,7 +197,7 @@ def test_matching_tracks_exhaustive_search():
 
 def test_mec_topup_edge_cases():
     sc = two_ue_scenario()
-    assert sc.device(0).f_max == 5e9
+    assert sc.devices[0].f_max == 5e9
     assert mec_topup(sc, {}) == {}
     full = {1: 3e9, 2: 2e9}
     assert mec_topup(sc, full) == full       # nothing left to spread
@@ -224,7 +224,7 @@ def reference_run(sc, criterion):
     whose host is a still unmatched task."""
     state = new_state(sc)
     for k in sorted(local_seed_set(sc, feasibility_bounds(sc))):
-        commit(sc, state, k, k, sc.task(k).f_min)
+        commit(sc, state, k, k, sc.tasks[k - 1].f_min)
     series = [assignment_cost(sc, state.omega, state.freqs)[0].total]
     abandoned = set()
     unmatched_hosts = 0

@@ -224,7 +224,7 @@ def test_bounds_block_unreachable_uplinks():
     assert b.blocked[0, 0]
     assert not b.blocked[0, 1]          # local execution is unaffected
     arr = sc.arrays
-    rate = sc.bandwidth * math.log2(1 + sc.gain(1, 0) * arr.eta[0] * arr.p_m[0] / sc.noise_w)
+    rate = sc.bandwidth * math.log2(1 + sc.gains.item(0, 0) * arr.eta[0] * arr.p_m[0] / sc.noise_w)
     assert rate < 1e5 / 0.02
 
 
@@ -234,7 +234,7 @@ def test_bounds_lower_upper_consistency(sc10):
     assert (b.f_lower[ok] <= b.f_upper[ok] * (1 + 1e-12)).all()
     for i in range(1, sc10.n + 1):
         if not b.blocked[i - 1, i]:
-            assert math.isclose(b.f_lower[i - 1, i], sc10.task(i).f_min,
+            assert math.isclose(b.f_lower[i - 1, i], sc10.tasks[i - 1].f_min,
                                 rel_tol=1e-12)
 
 
@@ -261,9 +261,9 @@ def test_single_local_task_cost():
 
 def test_total_reduced_identity(sc10):
     # total and reduced differ by the constant circuit + penalty mass
-    const = (sum(t.power_price * sc10.device(t.id).p_cir for t in sc10.tasks)
+    const = (sum(t.power_price * sc10.devices[t.id].p_cir for t in sc10.tasks)
              + sum(t.penalty for t in sc10.tasks))
-    for target, freqs in ({}, {}), ({1: 1}, {1: sc10.task(1).f_min}):
+    for target, freqs in ({}, {}), ({1: 1}, {1: sc10.tasks[0].f_min}):
         cost, _ = assignment_cost(sc10, target, freqs)
         assert math.isclose(cost.total - cost.reduced, const, rel_tol=1e-12)
 
@@ -311,7 +311,7 @@ def test_validate_flags_missed_deadline():
 
 def test_validate_accepts_clean_assignment():
     sc = mk_scenario([mk_task(1)], [mk_dev(0, f_max=5e9), mk_dev(1)])
-    asg = make_assignment(sc, {1: 1}, {1: sc.task(1).f_min})
+    asg = make_assignment(sc, {1: 1}, {1: sc.tasks[0].f_min})
     assert validate_constraints(sc, asg) == []
     assert asg.accomplished == 1
 
@@ -364,9 +364,9 @@ def scenario_and_assignment(draw):
             continue
         target[k] = dev
         if draw(st.integers(0, 9)):
-            f[k] = draw(st.floats(0.01, 1.5)) * sc.device(dev).f_max
+            f[k] = draw(st.floats(0.01, 1.5)) * sc.devices[dev].f_max
         if dev != k:
-            p_t[k] = draw(st.floats(0.0, 2.0)) * sc.device(k).p_max
+            p_t[k] = draw(st.floats(0.0, 2.0)) * sc.devices[k].p_max
     cost, _ = assignment_cost(sc, {}, {})
     return sc, Assignment(target=target, f=f, p_t=p_t, cost=cost)
 

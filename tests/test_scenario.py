@@ -51,9 +51,9 @@ def test_generated_values_respect_ranges():
         assert d.kappa == cfg.kappa and d.p_cir == cfg.p_cir
         assert 0 <= d.position[0] <= cfg.cell_m
         assert 0 <= d.position[1] <= cfg.cell_m
-    assert sc.device(0).f_max == cfg.f0_max
-    assert sc.device(0).kappa == 0.0
-    assert math.isinf(sc.device(0).p_max)
+    assert sc.devices[0].f_max == cfg.f0_max
+    assert sc.devices[0].kappa == 0.0
+    assert math.isinf(sc.devices[0].p_max)
 
 
 def test_penalty_mean_and_spread():
@@ -67,19 +67,19 @@ def test_gains_follow_pathloss_without_fading():
     cfg = GenConfig(n=6, seed=3, fading=False)
     sc = generate(cfg)
     for i in range(1, sc.n + 1):
-        ue = sc.device(i)
+        ue = sc.devices[i]
         for j in range(sc.n + 1):
             if j == i:
                 continue
-            other = sc.device(j).position
+            other = sc.devices[j].position
             d = math.hypot(ue.position[0] - other[0], ue.position[1] - other[1])
             want = cfg.pathloss_ref_gain * max(d, 1.0) ** -cfg.pathloss_exponent
-            assert math.isclose(sc.gain(i, j), want, rel_tol=1e-12)
+            assert math.isclose(sc.gains.item(i - 1, j), want, rel_tol=1e-12)
     # the server sits at the cell centre, so no UE is further than half the
     # diagonal away
     half_diag = cfg.cell_m * math.sqrt(2) / 2
     for i in range(1, sc.n + 1):
-        p = sc.device(i).position
+        p = sc.devices[i].position
         assert math.hypot(p[0] - 500.0, p[1] - 500.0) <= half_diag + 1e-9
 
 
