@@ -8,6 +8,12 @@ count, plus icrbi's stop reason and its per-iteration trace; a solve that
 raises a CoopMecError hashes its error instead.  A change that claims
 byte-identical outputs must print the same digests before and after.
 
+The digests hold only for the CPU dispatch numpy takes: its AVX-512 (X86_V4)
+kernels for exp, expm1, log1p and power differ from libm in the last bit on
+some inputs, so the first line says whether that dispatch is on.
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" switches it off for
+one process.
+
 The pools are the scenarios of solverbench's workloads, built here with
 GenConfig:
     capacity  seeds 0-349, server capacity f0_max 5, 6, 7 and 8 GHz (N=10)
@@ -20,6 +26,9 @@ GenConfig:
 
 import argparse
 import hashlib
+
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
 
 from coopmec.errors import CoopMecError
 from coopmec.harness import ALGORITHMS, run_algorithm
@@ -65,6 +74,8 @@ def main() -> None:
     ap.add_argument("--seeds", type=int, default=None,
                     help="digest only the first SEEDS seeds of each pool")
     args = ap.parse_args()
+    dispatch = "on" if __cpu_features__.get("X86_V4") else "off"
+    print(f"numpy {np.__version__}, X86_V4 dispatch {dispatch}", flush=True)
     for name, (seeds, cells) in POOLS.items():
         if args.seeds is not None:
             seeds = min(seeds, args.seeds)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -140,9 +141,11 @@ def cmd_oracle_check(args) -> int:
         for algo in spec.algorithms:
             asg, _ = harness.run_algorithm(sc, algo, step_rule=spec.step_rule,
                                            x0=spec.x0, eps=spec.eps)
-            gap = (asg.cost.total - ref) / ref
+            cost = asg.cost.total
+            # every cost is >= 0: against a zero optimum only an equal cost has no gap
+            gap = (cost - ref) / ref if ref else (0.0 if cost == ref else math.inf)
             worst[algo] = min(worst[algo], gap)
-            parts.append(f"{algo}={asg.cost.total:.6f} ({gap:+.3%})")
+            parts.append(f"{algo}={cost:.6f} ({gap:+.3%})")
         print("  ".join(parts))
     bad = {a: g for a, g in worst.items() if g < -ORACLE_SLACK}
     if bad:

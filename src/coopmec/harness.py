@@ -11,6 +11,7 @@ with repr() so a rerun of the same spec is byte-identical.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,6 +57,8 @@ class ExperimentSpec:
             raise ConfigError(f"sweep variable {var!r} not one of {SWEEP_VARS}")
         if self.realizations < 1:
             raise ConfigError("realizations must be >= 1")
+        if var == "n" and not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"task count must be finite, got {values!r}")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError("sweep values must be strictly increasing")
         icrbi.check_settings(self.step_rule, self.x0, self.eps)

@@ -194,11 +194,11 @@ class _Kernel:
         self.remote_ok = starts[1:] > starts[:-1]       # the tasks with a remote pair
         curve = (arr.cycles[ri], arr.bits[ri], arr.deadline[ri], sc.gains[ri, rj])
         # each pair's host power law: a host that no pair reaches is never
-        # priced, however large its kappa.  The server's compute is free
-        # (c1 = 0 at rj == 0), so its power law is never raised: exponent 0
-        # there keeps c1 * f**(nu-1) at zero, where a large f**(nu-1) would
-        # overflow
-        kappa, nu = arr.kappa[rj], nu_d[rj]
+        # priced, however large its kappa.  The server's compute is free, so
+        # its power law is never raised: kappa 0 and exponent 0 there keep
+        # c1 = kappa * nu and c1 * f**(nu-1) at zero, where a large kappa or
+        # f**(nu-1) would overflow
+        kappa, nu = np.where(rj > 0, arr.kappa[rj], 0.0), nu_d[rj]
         nu1 = np.where(rj > 0, nu - 1.0, 0.0)
         lo = bounds.f_lower[ri, rj]
         hi = np.minimum(bounds.f_upper[ri, rj], F_TOP)
@@ -347,7 +347,10 @@ def _recommit(sc: Scenario, decisions: dict[int, int], bounds: FeasibilityBounds
     state = matching.new_state(sc)
     order = sorted(decisions, key=lambda k: (bounds.f_lower[k - 1, decisions[k]], k))
     for k in order:
-        for dev in ([decisions[k]] if decisions[k] == 0 else [decisions[k], 0]):
+        # a blocked server pair can still fit the residual budgets when its
+        # window starts at f_min, where U is not usable: no fallback there
+        fallback = decisions[k] != 0 and not bounds.blocked.item(k - 1, 0)
+        for dev in ([decisions[k], 0] if fallback else [decisions[k]]):
             f = matching.pair_frequency(sc, state, k, dev)
             if f is not None:
                 matching.commit(sc, state, k, dev, f)
@@ -363,7 +366,8 @@ def repair_feasibility(sc: Scenario, decisions: dict[int, int],
 
     Tasks are placed cheapest-to-fit first (ascending static minimum
     frequency at their chosen device); a task that no longer fits falls back
-    to the edge server if that still works, otherwise it is dropped.
+    to the edge server if the static bounds leave that pair open and it
+    still fits, otherwise it is dropped.
     Leftover edge capacity is redistributed, and a placement that then
     costs more than dropping its task is dropped.  Given a rival map as well,
     both are re-committed and the cheaper is kept, `decisions` on a tie;
@@ -421,8 +425,12 @@ def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
         cost = kern.reduced_cost(use)
         trace.reduced_cost.append(cost)
         trace.num_assigned.append(int((use.dev >= 0).sum()))
-        trace.mu_norm.append(math.sqrt(mu.dot(mu)))
-        trace.v_norm.append(math.sqrt(v.dot(v)))
+        # a price near the float limit overflows the sum of squares, not the
+        # norm: math.hypot reports that one, every other norm keeps its bits
+        with np.errstate(over="ignore"):
+            sq_mu, sq_v = mu.dot(mu), v.dot(v)
+        trace.mu_norm.append(math.sqrt(sq_mu) if sq_mu < math.inf else math.hypot(*mu.tolist()))
+        trace.v_norm.append(math.sqrt(sq_v) if sq_v < math.inf else math.hypot(*v.tolist()))
         key = use.dev.tobytes()
         if key not in seen:
             seen.add(key)

@@ -21,6 +21,7 @@ convex on (F/T, inf); every solver in this package leans on that.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -72,8 +73,12 @@ class TaskSpec:
             _check_finite(f"task {self.id}", name, getattr(self, name))
         if not (self.cycles > 0 and self.bits > 0 and self.deadline > 0):
             raise ValueError(f"task {self.id}: cycles, bits, deadline must be positive")
-        if not math.isfinite(self.cycles / self.deadline):
+        f_min = self.cycles / self.deadline
+        if not math.isfinite(f_min):
             raise ValueError(f"task {self.id}: f_min = cycles / deadline overflows")
+        if f_min < sys.float_info.min:
+            # a subnormal f_min keeps too few bits for cycles / f_min to meet the deadline
+            raise ValueError(f"task {self.id}: f_min = cycles / deadline is subnormal")
         if self.penalty < 0 or self.power_price < 0:
             raise ValueError(f"task {self.id}: penalty and power_price must be >= 0")
 

@@ -113,14 +113,18 @@ def test_extreme_magnitudes_do_not_overflow(algo, cell):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("algo", ALGORITHMS)
-@pytest.mark.parametrize("index, value", [(3, "1e308"), (5, "1e-320")], ids=["kappa", "eta"])
-def test_extreme_device_in_a_scenario_file_does_not_overflow(tmp_path, algo, index, value):
+@pytest.mark.parametrize("device, index, value",
+                         [(3, 3, "1e308"), (3, 5, "1e-320"), (0, 3, "1e308")],
+                         ids=["kappa", "eta", "server_kappa"])
+def test_extreme_device_in_a_scenario_file_does_not_overflow(tmp_path, algo, device, index,
+                                                             value):
     # one UE (device 3) with a CPU power law or a PA efficiency at the float
-    # limit: the other devices stay ordinary, so the cell still has work
+    # limit, or the edge server with a power law whose free compute is never
+    # priced: the other devices stay ordinary, so the cell still has work
     path = tmp_path / "inst.sc"
     scenario.write_scenario(gen(n=4, seed=2), path)
     lines = path.read_text().splitlines()
-    i = next(i for i, ln in enumerate(lines) if ln.startswith("device 3 "))
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(f"device {device} "))
     parts = lines[i].split()
     lines[i] = " ".join(parts[:index] + [value] + parts[index + 1:])
     path.write_text("\n".join(lines) + "\n")
@@ -171,6 +175,53 @@ def test_vanishing_upload_size_in_a_scenario_file_validates(tmp_path, algo):
     asg, _ = run_algorithm(sc, algo)
     assert validate_constraints(sc, asg) == []
     assert asg.cost.total <= sc.arrays.circuit + sc.arrays.penalty_total
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_blocked_server_pair_in_a_scenario_file_validates(tmp_path, algo):
+    # task 1 uploads 5e-324 bits, so the bounds block its server pair (the
+    # window would start at f_min), and UE 4 can host only 0.5 Hz: icrbi's
+    # repair must not fall back to the blocked server pair when task 1's
+    # relaxed host no longer fits
+    path = tmp_path / "inst.sc"
+    scenario.write_scenario(gen(n=4, seed=878), path)
+    lines = [ln.split() for ln in path.read_text().splitlines()]
+    for parts in lines:
+        if parts[:2] == ["task", "1"]:
+            parts[3] = "5e-324"         # task <id> <cycles> <bits> ...
+        if parts[:2] == ["device", "4"]:
+            parts[2] = "0.5"            # device <id> <f_max> ...
+    path.write_text("\n".join(" ".join(parts) for parts in lines) + "\n")
+    sc = scenario.read_scenario(path)
+    assert sc.tasks[0].bits == 5e-324 and sc.devices[4].f_max == 0.5
+    assert model.feasibility_bounds(sc).blocked[0, 0]
+    asg, _ = run_algorithm(sc, algo)
+    assert validate_constraints(sc, asg) == []
+    assert asg.cost.total <= sc.arrays.circuit + sc.arrays.penalty_total
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_extreme_power_price_in_a_scenario_file_does_not_overflow(tmp_path, algo):
+    # task 4 prices its UE's watts at 1e300: icrbi's power prices then pass
+    # 1e154, where the sum of squares of a trace norm overflows but the
+    # norm does not
+    path = tmp_path / "inst.sc"
+    scenario.write_scenario(gen(n=5, seed=662), path)
+    lines = [ln.split() for ln in path.read_text().splitlines()]
+    for parts in lines:
+        if parts[:2] == ["task", "4"]:
+            parts[6] = "1e300"          # task <id> ... <penalty> <power_price>
+    path.write_text("\n".join(" ".join(parts) for parts in lines) + "\n")
+    sc = scenario.read_scenario(path)
+    assert sc.tasks[3].power_price == 1e300
+    asg, extras = run_algorithm(sc, algo)
+    assert validate_constraints(sc, asg) == []
+    if algo == "icrbi":
+        trace = extras["trace"]
+        assert max(trace.mu_norm + trace.v_norm) > 1e154
+        assert all(map(math.isfinite, trace.mu_norm + trace.v_norm))
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -412,6 +463,26 @@ def test_cli_trace_and_oracle_check(tmp_path, capsys):
     assert cli.main(["oracle-check", "--config", str(cfg_path),
                      "--realizations", "3"]) == 0
     assert "ok:" in capsys.readouterr().out
+
+
+def test_cli_oracle_check_with_a_zero_optimum(tmp_path, capsys):
+    # free power, no circuit draw and light tasks: the optimum costs 0, and
+    # a solver that matches it has no gap
+    cfg_path = tmp_path / "free.cfg"
+    cfg_path.write_text("w = 0\np_cir = 0\nn = 3\ncycles = 1e4, 1e5\n")
+    assert cli.main(["oracle-check", "--config", str(cfg_path), "--realizations", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("oracle=0.000000") == 2 and "ok:" in out
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_cli_rejects_a_non_finite_task_count_sweep(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--sweep", f"n={value}", "--realizations", "1",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "task count must be finite" in err
+    assert not out.exists()
 
 
 def test_cli_rejects_malformed_arguments(tmp_path, capsys):

@@ -136,6 +136,7 @@ def test_config_rejects_negative_seed():
     {"n": 4, "noise_dbm_per_hz": -3200.0},  # finite SNR numerator over ~1e-323 W
     {"n": 4, "deadline_s": (1e-320, 1e-320)},   # f_min = cycles / deadline overflows
     {"n": 4, "cycles": (1e308, 1e308)},
+    {"n": 4, "cycles": (5e-324, 5e-324)},      # a subnormal f_min
 ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
 def test_generate_rejects_bad_records(override):
     # the record constructors' checks surface as ConfigError, never raw
@@ -321,6 +322,13 @@ def test_scenario_file_rejects_overflowing_f_min(tmp_path, index, value):
     with pytest.raises(ConfigError, match=r"inst\.sc:7: .*f_min = cycles / deadline overflows"):
         corrupt_line(tmp_path, "task 2 ",
                      lambda parts: parts[:index] + [value] + parts[index + 1:])
+
+
+def test_scenario_file_rejects_subnormal_f_min(tmp_path):
+    # task 2's cycles / deadline keeps too few bits for cycles / f_min to
+    # meet the deadline: every solver's local placements would fail C3
+    with pytest.raises(ConfigError, match=r"inst\.sc:7: .*f_min = cycles / deadline is subnormal"):
+        corrupt_line(tmp_path, "task 2 ", lambda parts: parts[:2] + ["5e-324"] + parts[3:])
 
 
 def test_scenario_file_rejects_overflowing_snr(tmp_path):
