@@ -43,17 +43,6 @@ def _parse_sweep(text: str) -> tuple[str, tuple[float, ...]]:
     return var, values
 
 
-def _parse_step_rule(text: str) -> tuple[str, float]:
-    rule, sep, x = text.partition(":")
-    if rule not in STEP_RULES:
-        raise ConfigError(f"--step-rule expects one of {STEP_RULES}, got {rule!r}")
-    try:
-        x0 = float(x) if sep else 0.1
-    except ValueError:
-        raise ConfigError(f"bad step scale in {text!r}") from None
-    return rule, x0
-
-
 def _load_config(path: str | None) -> scenario.GenConfig:
     return scenario.read_config(path) if path else scenario.GenConfig()
 
@@ -66,8 +55,7 @@ _OPTIONS = {
     "--realizations": dict(type=int, help="scenarios to draw (default varies)"),
     "--seed": dict(type=int, default=0, help="seed base"),
     "--out": dict(default=None, help="output directory"),
-    "--step-rule": dict(default="diminish:0.1", help="diminish:<x> or square:<x>"),
-    "--eps": dict(type=float, default=None, help="iterative-solver settlement threshold"),
+    "--step-rule": dict(default="diminish", help=f"icrbi step rule: {' or '.join(STEP_RULES)}"),
     "--sweep": dict(help="var=v1,v2,... (f0_max, n, w, phi0)"),
 }
 
@@ -93,7 +81,6 @@ def cmd_gen(args) -> int:
 
 def _build_spec(args, default_algos: tuple[str, ...]) -> ExperimentSpec:
     cfg = _load_config(args.config)
-    rule, x0 = _parse_step_rule(args.step_rule)
     sweep_var, sweep_values = ("f0_max", ())
     if getattr(args, "sweep", None):
         sweep_var, sweep_values = _parse_sweep(args.sweep)
@@ -101,7 +88,7 @@ def _build_spec(args, default_algos: tuple[str, ...]) -> ExperimentSpec:
         algorithms=_parse_algos(args.algo, default_algos), base=cfg,
         sweep_var=sweep_var, sweep_values=sweep_values,
         realizations=args.realizations, out=getattr(args, "out", None),
-        seed_base=args.seed, step_rule=rule, x0=x0, eps=args.eps)
+        seed_base=args.seed, step_rule=args.step_rule)
 
 
 def cmd_run(args) -> int:
@@ -139,8 +126,7 @@ def cmd_oracle_check(args) -> int:
         ref = oracle.brute_force(sc).cost.total
         parts = [f"seed={seed} oracle={ref:.6f}"]
         for algo in spec.algorithms:
-            asg, _ = harness.run_algorithm(sc, algo, step_rule=spec.step_rule,
-                                           x0=spec.x0, eps=spec.eps)
+            asg, _ = harness.run_algorithm(sc, algo, step_rule=spec.step_rule)
             cost = asg.cost.total
             # every cost is >= 0: against a zero optimum only an equal cost has no gap
             gap = (cost - ref) / ref if ref else (0.0 if cost == ref else math.inf)
@@ -168,16 +154,15 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="Monte-Carlo sweep")
     _add_options(p_run, "--config", "--algo", "--realizations", "--seed", "--out",
-                 "--step-rule", "--eps", "--sweep")
+                 "--step-rule", "--sweep")
     p_run.set_defaults(fn=cmd_run, realizations=100)
 
     p_trace = sub.add_parser("trace", help="per-iteration cost series")
-    _add_options(p_trace, "--config", "--algo", "--seed", "--out", "--step-rule", "--eps")
+    _add_options(p_trace, "--config", "--algo", "--seed", "--out", "--step-rule")
     p_trace.set_defaults(fn=cmd_trace, realizations=1)       # one scenario
 
     p_oc = sub.add_parser("oracle-check", help="compare against brute force")
-    _add_options(p_oc, "--config", "--algo", "--realizations", "--seed",
-                 "--step-rule", "--eps")
+    _add_options(p_oc, "--config", "--algo", "--realizations", "--seed", "--step-rule")
     p_oc.set_defaults(fn=cmd_oracle_check, realizations=20)
 
     args = parser.parse_args(argv)

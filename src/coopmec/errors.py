@@ -6,7 +6,7 @@ class CoopMecError(Exception):
 
 
 class ConfigError(CoopMecError):
-    """Malformed generator config (bad ranges, keys, magnitudes) or icrbi settings."""
+    """Malformed generator config, scenario file or experiment settings."""
 
 
 class DomainError(CoopMecError):

@@ -39,13 +39,12 @@ class ExperimentSpec:
     out: str | None = None
     seed_base: int = 0
     step_rule: str = "diminish"
-    x0: float = 0.1
-    eps: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        var = "n" if self.sweep_var == "N" else self.sweep_var
-        object.__setattr__(self, "sweep_var", var)
+        var = self.sweep_var
+        if var not in SWEEP_VARS:
+            raise ConfigError(f"sweep variable {var!r} not one of {SWEEP_VARS}")
         values = tuple(self.sweep_values) or (getattr(self.base, var),)
         object.__setattr__(self, "sweep_values", values)
         if not self.algorithms:
@@ -53,15 +52,13 @@ class ExperimentSpec:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise UnknownAlgorithm(f"algorithm {a!r}")
-        if var not in SWEEP_VARS:
-            raise ConfigError(f"sweep variable {var!r} not one of {SWEEP_VARS}")
         if self.realizations < 1:
             raise ConfigError("realizations must be >= 1")
         if var == "n" and not all(math.isfinite(v) for v in values):
             raise ConfigError(f"task count must be finite, got {values!r}")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError("sweep values must be strictly increasing")
-        icrbi.check_settings(self.step_rule, self.x0, self.eps)
+        icrbi.check_settings(self.step_rule)
 
 
 @dataclass(frozen=True)
@@ -103,14 +100,14 @@ def apply_sweep(cfg: GenConfig, var: str, value) -> GenConfig:
     return dataclasses.replace(cfg, **{var: value})
 
 
-def run_algorithm(sc: Scenario, algorithm: str, step_rule: str = "diminish",
-                  x0: float = 0.1, eps: float | None = None) -> tuple[Assignment, dict]:
+def run_algorithm(sc: Scenario, algorithm: str,
+                  step_rule: str = "diminish") -> tuple[Assignment, dict]:
     """Dispatch one solver; extras copy the overhead, converged and iterations
     of the record it returns and keep that record as "trace" (None for the
     baseline).  Every solver validates its result in make_assignment, and an
     icrbi run stopped at icrbi.MAX_ITER still yields its repaired assignment."""
     if algorithm == "icrbi":
-        asg, trace = icrbi.solve(sc, step_rule=step_rule, x0=x0, eps=eps)
+        asg, trace = icrbi.solve(sc, step_rule=step_rule)
     elif algorithm in matching.CRITERIA:
         asg, trace = matching.run(sc, criterion=algorithm)
     elif algorithm == "decentral":
@@ -136,8 +133,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[MetricRow], list[RunRecor
             seed = spec.seed_base + r
             sc = generate(dataclasses.replace(cfg, seed=seed))
             for algo in spec.algorithms:
-                asg, extras = run_algorithm(sc, algo, step_rule=spec.step_rule,
-                                            x0=spec.x0, eps=spec.eps)
+                asg, extras = run_algorithm(sc, algo, step_rule=spec.step_rule)
                 records.append(RunRecord(
                     algorithm=algo, sweep_value=float(value), realization=r,
                     seed=seed, total_cost=asg.cost.total,
@@ -207,8 +203,8 @@ def write_outputs(spec: ExperimentSpec, table: list[MetricRow],
         fh.write(f"realizations = {spec.realizations}\n")
         fh.write(f"seed_base = {spec.seed_base}\n")
         fh.write(f"step_rule = {spec.step_rule}\n")
-        fh.write(f"x0 = {_fmt(spec.x0)}\n")
-        fh.write(f"eps = {'auto' if spec.eps is None else _fmt(spec.eps)}\n")
+        fh.write(f"x0 = {_fmt(icrbi.STEP_SCALE)}\n")
+        fh.write("eps = auto\n")
         fh.write("[base config]\n")
         for f in dataclasses.fields(spec.base):
             fh.write(f"{f.name} = {getattr(spec.base, f.name)!r}\n")
@@ -228,11 +224,10 @@ def convergence_trace(spec: ExperimentSpec) -> dict[str, Path]:
     sc = generate(dataclasses.replace(spec.base, seed=spec.seed_base))
     paths: dict[str, Path] = {}
     for algo in spec.algorithms:
-        asg, extras = run_algorithm(sc, algo, step_rule=spec.step_rule, x0=spec.x0,
-                                    eps=spec.eps)
+        asg, extras = run_algorithm(sc, algo, step_rule=spec.step_rule)
         trace = extras["trace"]
         if algo == "icrbi":
-            path = out / f"icrbi_{spec.step_rule}_{_fmt(spec.x0)}.csv"
+            path = out / f"icrbi_{spec.step_rule}_{_fmt(icrbi.STEP_SCALE)}.csv"
             trace.to_csv(path)
         else:
             if algo == "decentral":

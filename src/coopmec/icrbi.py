@@ -59,12 +59,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matching
-from .errors import ConfigError, UnknownAlgorithm
+from .errors import UnknownAlgorithm
 from .model import (EXP_CAP, LN2, Assignment, FeasibilityBounds, Scenario, balance_root,
                     feasibility_bounds, make_assignment, offload_power_slope_vec)
 
 STEP_RULES = ("diminish", "square")
 MAX_ITER = 2000         # iteration cap: a run stopped here reports "max_iter"
+STEP_SCALE = 0.1        # step at iteration t: STEP_SCALE / sqrt(t) ("diminish") or / t
+SETTLE_RTOL = 1e-4      # settled once |C(t) - C(t-1)| < SETTLE_RTOL * |C(1)| (at least 1e-12)
 MAP_STABLE_K = 10       # stop after this many iterations without a new decision map
 PROBE_DOUBLINGS = 12    # the exit probe tries steps 2s, 4s, ..., 2**12 s
 # Hz: the kernel clamps every window top here.  Far below it the upload curve
@@ -73,23 +75,19 @@ PROBE_DOUBLINGS = 12    # the exit probe tries steps 2s, 4s, ..., 2**12 s
 F_TOP = 1e150
 
 
-def step_size(rule: str, x0: float, t: int) -> float:
+def step_size(rule: str, t: int) -> float:
     """Step scale at iteration t (1-based)."""
     if rule == "diminish":
-        return x0 / math.sqrt(t)
+        return STEP_SCALE / math.sqrt(t)
     if rule == "square":
-        return x0 / t
+        return STEP_SCALE / t
     raise UnknownAlgorithm(f"step rule {rule!r}")
 
 
-def check_settings(step_rule: str, x0: float, eps: float | None) -> None:
-    """Reject an unknown step rule (UnknownAlgorithm), or a step scale or
-    eps that cannot run (ConfigError)."""
+def check_settings(step_rule: str) -> None:
+    """Reject an unknown step rule (UnknownAlgorithm)."""
     if step_rule not in STEP_RULES:
         raise UnknownAlgorithm(f"step rule {step_rule!r}")
-    if not (0 < x0 < math.inf and (eps is None or 0 < eps < math.inf)):
-        raise ConfigError(f"icrbi needs finite x0 > 0 and finite eps > 0, "
-                          f"got x0={x0!r}, eps={eps!r}")
 
 
 def overhead(n: int) -> int:
@@ -224,7 +222,10 @@ class _Kernel:
         w = self.w
         self.mu_scale = np.where(w > 0, w, 1.0)
         self.v_scale = np.ones(n + 1)
-        self.v_scale[0] = np.mean(self.phi) / sc.devices[0].f_max
+        # inf for a subnormal capacity, as for a UE below: such a server
+        # opens no pair and carries no load (see dual_step)
+        with np.errstate(over="ignore"):
+            self.v_scale[0] = np.mean(self.phi) / sc.devices[0].f_max
         srv = rj == 0
         if srv.any():
             slope = float((pa_price[ri[srv]] * np.abs(du_hi[srv])).mean())
@@ -247,9 +248,12 @@ class _Kernel:
         priced, in one pass on floats; the rest keep the gamma of `warm` (the
         window midpoint on the first call).  U and U' at gamma are model's
         scalar expressions, so a committed upload is the cost model's."""
-        wi_eff = self.w + mu
-        # local execution: the priced cost is increasing in f, so f_min is enough
-        lam_local = wi_eff * self.own_kappa * self.fmin_nu + v[1:] * self.f_min - self.phi
+        # local execution: the priced cost is increasing in f, so f_min is enough.
+        # A price near the float limit saturates to inf and prices the local
+        # run out; inf * 0 at a blocked local pair (own_kappa 0) is NaN, which loses too
+        with np.errstate(over="ignore", invalid="ignore"):
+            wi_eff = self.w + mu
+            lam_local = wi_eff * self.own_kappa * self.fmin_nu + v[1:] * self.f_min - self.phi
         take_local = self.local_ok & (lam_local <= 0.0)
         terms = np.where(take_local, self.local_terms, 0.0)
         use = _Usage(np.where(take_local, self.own, -1), *terms)
@@ -315,10 +319,11 @@ class _Kernel:
         transmit_in = use.transmit / self.eta          # PA input watts
         host = use.dev + 1                              # 0 for a dropped task
         compute_w = np.bincount(host, use.hosted, self.n + 2)[2:]
-        g_mu = self.mu_scale * (transmit_in + compute_w - self.p_m) / self.p_m
         load = np.bincount(host, use.freq, self.n + 2)[1:]
-        # -inf for a scale near the float limit (no load, see __init__): v stays 0
+        # -inf for a scale near the float limit (no load, see __init__): v stays 0.
+        # A power price near it saturates mu: inf prices UE i out of every option
         with np.errstate(over="ignore"):
+            g_mu = self.mu_scale * (transmit_in + compute_w - self.p_m) / self.p_m
             g_v = self.v_scale * (load - self.fmax_d) / self.fmax_d
         return np.maximum(0.0, mu + s * g_mu), np.maximum(0.0, v + s * g_v)
 
@@ -395,12 +400,11 @@ def _ray_map(kern: _Kernel, mu, v, use: _Usage, s: float, warm):
     return None
 
 
-def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
-          eps: float | None = None) -> tuple[Assignment, IcrbiTrace]:
+def solve(sc: Scenario, step_rule: str = "diminish") -> tuple[Assignment, IcrbiTrace]:
     """Run the dual iteration until the relaxed cost settles or the decision
     map stops changing, then repair.
 
-    Stops when |C(t) - C(t-1)| < eps (default 1e-4 * |C(1)|), when no new
+    Stops when |C(t) - C(t-1)| < trace.eps (SETTLE_RTOL * |C(1)|), when no new
     0/1 decision map has appeared for MAP_STABLE_K iterations, or after
     MAX_ITER iterations, whichever comes first; trace.termination says which
     ("converged", "map_stable" or "max_iter").  A settled or capped run
@@ -409,7 +413,7 @@ def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
     the first map that differs, repairs both, and returns the cheaper, the
     final map on a tie.  The probes are not iterations: they add nothing to
     the trace."""
-    check_settings(step_rule, x0, eps)
+    check_settings(step_rule)
     bounds = feasibility_bounds(sc)
     ray = None
     kern = _Kernel(sc, bounds)
@@ -436,11 +440,11 @@ def solve(sc: Scenario, step_rule: str = "diminish", x0: float = 0.1,
             seen.add(key)
             last_new = t
         if len(trace.reduced_cost) == 1:
-            trace.eps = eps if eps is not None else max(1e-4 * abs(cost), 1e-12)
+            trace.eps = max(SETTLE_RTOL * abs(cost), 1e-12)
         elif abs(cost - prev_cost) < trace.eps:
             trace.termination = "converged"
             break
-        s = step_size(step_rule, x0, t)
+        s = step_size(step_rule, t)
         if t - last_new >= MAP_STABLE_K:
             trace.termination = "map_stable"
             ray = _ray_map(kern, mu, v, use, s, warm)

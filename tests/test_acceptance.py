@@ -54,7 +54,7 @@ def stop_verified(sc, trace) -> bool:
         if kern.reduced_cost(use) != cost:
             return False
         maps.append(use.dev.tobytes())
-        mu, v = kern.dual_step(mu, v, use, icrbi.step_size("diminish", 0.1, t))
+        mu, v = kern.dual_step(mu, v, use, icrbi.step_size("diminish", t))
     k = icrbi.MAP_STABLE_K
     return len(maps) > k and set(maps[-k:]) <= set(maps[:-k])
 

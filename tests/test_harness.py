@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gen
@@ -28,8 +28,6 @@ def small_spec(**kw) -> ExperimentSpec:
 
 
 def test_spec_normalisation():
-    spec = small_spec(sweep_var="N", sweep_values=(5, 10))
-    assert spec.sweep_var == "n"
     assert small_spec().sweep_values == (5e9,)     # defaults to the base value
     with pytest.raises(UnknownAlgorithm):
         small_spec(algorithms=("icrbi", "simplex"))
@@ -39,20 +37,19 @@ def test_spec_normalisation():
         small_spec(realizations=0)
     with pytest.raises(ConfigError):
         small_spec(sweep_var="bandwidth")
+    with pytest.raises(ConfigError):                # no upper-case alias of n
+        small_spec(sweep_var="N")
     with pytest.raises(ConfigError):
         apply_sweep(GenConfig(), "n", 2.5)
 
 
-@pytest.mark.parametrize("settings, error", [
-    (dict(step_rule="bogus"), UnknownAlgorithm), (dict(x0=-1.0), ConfigError),
-    (dict(x0=math.nan), ConfigError), (dict(x0=math.inf), ConfigError),
-    (dict(eps=-3.0), ConfigError), (dict(eps=0.0), ConfigError),
-    (dict(eps=math.nan), ConfigError),
-], ids=["step_rule=bogus", "x0=-1", "x0=nan", "x0=inf", "eps=-3", "eps=0", "eps=nan"])
-def test_spec_checks_icrbi_settings(settings, error):
-    # checked as icrbi.solve checks them, even when no icrbi run reads them
-    with pytest.raises(error):
-        small_spec(algorithms=("noncope",), **settings)
+@pytest.mark.parametrize("rule", ["bogus", "diminish:0.1"],
+                         ids=lambda rule: f"step_rule={rule}")
+def test_spec_checks_icrbi_settings(rule):
+    # checked as icrbi.solve checks it, even when no icrbi run reads it; the
+    # step scale is a module constant, so a rule with a scale attached is unknown
+    with pytest.raises(UnknownAlgorithm):
+        small_spec(algorithms=("noncope",), step_rule=rule)
 
 
 @pytest.mark.parametrize("argv", [
@@ -67,8 +64,13 @@ def test_cli_checks_icrbi_settings_before_any_solve(monkeypatch, capsys, argv):
         pytest.fail("generated a scenario")
     monkeypatch.setattr(harness, "generate", no_scenario)
     monkeypatch.setattr(scenario, "generate", no_scenario)
-    assert cli.main(argv + ["--realizations", "1"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    try:
+        code = cli.main(argv + ["--realizations", "1"])
+    except SystemExit as exc:           # argparse: --eps is no longer an option
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") or "error: unrecognized arguments: --eps -3" in err
 
 
 def test_run_algorithm_dispatch(sc3):
@@ -98,10 +100,13 @@ def test_run_algorithm_dispatch(sc3):
     dict(kappa=1e-320, f_ue=(1e300, 1e300)), dict(kappa=1e-320, f_ue=(1e300, 1e300), w=0.0),
     dict(kappa=5e-324, f_ue=(1e200, 1e200)),
     dict(kappa=1e-310, f_ue=(1e120, 1e120)),          # a residual budget / kappa
+    dict(f0_max=1e-320), dict(f0_max=5e-324),         # icrbi's fallback capacity-price scale
+    dict(w=1e307), dict(w=1e308),                     # icrbi's power-price step, then w + mu
 ], ids=["f0max1e120", "f0max1e300", "cycles1e300",
         "deadline1e-300", "kappa1e300", "bandwidth1e308", "nu300",
         "kappa1e308", "kappa1e308w0", "kappa1e308w2", "kappa1e308nu1", "eta1e-320",
-        "kappa1e-320", "kappa1e-320w0", "kappa5e-324", "kappa1e-310"])
+        "kappa1e-320", "kappa1e-320w0", "kappa5e-324", "kappa1e-310",
+        "f0max1e-320", "f0max5e-324", "w1e307", "w1e308"])
 def test_extreme_magnitudes_do_not_overflow(algo, cell):
     # the free server compute and a blocked local pair are never priced, so
     # their overflowing power-law terms are never evaluated, and icrbi clamps
@@ -114,13 +119,15 @@ def test_extreme_magnitudes_do_not_overflow(algo, cell):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("algo", ALGORITHMS)
 @pytest.mark.parametrize("device, index, value",
-                         [(3, 3, "1e308"), (3, 5, "1e-320"), (0, 3, "1e308")],
-                         ids=["kappa", "eta", "server_kappa"])
+                         [(3, 3, "1e308"), (3, 5, "1e-320"), (0, 3, "1e308"),
+                          (0, 2, "5e-324")],
+                         ids=["kappa", "eta", "server_kappa", "server_f_max"])
 def test_extreme_device_in_a_scenario_file_does_not_overflow(tmp_path, algo, device, index,
                                                              value):
     # one UE (device 3) with a CPU power law or a PA efficiency at the float
     # limit, or the edge server with a power law whose free compute is never
-    # priced: the other devices stay ordinary, so the cell still has work
+    # priced or a subnormal capacity that opens no pair: the other devices
+    # stay ordinary, so the cell still has work
     path = tmp_path / "inst.sc"
     scenario.write_scenario(gen(n=4, seed=2), path)
     lines = path.read_text().splitlines()
@@ -299,6 +306,49 @@ def test_generated_cells_stay_within_the_drop_bound(n, seed, f0_exp, w, phi0,
         sc = gen(n=n, seed=seed, f0_max=10.0 ** f0_exp, w=w, phi0=phi0,
                  pathloss_exponent=pathloss_exponent, pathloss_ref_gain=10.0 ** ref_gain_exp)
     except CoopMecError:
+        return
+    ceiling = sc.arrays.circuit + sc.arrays.penalty_total
+    for algo in ALGORITHMS:
+        try:
+            asg, _ = run_algorithm(sc, algo)
+        except CoopMecError:
+            continue
+        assert validate_constraints(sc, asg) == []
+        assert math.isfinite(asg.cost.total)
+        assert asg.cost.total <= ceiling * (1.0 + 1e-9)
+
+
+# every numeric field of a written n = 4 cell: (line kind, record id, field index)
+FILE_FIELDS = ([(kind, None, 1) for kind in ("n", "bandwidth", "noise_w", "seed")]
+               + [("task", k, f) for k in range(1, 5) for f in range(2, 7)]
+               + [("device", j, f) for j in range(5) for f in range(2, 10)]
+               + [("gains", k, f) for k in range(1, 5) for f in range(2, 7)])
+EXTREMES = [0.0, -1.0, 5e-324, 1e-320, 1e-300, 1e-30, 1e30, 1e300, 1e308, math.inf, math.nan]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 5), field=st.sampled_from(FILE_FIELDS),
+       value=st.sampled_from(EXTREMES))
+@example(seed=0, field=("device", 0, 2), value=5e-324)    # icrbi's capacity-price scale
+@example(seed=0, field=("task", 1, 6), value=1e308)       # icrbi's power-price step
+def test_mutated_scenario_file_validates_or_raises(tmp_path_factory, seed, field, value):
+    # one field of a written cell set to an extreme: the read raises a
+    # ConfigError, or every solver raises a CoopMecError or returns a
+    # validated assignment of finite cost within the drop bound
+    kind, rid, index = field
+    path = tmp_path_factory.mktemp("mutated") / "inst.sc"
+    scenario.write_scenario(gen(n=4, seed=seed), path)
+    lines = path.read_text().splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.split()[0] == kind
+             and (rid is None or ln.split()[1] == str(rid)))
+    parts = lines[i].split()
+    parts[index] = repr(value)
+    lines[i] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        sc = scenario.read_scenario(path)
+    except ConfigError:
         return
     ceiling = sc.arrays.circuit + sc.arrays.penalty_total
     for algo in ALGORITHMS:
@@ -490,7 +540,7 @@ def test_cli_rejects_malformed_arguments(tmp_path, capsys):
     assert "--sweep" in capsys.readouterr().err
     assert cli.main(["run", "--step-rule", "sprint:0.1",
                      "--realizations", "1"]) != 0
-    assert "step-rule" in capsys.readouterr().err
+    assert "step rule 'sprint:0.1'" in capsys.readouterr().err
     # a count below 1 is an error in every subcommand that takes one
     out = ["--out", str(tmp_path / "out")]
     for argv in (["run", "--realizations", "0", *out], ["gen", "--realizations", "0", *out],

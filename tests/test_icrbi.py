@@ -10,7 +10,7 @@ import pytest
 
 from conftest import gen, mk_dev, mk_scenario, mk_task, remote_pairs
 from coopmec import cli, icrbi, oracle
-from coopmec.errors import ConfigError, UnknownAlgorithm
+from coopmec.errors import UnknownAlgorithm
 from coopmec.harness import run_algorithm
 from coopmec.icrbi import decisions_from, repair_feasibility, solve, step_size
 from coopmec.model import feasibility_bounds, validate_constraints
@@ -29,11 +29,11 @@ def primal(sc):
 
 
 def test_step_size_rules():
-    assert math.isclose(step_size("diminish", 0.1, 1), 0.1)
-    assert math.isclose(step_size("diminish", 0.1, 4), 0.05)
-    assert math.isclose(step_size("square", 0.1, 4), 0.025)
+    assert math.isclose(step_size("diminish", 1), 0.1)
+    assert math.isclose(step_size("diminish", 4), 0.05)
+    assert math.isclose(step_size("square", 4), 0.025)
     with pytest.raises(UnknownAlgorithm):
-        step_size("bogus", 0.1, 1)
+        step_size("bogus", 1)
     with pytest.raises(UnknownAlgorithm):
         solve(gen(n=2, seed=0), step_rule="bogus")
 
@@ -80,7 +80,7 @@ def test_multipliers_stay_nonnegative(sc10):
     mu, v = unpriced(sc10.n)
     for t in range(1, 7):
         use, _ = kern.primal(mu, v)
-        mu, v = kern.dual_step(mu, v, use, step_size("diminish", 0.1, t))
+        mu, v = kern.dual_step(mu, v, use, step_size("diminish", t))
         assert (mu >= 0).all()
         assert (v >= 0).all()
 
@@ -202,25 +202,24 @@ def test_iteration_cap_returns_repaired_assignment(sc10, monkeypatch):
     assert extras["trace"].reduced_cost == trace.reduced_cost
 
 
-@pytest.mark.parametrize("settings", [
-    {"x0": math.nan}, {"x0": math.inf}, {"x0": 0.0}, {"x0": -1.0},
-    {"eps": math.nan}, {"eps": math.inf}, {"eps": 0.0}, {"eps": -1.0},
-], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
-def test_solve_rejects_bad_settings(sc10, settings):
-    # a NaN step scale once "converged" with every task dropped, and a
-    # non-positive eps stalled to the cap
-    with pytest.raises(ConfigError):
-        solve(sc10, **settings)
-
-
 @pytest.mark.parametrize("argv", [
     ["--step-rule", "diminish:nan"], ["--step-rule", "square:inf"],
-    ["--step-rule", "diminish:0"], ["--eps", "nan"], ["--eps", "0"], ["--eps", "-1"],
+    ["--step-rule", "diminish:0"], ["--step-rule", "diminish:0.1"],
+    ["--eps", "nan"], ["--eps", "0"], ["--eps", "-1"], ["--eps", "1e-3"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_rejects_bad_icrbi_settings(capsys, argv):
-    assert cli.main(["run", "--algo", "icrbi", "--realizations", "1"] + argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "x0" in err
+    # the step scale and the settle threshold are icrbi.STEP_SCALE and
+    # SETTLE_RTOL: --step-rule takes the rule name only, and --eps is no option
+    argv = ["run", "--algo", "icrbi", "--realizations", "1"] + argv
+    if argv[-2] == "--eps":
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --eps {argv[-1]}" in capsys.readouterr().err
+    else:
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"step rule {argv[-1]!r}" in err
 
 
 def test_repair_is_idempotent(sc10):
@@ -249,7 +248,7 @@ def test_trace_records_and_serialises(tmp_path, sc10):
     _, trace = solve(sc10)
     assert trace.iterations == len(trace.reduced_cost)
     assert len(trace.num_assigned) == trace.iterations
-    assert trace.eps > 0
+    assert trace.eps == max(icrbi.SETTLE_RTOL * abs(trace.reduced_cost[0]), 1e-12) > 0
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().splitlines()

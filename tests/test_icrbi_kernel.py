@@ -346,10 +346,10 @@ def replay(sc):
             maps.append(ra)
             last_new = t
         if eps is None:
-            eps = max(1e-4 * abs(cost), 1e-12)
+            eps = max(icrbi.SETTLE_RTOL * abs(cost), 1e-12)
         elif abs(cost - costs[-2]) < eps:
             return costs, "converged", [ra], bounds, stale
-        s = step_size("diminish", 0.1, t)
+        s = step_size("diminish", t)
         if t - last_new >= icrbi.MAP_STABLE_K:
             found, probe_stale = probe(kern, ref, pairs, mu, v, use, rx, ra, s, warm,
                                        ref_warm)
@@ -517,7 +517,7 @@ def test_warm_starts_outside_the_window_are_clipped_into_it():
     ri, _, lo, hi = remote_pairs(sc, bounds)
     mu, v = np.zeros(sc.n), np.zeros(sc.n + 1)
     use, _ = kern.primal(mu, v)
-    mu, v = kern.dual_step(mu, v, use, step_size("diminish", 0.1, 1))
+    mu, v = kern.dual_step(mu, v, use, step_size("diminish", 1))
     use, fresh = kern.primal(mu, v)
     fresh = np.array(fresh)
     live = use.dev[ri] != ri + 1
@@ -553,5 +553,5 @@ def test_committed_pairs_are_priced_as_the_cost_model_prices_them(n, seeds):
                                           sc.bandwidth, sc.noise_w, f)
                 assert hosted == (host.kappa * f ** host.nu if dev else 0.0)
                 pairs += 1
-            mu, v = kern.dual_step(mu, v, use, step_size("diminish", 0.1, t))
+            mu, v = kern.dual_step(mu, v, use, step_size("diminish", t))
     assert pairs >= 100
