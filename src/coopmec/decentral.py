@@ -80,14 +80,14 @@ def prefix_admit(offers: list[tuple[float, int]], host: DeviceProfile,
                  capacity: float, budget: float) -> int:
     """Length of the longest prefix of `offers`, (frequency, task) pairs in
     ascending order, that fits `capacity` and whose CPU power on `host` fits
-    `budget`.  A host with kappa == 0 (the edge server) draws no power."""
+    `budget`.  The edge server and a UE with kappa == 0 draw no power."""
     cum_f = 0.0
     cum_p = 0.0
     for keep, (f, _) in enumerate(offers):
         cum_f += f
         if cum_f > capacity:
             return keep
-        if host.kappa > 0:
+        if host.id and host.kappa > 0:
             cum_p += f ** host.nu
             if host.kappa * cum_p > budget:
                 return keep

@@ -24,16 +24,19 @@ dropped at once, and only the pairs of the other tasks whose local option
 lost (the live pairs) are walked, once, on plain floats: screened at their
 window ends, root-solved where the screen leaves them open
 (model.balance_root, the safeguarded Newton that matching uses too) and
-priced on the spot with the cost model's own scalar U and U'.  The other pairs keep their previous
-stationary frequencies (the window midpoint before the first solve), which
-warm-start the root once the task's local option loses; a pair solved from
-such a stale start ends at the same root to within the root tolerance, not
-always bit for bit.  A task whose effective power price w_i + mu_i is zero
-stays at the lower end of each window.  The priced pair cost is convex in
-f, so the clamped stationary frequency is its minimum over the window: each
-iteration prices a pair once, there, and the committed pairs' upload and
-hosted CPU power come from those same values.  The edge server's compute is
-free, so its hosted power is zero.
+priced on the spot with inline copies of U and U' (offload_power's U bit
+for bit; a U' that squares T f - c as a product, not a power, so it can
+differ from offload_power_derivs in the last bit).  The other pairs keep
+their previous stationary frequencies (the window midpoint before the first
+solve), which warm-start the root once the task's local option loses; a
+pair solved from such a stale start ends at the same root to within the
+root tolerance, not always bit for bit.  A task whose effective power price
+w_i + mu_i is zero stays at the lower end of each window.  The priced pair
+cost is convex in f, so the clamped stationary frequency is its minimum
+over the window: each iteration prices a pair once, there, and the
+committed pairs' upload and hosted CPU power come from those same values.
+The edge server's compute is free, as is a kappa-0 UE's, so their hosted
+power is zero.
 
 The relaxed iterate may violate capacity, so the final decision map is
 re-committed through the matching module's residual-budget subproblem
@@ -69,10 +72,6 @@ STEP_SCALE = 0.1        # step at iteration t: STEP_SCALE / sqrt(t) ("diminish")
 SETTLE_RTOL = 1e-4      # settled once |C(t) - C(t-1)| < SETTLE_RTOL * |C(1)| (at least 1e-12)
 MAP_STABLE_K = 10       # stop after this many iterations without a new decision map
 PROBE_DOUBLINGS = 12    # the exit probe tries steps 2s, 4s, ..., 2**12 s
-# Hz: the kernel clamps every window top here.  Far below it the upload curve
-# is flat to double precision, and the clamp keeps lo * hi and (T f - c)**2
-# finite however large a device's capacity
-F_TOP = 1e150
 
 
 def step_size(rule: str, t: int) -> float:
@@ -178,9 +177,9 @@ class _Kernel:
         self.own = np.arange(1, n + 1)                  # each task's own UE
         self.local_ok = ~np.diagonal(bounds.blocked, 1)
         self.f_min = arr.f_min
-        # a blocked local pair is never priced, however large its kappa or f_min
+        # a blocked or kappa-0 local pair is never priced, whatever its kappa, f_min or nu
         self.own_kappa = np.where(self.local_ok, arr.kappa[self.own], 0.0)
-        self.fmin_nu = np.where(self.local_ok, self.f_min, 0.0) ** nu_d[self.own]
+        self.fmin_nu = np.where(self.own_kappa > 0, self.f_min, 0.0) ** nu_d[self.own]
         # a local run's frequency, upload power and hosted CPU power
         self.local_terms = np.array([self.f_min, np.zeros(n), self.fmin_nu * self.own_kappa])
 
@@ -192,14 +191,13 @@ class _Kernel:
         self.remote_ok = starts[1:] > starts[:-1]       # the tasks with a remote pair
         curve = (arr.cycles[ri], arr.bits[ri], arr.deadline[ri], sc.gains[ri, rj])
         # each pair's host power law: a host that no pair reaches is never
-        # priced, however large its kappa.  The server's compute is free, so
-        # its power law is never raised: kappa 0 and exponent 0 there keep
-        # c1 = kappa * nu and c1 * f**(nu-1) at zero, where a large kappa or
-        # f**(nu-1) would overflow
+        # priced, however large its kappa.  The server's compute is free, and
+        # so is a kappa-0 UE's, so their power law is never raised: kappa 0
+        # and exponent 0 there keep c1 = kappa * nu and c1 * f**(nu-1) at
+        # zero, where a large kappa or f**(nu-1) would overflow
         kappa, nu = np.where(rj > 0, arr.kappa[rj], 0.0), nu_d[rj]
-        nu1 = np.where(rj > 0, nu - 1.0, 0.0)
-        lo = bounds.f_lower[ri, rj]
-        hi = np.minimum(bounds.f_upper[ri, rj], F_TOP)
+        nu1 = np.where(kappa > 0, nu - 1.0, 0.0)
+        lo, hi = bounds.f_lower[ri, rj], arr.speed_cap[rj]
         # dual-independent terms, at both window ends at once
         ends = np.array([lo, hi])
         du_lo, du_hi = offload_power_slope_vec(*curve, self.bandwidth, self.noise_w, ends)
@@ -236,7 +234,8 @@ class _Kernel:
         # cap opens no window: the host carries no load (see dual_step)
         host_kappa, host_nu, caps = arr.kappa.tolist(), nu_d.tolist(), arr.speed_cap.tolist()
         for j, wj in enumerate(w.tolist(), 1):
-            slope = wj * host_kappa[j] * host_nu[j] * caps[j] ** (host_nu[j] - 1.0)
+            kj = host_kappa[j]
+            slope = wj * kj * host_nu[j] * caps[j] ** (host_nu[j] - 1.0) if kj else 0.0
             self.v_scale[j] = slope if slope > 0 else self.v_scale[0]
 
     def primal(self, mu, v, warm=None):
@@ -246,8 +245,8 @@ class _Kernel:
         terms, and the per-pair stationary frequencies as a list, which
         warm-starts the next call.  Only the live pairs are solved and
         priced, in one pass on floats; the rest keep the gamma of `warm` (the
-        window midpoint on the first call).  U and U' at gamma are model's
-        scalar expressions, so a committed upload is the cost model's."""
+        window midpoint on the first call).  U at gamma is offload_power's
+        expression, so a committed upload is the cost model's."""
         # local execution: the priced cost is increasing in f, so f_min is enough.
         # A price near the float limit saturates to inf and prices the local
         # run out; inf * 0 at a blocked local pair (own_kappa 0) is NaN, which loses too
@@ -286,7 +285,7 @@ class _Kernel:
                 else:
                     x0 = (self.mid[p] if warm is None
                           else min(max(warm[p], lo * (1 + 1e-12)), hi * (1 - 1e-12)))
-                    nu1, nu2 = (nu - 1.0, nu - 2.0) if j else (0.0, 0.0)
+                    nu1, nu2 = (nu - 1.0, nu - 2.0) if kappa else (0.0, 0.0)
                     g = balance_root(cyc, bits, dl, gain, bw, noise, nu1, nu2, c1, c2,
                                      lo, hi, x0)
                 gamma[p] = g
@@ -296,7 +295,7 @@ class _Kernel:
                 denom = dl * g - cyc
                 x = ln2_bw * bits * g / denom if denom > 0.0 else math.inf
                 u = math.inf if x > cap else noise / gain * math.expm1(x)
-                g_nu = g ** nu if j else 0.0            # the server's compute is free
+                g_nu = g ** nu if kappa else 0.0        # free: the server, a kappa-0 UE
                 lam = pi * u + wh[j] * kappa * g_nu + vj[j] * g - phi_i
                 if lam <= 0.0:                  # so u is finite: denom > 0, x <= cap
                     sq = denom * denom

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import UnknownAlgorithm
 from .model import (LN2, Assignment, FeasibilityBounds, Scenario, assignment_cost,
                     balance_root_clamped, feasibility_bounds, make_assignment,
-                    offload_power)
+                    offload_power, speed_cap)
 
 CRITERIA = ("maxtask", "minpw")
 
@@ -86,7 +86,6 @@ def residual_window(sc: Scenario, state: MatchingState, k: int, dev: int
     """Admissible frequency window [lo, hi] for placing task k on `dev` given
     current residual budgets; None when it is empty."""
     task = sc.tasks[k - 1]
-    host = sc.devices[dev]
     if dev == k:
         lo = task.f_min
     else:
@@ -98,9 +97,9 @@ def residual_window(sc: Scenario, state: MatchingState, k: int, dev: int
         if task.deadline * rate <= task.bits:
             return None                 # deadline unreachable
         lo = task.cycles / (task.deadline - task.bits / rate)
-    hi = state.f_res[dev]
-    if dev > 0 and host.kappa > 0:
-        hi = min(hi, (max(state.p_res[dev], 0.0) / host.kappa) ** (1.0 / host.nu))
+    host = sc.devices[dev]
+    hi = speed_cap(state.f_res[dev], max(state.p_res[dev], 0.0), host.kappa if dev else 0.0,
+                   host.nu)
     if lo >= hi:
         return None
     return lo, hi
@@ -135,8 +134,8 @@ def pair_cost(sc: Scenario, k: int, dev: int, f: float) -> float:
     if dev != k:
         u = offload_power(task, sc.gains.item(k - 1, dev), sc.bandwidth, sc.noise_w, f)
         cost += task.power_price / sc.devices[k].eta * u
-    if dev > 0:                         # edge-server compute is free
-        host = sc.devices[dev]
+    host = sc.devices[dev]
+    if dev > 0 and host.kappa > 0:      # edge-server compute is free, as is a kappa-0 UE's
         cost += sc.arrays.host_price[dev] * host.kappa * f ** host.nu
     return cost
 
@@ -210,8 +209,8 @@ def commit(sc: Scenario, state: MatchingState, k: int, dev: int, f: float) -> No
     state.freqs[k] = f
     state.unmatched.discard(k)
     state.f_res[dev] -= f
-    if dev > 0:
-        host = sc.devices[dev]
+    host = sc.devices[dev]
+    if dev > 0 and host.kappa > 0:
         state.p_res[dev] = max(0.0, state.p_res[dev] - host.kappa * f ** host.nu)
     if dev != k:
         u = offload_power(sc.tasks[k - 1], sc.gains.item(k - 1, dev), sc.bandwidth, sc.noise_w, f)

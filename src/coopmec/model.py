@@ -38,6 +38,10 @@ EXP_CAP = 700.0
 # relative slack accepted when checking hard constraints (float round-off)
 CHECK_TOL = 1e-9
 
+# Hz: every window top is clamped here (speed_cap).  Far below it U is flat to
+# double precision, and lo * hi and (T f - c)**2 stay finite at any capacity
+F_TOP = 1e150
+
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -185,6 +189,8 @@ class Scenario:
 
 # ---------------------------------------------------------------------------
 # transmit-power curve
+# Twins kept for speed: offload_power_vec (oracle lattice) and _slope_vec (icrbi
+# set-up) on arrays; inline U' in balance_root and U, U' in icrbi's primal.
 
 
 def offload_power(task: TaskSpec, gain: float, bandwidth: float, noise_w: float, f: float) -> float:
@@ -327,6 +333,7 @@ def balance_root_clamped(task, gain, bandwidth, noise_w, nu, power_coeff,
     when g does not change sign there, else balance_root from sqrt(lo*hi)."""
     if hi < lo:
         raise ValueError(f"empty interval [{lo:g}, {hi:g}]")
+    nu = nu if power_coeff else 1.0     # a host drawing no power: never raise its law
     du_lo, _ = offload_power_derivs(task, gain, bandwidth, noise_w, lo)
     if du_lo + power_coeff * lo ** (nu - 1.0) >= 0.0:
         return lo
@@ -346,11 +353,11 @@ class ScenarioArrays(NamedTuple):
 
     Per task (length N, entry i-1 is task i): cycles, bits, deadline, f_min,
     penalty, power_price, and the owner UE's eta and p_m.  Per device
-    (length N+1, entry j is device j): kappa, nu, f_max, speed_cap and
-    host_price (a tuple of floats: UE j's power price, 0 for the edge server,
-    whose compute is free).  circuit (the priced circuit power of every UE)
-    and penalty_total (the penalty of dropping every task) are the constant
-    terms of the cost.
+    (length N+1, entry j is device j): kappa, nu, f_max, speed_cap (every
+    static window's top) and host_price (a tuple of floats: UE j's power
+    price, 0 for the edge server, whose compute is free).  circuit (the priced
+    circuit power of every UE) and penalty_total (the penalty of dropping
+    every task) are the constant terms of the cost.
     """
 
     cycles: np.ndarray
@@ -390,7 +397,8 @@ def _scenario_arrays(sc: Scenario) -> ScenarioArrays:
         eta=_array([d.eta for d in ues]), p_m=_array([d.p_m for d in ues]),
         kappa=_array([d.kappa for d in devices]), nu=_array([d.nu for d in devices]),
         f_max=_array([d.f_max for d in devices]),
-        speed_cap=_array([device_speed_cap(d) for d in devices]),
+        speed_cap=_array([speed_cap(d.f_max, d.p_m, d.kappa if d.id else 0.0, d.nu)
+                          for d in devices]),
         host_price=(0.0, *(t.power_price for t in tasks)),
         circuit=sum(t.power_price * devices[t.id].p_cir for t in tasks),
         penalty_total=sum(t.penalty for t in tasks))
@@ -410,17 +418,16 @@ class OpenPairs(NamedTuple):
 class FeasibilityBounds:
     """Static per-pair frequency windows and the blocked-pair mask.
 
-    All arrays are (N, N+1): row i-1 belongs to task i, column j to device j.
-    f_lower is the slowest admissible host frequency (delay side), f_upper the
-    fastest the host can afford (capacity and power side); a pair is blocked
-    when the window is empty, the deadline cannot be met at any power, or
-    (remote) the window would start at f_min, where U is not usable.
+    Both arrays are (N, N+1): row i-1 belongs to task i, column j to device j.
+    f_lower is the slowest admissible host frequency (delay side), and the
+    window tops out at ScenarioArrays.speed_cap[j]; a pair is blocked when the
+    window is empty, the deadline cannot be met at any power, or (remote) the
+    window would start at f_min, where U is not usable.
     `pairs` enumerates the pairs left open once, on first use, so a solver
     that never reads it (noncope) never pays for it; the solvers that walk
     the admissible pairs walk only those.
     """
 
-    f_upper: np.ndarray
     f_lower: np.ndarray
     blocked: np.ndarray
 
@@ -433,14 +440,15 @@ class FeasibilityBounds:
                          [devices[a:b] for a, b in zip(starts, starts[1:])])
 
 
-def device_speed_cap(dev: DeviceProfile) -> float:
-    """Fastest frequency a device can host: capacity and CPU power budget."""
-    if dev.id == 0 or dev.kappa == 0.0:
-        return dev.f_max
-    quotient = dev.p_m / dev.kappa
-    if quotient == math.inf:            # a subnormal kappa: take each side's root
-        return min(dev.f_max, dev.p_m ** (1.0 / dev.nu) / dev.kappa ** (1.0 / dev.nu))
-    return min(dev.f_max, quotient ** (1.0 / dev.nu))
+def speed_cap(f_cap: float, budget: float, kappa: float, nu: float) -> float:
+    """Top of every frequency window: capacity f_cap and, for kappa > 0, the
+    CPU power budget (kappa * f**nu <= budget), clamped at F_TOP."""
+    if kappa > 0.0:
+        quotient = budget / kappa
+        if quotient == math.inf:        # a subnormal kappa: take each side's root
+            return min(f_cap, budget ** (1.0 / nu) / kappa ** (1.0 / nu), F_TOP)
+        f_cap = min(f_cap, quotient ** (1.0 / nu))
+    return min(f_cap, F_TOP)
 
 
 def feasibility_bounds(sc: Scenario) -> FeasibilityBounds:
@@ -452,8 +460,6 @@ def feasibility_bounds(sc: Scenario) -> FeasibilityBounds:
 def _compute_bounds(sc: Scenario) -> FeasibilityBounds:
     n = sc.n
     arr = sc.arrays
-    f_upper = np.tile(arr.speed_cap, (n, 1))
-
     cycles = arr.cycles[:, None]
     bits = arr.bits[:, None]
     deadline = arr.deadline[:, None]
@@ -474,12 +480,11 @@ def _compute_bounds(sc: Scenario) -> FeasibilityBounds:
         at_f_min = (slack >= deadline) | (deadline * f_lower - cycles <= 0)
     f_lower[rows, own] = arr.f_min
 
-    blocked = f_lower >= f_upper
+    blocked = f_lower >= arr.speed_cap
     remote = np.ones_like(blocked)
     remote[rows, own] = False
     blocked |= remote.astype(bool) & ((deadline * rate_cap <= bits) | at_f_min)
-    return FeasibilityBounds(f_upper=_read_only(f_upper), f_lower=_read_only(f_lower),
-                             blocked=_read_only(blocked))
+    return FeasibilityBounds(f_lower=_read_only(f_lower), blocked=_read_only(blocked))
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +550,8 @@ def assignment_cost(sc: Scenario, target, freqs) -> tuple[CostBreakdown, dict[in
             power = offload_power(task, gain(task_id - 1, dev), bandwidth, noise_w, f)
             p_t[task_id] = power
             transmit += task.power_price / devices[task.id].eta * power
-        if dev > 0:                     # edge-server compute is free
-            host = devices[dev]
+        host = devices[dev]
+        if dev > 0 and host.kappa > 0:  # edge-server compute is free, as is a kappa-0 UE's
             compute += price[dev] * host.kappa * f ** host.nu
     circuit = sc.arrays.circuit
     penalty_all = sc.arrays.penalty_total
@@ -573,7 +578,7 @@ def _ue_power_terms(sc: Scenario, asg: Assignment):
     for i in sorted(hosted.keys() | uploads.keys()):
         dev = devices[i]
         guests = hosted.get(i)
-        compute = dev.kappa * sum(fk ** dev.nu for fk in guests) if guests else 0.0
+        compute = dev.kappa * sum(fk ** dev.nu for fk in guests) if guests and dev.kappa else 0.0
         yield i, dev, compute, (uploads[i] / dev.eta if i in uploads else 0.0)
 
 

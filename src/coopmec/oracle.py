@@ -46,8 +46,9 @@ def non_cope(sc: Scenario) -> Assignment:
             f_req = f_mec[i - 1]
             u = offload_power(task, sc.gains.item(i - 1, 0), sc.bandwidth, sc.noise_w, f_req)
             mec_cost = task.power_price / dev.eta * u
-            # priced only when open: a blocked pair's f_min ** nu can overflow
-            if not local_ok or mec_cost < task.power_price * dev.kappa * task.f_min ** dev.nu:
+            # priced only when open and drawing power: f_min ** nu can overflow
+            if not local_ok or (dev.kappa > 0 and
+                                mec_cost < task.power_price * dev.kappa * task.f_min ** dev.nu):
                 requests.append(i)
                 continue
         if local_ok:
@@ -130,7 +131,7 @@ def _grid_min(sc: Scenario, bounds: FeasibilityBounds, pairs: tuple):
     tasks = [sc.tasks[k - 1] for k, _ in pairs]
     dims = len(pairs)
     lo = np.array([bounds.f_lower[k - 1, d] for k, d in pairs])
-    hi = np.array([bounds.f_upper[k - 1, d] for k, d in pairs])
+    hi = sc.arrays.speed_cap[[d for _, d in pairs]]
     g, passes = _grid_plan(dims)
     col = {k: c for c, (k, _) in enumerate(pairs)}
     hosts = sorted({d for _, d in pairs})

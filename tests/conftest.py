@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from coopmec.errors import DomainError
-from coopmec.icrbi import F_TOP
 from coopmec.model import (CHECK_TOL, EXP_CAP, LN2, CostBreakdown, DeviceProfile, Scenario,
                            TaskSpec, Violation, offload_power)
 from coopmec.scenario import GenConfig, generate
@@ -46,7 +45,7 @@ def remote_pairs(sc: Scenario, bounds):
     window the kernel clamps each one into."""
     n = sc.n
     ri, rj = np.nonzero(~bounds.blocked & ~np.eye(n, n + 1, 1, dtype=bool))
-    return ri, rj, bounds.f_lower[ri, rj], np.minimum(bounds.f_upper[ri, rj], F_TOP)
+    return ri, rj, bounds.f_lower[ri, rj], sc.arrays.speed_cap[rj]
 
 
 def c5_violations(sc: Scenario, asg) -> list[Violation]:

@@ -19,8 +19,8 @@ import pytest
 from conftest import power_for_rate, required_rate
 from coopmec import decentral, icrbi, matching, oracle
 from coopmec.harness import ExperimentSpec, run_algorithm, run_experiment, write_outputs
-from coopmec.model import (device_speed_cap, feasibility_bounds, offload_power,
-                           offload_power_derivs, validate_constraints)
+from coopmec.model import (feasibility_bounds, offload_power, offload_power_derivs,
+                           validate_constraints)
 from coopmec.scenario import GenConfig, generate
 
 ALGOS = ("icrbi", "maxtask", "minpw", "decentral", "noncope")
@@ -100,7 +100,7 @@ def test_01_transmit_curve_calculus():
             continue
         task, g = sc.tasks[i - 1], sc.gains.item(i - 1, j)
         lo = max(b.f_lower[i - 1, j], task.f_min * 1.02)
-        hi = b.f_upper[i - 1, j]
+        hi = sc.arrays.speed_cap[j]
         if lo >= hi:
             continue
         f = lo * (hi / lo) ** rng.uniform(0.02, 0.98)
@@ -132,7 +132,7 @@ def test_01_transmit_curve_calculus():
                 if not b.blocked[i - 1, j]:
                     continue
                 pairs += 1
-                cap = device_speed_cap(sc.devices[j])
+                cap = sc.arrays.speed_cap[j]
                 if cap <= task.f_min:
                     continue
                 own = sc.devices[i]

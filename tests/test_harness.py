@@ -116,24 +116,40 @@ def test_extreme_magnitudes_do_not_overflow(algo, cell):
     assert validate_constraints(sc, asg) == []
 
 
+# (device, field, value) edits of a written cell's device lines
+SLOW_1_HUGE_2 = [(1, "f_max", "1e6"), (2, "f_max", "1e300")]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("algo", ALGORITHMS)
-@pytest.mark.parametrize("device, index, value",
-                         [(3, 3, "1e308"), (3, 5, "1e-320"), (0, 3, "1e308"),
-                          (0, 2, "5e-324")],
-                         ids=["kappa", "eta", "server_kappa", "server_f_max"])
-def test_extreme_device_in_a_scenario_file_does_not_overflow(tmp_path, algo, device, index,
-                                                             value):
-    # one UE (device 3) with a CPU power law or a PA efficiency at the float
-    # limit, or the edge server with a power law whose free compute is never
-    # priced or a subnormal capacity that opens no pair: the other devices
-    # stay ordinary, so the cell still has work
+@pytest.mark.parametrize("n, seed, edits", [
+    (4, 2, [(3, "kappa", "1e308")]), (4, 2, [(3, "eta", "1e-320")]),
+    (4, 2, [(0, "kappa", "1e308")]), (4, 2, [(0, "f_max", "5e-324")]),
+    # p_m / kappa overflows: every solver's window top is the clamped ratio of roots
+    (4, 0, SLOW_1_HUGE_2 + [(2, "kappa", "1e-320")]),
+    (4, 0, SLOW_1_HUGE_2 + [(2, "kappa", "5e-324")]),
+    (4, 0, SLOW_1_HUGE_2 + [(2, "kappa", "1e-320"), (2, "nu", "2.0")]),
+    # a UE with kappa 0 computes for free: its power law is never raised
+    (4, 0, [(1, "f_max", "1e6"), (2, "f_max", "1e200"), (2, "kappa", "0.0")]),
+    (3, 299423, [(3, "kappa", "0.0"), (3, "nu", "1e300")]),
+    (4, 0, [(3, "kappa", "0.0"), (3, "nu", "1e300"), (3, "f_max", "1e12")]),  # hosting too
+    # nor is the edge server's, whatever its kappa
+    (4, 679186, [(0, "kappa", "1e200"), (0, "nu", "1e30")]),
+], ids=["kappa", "eta", "server_kappa", "server_f_max", "kappa1e-320_f1e300",
+        "kappa5e-324_f1e300", "kappa1e-320_nu2", "kappa0_f1e200", "kappa0_nu1e300",
+        "kappa0_nu1e300_host", "server_kappa1e200_nu1e30"])
+def test_extreme_device_in_a_scenario_file_does_not_overflow(tmp_path, algo, n, seed, edits):
+    # one or two devices with a CPU power law, a capacity or a PA efficiency
+    # at the float limit: the other devices stay ordinary, so the cell still
+    # has work
     path = tmp_path / "inst.sc"
-    scenario.write_scenario(gen(n=4, seed=2), path)
+    scenario.write_scenario(gen(n=n, seed=seed), path)
     lines = path.read_text().splitlines()
-    i = next(i for i, ln in enumerate(lines) if ln.startswith(f"device {device} "))
-    parts = lines[i].split()
-    lines[i] = " ".join(parts[:index] + [value] + parts[index + 1:])
+    for device, name, value in edits:
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(f"device {device} "))
+        parts = lines[i].split()
+        parts[2 + ("f_max", "kappa", "nu", "eta").index(name)] = value
+        lines[i] = " ".join(parts)
     path.write_text("\n".join(lines) + "\n")
     sc = scenario.read_scenario(path)
     asg, _ = run_algorithm(sc, algo)

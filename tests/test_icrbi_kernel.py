@@ -58,7 +58,7 @@ def reference_scales(sc, bounds):
     v_scale[0] = np.mean(arr.penalty) / sc.devices[0].f_max
     valid0 = ~bounds.blocked[:, 0]
     if valid0.any():
-        f_up = np.where(valid0, bounds.f_upper[:, 0], 2.0 * arr.cycles / arr.deadline)
+        f_up = np.where(valid0, arr.speed_cap[0], 2.0 * arr.cycles / arr.deadline)
         du = offload_power_slope_vec(arr.cycles, arr.bits, arr.deadline, sc.gains[:, 0],
                                      sc.bandwidth, sc.noise_w, f_up)
         slopes = (w / arr.eta) * np.abs(du)
@@ -100,7 +100,7 @@ class DenseKernel:
         self.remote = self.valid & ~own_mask
         self.local_ok = self.valid[self.rows, self.own]
         self.lo = np.where(self.remote, bounds.f_lower, 1.0)
-        self.hi = np.where(self.remote, bounds.f_upper, 2.0)
+        self.hi = np.where(self.remote, sc.arrays.speed_cap, 2.0)
         self.f_min = (self.cycles / self.deadline)[:, 0]
         self.host_w = np.concatenate([[0.0], self.w])
         self.mu_scale, self.v_scale = reference_scales(sc, bounds)

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import gen, mk_dev, mk_scenario, mk_task
 from coopmec import oracle
@@ -278,3 +280,26 @@ def test_static_bounds_skip_only_pairs_that_never_fit():
         bounds = feasibility_bounds(sc)
         assert build_preferences(sc, state, bounds) == \
             build_preferences(sc, state, open_bounds(sc))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       kappa=st.sampled_from([1e-27, 1e-310, 1e-320, 5e-324]),
+       f_ue=st.sampled_from([(0.5e9, 1.5e9), (1e300, 1e300)]),
+       f0_max=st.sampled_from([5e9, 1e300]))
+@example(n=5, seed=0, kappa=1e-320, f_ue=(1e300, 1e300), f0_max=5e9)
+def test_residual_windows_at_full_budgets_lie_inside_the_static_ones(n, seed, kappa, f_ue,
+                                                                     f0_max):
+    # both windows take their top from one rule, model.speed_cap, so at full
+    # budgets the tops agree exactly.  The bottoms agree to within 1e-12: the
+    # static ones take numpy's log1p, whose SIMD kernel can differ from libm's
+    sc = gen(n=n, seed=seed, kappa=kappa, f_ue=f_ue, f0_max=f0_max)
+    bounds = feasibility_bounds(sc)
+    state = new_state(sc)
+    for k in range(1, n + 1):
+        for dev in range(n + 1):
+            window = residual_window(sc, state, k, dev)
+            if window is not None:
+                lo, hi = window
+                assert hi == sc.arrays.speed_cap[dev]
+                assert lo == pytest.approx(bounds.f_lower[k - 1, dev], rel=1e-12, abs=0.0)

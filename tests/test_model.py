@@ -17,7 +17,7 @@ from coopmec import icrbi, model
 from coopmec.errors import CoopMecError, DomainError, InfeasibleAssignment
 from coopmec.harness import ALGORITHMS, run_algorithm
 from coopmec.model import (ROOT_RTOL, Assignment, DeviceProfile, TaskSpec, assignment_cost,
-                           balance_root, device_speed_cap, feasibility_bounds, make_assignment,
+                           balance_root, feasibility_bounds, make_assignment,
                            offload_power, offload_power_derivs, offload_power_slope_vec,
                            offload_power_vec, ue_total_power, validate_constraints)
 
@@ -194,14 +194,27 @@ def test_domain_type_validation():
 
 
 def test_device_speed_cap():
+    # the edge server has no power constraint at all, however large its kappa
+    server = DeviceProfile(id=0, f_max=5e9, kappa=1.0, nu=3.0, eta=0.5, p_max=math.inf,
+                           p_cir=0.0)
     # power-limited: ((1.1 - 0.1) / 1e-27) ** (1/3) = 1e9 < f_max
     ue = mk_dev(1, f_max=2e9, p_max=1.1, p_cir=0.1)
-    assert math.isclose(device_speed_cap(ue), 1e9, rel_tol=1e-12)
     # capacity-limited
     fast = mk_dev(2, f_max=2e9, p_max=100.0)
-    assert device_speed_cap(fast) == 2e9
-    # the edge server has no power constraint at all
-    assert device_speed_cap(mk_dev(0, f_max=5e9)) == 5e9
+    sc = mk_scenario([mk_task(1), mk_task(2)], [server, ue, fast])
+    top, slow, quick = sc.arrays.speed_cap.tolist()
+    assert top == 5e9
+    assert math.isclose(slow, 1e9, rel_tol=1e-12)
+    assert quick == 2e9
+
+
+def test_speed_cap_clamps_every_window_top():
+    assert model.speed_cap(1e300, math.inf, 0.0, 3.0) == model.F_TOP
+    # p_m / kappa overflows for a subnormal kappa: the ratio of the two roots
+    assert math.isclose(model.speed_cap(1e300, 0.1, 1e-320, 3.0),
+                        0.1 ** (1 / 3) / 1e-320 ** (1 / 3), rel_tol=1e-12)
+    assert model.speed_cap(1e300, 0.1, 1e-320, 2.0) == model.F_TOP
+    assert model.speed_cap(1e9, 0.0, 1e-27, 3.0) == 0.0     # no budget left
 
 
 def test_bounds_block_oversized_tasks_on_ues():
@@ -231,7 +244,8 @@ def test_bounds_block_unreachable_uplinks():
 def test_bounds_lower_upper_consistency(sc10):
     b = feasibility_bounds(sc10)
     ok = ~b.blocked
-    assert (b.f_lower[ok] <= b.f_upper[ok] * (1 + 1e-12)).all()
+    top = np.broadcast_to(sc10.arrays.speed_cap, b.f_lower.shape)
+    assert (b.f_lower[ok] <= top[ok] * (1 + 1e-12)).all()
     for i in range(1, sc10.n + 1):
         if not b.blocked[i - 1, i]:
             assert math.isclose(b.f_lower[i - 1, i], sc10.tasks[i - 1].f_min,

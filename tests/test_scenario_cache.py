@@ -25,7 +25,7 @@ from coopmec.errors import CoopMecError
 from coopmec.harness import ALGORITHMS, run_algorithm
 from coopmec.model import Scenario, feasibility_bounds
 
-BOUND_FIELDS = ("f_upper", "f_lower", "blocked")
+BOUND_FIELDS = ("f_lower", "blocked")
 SOLVER_MODULES = (icrbi, matching, decentral, oracle)
 
 
@@ -56,7 +56,7 @@ def test_cached_arrays_and_gains_are_read_only():
     arrays = [v for v in sc.arrays if isinstance(v, np.ndarray)]
     bounds = feasibility_bounds(sc)
     arrays += [getattr(bounds, name) for name in BOUND_FIELDS]
-    assert len(arrays) == 15
+    assert len(arrays) == 14
     for a in arrays + [sc.gains]:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
