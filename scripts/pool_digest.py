@@ -5,8 +5,10 @@ For each pool, every scenario is solved by all five algorithms, and each
 (scenario, algorithm) outcome is hashed as one line: the cost breakdown's
 repr, the target, the frequencies, the transmit powers and the iteration
 count, plus icrbi's stop reason and its per-iteration trace; a solve that
-raises a CoopMecError hashes its error instead.  A change that claims
-byte-identical outputs must print the same digests before and after.
+raises a CoopMecError hashes its error instead.  A fourth digest, oracle,
+hashes oracle.brute_force's outcome alike on the small cells the benchmark
+checks the solvers against it on.  A change that claims byte-identical
+outputs must print the same digests before and after.
 
 The digests hold only for the CPU dispatch numpy takes: its AVX-512 (X86_V4)
 kernels for exp, expm1, log1p and power differ from libm in the last bit on
@@ -19,19 +21,23 @@ GenConfig:
     capacity  seeds 0-349, server capacity f0_max 5, 6, 7 and 8 GHz (N=10)
     ratio     seeds 0-549, n 10, 20 and 30 on the steep-path-loss cell
     large     seeds 0-139, n 80
+    oracle    the default and the steep-path-loss cell: seeds 0-59 at n 3,
+              seeds 0-14 at n 4
 
-    PYTHONPATH=src python scripts/pool_digest.py                # all three pools
+    PYTHONPATH=src python scripts/pool_digest.py                # all four pools
     PYTHONPATH=src python scripts/pool_digest.py --seeds 2      # a quick slice
 """
 
 import argparse
 import hashlib
+import math
 
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
 
 from coopmec.errors import CoopMecError
 from coopmec.harness import ALGORITHMS, run_algorithm
+from coopmec.oracle import brute_force
 from coopmec.scenario import GenConfig, generate
 
 STEEP = dict(pathloss_exponent=4.5, pathloss_ref_gain=1e-2)
@@ -41,6 +47,13 @@ POOLS = {
     "ratio": (550, [dict(n=n, **STEEP) for n in (10, 20, 30)]),
     "large": (140, [dict(n=80)]),
 }
+# the oracle pool: (number of seeds, cells) per task count
+ORACLE_POOL = [(60, [dict(n=3), dict(n=3, **STEEP)]), (15, [dict(n=4), dict(n=4, **STEEP)])]
+
+
+def assignment_line(asg) -> str:
+    return (f"{asg.cost!r};{sorted(asg.target.items())};{list(asg.f.items())};"
+            f"{list(asg.p_t.items())}")
 
 
 def outcome(sc, algo: str) -> str:
@@ -49,8 +62,7 @@ def outcome(sc, algo: str) -> str:
         asg, extras = run_algorithm(sc, algo)
     except CoopMecError as exc:
         return f"error {type(exc).__name__}: {exc}"
-    line = (f"{asg.cost!r};{sorted(asg.target.items())};{list(asg.f.items())};"
-            f"{list(asg.p_t.items())};{extras['iterations']}")
+    line = f"{assignment_line(asg)};{extras['iterations']}"
     trace = extras["trace"]
     if algo == "icrbi":
         line += (f";{trace.termination};{trace.reduced_cost};{trace.num_assigned};"
@@ -68,6 +80,20 @@ def pool_digest(seeds: int, cells: list[dict]) -> str:
     return h.hexdigest()
 
 
+def oracle_digest(limit: float) -> str:
+    h = hashlib.sha256()
+    for seeds, cells in ORACLE_POOL:
+        for cell in cells:
+            for seed in range(min(seeds, limit)):
+                sc = generate(GenConfig(seed=seed, **cell))
+                try:
+                    line = assignment_line(brute_force(sc))
+                except CoopMecError as exc:
+                    line = f"error {type(exc).__name__}: {exc}"
+                h.update(f"{cell},{seed},{line}\n".encode())
+    return h.hexdigest()
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -76,10 +102,12 @@ def main() -> None:
     args = ap.parse_args()
     dispatch = "on" if __cpu_features__.get("X86_V4") else "off"
     print(f"numpy {np.__version__}, X86_V4 dispatch {dispatch}", flush=True)
+    limit = math.inf if args.seeds is None else args.seeds
     for name, (seeds, cells) in POOLS.items():
-        if args.seeds is not None:
-            seeds = min(seeds, args.seeds)
+        seeds = min(seeds, limit)
         print(f"{name} seeds 0-{seeds - 1} sha256:{pool_digest(seeds, cells)}", flush=True)
+    seeds = "/".join(f"0-{min(s, limit) - 1}" for s, _ in ORACLE_POOL)
+    print(f"oracle seeds {seeds} sha256:{oracle_digest(limit)}", flush=True)
 
 
 if __name__ == "__main__":

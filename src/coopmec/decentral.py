@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 from . import matching
-from .model import (Assignment, DeviceProfile, FeasibilityBounds, Scenario,
-                    assignment_cost, feasibility_bounds, make_assignment)
+from .model import (Assignment, FeasibilityBounds, Scenario, assignment_cost,
+                    feasibility_bounds, make_assignment)
 
 
 def overhead(n: int, n_u: int, n_mec: int, rounds: int) -> int:
@@ -76,35 +76,32 @@ class RoundLog:
         return series + [asg.cost.total]
 
 
-def prefix_admit(offers: list[tuple[float, int]], host: DeviceProfile,
+def prefix_admit(offers: list[tuple[float, int]], law: tuple[float, float],
                  capacity: float, budget: float) -> int:
     """Length of the longest prefix of `offers`, (frequency, task) pairs in
-    ascending order, that fits `capacity` and whose CPU power on `host` fits
-    `budget`.  The edge server and a UE with kappa == 0 draw no power."""
+    ascending order, that fits `capacity` and whose CPU power under the
+    host's power law (kappa, nu) fits `budget`."""
+    kappa, nu = law
     cum_f = 0.0
     cum_p = 0.0
     for keep, (f, _) in enumerate(offers):
         cum_f += f
         if cum_f > capacity:
             return keep
-        if host.id and host.kappa > 0:
-            cum_p += f ** host.nu
-            if host.kappa * cum_p > budget:
-                return keep
+        cum_p += f ** nu
+        if kappa * cum_p > budget:
+            return keep
     return len(offers)
 
 
-def mec_admission(sc: Scenario, bounds: FeasibilityBounds,
-                  candidates) -> tuple[set[int], dict[int, float]]:
+def mec_admission(sc: Scenario, bounds: FeasibilityBounds, candidates) -> dict[int, float]:
     """Step 2: admit edge-server requests of `candidates` cheapest-first (ties
-    towards the lower id), then top up.  Returns the admitted set and their
+    towards the lower id), then top up.  Returns the admitted tasks'
     frequencies after leftover capacity is spread."""
     f_mec, blocked = bounds.f_lower[:, 0].tolist(), bounds.blocked[:, 0].tolist()
     requests = sorted((f_mec[k - 1], k) for k in candidates if not blocked[k - 1])
-    server = sc.devices[0]
-    admitted = requests[:prefix_admit(requests, server, server.f_max, math.inf)]
-    freqs = matching.mec_topup(sc, {k: f for f, k in admitted})
-    return {k for _, k in admitted}, freqs
+    keep = prefix_admit(requests, sc.arrays.power_law[0], sc.devices[0].f_max, math.inf)
+    return matching.mec_topup(sc, {k: f for f, k in requests[:keep]})
 
 
 def helper_preferences(bounds: FeasibilityBounds, k: int) -> list[tuple[float, int]]:
@@ -152,7 +149,7 @@ def deferred_acceptance(sc: Scenario, state: matching.MatchingState,
             log.events.append((rnd, k, d, f, "request"))
         for d in sorted(new_req):
             pool = sorted(held_at.get(d, []) + new_req[d])
-            keep = prefix_admit(pool, sc.devices[d], state.f_res[d], open_budget[d])
+            keep = prefix_admit(pool, sc.arrays.power_law[d], state.f_res[d], open_budget[d])
             accepted = pool[:keep]
             was_held = {k for _, k in held_at.get(d, [])}
             for f, k in pool[keep:]:
@@ -175,10 +172,10 @@ def run(sc: Scenario) -> tuple[Assignment, RoundLog]:
     for k in sorted(matching.local_seed_set(sc, bounds)):
         matching.commit(sc, state, k, k, sc.tasks[k - 1].f_min)
 
-    k_mec, mec_freqs = mec_admission(sc, bounds, set(state.unmatched))
-    for k in sorted(k_mec):
+    mec_freqs = mec_admission(sc, bounds, set(state.unmatched))
+    for k in sorted(mec_freqs):
         matching.commit(sc, state, k, 0, mec_freqs[k])
-    log.n_mec = len(k_mec)
+    log.n_mec = len(mec_freqs)
 
     log.n_u = len(state.unmatched)
     held = deferred_acceptance(sc, state, log, bounds)

@@ -177,9 +177,9 @@ class _Kernel:
         self.own = np.arange(1, n + 1)                  # each task's own UE
         self.local_ok = ~np.diagonal(bounds.blocked, 1)
         self.f_min = arr.f_min
-        # a blocked or kappa-0 local pair is never priced, whatever its kappa, f_min or nu
+        # a blocked local pair is never priced, whatever its kappa, f_min or nu
         self.own_kappa = np.where(self.local_ok, arr.kappa[self.own], 0.0)
-        self.fmin_nu = np.where(self.own_kappa > 0, self.f_min, 0.0) ** nu_d[self.own]
+        self.fmin_nu = np.where(self.local_ok, self.f_min, 0.0) ** nu_d[self.own]
         # a local run's frequency, upload power and hosted CPU power
         self.local_terms = np.array([self.f_min, np.zeros(n), self.fmin_nu * self.own_kappa])
 
@@ -191,17 +191,17 @@ class _Kernel:
         self.remote_ok = starts[1:] > starts[:-1]       # the tasks with a remote pair
         curve = (arr.cycles[ri], arr.bits[ri], arr.deadline[ri], sc.gains[ri, rj])
         # each pair's host power law: a host that no pair reaches is never
-        # priced, however large its kappa.  The server's compute is free, and
-        # so is a kappa-0 UE's, so their power law is never raised: kappa 0
-        # and exponent 0 there keep c1 = kappa * nu and c1 * f**(nu-1) at
-        # zero, where a large kappa or f**(nu-1) would overflow
-        kappa, nu = np.where(rj > 0, arr.kappa[rj], 0.0), nu_d[rj]
-        nu1 = np.where(kappa > 0, nu - 1.0, 0.0)
+        # priced, however large its kappa
+        kappa, nu = arr.kappa[rj], nu_d[rj]
         lo, hi = bounds.f_lower[ri, rj], arr.speed_cap[rj]
         # dual-independent terms, at both window ends at once
         ends = np.array([lo, hi])
         du_lo, du_hi = offload_power_slope_vec(*curve, self.bandwidth, self.noise_w, ends)
-        cols = np.array([*curve, kappa * nu, kappa, nu, lo, hi, du_lo, du_hi, *(ends ** nu1)])
+        # kappa * nu saturates to inf for a kappa near the float limit; every
+        # pair on such a host then screens to its window's lower end
+        with np.errstate(over="ignore"):
+            knu = kappa * nu
+        cols = np.array([*curve, knu, kappa, nu, lo, hi, du_lo, du_hi, *(ends ** (nu - 1.0))])
         self.rows = list(zip(rj.tolist(), *cols.tolist()))
         # a pair's stationary frequency before its first solve
         self.mid = np.sqrt(lo * hi).tolist()
@@ -234,8 +234,7 @@ class _Kernel:
         # cap opens no window: the host carries no load (see dual_step)
         host_kappa, host_nu, caps = arr.kappa.tolist(), nu_d.tolist(), arr.speed_cap.tolist()
         for j, wj in enumerate(w.tolist(), 1):
-            kj = host_kappa[j]
-            slope = wj * kj * host_nu[j] * caps[j] ** (host_nu[j] - 1.0) if kj else 0.0
+            slope = wj * host_kappa[j] * host_nu[j] * caps[j] ** (host_nu[j] - 1.0)
             self.v_scale[j] = slope if slope > 0 else self.v_scale[0]
 
     def primal(self, mu, v, warm=None):
@@ -285,9 +284,8 @@ class _Kernel:
                 else:
                     x0 = (self.mid[p] if warm is None
                           else min(max(warm[p], lo * (1 + 1e-12)), hi * (1 - 1e-12)))
-                    nu1, nu2 = (nu - 1.0, nu - 2.0) if kappa else (0.0, 0.0)
-                    g = balance_root(cyc, bits, dl, gain, bw, noise, nu1, nu2, c1, c2,
-                                     lo, hi, x0)
+                    g = balance_root(cyc, bits, dl, gain, bw, noise, nu - 1.0, nu - 2.0,
+                                     c1, c2, lo, hi, x0)
                 gamma[p] = g
                 # g minimises the convex priced pair cost.  The task takes its
                 # pair of least intercept among those that beat dropping; a
@@ -295,7 +293,7 @@ class _Kernel:
                 denom = dl * g - cyc
                 x = ln2_bw * bits * g / denom if denom > 0.0 else math.inf
                 u = math.inf if x > cap else noise / gain * math.expm1(x)
-                g_nu = g ** nu if kappa else 0.0        # free: the server, a kappa-0 UE
+                g_nu = g ** nu
                 lam = pi * u + wh[j] * kappa * g_nu + vj[j] * g - phi_i
                 if lam <= 0.0:                  # so u is finite: denom > 0, x <= cap
                     sq = denom * denom

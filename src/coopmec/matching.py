@@ -97,9 +97,7 @@ def residual_window(sc: Scenario, state: MatchingState, k: int, dev: int
         if task.deadline * rate <= task.bits:
             return None                 # deadline unreachable
         lo = task.cycles / (task.deadline - task.bits / rate)
-    host = sc.devices[dev]
-    hi = speed_cap(state.f_res[dev], max(state.p_res[dev], 0.0), host.kappa if dev else 0.0,
-                   host.nu)
+    hi = speed_cap(state.f_res[dev], max(state.p_res[dev], 0.0), *sc.arrays.power_law[dev])
     if lo >= hi:
         return None
     return lo, hi
@@ -117,13 +115,13 @@ def pair_frequency(sc: Scenario, state: MatchingState, k: int, dev: int) -> floa
     if dev == 0 or dev == k:
         return lo
     task = sc.tasks[k - 1]
-    host = sc.devices[dev]
     w_k = task.power_price
     if w_k == 0.0:
         return lo                       # only the helper's CPU power matters
-    coeff = sc.arrays.host_price[dev] * host.kappa * host.nu * sc.devices[k].eta / w_k
+    kappa, nu = sc.arrays.power_law[dev]
+    coeff = sc.arrays.host_price[dev] * kappa * nu * sc.devices[k].eta / w_k
     return balance_root_clamped(task, sc.gains.item(k - 1, dev), sc.bandwidth, sc.noise_w,
-                                host.nu, coeff, lo, hi)
+                                nu, coeff, lo, hi)
 
 
 def pair_cost(sc: Scenario, k: int, dev: int, f: float) -> float:
@@ -134,10 +132,8 @@ def pair_cost(sc: Scenario, k: int, dev: int, f: float) -> float:
     if dev != k:
         u = offload_power(task, sc.gains.item(k - 1, dev), sc.bandwidth, sc.noise_w, f)
         cost += task.power_price / sc.devices[k].eta * u
-    host = sc.devices[dev]
-    if dev > 0 and host.kappa > 0:      # edge-server compute is free, as is a kappa-0 UE's
-        cost += sc.arrays.host_price[dev] * host.kappa * f ** host.nu
-    return cost
+    kappa, nu = sc.arrays.power_law[dev]
+    return cost + sc.arrays.host_price[dev] * kappa * f ** nu
 
 
 def prune(sc: Scenario, target: dict[int, int], freqs: dict[int, float]
@@ -209,9 +205,8 @@ def commit(sc: Scenario, state: MatchingState, k: int, dev: int, f: float) -> No
     state.freqs[k] = f
     state.unmatched.discard(k)
     state.f_res[dev] -= f
-    host = sc.devices[dev]
-    if dev > 0 and host.kappa > 0:
-        state.p_res[dev] = max(0.0, state.p_res[dev] - host.kappa * f ** host.nu)
+    kappa, nu = sc.arrays.power_law[dev]
+    state.p_res[dev] = max(0.0, state.p_res[dev] - kappa * f ** nu)
     if dev != k:
         u = offload_power(sc.tasks[k - 1], sc.gains.item(k - 1, dev), sc.bandwidth, sc.noise_w, f)
         state.p_res[k] = max(0.0, state.p_res[k] - u / sc.devices[k].eta)

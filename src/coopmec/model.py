@@ -238,14 +238,18 @@ def offload_power_vec(cycles, bits, deadline, gain, bandwidth, noise_w, f):
 
 def offload_power_slope_vec(cycles, bits, deadline, gain, bandwidth, noise_w, f):
     """Vectorised U'; -inf at or below f_min, where (T f - c)**2 underflows
-    to zero, and where U overflows."""
-    denom = deadline * f - cycles
-    bad = (denom <= 0) | (denom**2 == 0.0)
-    denom = np.where(bad, 1.0, denom)
-    x = LN2 / bandwidth * bits * f / denom
-    expx = np.exp(np.minimum(x, EXP_CAP))
-    du = noise_w * LN2 / (bandwidth * gain) * expx * (-bits * cycles / denom**2)
-    return np.where((x > EXP_CAP) | bad, -np.inf, du)
+    to zero, and where U or U' overflows; -0.0 where (T f - c)**2
+    overflows, far out on U's flat tail."""
+    with np.errstate(over="ignore"):
+        denom = deadline * f - cycles
+        sq = denom**2
+        bad = (denom <= 0) | (sq == 0.0)
+        flat = sq == np.inf
+        denom = np.where(bad | flat, 1.0, denom)
+        x = LN2 / bandwidth * bits * f / denom
+        expx = np.exp(np.minimum(x, EXP_CAP))
+        du = noise_w * LN2 / (bandwidth * gain) * expx * (-bits * cycles / denom**2)
+    return np.where(bad, -np.inf, np.where(flat, -0.0, np.where(x > EXP_CAP, -np.inf, du)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +337,7 @@ def balance_root_clamped(task, gain, bandwidth, noise_w, nu, power_coeff,
     when g does not change sign there, else balance_root from sqrt(lo*hi)."""
     if hi < lo:
         raise ValueError(f"empty interval [{lo:g}, {hi:g}]")
-    nu = nu if power_coeff else 1.0     # a host drawing no power: never raise its law
+    nu = nu if power_coeff else 1.0     # CPU power priced at 0: never raise its law
     du_lo, _ = offload_power_derivs(task, gain, bandwidth, noise_w, lo)
     if du_lo + power_coeff * lo ** (nu - 1.0) >= 0.0:
         return lo
@@ -353,11 +357,14 @@ class ScenarioArrays(NamedTuple):
 
     Per task (length N, entry i-1 is task i): cycles, bits, deadline, f_min,
     penalty, power_price, and the owner UE's eta and p_m.  Per device
-    (length N+1, entry j is device j): kappa, nu, f_max, speed_cap (every
-    static window's top) and host_price (a tuple of floats: UE j's power
-    price, 0 for the edge server, whose compute is free).  circuit (the priced
-    circuit power of every UE) and penalty_total (the penalty of dropping
-    every task) are the constant terms of the cost.
+    (length N+1, entry j is device j): kappa and nu, the host's effective CPU
+    power law, also kept as power_law, a tuple of (kappa, nu) float pairs; it
+    is (0.0, 1.0) for the edge server and a UE with kappa 0, which draw no
+    CPU power: 0 * f is zero, and their own nu is never raised.  Then f_max,
+    speed_cap (every static window's top) and host_price (a tuple of floats:
+    UE j's power price, 0 for the edge server).  circuit (the priced circuit
+    power of every UE) and penalty_total (the penalty of dropping every
+    task) are the constant terms of the cost.
     """
 
     cycles: np.ndarray
@@ -372,6 +379,7 @@ class ScenarioArrays(NamedTuple):
     nu: np.ndarray
     f_max: np.ndarray
     speed_cap: np.ndarray
+    power_law: tuple[tuple[float, float], ...]
     host_price: tuple[float, ...]
     circuit: float
     penalty_total: float
@@ -390,16 +398,17 @@ def _scenario_arrays(sc: Scenario) -> ScenarioArrays:
     tasks, devices, ues = sc.tasks, sc.devices, sc.devices[1:]
     cycles = _array([t.cycles for t in tasks])
     deadline = _array([t.deadline for t in tasks])
+    # the paper's edge server computes for free, and so does a UE with kappa 0
+    law = tuple((d.kappa, d.nu) if d.id and d.kappa else (0.0, 1.0) for d in devices)
+    kappa, nu = zip(*law)
     return ScenarioArrays(
         cycles=cycles, bits=_array([t.bits for t in tasks]), deadline=deadline,
         f_min=_read_only(cycles / deadline), penalty=_array([t.penalty for t in tasks]),
         power_price=_array([t.power_price for t in tasks]),
         eta=_array([d.eta for d in ues]), p_m=_array([d.p_m for d in ues]),
-        kappa=_array([d.kappa for d in devices]), nu=_array([d.nu for d in devices]),
-        f_max=_array([d.f_max for d in devices]),
-        speed_cap=_array([speed_cap(d.f_max, d.p_m, d.kappa if d.id else 0.0, d.nu)
-                          for d in devices]),
-        host_price=(0.0, *(t.power_price for t in tasks)),
+        kappa=_array(kappa), nu=_array(nu), f_max=_array([d.f_max for d in devices]),
+        speed_cap=_array([speed_cap(d.f_max, d.p_m, *dl) for d, dl in zip(devices, law)]),
+        power_law=law, host_price=(0.0, *(t.power_price for t in tasks)),
         circuit=sum(t.power_price * devices[t.id].p_cir for t in tasks),
         penalty_total=sum(t.penalty for t in tasks))
 
@@ -537,7 +546,7 @@ def assignment_cost(sc: Scenario, target, freqs) -> tuple[CostBreakdown, dict[in
     """Cost breakdown of a (target, frequency) choice; also returns the
     delay-tight transmit powers implied for the offloaded tasks.  Transmit and
     compute add up in task order, the avoided penalties in `target` order."""
-    tasks, devices, gain = sc.tasks, sc.devices, sc.gains.item
+    tasks, devices, gain, law = sc.tasks, sc.devices, sc.gains.item, sc.arrays.power_law
     bandwidth, noise_w, price = sc.bandwidth, sc.noise_w, sc.arrays.host_price
     transmit = 0.0
     compute = 0.0
@@ -550,9 +559,8 @@ def assignment_cost(sc: Scenario, target, freqs) -> tuple[CostBreakdown, dict[in
             power = offload_power(task, gain(task_id - 1, dev), bandwidth, noise_w, f)
             p_t[task_id] = power
             transmit += task.power_price / devices[task.id].eta * power
-        host = devices[dev]
-        if dev > 0 and host.kappa > 0:  # edge-server compute is free, as is a kappa-0 UE's
-            compute += price[dev] * host.kappa * f ** host.nu
+        kappa, nu = law[dev]
+        compute += price[dev] * kappa * f ** nu
     circuit = sc.arrays.circuit
     penalty_all = sc.arrays.penalty_total
     saved = sum(tasks[i - 1].penalty for i in target)
@@ -566,7 +574,7 @@ def _ue_power_terms(sc: Scenario, asg: Assignment):
     """(UE id, device, hosted compute watts, own transmit watts) of each UE
     that hosts or uploads a task, by id, over the target entries with ids in
     range; each UE's compute adds its guests' terms in target order."""
-    f, p_t, n, devices = asg.f, asg.p_t, sc.n, sc.devices
+    f, p_t, n, devices, law = asg.f, asg.p_t, sc.n, sc.devices, sc.arrays.power_law
     hosted: dict[int, list[float]] = {}
     uploads: dict[int, float] = {}
     for k, dev in asg.target.items():
@@ -578,7 +586,8 @@ def _ue_power_terms(sc: Scenario, asg: Assignment):
     for i in sorted(hosted.keys() | uploads.keys()):
         dev = devices[i]
         guests = hosted.get(i)
-        compute = dev.kappa * sum(fk ** dev.nu for fk in guests) if guests and dev.kappa else 0.0
+        kappa, nu = law[i]
+        compute = kappa * sum(fk ** nu for fk in guests) if guests else 0.0
         yield i, dev, compute, (uploads[i] / dev.eta if i in uploads else 0.0)
 
 

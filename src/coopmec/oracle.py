@@ -40,26 +40,25 @@ def non_cope(sc: Scenario) -> Assignment:
     f_mec = bounds.f_lower[:, 0].tolist()
     for i in range(1, sc.n + 1):
         task = sc.tasks[i - 1]
-        dev = sc.devices[i]
         local_ok = local_open[i - 1]
         if mec_open[i - 1]:
             f_req = f_mec[i - 1]
             u = offload_power(task, sc.gains.item(i - 1, 0), sc.bandwidth, sc.noise_w, f_req)
-            mec_cost = task.power_price / dev.eta * u
-            # priced only when open and drawing power: f_min ** nu can overflow
-            if not local_ok or (dev.kappa > 0 and
-                                mec_cost < task.power_price * dev.kappa * task.f_min ** dev.nu):
+            mec_cost = task.power_price / sc.devices[i].eta * u
+            kappa, nu = sc.arrays.power_law[i]
+            # priced only when open: a blocked local f_min ** nu can overflow
+            if not local_ok or mec_cost < task.power_price * kappa * task.f_min ** nu:
                 requests.append(i)
                 continue
         if local_ok:
             target[i] = i
             freqs[i] = task.f_min
-    admitted, mec_freqs = decentral.mec_admission(sc, bounds, requests)
+    mec_freqs = decentral.mec_admission(sc, bounds, requests)
     for k, f in mec_freqs.items():
         target[k] = 0
         freqs[k] = f
     for k in requests:
-        if k not in admitted and local_open[k - 1]:
+        if k not in mec_freqs and local_open[k - 1]:
             target[k] = k
             freqs[k] = sc.tasks[k - 1].f_min
     return make_assignment(sc, matching.prune(sc, target, freqs)[0], freqs)
@@ -135,6 +134,7 @@ def _grid_min(sc: Scenario, bounds: FeasibilityBounds, pairs: tuple):
     g, passes = _grid_plan(dims)
     col = {k: c for c, (k, _) in enumerate(pairs)}
     hosts = sorted({d for _, d in pairs})
+    law, price = sc.arrays.power_law, sc.arrays.host_price
     slack = 1.0 + CHECK_TOL
 
     best_cost = math.inf
@@ -152,7 +152,8 @@ def _grid_min(sc: Scenario, bounds: FeasibilityBounds, pairs: tuple):
             load = F[:, cols].sum(axis=1)
             feas &= load <= host.f_max * slack
             if d >= 1:
-                draw = host.kappa * (F[:, cols] ** host.nu).sum(axis=1)
+                kappa, nu = law[d]
+                draw = kappa * (F[:, cols] ** nu).sum(axis=1)
                 if d in col and dict(pairs)[d] != d:
                     own = sc.tasks[d - 1]
                     ud = offload_power_vec(own.cycles, own.bits, own.deadline,
@@ -162,13 +163,13 @@ def _grid_min(sc: Scenario, bounds: FeasibilityBounds, pairs: tuple):
                 feas &= draw + host.p_cir <= host.p_max * slack
         for c, (k, d) in enumerate(pairs):
             task = tasks[c]
-            host = sc.devices[d]
             if d != k:
                 u = offload_power_vec(task.cycles, task.bits, task.deadline,
                                       sc.gains.item(k - 1, d), sc.bandwidth, sc.noise_w,
                                       F[:, c])
                 cost += task.power_price / sc.devices[k].eta * u
-            cost += sc.arrays.host_price[d] * host.kappa * F[:, c] ** host.nu
+            kappa, nu = law[d]
+            cost += price[d] * kappa * F[:, c] ** nu
         cost = np.where(feas, cost, np.inf)
         i = int(np.argmin(cost))
         if cost[i] < best_cost:

@@ -15,7 +15,7 @@ import pytest
 from coopmec.errors import DomainError
 from coopmec.model import (CHECK_TOL, EXP_CAP, LN2, CostBreakdown, DeviceProfile, Scenario,
                            TaskSpec, Violation, offload_power)
-from coopmec.scenario import GenConfig, generate
+from coopmec.scenario import GenConfig, generate, read_scenario, write_scenario
 
 # -174 dBm/Hz over 2 MHz, rounded to three significant digits.  The round
 # value makes the reference-point arithmetic exact (see test_model).
@@ -211,6 +211,26 @@ def mk_scenario(tasks, devices, gain=1e-10, bandwidth: float = 2e6,
 
 def gen(n: int = 10, seed: int = 0, **kw) -> Scenario:
     return generate(GenConfig(n=n, seed=seed, **kw))
+
+
+# the fields of a scenario file's task and device lines that edited_scenario sets
+TASK_FIELDS = ("cycles", "bits", "deadline", "penalty", "power_price")
+DEVICE_FIELDS = ("f_max", "kappa", "nu", "eta")
+
+
+def edited_scenario(path, sc: Scenario, edits) -> Scenario:
+    """Write sc to path, set each (id, field, value) of `edits` in the task
+    or device line that field belongs to, and read the file back."""
+    write_scenario(sc, path)
+    lines = path.read_text().splitlines()
+    for ident, name, value in edits:
+        kind, fields = ("task", TASK_FIELDS) if name in TASK_FIELDS else ("device", DEVICE_FIELDS)
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(f"{kind} {ident} "))
+        parts = lines[i].split()
+        parts[2 + fields.index(name)] = value
+        lines[i] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    return read_scenario(path)
 
 
 @pytest.fixture

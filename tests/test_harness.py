@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gen
+from conftest import edited_scenario, gen
 from coopmec import cli, decentral, harness, matching, model, scenario
 from coopmec.errors import ConfigError, CoopMecError, UnknownAlgorithm
 from coopmec.harness import (ALGORITHMS, ExperimentSpec, _fmt, aggregate,
@@ -116,7 +116,7 @@ def test_extreme_magnitudes_do_not_overflow(algo, cell):
     assert validate_constraints(sc, asg) == []
 
 
-# (device, field, value) edits of a written cell's device lines
+# (id, field, value) edits of a written cell's device or task lines
 SLOW_1_HUGE_2 = [(1, "f_max", "1e6"), (2, "f_max", "1e300")]
 
 
@@ -135,23 +135,20 @@ SLOW_1_HUGE_2 = [(1, "f_max", "1e6"), (2, "f_max", "1e300")]
     (4, 0, [(3, "kappa", "0.0"), (3, "nu", "1e300"), (3, "f_max", "1e12")]),  # hosting too
     # nor is the edge server's, whatever its kappa
     (4, 679186, [(0, "kappa", "1e200"), (0, "nu", "1e30")]),
+    # task edits too.  In icrbi's set-up T f overflows at a window end (task
+    # 2 priced at 1e308), then (T f - c)**2 does, then a reachable kappa * nu
+    (2, 779665, [(1, "bits", "1e300"), (1, "deadline", "1e300"), (2, "power_price", "1e308")]),
+    (2, 339399, [(2, "bits", "1e200"), (2, "deadline", "1e200")]),
+    (3, 82079, [(2, "cycles", "1e-300"), (3, "kappa", "1e308")]),
 ], ids=["kappa", "eta", "server_kappa", "server_f_max", "kappa1e-320_f1e300",
         "kappa5e-324_f1e300", "kappa1e-320_nu2", "kappa0_f1e200", "kappa0_nu1e300",
-        "kappa0_nu1e300_host", "server_kappa1e200_nu1e30"])
+        "kappa0_nu1e300_host", "server_kappa1e200_nu1e30", "deadline1e300_w1e308",
+        "deadline1e200", "cycles1e-300_kappa1e308"])
 def test_extreme_device_in_a_scenario_file_does_not_overflow(tmp_path, algo, n, seed, edits):
     # one or two devices with a CPU power law, a capacity or a PA efficiency
-    # at the float limit: the other devices stay ordinary, so the cell still
-    # has work
-    path = tmp_path / "inst.sc"
-    scenario.write_scenario(gen(n=n, seed=seed), path)
-    lines = path.read_text().splitlines()
-    for device, name, value in edits:
-        i = next(i for i, ln in enumerate(lines) if ln.startswith(f"device {device} "))
-        parts = lines[i].split()
-        parts[2 + ("f_max", "kappa", "nu", "eta").index(name)] = value
-        lines[i] = " ".join(parts)
-    path.write_text("\n".join(lines) + "\n")
-    sc = scenario.read_scenario(path)
+    # at the float limit, or a task whose sizes are: the other devices and
+    # tasks stay ordinary, so the cell still has work
+    sc = edited_scenario(tmp_path / "inst.sc", gen(n=n, seed=seed), edits)
     asg, _ = run_algorithm(sc, algo)
     assert validate_constraints(sc, asg) == []
 
@@ -526,6 +523,11 @@ def test_cli_trace_and_oracle_check(tmp_path, capsys):
     cfg_path.write_text("n = 3\n")
     assert cli.main(["trace", "--config", str(cfg_path),
                      "--out", str(tmp_path / "tr")]) == 0
+    assert cli.main(["oracle-check", "--config", str(cfg_path),
+                     "--realizations", "3"]) == 0
+    assert "ok:" in capsys.readouterr().out
+    # a steep power law: the free server's f**nu would overflow the oracle's lattice
+    cfg_path.write_text("n = 3\nnu = 40\n")
     assert cli.main(["oracle-check", "--config", str(cfg_path),
                      "--realizations", "3"]) == 0
     assert "ok:" in capsys.readouterr().out

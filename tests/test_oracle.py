@@ -5,10 +5,13 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import gen, mk_dev, mk_scenario, mk_task
-from coopmec import decentral, icrbi, matching, oracle
+from conftest import edited_scenario, gen, mk_dev, mk_scenario, mk_task
+from coopmec import cli, decentral, icrbi, matching, oracle
 from coopmec.errors import InstanceTooLarge
+from coopmec.harness import ALGORITHMS, run_algorithm
 from coopmec.model import feasibility_bounds, validate_constraints
 from coopmec.oracle import BRUTE_FORCE_LIMIT, brute_force, decision_maps, non_cope
 
@@ -108,3 +111,29 @@ def test_brute_force_lower_bounds_every_algorithm():
                   decentral.run(sc)[0].cost.total]
         for got in others:
             assert got >= best - 1e-6
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("edits", [
+    [(0, "kappa", "1.0"), (0, "f_max", "1e200")],     # the free server, whatever its kappa
+    [(2, "kappa", "0.0"), (2, "nu", "1e300")],        # a UE that computes for free
+], ids=["server_kappa1_f1e200", "kappa0_nu1e300"])
+@pytest.mark.parametrize("seed", range(6))
+def test_brute_force_prices_a_free_host_as_the_solvers_do(tmp_path, seed, edits):
+    # a host that draws no CPU power costs nothing at any lattice point, so
+    # no solver beats the oracle by more than the CLI's slack
+    sc = edited_scenario(tmp_path / "inst.sc", gen(n=3, seed=seed), edits)
+    ref = brute_force(sc).cost.total
+    best = min(run_algorithm(sc, algo)[0].cost.total for algo in ALGORITHMS)
+    assert best >= ref * (1.0 - cli.ORACLE_SLACK)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2**31 - 1), nu=st.floats(1.0, 60.0),
+       kappa_exp=st.floats(-30.0, -24.0))
+def test_no_solver_beats_brute_force_under_any_power_law(n, seed, nu, kappa_exp):
+    sc = gen(n=n, seed=seed, nu=nu, kappa=10.0 ** kappa_exp)
+    ref = brute_force(sc).cost.total
+    for algo in ALGORITHMS:
+        assert run_algorithm(sc, algo)[0].cost.total >= ref * (1.0 - cli.ORACLE_SLACK), algo
