@@ -10,6 +10,11 @@ hashes oracle.brute_force's outcome alike on the small cells the benchmark
 checks the solvers against it on.  A change that claims byte-identical
 outputs must print the same digests before and after.
 
+Each pool scenario is also solved again, on a fresh instance and in reverse
+algorithm order.  The script exits non-zero if any outcome of that pass
+differs from the forward one: what a scenario caches (its arrays, bounds
+and matching opening) must carry no state from one solver to the next.
+
 The digests hold only for the CPU dispatch numpy takes: its AVX-512 (X86_V4)
 kernels for exp, expm1, log1p and power differ from libm in the last bit on
 some inputs, so the first line says whether that dispatch is on.
@@ -31,6 +36,7 @@ GenConfig:
 import argparse
 import hashlib
 import math
+import sys
 
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
@@ -70,14 +76,22 @@ def outcome(sc, algo: str) -> str:
     return line
 
 
-def pool_digest(seeds: int, cells: list[dict]) -> str:
+def pool_digest(seeds: int, cells: list[dict]) -> tuple[str, list[str]]:
+    """The pool's digest over the forward pass, and the (cell, seed, algo)
+    outcomes that the reverse pass on a fresh instance reads differently."""
     h = hashlib.sha256()
+    differ = []
     for cell in cells:
         for seed in range(seeds):
-            sc = generate(GenConfig(seed=seed, **cell))
+            cfg = GenConfig(seed=seed, **cell)
+            sc, fresh = generate(cfg), generate(cfg)
+            forward = {algo: outcome(sc, algo) for algo in ALGORITHMS}
+            backward = {algo: outcome(fresh, algo) for algo in reversed(ALGORITHMS)}
             for algo in ALGORITHMS:
-                h.update(f"{cell},{seed},{algo},{outcome(sc, algo)}\n".encode())
-    return h.hexdigest()
+                h.update(f"{cell},{seed},{algo},{forward[algo]}\n".encode())
+                if backward[algo] != forward[algo]:
+                    differ.append(f"{cell},{seed},{algo}")
+    return h.hexdigest(), differ
 
 
 def oracle_digest(limit: float) -> str:
@@ -103,11 +117,16 @@ def main() -> None:
     dispatch = "on" if __cpu_features__.get("X86_V4") else "off"
     print(f"numpy {np.__version__}, X86_V4 dispatch {dispatch}", flush=True)
     limit = math.inf if args.seeds is None else args.seeds
+    differ = []
     for name, (seeds, cells) in POOLS.items():
         seeds = min(seeds, limit)
-        print(f"{name} seeds 0-{seeds - 1} sha256:{pool_digest(seeds, cells)}", flush=True)
+        digest, pool_differ = pool_digest(seeds, cells)
+        print(f"{name} seeds 0-{seeds - 1} sha256:{digest}", flush=True)
+        differ += pool_differ
     seeds = "/".join(f"0-{min(s, limit) - 1}" for s, _ in ORACLE_POOL)
     print(f"oracle seeds {seeds} sha256:{oracle_digest(limit)}", flush=True)
+    if differ:
+        sys.exit(f"{len(differ)} outcomes differ in reverse solver order, first: {differ[0]}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Decentralized three-step offloading (CLI label: decentral).
 
-Step 1 runs every task locally that fits its own UE.  Step 2 lets the
-remaining tasks request the edge server at their minimum admissible
+Step 1 runs every task locally that fits its own UE: matching's opening,
+built once per scenario and shared (`matching.seeded_state`).  Step 2 lets
+the remaining tasks request the edge server at their minimum admissible
 frequency, and leftover server capacity is spread back over the admitted
 uploads.  Step 3 places the still-unmatched tasks on helper UEs by deferred
 acceptance with permanent rejections, requested frequencies frozen at each
@@ -166,11 +167,9 @@ def deferred_acceptance(sc: Scenario, state: matching.MatchingState,
 
 def run(sc: Scenario) -> tuple[Assignment, RoundLog]:
     """Full three-step decentralized algorithm; the result always validates."""
-    state = matching.new_state(sc)
     bounds = feasibility_bounds(sc)
+    state = matching.seeded_state(sc, bounds)
     log = RoundLog()
-    for k in sorted(matching.local_seed_set(sc, bounds)):
-        matching.commit(sc, state, k, k, sc.tasks[k - 1].f_min)
 
     mec_freqs = mec_admission(sc, bounds, set(state.unmatched))
     for k in sorted(mec_freqs):

@@ -234,7 +234,11 @@ class _Kernel:
         # cap opens no window: the host carries no load (see dual_step)
         host_kappa, host_nu, caps = arr.kappa.tolist(), nu_d.tolist(), arr.speed_cap.tolist()
         for j, wj in enumerate(w.tolist(), 1):
-            slope = wj * host_kappa[j] * host_nu[j] * caps[j] ** (host_nu[j] - 1.0)
+            kj, nj, cap = host_kappa[j], host_nu[j], caps[j]
+            try:
+                slope = wj * kj * nj * cap ** (nj - 1.0)
+            except OverflowError:       # a subnormal kappa: cap ** (nu - 1) overflows alone
+                slope = wj * nj * math.exp(math.log(kj) + (nj - 1.0) * math.log(cap))
             self.v_scale[j] = slope if slope > 0 else self.v_scale[0]
 
     def primal(self, mu, v, warm=None):

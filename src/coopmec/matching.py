@@ -6,8 +6,10 @@ devices that can still fit it (cheapest marginal cost first) and an ordering
 criterion picks which task commits next.  A preference list is a plain sorted
 list of (psi, device, f) tuples: psi is the pair's marginal cost and f the
 frequency it would commit.  A pair that does not fit the residual budgets
-prices to None and gets no entry.  The lists are built once, over the pairs
-the static feasibility bounds leave open, and then kept up to date: a
+prices to None and gets no entry.  The opening is built once per scenario:
+the budgets the local seeds leave, shared with decentral, and the first
+lists priced there over the pairs the static bounds leave open, shared by
+both criteria.  Each run then keeps its own lists up to date: a
 commitment of task k to device d shrinks only d's residual frequency/power
 and, for an offloaded task, k's residual power, so only the entries on
 devices d and k are priced again, plus every entry of task d itself when d
@@ -79,6 +81,16 @@ def local_seed_set(sc: Scenario, bounds: FeasibilityBounds) -> set[int]:
     """Tasks whose own UE can execute them: f_min within the CPU capacity and
     the compute power it implies within the device's budget."""
     return {i for i, b in enumerate(np.diagonal(bounds.blocked, 1).tolist(), 1) if not b}
+
+
+def seeded_state(sc: Scenario, bounds: FeasibilityBounds) -> MatchingState:
+    """A copy of the state once every local seed commits at f_min (the opening)."""
+    o = vars(sc).get("_opening")
+    if o is None:
+        o = vars(sc)["_opening"] = new_state(sc)
+        for k in sorted(local_seed_set(sc, bounds)):
+            commit(sc, o, k, k, sc.tasks[k - 1].f_min)
+    return MatchingState(dict(o.omega), dict(o.freqs), o.f_res[:], o.p_res[:], set(o.unmatched))
 
 
 def residual_window(sc: Scenario, state: MatchingState, k: int, dev: int
@@ -162,19 +174,21 @@ def _priced(sc: Scenario, state: MatchingState, k: int, devices) -> list[tuple]:
 
 
 def build_preferences(sc: Scenario, state: MatchingState, bounds: FeasibilityBounds
-                      ) -> dict[int, list[tuple]]:
+                      ) -> dict[int, tuple[tuple, ...]]:
     """Rank every still-fitting device for each unmatched task, cheapest first.
 
     Only the pairs `bounds` leaves open are tried: the residual budgets never
     exceed the static ones, so a blocked pair cannot fit.  A device appears
-    once per list, so sorting never compares frequencies."""
+    once per list, so sorting never compares frequencies.  Each list is a
+    tuple, which a run can replace but not edit: the first lists are shared."""
     devices = bounds.pairs.devices
-    return {k: sorted(_priced(sc, state, k, devices[k - 1])) for k in sorted(state.unmatched)}
+    return {k: tuple(sorted(_priced(sc, state, k, devices[k - 1])))
+            for k in sorted(state.unmatched)}
 
 
 def _reprice(sc: Scenario, state: MatchingState, prefs: dict[int, list[tuple]],
              k: int, dev: int) -> None:
-    """Update the lists in place after task k committed to `dev`.
+    """Update `prefs` in place after task k committed to `dev`.
 
     The commit changed f_res[dev], p_res[dev] when dev > 0, and p_res[k] when
     dev != k.  Those are the only inputs of `residual_window`, so only entries
@@ -243,12 +257,12 @@ def run(sc: Scenario, criterion: str = "maxtask") -> tuple[Assignment, MatchingS
     if criterion not in CRITERIA:
         raise UnknownAlgorithm(f"matching criterion {criterion!r}")
     bounds = feasibility_bounds(sc)
-    state = new_state(sc)
-    seeds = local_seed_set(sc, bounds)
-    for k in sorted(seeds):
-        commit(sc, state, k, k, sc.tasks[k - 1].f_min)
-
-    prefs = build_preferences(sc, state, bounds)
+    state = seeded_state(sc, bounds)
+    n_h = len(state.unmatched)
+    memo = vars(sc)                     # the first lists, priced at the seeded budgets
+    if "_prefs" not in memo:
+        memo["_prefs"] = build_preferences(sc, state, bounds)
+    prefs = memo["_prefs"]              # the loop's filter makes the run's own dict
     while True:
         prefs = {k: entries for k, entries in prefs.items() if entries}  # empty: gave up
         if not prefs:
@@ -260,5 +274,5 @@ def run(sc: Scenario, criterion: str = "maxtask") -> tuple[Assignment, MatchingS
 
     freqs = redistribute_mec(state, sc)
     asg = make_assignment(sc, prune(sc, state.omega, freqs)[0], freqs)
-    state.overhead = overhead(sc.n, sc.n - len(seeds), sum(d == 0 for d in asg.target.values()))
+    state.overhead = overhead(sc.n, n_h, sum(d == 0 for d in asg.target.values()))
     return asg, state

@@ -144,13 +144,13 @@ class Scenario:
     (a UE towards itself) is never used.
 
     Data that depends only on the scenario is computed once and kept on the
-    instance: `arrays` when the scenario is built, the feasibility bounds on
-    first use.  gains is a read-only copy and so is every cached array, so
-    the cache cannot go stale; dataclasses.replace builds a new instance
-    with its own cache.  The total drop penalty, a constant term of every
-    cost, must be finite, and so must each UE's full-power SNR over its best
-    link, from which the feasibility bounds derive every uplink rate, that
-    best rate itself, and the bits it carries by the task's deadline.
+    instance: `arrays` when the scenario is built, the feasibility bounds and
+    matching's opening on first use.  gains is a read-only copy and so is every
+    cached array, so the cache cannot go stale; dataclasses.replace builds a
+    new instance with its own cache.  The total drop penalty, a constant term
+    of every cost, must be finite, and so must each UE's full-power SNR over
+    its best link, from which the feasibility bounds derive every uplink rate,
+    that best rate itself, and the bits it carries by the task's deadline.
     """
 
     tasks: tuple[TaskSpec, ...]

@@ -153,7 +153,8 @@ def _grid_min(sc: Scenario, bounds: FeasibilityBounds, pairs: tuple):
             feas &= load <= host.f_max * slack
             if d >= 1:
                 kappa, nu = law[d]
-                draw = kappa * (F[:, cols] ** nu).sum(axis=1)
+                with np.errstate(over="ignore"):    # an overflowing F ** nu is over budget
+                    draw = kappa * (F[:, cols] ** nu).sum(axis=1)
                 if d in col and dict(pairs)[d] != d:
                     own = sc.tasks[d - 1]
                     ud = offload_power_vec(own.cycles, own.bits, own.deadline,
@@ -168,8 +169,9 @@ def _grid_min(sc: Scenario, bounds: FeasibilityBounds, pairs: tuple):
                                       sc.gains.item(k - 1, d), sc.bandwidth, sc.noise_w,
                                       F[:, c])
                 cost += task.power_price / sc.devices[k].eta * u
-            kappa, nu = law[d]
-            cost += price[d] * kappa * F[:, c] ** nu
+            if price[d] * law[d][0]:                # else 0, even where F ** nu overflows
+                with np.errstate(over="ignore"):    # a price past the float limit prices out
+                    cost += price[d] * law[d][0] * F[:, c] ** law[d][1]
         cost = np.where(feas, cost, np.inf)
         i = int(np.argmin(cost))
         if cost[i] < best_cost:
@@ -177,7 +179,8 @@ def _grid_min(sc: Scenario, bounds: FeasibilityBounds, pairs: tuple):
             best_pt = F[i].copy()
         if best_pt is None:
             return None
-        cell = (w_hi / w_lo) ** (1.0 / (g - 1))
+        with np.errstate(over="ignore"):            # a window wider than floats stays whole
+            cell = (w_hi / w_lo) ** (1.0 / (g - 1))
         w_lo = np.maximum(lo, best_pt / cell ** 2)
         w_hi = np.minimum(hi, best_pt * cell ** 2)
     return best_cost, {k: float(best_pt[c]) for c, (k, _) in enumerate(pairs)}

@@ -140,10 +140,12 @@ SLOW_1_HUGE_2 = [(1, "f_max", "1e6"), (2, "f_max", "1e300")]
     (2, 779665, [(1, "bits", "1e300"), (1, "deadline", "1e300"), (2, "power_price", "1e308")]),
     (2, 339399, [(2, "bits", "1e200"), (2, "deadline", "1e200")]),
     (3, 82079, [(2, "cycles", "1e-300"), (3, "kappa", "1e308")]),
+    # icrbi's capacity-price scale: cap ** (nu - 1) overflows under a subnormal kappa
+    (4, 494601, [(4, "kappa", "5e-324"), (4, "nu", "60")]),
 ], ids=["kappa", "eta", "server_kappa", "server_f_max", "kappa1e-320_f1e300",
         "kappa5e-324_f1e300", "kappa1e-320_nu2", "kappa0_f1e200", "kappa0_nu1e300",
         "kappa0_nu1e300_host", "server_kappa1e200_nu1e30", "deadline1e300_w1e308",
-        "deadline1e200", "cycles1e-300_kappa1e308"])
+        "deadline1e200", "cycles1e-300_kappa1e308", "kappa5e-324_nu60"])
 def test_extreme_device_in_a_scenario_file_does_not_overflow(tmp_path, algo, n, seed, edits):
     # one or two devices with a CPU power law, a capacity or a PA efficiency
     # at the float limit, or a task whose sizes are: the other devices and

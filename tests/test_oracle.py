@@ -129,6 +129,23 @@ def test_brute_force_prices_a_free_host_as_the_solvers_do(tmp_path, seed, edits)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n, seed, edits", [
+    (3, 289495, [(3, "power_price", "1e308")]),                   # a host price past the limit
+    (2, 724074, [(2, "cycles", "1e-300")]),                       # a window wider than floats
+    (3, 705257, [(3, "kappa", "5e-324"), (3, "f_max", "1e300")]),  # F ** nu past the limit
+    (3, 705257, [(3, "kappa", "5e-324"), (3, "f_max", "1e300"), (3, "power_price", "0.0")]),
+], ids=["power_price1e308", "cycles1e-300", "kappa5e-324_f1e300", "kappa5e-324_f1e300_w0"])
+def test_brute_force_saturates_at_the_float_limit(tmp_path, n, seed, edits):
+    # an overflowing lattice term is inf, priced out or over budget, and an
+    # unpriced host adds nothing even where F ** nu overflows: no solver
+    # beats the oracle by more than the CLI's slack
+    sc = edited_scenario(tmp_path / "inst.sc", gen(n=n, seed=seed), edits)
+    ref = brute_force(sc).cost.total
+    best = min(run_algorithm(sc, algo)[0].cost.total for algo in ALGORITHMS)
+    assert best >= ref * (1.0 - cli.ORACLE_SLACK)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(n=st.integers(1, 3), seed=st.integers(0, 2**31 - 1), nu=st.floats(1.0, 60.0),
        kappa_exp=st.floats(-30.0, -24.0))

@@ -7,7 +7,11 @@ dataclasses.replace copy, and that a solve does not depend on whether the
 cache was already warm.  The enumeration of the open pairs is cached on the
 bounds in turn: it must list exactly the unblocked pairs, give decentral's
 step 3 the preference lists of a full scan, and stay unbuilt by a solve
-that does not read it.
+that does not read it.  The matching opening is cached on the scenario as
+well: the local seeds commit once and the first preference lists are priced
+once for maxtask, minpw and decentral together, and each solve's whole
+record, not only its assignment, is the same cold or warm and whichever
+order the solvers run in.
 """
 
 from __future__ import annotations
@@ -102,11 +106,33 @@ def test_replace_starts_with_an_empty_cache(change):
     assert (child.arrays.circuit != parent_circuit) == (change == "tasks")
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("n, seed, cell", [
+def solve_record(sc: Scenario, algorithm: str) -> tuple:
+    """A solve's assignment, extras and whole record of the run: for
+    matching the commit order, commit-time frequencies and cost series, for
+    decentral every message, for icrbi the per-iteration trace."""
+    asg, extras = run_algorithm(sc, algorithm)
+    trace = extras.pop("trace")
+    if algorithm in matching.CRITERIA:
+        record = (list(trace.omega.items()), list(trace.freqs.items()), trace.iterations,
+                  trace.overhead, trace.cost_series(sc, asg), trace.unmatched)
+    elif algorithm == "decentral":
+        record = (trace.events, trace.rounds, trace.overhead, trace.n_u, trace.n_mec)
+    elif algorithm == "icrbi":
+        record = (trace.termination, trace.reduced_cost, trace.num_assigned,
+                  trace.mu_norm, trace.v_norm)
+    else:
+        record = trace
+    return asg, extras, record
+
+
+CACHE_CELLS = [
     (10, 0, {}), (10, 5, dict(f0_max=8e9)), (20, 1, {}),
     (20, 4, dict(pathloss_exponent=4.5, pathloss_ref_gain=1e-2)),
-])
+]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("n, seed, cell", CACHE_CELLS)
 def test_cold_and_warm_solves_agree(algorithm, n, seed, cell):
     cold = gen(n=n, seed=seed, **cell)
     warm = gen(n=n, seed=seed, **cell)
@@ -114,7 +140,58 @@ def test_cold_and_warm_solves_agree(algorithm, n, seed, cell):
         if other != algorithm:
             run_algorithm(warm, other)
     assert "_bounds" in vars(warm) and "_bounds" not in vars(cold)
-    assert run_algorithm(cold, algorithm)[0] == run_algorithm(warm, algorithm)[0]
+    assert {"_opening", "_prefs"} <= set(vars(warm))
+    assert not {"_opening", "_prefs"} & set(vars(cold))
+    assert solve_record(cold, algorithm) == solve_record(warm, algorithm)
+
+
+@pytest.mark.parametrize("n, seed, cell", CACHE_CELLS)
+def test_solver_order_does_not_matter(n, seed, cell):
+    # each solve copies the shared opening, so none of them can move
+    # another's starting point, whichever runs first
+    forward, backward = gen(n=n, seed=seed, **cell), gen(n=n, seed=seed, **cell)
+    want = {algo: solve_record(forward, algo) for algo in ALGORITHMS}
+    got = {algo: solve_record(backward, algo) for algo in reversed(ALGORITHMS)}
+    assert got == want
+
+
+def test_opening_built_once_and_shared(monkeypatch):
+    # all five solvers on one scenario: the local seeds commit once, for
+    # whichever of maxtask, minpw and decentral asks first, and the first
+    # preference lists are priced once for both matching criteria
+    built, committed = [], []
+    build, commit = matching.build_preferences, matching.commit
+    monkeypatch.setattr(matching, "build_preferences",
+                        lambda *args: built.append(args[0]) or build(*args))
+    monkeypatch.setattr(matching, "commit",
+                        lambda sc, state, k, dev, f: committed.append((k, dev, f))
+                        or commit(sc, state, k, dev, f))
+    sc = gen(n=20, seed=1)
+    seeds = sorted(matching.local_seed_set(sc, feasibility_bounds(sc)))
+    assert seeds
+    seed_commits = {}
+    for algo in ALGORITHMS:
+        committed.clear()
+        run_algorithm(sc, algo)
+        if algo != "icrbi":             # icrbi's repair commits its own map
+            seed_commits[algo] = [k for k, dev, f in committed
+                                  if k == dev and f == sc.tasks[k - 1].f_min]
+    assert built == [sc]
+    assert seed_commits == {"maxtask": seeds, "minpw": [], "decentral": [], "noncope": []}
+    # the cached lists are tuples, as priced at the seeded budgets
+    prefs = vars(sc)["_prefs"]
+    assert all(type(entries) is tuple for entries in prefs.values())
+    fresh = build(sc, matching.seeded_state(sc, feasibility_bounds(sc)), feasibility_bounds(sc))
+    assert prefs == {k: tuple(entries) for k, entries in fresh.items()}
+
+
+@pytest.mark.parametrize("algorithm", ["maxtask", "minpw", "decentral"])
+def test_one_solver_alone_builds_what_it_reads(algorithm):
+    # decentral starts from the seeded budgets but never reads the lists
+    sc = gen(n=10, seed=3)
+    run_algorithm(sc, algorithm)
+    assert "_opening" in vars(sc)
+    assert ("_prefs" in vars(sc)) == (algorithm != "decentral")
 
 
 def full_scan_preferences(sc: Scenario, bounds, k: int) -> list[tuple[float, int]]:
