@@ -6,18 +6,21 @@ devices that can still fit it (cheapest marginal cost first) and an ordering
 criterion picks which task commits next.  A preference list is a plain sorted
 list of (psi, device, f) tuples: psi is the pair's marginal cost and f the
 frequency it would commit.  A pair that does not fit the residual budgets
-prices to None and gets no entry.  The opening is built once per scenario:
-the budgets the local seeds leave, shared with decentral, and the first
-lists priced there over the pairs the static bounds leave open, shared by
-both criteria.  Each run then keeps its own lists up to date: a
-commitment of task k to device d shrinks only d's residual frequency/power
-and, for an offloaded task, k's residual power, so only the entries on
-devices d and k are priced again, plus every entry of task d itself when d
-is a still unmatched UE (its residual power is also its transmit budget).
-Budgets only shrink during the loop, so an entry that stops fitting is
-dropped for good.  Leftover edge-server capacity is finally redistributed
-over the tasks it hosts to cut their upload power, and a placement that then
-costs more than dropping its task is dropped (`prune`).
+prices to None and gets no entry.  `run` is built from these stages: the
+opening (`seeded_state`, the budgets the local seeds leave, shared with
+decentral), the first lists priced there over the pairs the static bounds
+leave open (built once per scenario, shared by both criteria), `complete`,
+`redistribute_mec`, `prune` and `make_assignment`.  `complete` is the
+completion step under residual budgets, which icrbi's repair is to share.
+It keeps its own lists up to date: a commitment of task k to device d
+shrinks only d's residual frequency/power and, for an offloaded task, k's
+residual power, so only the entries on devices d and k are priced again,
+plus every entry of task d itself when d is a still unmatched UE (its
+residual power is also its transmit budget).  Budgets only shrink during
+the loop, so an entry that stops fitting is dropped for good.  Leftover
+edge-server capacity is finally redistributed over the tasks it hosts to
+cut their upload power, and a placement that then costs more than dropping
+its task is dropped (`prune`).
 
 Two ordering criteria are provided: "maxtask" favours the task with the
 fewest remaining options (ties by cheapest head entry), "minpw" always
@@ -195,11 +198,13 @@ def _reprice(sc: Scenario, state: MatchingState, prefs: dict[int, list[tuple]],
     on devices dev and k are stale, plus every entry of task dev, whose
     transmit budget is p_res[dev]."""
     stale = {dev, k}
-    for m, entries in prefs.items():
+    for m, entries in list(prefs.items()):
         redo = [d for _, d, _ in entries if m == dev or d in stale]
         if redo:
             kept = [e for e in entries if e[1] not in redo]
             prefs[m] = sorted(kept + _priced(sc, state, m, redo))
+            if not prefs[m]:
+                del prefs[m]            # no device fits task m any more: it gave up
 
 
 def next_task(prefs: dict[int, list[tuple]], criterion: str) -> int:
@@ -211,6 +216,19 @@ def next_task(prefs: dict[int, list[tuple]], criterion: str) -> int:
     else:
         raise UnknownAlgorithm(f"matching criterion {criterion!r}")
     return min(prefs, key=key)
+
+
+def complete(sc: Scenario, state: MatchingState, prefs: dict[int, tuple[tuple, ...]],
+             criterion: str) -> None:
+    """Commit the task `criterion` picks at its head entry and reprice, until
+    no list in `prefs` (left unedited) has a fitting entry.  The tasks that
+    gave up stay in state.unmatched."""
+    prefs = {k: entries for k, entries in prefs.items() if entries}
+    while prefs:
+        k = next_task(prefs, criterion)
+        _, dev, f = prefs.pop(k)[0]
+        commit(sc, state, k, dev, f)
+        _reprice(sc, state, prefs, k, dev)
 
 
 def commit(sc: Scenario, state: MatchingState, k: int, dev: int, f: float) -> None:
@@ -252,8 +270,8 @@ def redistribute_mec(state: MatchingState, sc: Scenario) -> dict[int, float]:
 
 
 def run(sc: Scenario, criterion: str = "maxtask") -> tuple[Assignment, MatchingState]:
-    """Full heuristic: local seeding, ordered matching loop, capacity top-up,
-    prune."""
+    """Full heuristic: the opening, the first lists, `complete`, the
+    edge-server top-up, `prune`."""
     if criterion not in CRITERIA:
         raise UnknownAlgorithm(f"matching criterion {criterion!r}")
     bounds = feasibility_bounds(sc)
@@ -262,16 +280,7 @@ def run(sc: Scenario, criterion: str = "maxtask") -> tuple[Assignment, MatchingS
     memo = vars(sc)                     # the first lists, priced at the seeded budgets
     if "_prefs" not in memo:
         memo["_prefs"] = build_preferences(sc, state, bounds)
-    prefs = memo["_prefs"]              # the loop's filter makes the run's own dict
-    while True:
-        prefs = {k: entries for k, entries in prefs.items() if entries}  # empty: gave up
-        if not prefs:
-            break
-        k = next_task(prefs, criterion)
-        _, dev, f = prefs.pop(k)[0]
-        commit(sc, state, k, dev, f)
-        _reprice(sc, state, prefs, k, dev)
-
+    complete(sc, state, memo["_prefs"], criterion)
     freqs = redistribute_mec(state, sc)
     asg = make_assignment(sc, prune(sc, state.omega, freqs)[0], freqs)
     state.overhead = overhead(sc.n, n_h, sum(d == 0 for d in asg.target.values()))

@@ -72,11 +72,7 @@ def decision_maps(sc: Scenario, bounds: FeasibilityBounds):
     """Yield every decision map honouring the static windows, as
     {task: device} dicts with unassigned tasks absent.  The number of maps
     is the product over tasks of (1 + number of admissible devices)."""
-    options = []
-    for i in range(1, sc.n + 1):
-        opts: list[int | None] = [None]
-        opts += [d for d in range(sc.n + 1) if not bounds.blocked[i - 1, d]]
-        options.append(opts)
+    options = [[None, *devices] for devices in bounds.pairs.devices]
     for combo in itertools.product(*options):
         yield {i + 1: d for i, d in enumerate(combo) if d is not None}
 

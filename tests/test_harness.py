@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 
@@ -321,6 +322,92 @@ def test_generated_cells_stay_within_the_drop_bound(n, seed, f0_exp, w, phi0,
         sc = gen(n=n, seed=seed, f0_max=10.0 ** f0_exp, w=w, phi0=phi0,
                  pathloss_exponent=pathloss_exponent, pathloss_ref_gain=10.0 ** ref_gain_exp)
     except CoopMecError:
+        return
+    ceiling = sc.arrays.circuit + sc.arrays.penalty_total
+    for algo in ALGORITHMS:
+        try:
+            asg, _ = run_algorithm(sc, algo)
+        except CoopMecError:
+            continue
+        assert validate_constraints(sc, asg) == []
+        assert math.isfinite(asg.cost.total)
+        assert asg.cost.total <= ceiling * (1.0 + 1e-9)
+
+
+def price_scaled(sc, c):
+    """sc with every task's penalty and power price multiplied by c."""
+    tasks = tuple(dataclasses.replace(t, penalty=c * t.penalty, power_price=c * t.power_price)
+                  for t in sc.tasks)
+    return dataclasses.replace(sc, tasks=tasks)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1), f0_max=st.floats(5e9, 8e9),
+       steep=st.booleans(), c=st.sampled_from([2.0 ** -10, 2.0, 2.0 ** 10]))
+@example(n=20, seed=0, f0_max=6e9, steep=False, c=2.0 ** -10)
+@example(n=20, seed=1, f0_max=8e9, steep=True, c=2.0 ** 10)
+def test_price_scaling_keeps_every_map_and_scales_the_cost(n, seed, f0_max, steep, c):
+    # a metamorphic relation: every price of the cost times a power of two
+    # multiplies each term exactly and must leave each solver's choices as
+    # they are.  icrbi keeps it because its settle threshold is relative and
+    # its preconditioners scale with the prices
+    sc = gen(n=n, seed=seed, f0_max=f0_max,
+             **(dict(pathloss_exponent=4.5, pathloss_ref_gain=1e-2) if steep else {}))
+    scaled = price_scaled(sc, c)
+    for algo in ALGORITHMS:
+        want, _ = run_algorithm(sc, algo)
+        got, _ = run_algorithm(scaled, algo)
+        assert got.target == want.target
+        assert got.cost.reduced == c * want.cost.reduced
+        assert got.cost.total == c * want.cost.total
+
+
+def _log_range(lo_exp, hi_exp):
+    """(lo, hi) ranges with both ends log-uniform over 10**[lo_exp, hi_exp]."""
+    ends = st.tuples(st.floats(lo_exp, hi_exp), st.floats(lo_exp, hi_exp))
+    return ends.map(lambda e: (10.0 ** min(e), 10.0 ** max(e)))
+
+
+ANY_RANGE = st.one_of(st.tuples(st.floats(), st.floats()), _log_range(-320.0, 300.0))
+# GenConfig's device and task ranges and power-law fields: (the usual draw,
+# the wide one).  Nearly every wide draw ends in a ConfigError, and so did
+# three uniform draws in four over ranges like the usual ones
+GEN_FIELDS = dict(
+    p_max_dbm=(st.tuples(st.floats(20.0, 50.0), st.floats(0.0, 20.0))
+               .map(lambda t: (t[0], t[0] + t[1])),
+               st.tuples(st.floats(-400.0, 400.0), st.floats(-400.0, 400.0))),
+    data_bits=(_log_range(3.0, 8.0), ANY_RANGE),
+    cycles=(_log_range(2.0, 10.0), ANY_RANGE),
+    deadline_s=(_log_range(-3.0, 0.0), ANY_RANGE),
+    f_ue=(_log_range(7.0, 11.0), ANY_RANGE),
+    kappa=(st.floats(-32.0, -22.0).map(lambda e: 10.0 ** e),
+           st.one_of(st.floats(), st.sampled_from([0.0, 5e-324, 1e-310, 1.0]))),
+    nu=(st.floats(1.0, 6.0), st.one_of(st.floats(), st.sampled_from([0.0, 40.0]))),
+    eta=(st.floats(0.01, 1.0), st.floats()),
+    p_cir=(st.floats(0.0, 0.1), st.floats()),
+)
+
+
+@st.composite
+def gen_fields(draw):
+    """Every GEN_FIELDS field from its usual draw, and at most one from its wide one."""
+    fields = {name: draw(usual) for name, (usual, _) in GEN_FIELDS.items()}
+    wide = draw(st.one_of(st.none(), st.sampled_from(sorted(GEN_FIELDS))))
+    if wide is not None:
+        fields[wide] = draw(GEN_FIELDS[wide][1])
+    return fields
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), fields=gen_fields())
+def test_generator_ranges_validate_or_raise(n, seed, fields):
+    # generate raises a ConfigError, or every solver raises a CoopMecError
+    # or returns a validated assignment of finite cost within the drop bound
+    try:
+        sc = gen(n=n, seed=seed, **fields)
+    except ConfigError:
         return
     ceiling = sc.arrays.circuit + sc.arrays.penalty_total
     for algo in ALGORITHMS:

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from conftest import gen, mk_dev, mk_scenario, mk_task
 from coopmec import oracle
 from coopmec.errors import UnknownAlgorithm
-from coopmec.matching import (CRITERIA, build_preferences, commit, local_seed_set,
-                              mec_topup, new_state, next_task, pair_cost,
-                              pair_frequency, prune, redistribute_mec,
-                              residual_window, run)
+from coopmec.matching import (CRITERIA, build_preferences, commit, complete,
+                              local_seed_set, mec_topup, new_state, next_task,
+                              pair_cost, pair_frequency, prune, redistribute_mec,
+                              residual_window, run, seeded_state)
 from coopmec.model import (LN2, assignment_cost, feasibility_bounds,
                            make_assignment, validate_constraints)
 
@@ -271,6 +271,47 @@ def test_run_reprices_the_list_of_an_unmatched_host():
     # that spends the UE's transmit budget, so its whole list must be priced
     # again
     assert assert_run_matches_reference(gen(n=10, seed=32), "minpw") >= 1
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_complete_on_the_opening_is_the_run(criterion):
+    for seed in range(10):
+        sc = gen(n=30, seed=seed)
+        _, want = run(sc, criterion)
+        first = vars(sc)["_prefs"]              # the lists run memoised
+        kept = dict(first)
+        state = seeded_state(sc, feasibility_bounds(sc))
+        complete(sc, state, first, criterion)
+        assert list(state.omega.items()) == list(want.omega.items())
+        assert list(state.freqs.items()) == list(want.freqs.items())
+        assert state.unmatched == want.unmatched
+        assert first == kept                    # the shared lists are not edited
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+@pytest.mark.parametrize("seed", [0, 2, 5])
+def test_complete_commits_only_the_tasks_still_unmatched(criterion, seed):
+    # the state icrbi's repair completes: a few commits made by hand, one of
+    # them on the edge server, then lists for the rest, some of them empty
+    sc = gen(n=12, seed=seed)
+    bounds = feasibility_bounds(sc)
+    state = new_state(sc)
+    server = next(k for k in range(1, sc.n + 1) if pair_frequency(sc, state, k, 0))
+    commit(sc, state, server, 0, pair_frequency(sc, state, server, 0))
+    for k in [k for k in sorted(state.unmatched) if pair_frequency(sc, state, k, k)][:2]:
+        commit(sc, state, k, k, pair_frequency(sc, state, k, k))
+    by_hand = list(state.omega.items()), list(state.freqs.items())
+    prefs = build_preferences(sc, state, bounds)
+    assert set(prefs) == state.unmatched
+    assert any(prefs.values()) and not all(prefs.values())
+    complete(sc, state, prefs, criterion)
+    m = len(by_hand[0])
+    assert (list(state.omega.items())[:m], list(state.freqs.items())[:m]) == by_hand
+    assert set(list(state.omega)[m:]) <= {k for k, e in prefs.items() if e}
+    assert state.unmatched == set(range(1, sc.n + 1)) - set(state.omega)
+    # the tasks left unmatched are exactly those no device fits any more
+    assert not any(build_preferences(sc, state, bounds).values())
+    assert {k for k, e in prefs.items() if not e} <= state.unmatched
 
 
 def test_static_bounds_skip_only_pairs_that_never_fit():
