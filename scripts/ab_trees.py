@@ -17,7 +17,8 @@ floor a B/A ratio must be read against.
     python scripts/ab_trees.py src src --rounds 2          # A/A on this tree
 
 A_SRC and B_SRC are the directories that hold a tree's coopmec package (a
-checkout's src/).  Cell sets, as in scripts/pool_digest.py:
+checkout's src/).  Cell sets, which scripts/pool_digest.py imports from here
+with the outcome line:
     capacity  N=10, server capacity f0_max 5, 6, 7 or 8 GHz
     ratio     n 10, 20 or 30 on the steep-path-loss cell
     large     n 80
@@ -52,6 +53,12 @@ def load_tree(src: str, name: str):
     return {m: importlib.import_module(f"{name}.{m}") for m in ("errors", "harness", "scenario")}
 
 
+def assignment_line(asg) -> str:
+    """An assignment's cost breakdown, map, frequencies and powers as text."""
+    return (f"{asg.cost!r};{sorted(asg.target.items())};{list(asg.f.items())};"
+            f"{list(asg.p_t.items())}")
+
+
 def outcome(tree, sc, algo: str) -> tuple[float, str]:
     """(seconds, outcome line) of one solve."""
     t0 = perf_counter()
@@ -60,8 +67,7 @@ def outcome(tree, sc, algo: str) -> tuple[float, str]:
     except tree["errors"].CoopMecError as exc:
         return perf_counter() - t0, f"error {type(exc).__name__}: {exc}"
     seconds = perf_counter() - t0
-    return seconds, (f"{asg.cost!r};{sorted(asg.target.items())};{list(asg.f.items())};"
-                     f"{list(asg.p_t.items())};{extras['iterations']}")
+    return seconds, f"{assignment_line(asg)};{extras['iterations']}"
 
 
 def one_round(tree, configs: list[dict]) -> tuple[dict[str, list[float]], list[str]]:

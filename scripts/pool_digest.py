@@ -22,7 +22,7 @@ NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" switches it off for
 one process.
 
 The pools are the scenarios of solverbench's workloads, built here with
-GenConfig:
+GenConfig from the cell sets of scripts/ab_trees.py:
     capacity  seeds 0-349, server capacity f0_max 5, 6, 7 and 8 GHz (N=10)
     ratio     seeds 0-549, n 10, 20 and 30 on the steep-path-loss cell
     large     seeds 0-139, n 80
@@ -41,25 +41,16 @@ import sys
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
 
+from ab_trees import CELLS, STEEP, assignment_line
 from coopmec.errors import CoopMecError
 from coopmec.harness import ALGORITHMS, run_algorithm
 from coopmec.oracle import brute_force
 from coopmec.scenario import GenConfig, generate
 
-STEEP = dict(pathloss_exponent=4.5, pathloss_ref_gain=1e-2)
-# pool name -> (number of seeds, generator cells)
-POOLS = {
-    "capacity": (350, [dict(f0_max=f) for f in (5e9, 6e9, 7e9, 8e9)]),
-    "ratio": (550, [dict(n=n, **STEEP) for n in (10, 20, 30)]),
-    "large": (140, [dict(n=80)]),
-}
+# pool name -> number of seeds, over the cells of the same name
+POOLS = {"capacity": 350, "ratio": 550, "large": 140}
 # the oracle pool: (number of seeds, cells) per task count
 ORACLE_POOL = [(60, [dict(n=3), dict(n=3, **STEEP)]), (15, [dict(n=4), dict(n=4, **STEEP)])]
-
-
-def assignment_line(asg) -> str:
-    return (f"{asg.cost!r};{sorted(asg.target.items())};{list(asg.f.items())};"
-            f"{list(asg.p_t.items())}")
 
 
 def outcome(sc, algo: str) -> str:
@@ -118,9 +109,9 @@ def main() -> None:
     print(f"numpy {np.__version__}, X86_V4 dispatch {dispatch}", flush=True)
     limit = math.inf if args.seeds is None else args.seeds
     differ = []
-    for name, (seeds, cells) in POOLS.items():
+    for name, seeds in POOLS.items():
         seeds = min(seeds, limit)
-        digest, pool_differ = pool_digest(seeds, cells)
+        digest, pool_differ = pool_digest(seeds, CELLS[name])
         print(f"{name} seeds 0-{seeds - 1} sha256:{digest}", flush=True)
         differ += pool_differ
     seeds = "/".join(f"0-{min(s, limit) - 1}" for s, _ in ORACLE_POOL)

@@ -167,8 +167,7 @@ class _Kernel:
         self.eta = arr.eta
         # price per radiated watt: inf for an eta near zero (see primal); such
         # a task never uploads, so its relaxed-cost price is 0, not inf * 0
-        with np.errstate(over="ignore"):
-            pa_price = self.w / self.eta
+        pa_price = np.array(arr.upload_price)
         self.pa_price = np.where(pa_price < math.inf, pa_price, 0.0)
         self.p_m = arr.p_m
         nu_d = arr.nu
@@ -236,7 +235,7 @@ class _Kernel:
         for j, wj in enumerate(w.tolist(), 1):
             kj, nj, cap = host_kappa[j], host_nu[j], caps[j]
             try:
-                slope = wj * kj * nj * cap ** (nj - 1.0)
+                slope = arr.cpu_price[j] * nj * cap ** (nj - 1.0)
             except OverflowError:       # a subnormal kappa: cap ** (nu - 1) overflows alone
                 slope = wj * nj * math.exp(math.log(kj) + (nj - 1.0) * math.log(cap))
             self.v_scale[j] = slope if slope > 0 else self.v_scale[0]

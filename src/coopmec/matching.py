@@ -133,8 +133,8 @@ def pair_frequency(sc: Scenario, state: MatchingState, k: int, dev: int) -> floa
     w_k = task.power_price
     if w_k == 0.0:
         return lo                       # only the helper's CPU power matters
-    kappa, nu = sc.arrays.power_law[dev]
-    coeff = sc.arrays.host_price[dev] * kappa * nu * sc.devices[k].eta / w_k
+    nu = sc.arrays.power_law[dev][1]
+    coeff = sc.arrays.cpu_price[dev] * nu * sc.devices[k].eta / w_k
     return balance_root_clamped(task, sc.gains.item(k - 1, dev), sc.bandwidth, sc.noise_w,
                                 nu, coeff, lo, hi)
 
@@ -142,13 +142,12 @@ def pair_frequency(sc: Scenario, state: MatchingState, k: int, dev: int) -> floa
 def pair_cost(sc: Scenario, k: int, dev: int, f: float) -> float:
     """Marginal system cost of accomplishing task k on `dev` at frequency f
     (upload power, host CPU power, minus the avoided drop penalty)."""
-    task = sc.tasks[k - 1]
+    task, arr = sc.tasks[k - 1], sc.arrays
     cost = -task.penalty
     if dev != k:
         u = offload_power(task, sc.gains.item(k - 1, dev), sc.bandwidth, sc.noise_w, f)
-        cost += task.power_price / sc.devices[k].eta * u
-    kappa, nu = sc.arrays.power_law[dev]
-    return cost + sc.arrays.host_price[dev] * kappa * f ** nu
+        cost += arr.upload_price[k - 1] * u
+    return cost + arr.cpu_price[dev] * f ** arr.power_law[dev][1]
 
 
 def prune(sc: Scenario, target: dict[int, int], freqs: dict[int, float]
@@ -252,9 +251,8 @@ def mec_topup(sc: Scenario, mec_freqs: dict[int, float]) -> dict[int, float]:
         return dict(mec_freqs)
     weights = {}
     for k, f in mec_freqs.items():
-        task = sc.tasks[k - 1]
-        u = offload_power(task, sc.gains.item(k - 1, 0), sc.bandwidth, sc.noise_w, f)
-        weights[k] = task.power_price / sc.devices[k].eta * u
+        u = offload_power(sc.tasks[k - 1], sc.gains.item(k - 1, 0), sc.bandwidth, sc.noise_w, f)
+        weights[k] = sc.arrays.upload_price[k - 1] * u
     total = sum(weights.values())
     if total <= 0:
         share = {k: 1.0 / len(mec_freqs) for k in mec_freqs}

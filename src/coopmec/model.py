@@ -361,10 +361,12 @@ class ScenarioArrays(NamedTuple):
     power law, also kept as power_law, a tuple of (kappa, nu) float pairs; it
     is (0.0, 1.0) for the edge server and a UE with kappa 0, which draw no
     CPU power: 0 * f is zero, and their own nu is never raised.  Then f_max,
-    speed_cap (every static window's top) and host_price (a tuple of floats:
-    UE j's power price, 0 for the edge server).  circuit (the priced circuit
-    power of every UE) and penalty_total (the penalty of dropping every
-    task) are the constant terms of the cost.
+    speed_cap (every static window's top) and the cost's two prices, tuples
+    of floats that every cost and marginal price reads: upload_price[i-1] =
+    w_i / eta_i per radiated watt of task i, and cpu_price[j] = w_j * kappa_j
+    per f**nu on host j, kappa_j from power_law (0 for the edge server).
+    circuit (the priced circuit power of every UE) and penalty_total (the
+    penalty of dropping every task) are the constant terms of the cost.
     """
 
     cycles: np.ndarray
@@ -380,7 +382,8 @@ class ScenarioArrays(NamedTuple):
     f_max: np.ndarray
     speed_cap: np.ndarray
     power_law: tuple[tuple[float, float], ...]
-    host_price: tuple[float, ...]
+    upload_price: tuple[float, ...]
+    cpu_price: tuple[float, ...]
     circuit: float
     penalty_total: float
 
@@ -408,7 +411,8 @@ def _scenario_arrays(sc: Scenario) -> ScenarioArrays:
         eta=_array([d.eta for d in ues]), p_m=_array([d.p_m for d in ues]),
         kappa=_array(kappa), nu=_array(nu), f_max=_array([d.f_max for d in devices]),
         speed_cap=_array([speed_cap(d.f_max, d.p_m, *dl) for d, dl in zip(devices, law)]),
-        power_law=law, host_price=(0.0, *(t.power_price for t in tasks)),
+        power_law=law, upload_price=tuple(t.power_price / devices[t.id].eta for t in tasks),
+        cpu_price=(0.0, *(t.power_price * law[t.id][0] for t in tasks)),
         circuit=sum(t.power_price * devices[t.id].p_cir for t in tasks),
         penalty_total=sum(t.penalty for t in tasks))
 
@@ -546,8 +550,8 @@ def assignment_cost(sc: Scenario, target, freqs) -> tuple[CostBreakdown, dict[in
     """Cost breakdown of a (target, frequency) choice; also returns the
     delay-tight transmit powers implied for the offloaded tasks.  Transmit and
     compute add up in task order, the avoided penalties in `target` order."""
-    tasks, devices, gain, law = sc.tasks, sc.devices, sc.gains.item, sc.arrays.power_law
-    bandwidth, noise_w, price = sc.bandwidth, sc.noise_w, sc.arrays.host_price
+    tasks, gain, arr = sc.tasks, sc.gains.item, sc.arrays
+    bandwidth, noise_w, law = sc.bandwidth, sc.noise_w, arr.power_law
     transmit = 0.0
     compute = 0.0
     p_t: dict[int, float] = {}
@@ -558,11 +562,9 @@ def assignment_cost(sc: Scenario, target, freqs) -> tuple[CostBreakdown, dict[in
         if dev != task.id:
             power = offload_power(task, gain(task_id - 1, dev), bandwidth, noise_w, f)
             p_t[task_id] = power
-            transmit += task.power_price / devices[task.id].eta * power
-        kappa, nu = law[dev]
-        compute += price[dev] * kappa * f ** nu
-    circuit = sc.arrays.circuit
-    penalty_all = sc.arrays.penalty_total
+            transmit += arr.upload_price[task_id - 1] * power
+        compute += arr.cpu_price[dev] * f ** law[dev][1]
+    circuit, penalty_all = arr.circuit, arr.penalty_total
     saved = sum(tasks[i - 1].penalty for i in target)
     total = transmit + compute + circuit + (penalty_all - saved)
     reduced = transmit + compute - saved

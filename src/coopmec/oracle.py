@@ -31,7 +31,7 @@ def non_cope(sc: Scenario) -> Assignment:
     point.  The server requests go through the decentralized scheme's
     admission (cheapest frequency first, leftover capacity spread back over
     the admitted uploads); losers fall back to local when they can."""
-    bounds = feasibility_bounds(sc)
+    bounds, arr = feasibility_bounds(sc), sc.arrays
     target: dict[int, int] = {}
     freqs: dict[int, float] = {}
     requests: list[int] = []
@@ -44,10 +44,9 @@ def non_cope(sc: Scenario) -> Assignment:
         if mec_open[i - 1]:
             f_req = f_mec[i - 1]
             u = offload_power(task, sc.gains.item(i - 1, 0), sc.bandwidth, sc.noise_w, f_req)
-            mec_cost = task.power_price / sc.devices[i].eta * u
-            kappa, nu = sc.arrays.power_law[i]
+            mec_cost = arr.upload_price[i - 1] * u
             # priced only when open: a blocked local f_min ** nu can overflow
-            if not local_ok or mec_cost < task.power_price * kappa * task.f_min ** nu:
+            if not local_ok or mec_cost < arr.cpu_price[i] * task.f_min ** arr.power_law[i][1]:
                 requests.append(i)
                 continue
         if local_ok:
@@ -130,7 +129,7 @@ def _grid_min(sc: Scenario, bounds: FeasibilityBounds, pairs: tuple):
     g, passes = _grid_plan(dims)
     col = {k: c for c, (k, _) in enumerate(pairs)}
     hosts = sorted({d for _, d in pairs})
-    law, price = sc.arrays.power_law, sc.arrays.host_price
+    law, upload, cpu = sc.arrays.power_law, sc.arrays.upload_price, sc.arrays.cpu_price
     slack = 1.0 + CHECK_TOL
 
     best_cost = math.inf
@@ -164,10 +163,10 @@ def _grid_min(sc: Scenario, bounds: FeasibilityBounds, pairs: tuple):
                 u = offload_power_vec(task.cycles, task.bits, task.deadline,
                                       sc.gains.item(k - 1, d), sc.bandwidth, sc.noise_w,
                                       F[:, c])
-                cost += task.power_price / sc.devices[k].eta * u
-            if price[d] * law[d][0]:                # else 0, even where F ** nu overflows
+                cost += upload[k - 1] * u
+            if cpu[d]:                              # else 0, even where F ** nu overflows
                 with np.errstate(over="ignore"):    # a price past the float limit prices out
-                    cost += price[d] * law[d][0] * F[:, c] ** law[d][1]
+                    cost += cpu[d] * F[:, c] ** law[d][1]
         cost = np.where(feas, cost, np.inf)
         i = int(np.argmin(cost))
         if cost[i] < best_cost:

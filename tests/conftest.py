@@ -89,7 +89,7 @@ def reference_assignment_cost(sc: Scenario, target, freqs
             transmit += task.power_price / sc.devices[task.id].eta * power
         if dev > 0:                     # edge-server compute is free
             host = sc.devices[dev]
-            compute += sc.arrays.host_price[dev] * host.kappa * f ** host.nu
+            compute += sc.tasks[dev - 1].power_price * host.kappa * f ** host.nu
     circuit = sc.arrays.circuit
     penalty_all = sc.arrays.penalty_total
     saved = sum(sc.tasks[i - 1].penalty for i in target)

@@ -363,6 +363,26 @@ def test_price_scaling_keeps_every_map_and_scales_the_cost(n, seed, f0_max, stee
         assert got.cost.total == c * want.cost.total
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=208, deadline=None, derandomize=True)
+@given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1), f0_max=st.floats(5e9, 8e9),
+       steep=st.booleans())
+def test_placed_marginal_prices_add_up_to_the_reduced_cost(n, seed, f0_max, steep):
+    # matching.prune prices each placement at its marginal cost (pair_cost),
+    # which matching ranks by and icrbi sums to choose between its two
+    # repaired maps: on a returned assignment the prune keeps every
+    # placement, and the sum is the reduced cost up to the order of additions
+    sc = gen(n=n, seed=seed, f0_max=f0_max,
+             **(dict(pathloss_exponent=4.5, pathloss_ref_gain=1e-2) if steep else {}))
+    for algo in ALGORITHMS:
+        asg, _ = run_algorithm(sc, algo)
+        kept, placed = matching.prune(sc, asg.target, asg.f)
+        assert kept == asg.target
+        c = asg.cost
+        scale = sc.arrays.penalty_total + c.transmit + c.compute
+        assert abs(placed - c.reduced) <= 1e-12 * scale
+
+
 def _log_range(lo_exp, hi_exp):
     """(lo, hi) ranges with both ends log-uniform over 10**[lo_exp, hi_exp]."""
     ends = st.tuples(st.floats(lo_exp, hi_exp), st.floats(lo_exp, hi_exp))
