@@ -10,7 +10,8 @@ in shuffled order.  For each solver the script prints the median over rounds
 of the B/A ratio of the round's p50 and p90 solve time, with its quartiles
 and the number of rounds in which B was faster.  It exits 1 if any solve
 outcome (cost, map, frequencies, powers, iterations or error) differs
-between the trees.  Given the same tree twice it is an A/A run: the noise
+between the trees; for icrbi that includes its stop reason and its
+per-iteration trace.  Given the same tree twice it is an A/A run: the noise
 floor a B/A ratio must be read against.
 
     python scripts/ab_trees.py A_SRC B_SRC [--cells large] [--rounds 20] [--scenarios 20]
@@ -18,7 +19,7 @@ floor a B/A ratio must be read against.
 
 A_SRC and B_SRC are the directories that hold a tree's coopmec package (a
 checkout's src/).  Cell sets, which scripts/pool_digest.py imports from here
-with the outcome line:
+with outcome_line and assignment_line:
     capacity  N=10, server capacity f0_max 5, 6, 7 or 8 GHz
     ratio     n 10, 20 or 30 on the steep-path-loss cell
     large     n 80
@@ -59,6 +60,17 @@ def assignment_line(asg) -> str:
             f"{list(asg.p_t.items())}")
 
 
+def outcome_line(algo: str, asg, extras: dict) -> str:
+    """A solve's outcome as text: its assignment_line and iteration count,
+    and for icrbi its stop reason and per-iteration trace."""
+    line = f"{assignment_line(asg)};{extras['iterations']}"
+    if algo == "icrbi":
+        trace = extras["trace"]
+        line += (f";{trace.termination};{trace.reduced_cost};{trace.num_assigned};"
+                 f"{trace.mu_norm};{trace.v_norm}")
+    return line
+
+
 def outcome(tree, sc, algo: str) -> tuple[float, str]:
     """(seconds, outcome line) of one solve."""
     t0 = perf_counter()
@@ -67,7 +79,7 @@ def outcome(tree, sc, algo: str) -> tuple[float, str]:
     except tree["errors"].CoopMecError as exc:
         return perf_counter() - t0, f"error {type(exc).__name__}: {exc}"
     seconds = perf_counter() - t0
-    return seconds, f"{assignment_line(asg)};{extras['iterations']}"
+    return seconds, outcome_line(algo, asg, extras)
 
 
 def one_round(tree, configs: list[dict]) -> tuple[dict[str, list[float]], list[str]]:

@@ -2,13 +2,14 @@
 """One sha256 per benchmark scenario pool over every solver outcome.
 
 For each pool, every scenario is solved by all five algorithms, and each
-(scenario, algorithm) outcome is hashed as one line: the cost breakdown's
-repr, the target, the frequencies, the transmit powers and the iteration
-count, plus icrbi's stop reason and its per-iteration trace; a solve that
-raises a CoopMecError hashes its error instead.  A fourth digest, oracle,
-hashes oracle.brute_force's outcome alike on the small cells the benchmark
-checks the solvers against it on.  A change that claims byte-identical
-outputs must print the same digests before and after.
+(scenario, algorithm) outcome is hashed as one line, scripts/ab_trees.py's
+outcome_line: the cost breakdown's repr, the target, the frequencies, the
+transmit powers and the iteration count, plus icrbi's stop reason and its
+per-iteration trace; a solve that raises a CoopMecError hashes its error
+instead.  A fourth digest, oracle, hashes oracle.brute_force's outcome
+alike on the small cells the benchmark checks the solvers against it on.
+A change that claims byte-identical outputs must print the same digests
+before and after.
 
 Each pool scenario is also solved again, on a fresh instance and in reverse
 algorithm order.  The script exits non-zero if any outcome of that pass
@@ -41,7 +42,7 @@ import sys
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
 
-from ab_trees import CELLS, STEEP, assignment_line
+from ab_trees import CELLS, STEEP, assignment_line, outcome_line
 from coopmec.errors import CoopMecError
 from coopmec.harness import ALGORITHMS, run_algorithm
 from coopmec.oracle import brute_force
@@ -59,12 +60,7 @@ def outcome(sc, algo: str) -> str:
         asg, extras = run_algorithm(sc, algo)
     except CoopMecError as exc:
         return f"error {type(exc).__name__}: {exc}"
-    line = f"{assignment_line(asg)};{extras['iterations']}"
-    trace = extras["trace"]
-    if algo == "icrbi":
-        line += (f";{trace.termination};{trace.reduced_cost};{trace.num_assigned};"
-                 f"{trace.mu_norm};{trace.v_norm}")
-    return line
+    return outcome_line(algo, asg, extras)
 
 
 def pool_digest(seeds: int, cells: list[dict]) -> tuple[str, list[str]]:

@@ -18,25 +18,37 @@ cached enumeration of the open pairs (FeasibilityBounds.pairs), as a flat
 list of float rows (a few percent of all (task, device) pairs on a default
 cell), computes every term that does not depend on the multipliers once
 per solve, and holds an iterate as one host per task (local, the server,
-one helper, or none: dropped).  The local test runs on arrays over all
-tasks; a task whose local option lost and that has no remote pair is
-dropped at once, and only the pairs of the other tasks whose local option
-lost (the live pairs) are walked, once, on plain floats: screened at their
-window ends, root-solved where the screen leaves them open
-(model.balance_root, the safeguarded Newton that matching uses too) and
-priced on the spot with inline copies of U and U' (offload_power's U bit
-for bit; a U' that squares T f - c as a product, not a power, so it can
-differ from offload_power_derivs in the last bit).  The other pairs keep
-their previous stationary frequencies (the window midpoint before the first
-solve), which warm-start the root once the task's local option loses; a
-pair solved from such a stale start ends at the same root to within the
-root tolerance, not always bit for bit.  A task whose effective power price
-w_i + mu_i is zero stays at the lower end of each window.  The priced pair
-cost is convex in f, so the clamped stationary frequency is its minimum
-over the window: each iteration prices a pair once, there, and the
-committed pairs' upload and hosted CPU power come from those same values.
-The edge server's compute is free, as is a kappa-0 UE's, so their hosted
-power is zero.
+one helper, or none: dropped).  The dual loop runs on Python floats: the
+prices and each iterate are lists, because at N=10 a numpy call costs more
+than the arithmetic it does.  Set-up sorts each task once, at zero prices.
+The priced local cost is a sum of products of nonnegative factors and the
+prices, so it only rises with them: a task whose local run loses at zero
+prices loses at every price and is walked over its remote pairs every
+iteration, or, with none, never visited (medians over 30 seeds: 6 of 10
+tasks on the default N=10 cell, 42.5 of 80 at N=80, 21 of 30 on the
+steep-path-loss N=30 cell).  A task whose local run wins there is tested at
+every iteration, and walked once it loses.  A pair walked (a live pair)
+is visited once per iteration, on plain floats: screened at its window
+ends, root-solved where the screen leaves it open (model.balance_root, the
+safeguarded Newton that matching uses too) and priced on the spot with
+inline copies of U and U' (offload_power's U bit for bit; a U' that
+squares T f - c as a product, not a power, so it can differ from
+offload_power_derivs in the last bit).  The other pairs keep their previous
+stationary frequencies (the window midpoint before the first solve), which
+warm-start the root once the task's local option loses; a pair solved from
+such a stale start ends at the same root to within the root tolerance, not
+always bit for bit.  A task whose effective power price w_i + mu_i is zero
+stays at the lower end of each window.  The priced pair cost is convex in
+f, so the clamped stationary frequency is its minimum over the window: each
+iteration prices a pair once, there, and the committed pairs' upload and
+hosted CPU power come from those same values.  The edge server's compute is
+free, as is a kappa-0 UE's, so their hosted power is zero.  The dual step
+moves the server and only the UEs that host a guest, upload their own task
+or carry a price; every other UE keeps zero prices, once set-up has checked
+that its idle and own-local subgradients are <= 0.  Its per-host sums run
+in task order, as np.bincount adds them.  Set-up's U' and power columns and
+the relaxed cost's sums (numpy's pairwise sum) stay on numpy, and the
+trace's norms on BLAS, so every output keeps its bits.
 
 The relaxed iterate may violate capacity, so the final decision map is
 re-committed through the matching module's residual-budget subproblem
@@ -56,7 +68,9 @@ Management Science 1981).  Both rule-based stops count as converged.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -129,19 +143,20 @@ class IcrbiTrace:
 
 
 class _Usage(NamedTuple):
-    """The iterate as primal priced it, one entry per task: the host device
-    (-1 for a dropped task), its frequency, its upload power U(x) (zero when
-    local) and its hosted CPU power kappa * x**nu (zero at the edge server);
-    a dropped task has all three at zero."""
+    """The iterate as primal priced it, one list entry per task: the host
+    device (-1 for a dropped task), its frequency, its upload power U(x)
+    (zero when local) and its hosted CPU power kappa * x**nu (zero at the
+    edge server); a dropped task has all three at zero."""
 
-    dev: np.ndarray
-    freq: np.ndarray
-    transmit: np.ndarray
-    hosted: np.ndarray
+    dev: list[int]
+    freq: list[float]
+    transmit: list[float]
+    hosted: list[float]
 
 
 class _Kernel:
-    """Per-iteration primal/dual maths over the admissible remote pairs.
+    """Per-iteration primal/dual maths over the admissible remote pairs, on
+    Python floats.
 
     Only a valid pair (task i, device j != i) has a stationary frequency, so
     those pairs are kept as a flat list, in task order and, within a task,
@@ -149,11 +164,26 @@ class _Kernel:
     row holds the pair's dual-independent constants as plain floats (its
     host, curve inputs and power law, its window, U' at both window ends and
     the window ends raised to nu - 1), gathered once, here.  Each iterate
-    sends a task to one host at most, so primal returns it as per-task
-    vectors (_Usage), and the dual step and the relaxed cost reduce those.
-    The dual iterate is a pair of nonnegative prices in raw objective units:
+    sends a task to one host at most, so primal returns it as per-task lists
+    (_Usage), and the dual step and the relaxed cost reduce those.  The dual
+    iterate is a pair of lists of nonnegative prices in raw objective units:
     mu[i-1] adds to UE i's per-watt price w_i for its power budget, v[j]
-    prices device j's CPU capacity per cycle/s.
+    prices device j's CPU capacity per cycle/s.  The U' and power columns,
+    the local runs' f_min**nu and the relaxed cost's sums stay on numpy:
+    numpy's power and pairwise sum can differ from Python's ** and a running
+    sum in the last bit, and every output keeps its bits.
+
+    Set-up sorts the tasks once, at zero prices, into `visit`: each task
+    whose local run wins there (with its local terms, tested at every call)
+    and each other task that has a remote pair (walked over its pairs at
+    every call).  The priced local cost is a sum of products of nonnegative
+    factors and the prices mu_i and v_i, so it only rises with them: a task
+    in neither class is dropped at every price and never visited.  A UE
+    that hosts no guest, uploads no task of its own and carries zero prices
+    is idle or runs its own task locally; set-up checks once that both of
+    those subgradients are <= 0, and dual_step then leaves its prices at
+    zero without visiting it.  A UE that fails the check (`restless`) is
+    stepped every time.
     """
 
     def __init__(self, sc: Scenario, bounds: FeasibilityBounds):
@@ -162,32 +192,19 @@ class _Kernel:
         self.bandwidth = sc.bandwidth
         self.noise_w = sc.noise_w
         arr = sc.arrays
-        self.phi = arr.penalty
-        self.w = arr.power_price
-        self.eta = arr.eta
+        w = arr.power_price
+        self.phi, self.w, self.eta, self.p_m, self.fmax_d = (
+            a.tolist() for a in (arr.penalty, w, arr.eta, arr.p_m, arr.f_max))
         # price per radiated watt: inf for an eta near zero (see primal); such
         # a task never uploads, so its relaxed-cost price is 0, not inf * 0
-        pa_price = np.array(arr.upload_price)
-        self.pa_price = np.where(pa_price < math.inf, pa_price, 0.0)
-        self.p_m = arr.p_m
+        self.pa_price = [p if p < math.inf else 0.0 for p in arr.upload_price]
         nu_d = arr.nu
-        self.fmax_d = arr.f_max
-        self.host_w = np.concatenate([[0.0], self.w])      # compute price per device
-        self.own = np.arange(1, n + 1)                  # each task's own UE
-        self.local_ok = ~np.diagonal(bounds.blocked, 1)
-        self.f_min = arr.f_min
-        # a blocked local pair is never priced, whatever its kappa, f_min or nu
-        self.own_kappa = np.where(self.local_ok, arr.kappa[self.own], 0.0)
-        self.fmin_nu = np.where(self.local_ok, self.f_min, 0.0) ** nu_d[self.own]
-        # a local run's frequency, upload power and hosted CPU power
-        self.local_terms = np.array([self.f_min, np.zeros(n), self.fmin_nu * self.own_kappa])
+        self.host_w = [0.0, *self.w]                    # compute price per device
 
         pairs = bounds.pairs
         remote = pairs.cols != pairs.rows + 1                           # off the own UE
         ri, rj = pairs.rows[remote], pairs.cols[remote]
-        starts = np.searchsorted(ri, np.arange(n + 1))
-        self.starts = starts.tolist()
-        self.remote_ok = starts[1:] > starts[:-1]       # the tasks with a remote pair
+        self.starts = starts = np.searchsorted(ri, np.arange(n + 1)).tolist()
         curve = (arr.cycles[ri], arr.bits[ri], arr.deadline[ri], sc.gains[ri, rj])
         # each pair's host power law: a host that no pair reaches is never
         # priced, however large its kappa
@@ -216,57 +233,79 @@ class _Kernel:
         # price gives a slope (every task's w_i = 0), the server's scale falls
         # back to the mean penalty per cycle/s of its capacity: a unit scale
         # there would make the first step price every hosted task out at once.
-        w = self.w
-        self.mu_scale = np.where(w > 0, w, 1.0)
-        self.v_scale = np.ones(n + 1)
+        self.mu_scale = mu_scale = [wi if wi > 0 else 1.0 for wi in self.w]
+        self.v_scale = v_scale = [1.0] * (n + 1)
         # inf for a subnormal capacity, as for a UE below: such a server
         # opens no pair and carries no load (see dual_step)
         with np.errstate(over="ignore"):
-            self.v_scale[0] = np.mean(self.phi) / sc.devices[0].f_max
+            v_scale[0] = float(np.mean(arr.penalty) / sc.devices[0].f_max)
         srv = rj == 0
         if srv.any():
-            slope = float((pa_price[ri[srv]] * np.abs(du_hi[srv])).mean())
+            slope = float((np.array(arr.upload_price)[ri[srv]] * np.abs(du_hi[srv])).mean())
             if math.isfinite(slope) and slope > 0:
-                self.v_scale[0] = slope
+                v_scale[0] = slope
         # Python's **, which numpy's power can differ from in the last bit.  A
         # slope overflows only for a kappa near the float limit, whose speed
         # cap opens no window: the host carries no load (see dual_step)
         host_kappa, host_nu, caps = arr.kappa.tolist(), nu_d.tolist(), arr.speed_cap.tolist()
-        for j, wj in enumerate(w.tolist(), 1):
+        for j, wj in enumerate(self.w, 1):
             kj, nj, cap = host_kappa[j], host_nu[j], caps[j]
             try:
                 slope = arr.cpu_price[j] * nj * cap ** (nj - 1.0)
             except OverflowError:       # a subnormal kappa: cap ** (nu - 1) overflows alone
                 slope = wj * nj * math.exp(math.log(kj) + (nj - 1.0) * math.log(cap))
-            self.v_scale[j] = slope if slope > 0 else self.v_scale[0]
+            v_scale[j] = slope if slope > 0 else v_scale[0]
+
+        # the task classes and the restless UEs, with primal's and dual_step's
+        # own expressions at zero prices.  A local run's frequency is f_min
+        # (the priced local cost rises with f) and its hosted CPU power
+        # kappa * f_min**nu; a blocked local pair is never priced
+        local_ok = ~np.diagonal(bounds.blocked, 1)
+        own_kappa = np.where(local_ok, arr.kappa[1:], 0.0)
+        fmin_nu = np.where(local_ok, arr.f_min, 0.0) ** nu_d[1:]
+        ue_rows = zip(self.w, self.phi, mu_scale, self.eta, self.p_m, v_scale[1:],
+                      self.fmax_d[1:], local_ok.tolist(), own_kappa.tolist(), fmin_nu.tolist(),
+                      arr.f_min.tolist(), (fmin_nu * own_kappa).tolist(), starts, starts[1:])
+        self.visit, self.restless = [], []
+        for i, (wi, phi, ms, eta, pm, vs, cap, ok, kappa_i, fmin_nu_i, f_min, hosted, first,
+                end) in enumerate(ue_rows):
+            calm = ms * (0.0 / eta + 0.0 - pm) / pm <= 0.0 and vs * (0.0 - cap) / cap <= 0.0
+            local = None
+            if ok and (wi + 0.0) * kappa_i * fmin_nu_i + 0.0 * f_min - phi <= 0.0:
+                local = (kappa_i, fmin_nu_i, f_min, hosted)
+                calm = (calm and ms * (0.0 / eta + (0.0 + hosted) - pm) / pm <= 0.0
+                        and vs * ((0.0 + f_min) - cap) / cap <= 0.0)
+            if local is not None or first < end:
+                self.visit.append((i, local))
+            if not calm:
+                self.restless.append(i + 1)
 
     def primal(self, mu, v, warm=None):
         """One exact minimisation of the priced objective.
 
         Returns (use, gamma): each task's host with its frequency and power
         terms, and the per-pair stationary frequencies as a list, which
-        warm-starts the next call.  Only the live pairs are solved and
-        priced, in one pass on floats; the rest keep the gamma of `warm` (the
-        window midpoint on the first call).  U at gamma is offload_power's
-        expression, so a committed upload is the cost model's."""
-        # local execution: the priced cost is increasing in f, so f_min is enough.
-        # A price near the float limit saturates to inf and prices the local
-        # run out; inf * 0 at a blocked local pair (own_kappa 0) is NaN, which loses too
-        with np.errstate(over="ignore", invalid="ignore"):
-            wi_eff = self.w + mu
-            lam_local = wi_eff * self.own_kappa * self.fmin_nu + v[1:] * self.f_min - self.phi
-        take_local = self.local_ok & (lam_local <= 0.0)
-        terms = np.where(take_local, self.local_terms, 0.0)
-        use = _Usage(np.where(take_local, self.own, -1), *terms)
+        warm-starts the next call.  Only the live pairs (those of the visited
+        tasks whose local run lost) are solved and priced, in one pass on
+        floats; the rest keep the gamma of `warm` (the window midpoint on the
+        first call).  U at gamma is offload_power's expression, so a committed
+        upload is the cost model's."""
+        n = self.n
+        dev, freq, transmit, hosted = [-1] * n, [0.0] * n, [0.0] * n, [0.0] * n
         gamma = list(self.mid if warm is None else warm)
-        # the tasks whose local option lost and that have a remote pair
-        tasks = np.flatnonzero(self.remote_ok > take_local).tolist()
-        wi, eta, vj, phi = wi_eff.tolist(), self.eta.tolist(), v.tolist(), self.phi.tolist()
+        wi = [a + b for a, b in zip(self.w, mu)]
         wh = [0.0, *wi]                                 # compute price per host
+        eta, phi = self.eta, self.phi
         rows, starts, bw, noise = self.rows, self.starts, self.bandwidth, self.noise_w
         ln2_bw, noise_ln2, cap = LN2 / bw, noise * LN2, EXP_CAP
-        picks = []
-        for i in tasks:
+        for i, local in self.visit:
+            if local is not None:
+                # a price near the float limit saturates to inf and prices the
+                # local run out, as does the NaN of inf * 0
+                k, fn, f_min, local_hosted = local
+                if wi[i] * k * fn + v[i + 1] * f_min - phi[i] <= 0.0:
+                    dev[i], freq[i], hosted[i] = i + 1, f_min, local_hosted
+                    continue
             # free power (w_i + mu_i = 0) leaves the priced pair cost
             # non-decreasing in f: gamma stays at lo
             fixed = wi[i] == 0.0
@@ -279,7 +318,7 @@ class _Kernel:
                 # g = U' + c1 * f**(nu-1) + c2 increases in f: a pair sits at
                 # lo when g(lo) >= 0, at hi when g(hi) <= 0, else at the root,
                 # started from its warm start clipped just inside the window
-                c1, c2 = knu * wh[j] * r, vj[j] * r
+                c1, c2 = knu * wh[j] * r, v[j] * r
                 if fixed or not du_lo + c1 * lo_nu1 + c2 < 0.0:
                     g = lo
                 elif du_hi + c1 * hi_nu1 + c2 <= 0.0:
@@ -297,51 +336,87 @@ class _Kernel:
                 x = ln2_bw * bits * g / denom if denom > 0.0 else math.inf
                 u = math.inf if x > cap else noise / gain * math.expm1(x)
                 g_nu = g ** nu
-                lam = pi * u + wh[j] * kappa * g_nu + vj[j] * g - phi_i
+                lam = pi * u + wh[j] * kappa * g_nu + v[j] * g - phi_i
                 if lam <= 0.0:                  # so u is finite: denom > 0, x <= cap
                     sq = denom * denom
                     du = (noise_ln2 / (bw * gain) * math.exp(x) * (-bits * cyc / sq)
                           if sq != 0.0 else -math.inf)
                     c = pi * (u - g * du)
                     if best is None or c < least or (least != least and c == c):
-                        best, least = (i, j, g, u, g_nu * kappa), c
+                        best, least = (j, g, u, g_nu * kappa), c
             if best is not None:
-                picks.append(best)
-        if picks:
-            task, dev, *chosen = zip(*picks)
-            task = np.array(task)
-            use.dev[task], terms[:, task] = dev, chosen
-        return use, gamma
+                dev[i], freq[i], transmit[i], hosted[i] = best
+        return _Usage(dev, freq, transmit, hosted), gamma
 
     def dual_step(self, mu, v, use: _Usage, s: float):
         """Projected, preconditioned subgradient step of size s; returns the
-        next (mu, v)."""
-        transmit_in = use.transmit / self.eta          # PA input watts
-        host = use.dev + 1                              # 0 for a dropped task
-        compute_w = np.bincount(host, use.hosted, self.n + 2)[2:]
-        load = np.bincount(host, use.freq, self.n + 2)[1:]
+        next (mu, v).  Only the server and the UEs that host a guest, upload
+        their own task, carry a price or are restless are stepped; every
+        other UE keeps zero prices (see the class docstring)."""
+        n, dev, freq, hosted = self.n, use.dev, use.freq, use.hosted
+        # the UEs stepped: the restless, those that carry a price (a NaN
+        # too), and below those that host a guest or upload their own task
+        moved = set(self.restless)
+        moved.update(compress(range(1, n + 1), mu))
+        moved.update(compress(range(n + 1), v))
+        # per-host sums in task order, as np.bincount adds them
+        load, compute_w = [0.0] * (n + 1), [0.0] * (n + 1)
+        for i, _ in self.visit:
+            d = dev[i]
+            if d >= 0:
+                load[d] += freq[i]
+                if d:
+                    compute_w[d] += hosted[i]
+                if d != i + 1:
+                    moved.add(i + 1)
+                    moved.add(d)
+        mu_next, v_next = [0.0] * n, [0.0] * (n + 1)
+        moved.discard(0)
         # -inf for a scale near the float limit (no load, see __init__): v stays 0.
-        # A power price near it saturates mu: inf prices UE i out of every option
-        with np.errstate(over="ignore"):
-            g_mu = self.mu_scale * (transmit_in + compute_w - self.p_m) / self.p_m
-            g_v = self.v_scale * (load - self.fmax_d) / self.fmax_d
-        return np.maximum(0.0, mu + s * g_mu), np.maximum(0.0, v + s * g_v)
+        # A power price near it saturates mu: inf prices UE i out of every option.
+        # A NaN price stays NaN, as np.maximum keeps it
+        fm = self.fmax_d[0]
+        x = v[0] + s * (self.v_scale[0] * (load[0] - fm) / fm)
+        v_next[0] = 0.0 if x < 0.0 else x
+        mu_scale, v_scale, eta, p_m, fmax = (self.mu_scale, self.v_scale, self.eta, self.p_m,
+                                             self.fmax_d)
+        transmit = use.transmit
+        for j in moved:
+            i = j - 1
+            pm, fm = p_m[i], fmax[j]
+            x = mu[i] + s * (mu_scale[i] * (transmit[i] / eta[i] + compute_w[j] - pm) / pm)
+            mu_next[i] = 0.0 if x < 0.0 else x
+            x = v[j] + s * (v_scale[j] * (load[j] - fm) / fm)
+            v_next[j] = 0.0 if x < 0.0 else x
+        return mu_next, v_next
 
     def reduced_cost(self, use: _Usage) -> float:
-        add = np.add.reduce
-        transmit = add(self.pa_price * use.transmit)
-        compute = add(self.host_w[use.dev] * use.hosted)        # a dropped task hosts nothing
-        saved = add(self.phi * (use.dev >= 0))
-        return float(transmit + compute - saved)
+        """The relaxed cost less its constant terms (the circuit power and
+        every task's penalty), each of its three sums over the tasks taken
+        by numpy's pairwise sum, as one row of a (3, N) array.  Only a
+        visited task can be placed; a dropped task's terms stay zero, and
+        numpy's sum starts from +0.0, so the sign of a zero never shows."""
+        n, pa, hw, phi = self.n, self.pa_price, self.host_w, self.phi
+        dev, transmit, hosted = use.dev, use.transmit, use.hosted
+        terms = array("d", bytes(24 * n))
+        for i, _ in self.visit:
+            d = dev[i]
+            if d >= 0:
+                terms[i] = pa[i] * transmit[i]
+                terms[n + i] = hw[d] * hosted[i]
+                terms[2 * n + i] = phi[i]
+        rows = np.frombuffer(terms).reshape(3, n)
+        upload, compute, saved = np.add.reduce(rows, axis=1).tolist()
+        return upload + compute - saved
 
 
 # ---------------------------------------------------------------------------
 # repair
 
 
-def decisions_from(dev: np.ndarray) -> dict[int, int]:
+def decisions_from(dev: list[int]) -> dict[int, int]:
     """Per-task hosts -> {task id: device id} map (assigned tasks only)."""
-    return {i: d for i, d in enumerate(dev.tolist(), 1) if d >= 0}
+    return {i: d for i, d in enumerate(dev, 1) if d >= 0}
 
 
 def _recommit(sc: Scenario, decisions: dict[int, int], bounds: FeasibilityBounds
@@ -395,9 +470,21 @@ def _ray_map(kern: _Kernel, mu, v, use: _Usage, s: float, warm):
     every probe keeps the map.  The probes leave the iterate alone."""
     for k in range(1, PROBE_DOUBLINGS + 1):
         probe, _ = kern.primal(*kern.dual_step(mu, v, use, s * 2.0 ** k), warm)
-        if not np.array_equal(probe.dev, use.dev):
+        if probe.dev != use.dev:
             return probe.dev
     return None
+
+
+def _norm(prices: list[float]) -> float:
+    """The Euclidean norm of a price list as BLAS sums its squares; 0.0 at
+    zero prices, without the call.  A price near the float limit overflows
+    the sum, not the norm: math.hypot reports that one."""
+    if not any(prices):
+        return 0.0
+    a = np.array(prices)
+    with np.errstate(over="ignore"):
+        sq = a.dot(a)
+    return math.sqrt(sq) if sq < math.inf else math.hypot(*prices)
 
 
 def solve(sc: Scenario, step_rule: str = "diminish") -> tuple[Assignment, IcrbiTrace]:
@@ -417,25 +504,21 @@ def solve(sc: Scenario, step_rule: str = "diminish") -> tuple[Assignment, IcrbiT
     bounds = feasibility_bounds(sc)
     ray = None
     kern = _Kernel(sc, bounds)
-    mu, v = np.zeros(sc.n), np.zeros(sc.n + 1)
+    mu, v = [0.0] * sc.n, [0.0] * (sc.n + 1)
     trace = IcrbiTrace(termination="max_iter", n_root_pairs=len(kern.rows),
                        overhead=overhead(sc.n))
     warm = None
     prev_cost = None
-    seen: set[bytes] = set()
+    seen: set[tuple[int, ...]] = set()
     last_new = 0
     for t in range(1, MAX_ITER + 1):
         use, warm = kern.primal(mu, v, warm)
         cost = kern.reduced_cost(use)
         trace.reduced_cost.append(cost)
-        trace.num_assigned.append(int((use.dev >= 0).sum()))
-        # a price near the float limit overflows the sum of squares, not the
-        # norm: math.hypot reports that one, every other norm keeps its bits
-        with np.errstate(over="ignore"):
-            sq_mu, sq_v = mu.dot(mu), v.dot(v)
-        trace.mu_norm.append(math.sqrt(sq_mu) if sq_mu < math.inf else math.hypot(*mu.tolist()))
-        trace.v_norm.append(math.sqrt(sq_v) if sq_v < math.inf else math.hypot(*v.tolist()))
-        key = use.dev.tobytes()
+        trace.num_assigned.append(sc.n - use.dev.count(-1))
+        trace.mu_norm.append(_norm(mu))
+        trace.v_norm.append(_norm(v))
+        key = tuple(use.dev)
         if key not in seen:
             seen.add(key)
             last_new = t

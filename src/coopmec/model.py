@@ -272,6 +272,11 @@ def offload_power_slope_vec(cycles, bits, deadline, gain, bandwidth, noise_w, f)
 # but huge, Newton moves by about (T f - c)**2 / (ln2 D F / B) per step and
 # would crawl to the step cap, so after ROOT_NEWTON_STEPS steps the root
 # only bisects.
+#
+# icrbi's live pairs are the remote pairs of the tasks whose local run lost
+# at the current prices.  A local run that loses at zero prices loses at
+# every price, so icrbi's set-up walks such a task's pairs at every
+# iteration, and never visits it if it has none.
 
 # residual target |g| <= ROOT_RTOL * scale of the stationary-point root
 ROOT_RTOL = 1e-9

@@ -46,14 +46,14 @@ def stop_verified(sc, trace) -> bool:
     if any(abs(b - a) < trace.eps for a, b in zip(costs, costs[1:])):
         return False
     kern = icrbi._Kernel(sc, feasibility_bounds(sc))
-    mu, v = np.zeros(sc.n), np.zeros(sc.n + 1)
+    mu, v = [0.0] * sc.n, [0.0] * (sc.n + 1)
     warm = None
     maps = []
     for t, cost in enumerate(costs, start=1):
         use, warm = kern.primal(mu, v, warm)
         if kern.reduced_cost(use) != cost:
             return False
-        maps.append(use.dev.tobytes())
+        maps.append(tuple(use.dev))
         mu, v = kern.dual_step(mu, v, use, icrbi.step_size("diminish", t))
     k = icrbi.MAP_STABLE_K
     return len(maps) > k and set(maps[-k:]) <= set(maps[:-k])

@@ -363,6 +363,36 @@ def test_price_scaling_keeps_every_map_and_scales_the_cost(n, seed, f0_max, stee
         assert got.cost.total == c * want.cost.total
 
 
+def relabelled(sc, perm):
+    """sc with UE perm[k - 1] renamed UE k, its task and its gain row and
+    column moving with it; the edge server stays device 0."""
+    tasks = tuple(dataclasses.replace(sc.tasks[p - 1], id=k) for k, p in enumerate(perm, 1))
+    devices = (sc.devices[0], *(dataclasses.replace(sc.devices[p], id=k)
+                                for k, p in enumerate(perm, 1)))
+    rows = np.array(perm) - 1
+    gains = sc.gains[rows][:, [0, *perm]]
+    return dataclasses.replace(sc, tasks=tasks, devices=devices, gains=gains)
+
+
+@pytest.mark.parametrize("cells", [
+    [dict(f0_max=f0, seed=seed) for f0 in (5e9, 6e9, 7e9, 8e9) for seed in range(8)],
+    [dict(n=40, seed=seed) for seed in range(5)],
+], ids=["readme_sweep", "n40"])
+def test_relabelling_the_ues_keeps_every_cost(cells):
+    # a metamorphic relation: the UEs' numbering is arbitrary, so renaming
+    # them (tasks, devices and gain rows and columns alike) may move a cost
+    # only by summation order.  Guards per-host bookkeeping and tie-breaks
+    # against a dependence on the order of the UEs
+    for cell in cells:
+        sc = gen(**cell)
+        perm = (np.random.default_rng(cell["seed"]).permutation(sc.n) + 1).tolist()
+        moved = relabelled(sc, perm)
+        for algo in ALGORITHMS:
+            want = run_algorithm(sc, algo)[0].cost.total
+            got = run_algorithm(moved, algo)[0].cost.total
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0), (cell, algo)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=208, deadline=None, derandomize=True)
 @given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1), f0_max=st.floats(5e9, 8e9),

@@ -18,7 +18,7 @@ from coopmec.model import feasibility_bounds, validate_constraints
 
 def unpriced(n):
     """The dual iterate (mu, v) with every price at zero."""
-    return np.zeros(n), np.zeros(n + 1)
+    return [0.0] * n, [0.0] * (n + 1)
 
 
 def primal(sc):
@@ -47,7 +47,7 @@ def test_unpriced_offload_runs_flat_out(sc10):
     kern = icrbi._Kernel(sc10, bounds)
     use, gamma = kern.primal(*unpriced(sc10.n))
     ri, rj, _, _ = remote_pairs(sc10, bounds)
-    server = (rj == 0) & (use.dev[ri] != ri + 1)
+    server = (rj == 0) & (np.array(use.dev)[ri] != ri + 1)
     assert server.any()
     assert (np.array(gamma)[server] == sc10.arrays.speed_cap[0]).all()
 
@@ -59,7 +59,7 @@ def test_gamma_monotone_in_frequency_price():
     for seed in range(20):
         sc = gen(n=4, seed=seed)
         kern = icrbi._Kernel(sc, feasibility_bounds(sc))
-        gammas = [np.array(kern.primal(np.zeros(sc.n), np.full(sc.n + 1, v))[1])
+        gammas = [np.array(kern.primal([0.0] * sc.n, [v] * (sc.n + 1))[1])
                   for v in (0.0, 1e-10, 1e-9, 3e-8)]
         for a, b in zip(gammas, gammas[1:]):
             assert (a >= b - 1e-6).all()
@@ -70,9 +70,9 @@ def test_gamma_monotone_in_frequency_price():
 def test_dual_scales_are_positive(sc10):
     kern = icrbi._Kernel(sc10, feasibility_bounds(sc10))
     mu_scale, v_scale = kern.mu_scale, kern.v_scale
-    assert mu_scale.shape == (sc10.n,)
-    assert v_scale.shape == (sc10.n + 1,)
-    assert (mu_scale > 0).all() and (v_scale > 0).all()
+    assert len(mu_scale) == sc10.n
+    assert len(v_scale) == sc10.n + 1
+    assert min(mu_scale) > 0 and min(v_scale) > 0
 
 
 def test_multipliers_stay_nonnegative(sc10):
@@ -81,8 +81,8 @@ def test_multipliers_stay_nonnegative(sc10):
     for t in range(1, 7):
         use, _ = kern.primal(mu, v)
         mu, v = kern.dual_step(mu, v, use, step_size("diminish", t))
-        assert (mu >= 0).all()
-        assert (v >= 0).all()
+        assert min(mu) >= 0
+        assert min(v) >= 0
 
 
 def test_primal_prefers_local_when_it_wins():
@@ -100,7 +100,7 @@ def test_primal_drops_task_with_no_winning_option():
     sc = mk_scenario([mk_task(1, cycles=1e7, penalty=1e-6)],
                      [mk_dev(0, f_max=5e9), mk_dev(1, f_max=2e9, p_max=10.0)])
     x, dev = primal(sc)
-    assert (dev == -1).all() and (x == 0.0).all()
+    assert dev == [-1] and x == [0.0]
     assert decisions_from(dev) == {}
 
 
@@ -153,7 +153,7 @@ def test_free_power_settles():
             asg, trace = solve(sc)
         # the solved pairs: those of the tasks that do not run locally
         ri, _, lo, _ = remote_pairs(sc, bounds)
-        live = use.dev[ri] != ri + 1
+        live = np.array(use.dev)[ri] != ri + 1
         assert live.any()
         assert np.array_equal(np.array(gamma)[live], lo[live])
         assert trace.termination == "converged"

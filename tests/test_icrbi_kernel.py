@@ -7,7 +7,11 @@ kernel, so every iterate must agree exactly: no tolerance, except for a pair
 the pair kernel starts from a stale warm start (see assert_same_iterate).
 The pair-list kernel performs the same per-pair arithmetic on the
 admissible remote pairs of the tasks whose local option lost only, on plain
-floats.  The reference evaluates U, the U' it prices an intercept with and
+floats.  It visits only the tasks that set-up did not drop for good and
+steps only the UEs that can move, where the reference visits every task and
+steps every UE, so agreement shows both set-up rules along each replay, and
+test_kernel_matches_dense_reference_at_any_prices at prices no solve
+visits.  The reference evaluates U, the U' it prices an intercept with and
 the power law at those pairs cell by cell on floats too, U and U' through
 the cost model's own scalar functions, so the kernel's upload powers are
 the cost model's to the last bit; the window-end screen stays on numpy's
@@ -22,7 +26,8 @@ and the hosted CPU power at the committed pairs; the kernel prices a pair
 once, at the stationary frequency, and returns the power terms it priced,
 so equal decisions and power terms show that neither the dropped candidates
 nor the dropped recomputation changes anything.  The kernel's iterate is
-one host per task; the comparison scatters it into the reference's
+one host per task, in lists like its prices; the comparison hands the
+reference the prices as arrays and scatters the iterate into its
 matrices.  The reference passes the server's own nu - 1 to the root where
 the kernel passes 0, so agreement also shows that the kernel's exponent
 guard leaves the free server's zero power term as it is.  The replay
@@ -37,6 +42,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gen, mk_dev, mk_scenario, mk_task, remote_pairs
 from coopmec import icrbi
@@ -263,16 +270,16 @@ def scatter(use):
     out: (N, N+1) matrices of the 0/1 decisions, the frequencies, the upload
     power and the hosted CPU power, zero off each task's host.  A dropped
     task must carry no frequency or power."""
-    dropped = use.dev < 0
-    assert not (use.freq[dropped].any() or use.transmit[dropped].any()
-                or use.hosted[dropped].any())
-    n = use.dev.size
+    dev, freq, transmit, hosted = (np.array(f) for f in use)
+    dropped = dev < 0
+    assert not (freq[dropped].any() or transmit[dropped].any() or hosted[dropped].any())
+    n = dev.size
     rows = np.flatnonzero(~dropped)
-    cols = use.dev[rows]
+    cols = dev[rows]
     a = np.zeros((n, n + 1), dtype=np.int8)
     a[rows, cols] = 1
     out = [a]
-    for vec in (use.freq, use.transmit, use.hosted):
+    for vec in (freq, transmit, hosted):
         m = np.zeros((n, n + 1))
         m[rows, cols] = vec[rows]
         out.append(m)
@@ -326,7 +333,7 @@ def replay(sc):
     pairs = remote_pairs(sc, bounds)
     assert np.array_equal(kern.mu_scale, ref.mu_scale)
     assert np.array_equal(kern.v_scale, ref.v_scale)
-    mu, v = np.zeros(sc.n), np.zeros(sc.n + 1)
+    mu, v = [0.0] * sc.n, [0.0] * (sc.n + 1)
     warm = ref_warm = None
     costs = []
     eps = None
@@ -336,7 +343,7 @@ def replay(sc):
     for t in range(1, icrbi.MAX_ITER + 1):
         warm_in, ref_warm_in = warm, ref_warm
         use, warm = kern.primal(mu, v, warm)
-        rx, ra, ref_warm = ref.primal(mu, v, ref_warm)
+        rx, ra, ref_warm = ref.primal(np.array(mu), np.array(v), ref_warm)
         stale += assert_same_iterate(pairs, ref, use, warm, rx, ra, ref_warm,
                                      warm_in, ref_warm_in)
         cost = kern.reduced_cost(use)
@@ -354,7 +361,7 @@ def replay(sc):
             found, probe_stale = probe(kern, ref, pairs, mu, v, use, rx, ra, s, warm,
                                        ref_warm)
             return costs, "map_stable", [ra] + found, bounds, stale + probe_stale
-        ref_mu, ref_v = ref.dual_step(mu, v, rx, ra, s)
+        ref_mu, ref_v = ref.dual_step(np.array(mu), np.array(v), rx, ra, s)
         mu, v = kern.dual_step(mu, v, use, s)
         assert np.array_equal(mu, ref_mu)
         assert np.array_equal(v, ref_v)
@@ -369,11 +376,11 @@ def probe(kern, ref, pairs, mu, v, use, rx, ra, s, warm, ref_warm):
     for k in range(1, icrbi.PROBE_DOUBLINGS + 1):
         step = s * 2.0 ** k
         pmu, pv = kern.dual_step(mu, v, use, step)
-        ref_mu, ref_v = ref.dual_step(mu, v, rx, ra, step)
+        ref_mu, ref_v = ref.dual_step(np.array(mu), np.array(v), rx, ra, step)
         assert np.array_equal(pmu, ref_mu)
         assert np.array_equal(pv, ref_v)
         puse, pwarm = kern.primal(pmu, pv, warm)
-        px, pa, pref_warm = ref.primal(pmu, pv, ref_warm)
+        px, pa, pref_warm = ref.primal(np.array(pmu), np.array(pv), ref_warm)
         stale += assert_same_iterate(pairs, ref, puse, pwarm, px, pa, pref_warm,
                                      warm, ref_warm)
         if not np.array_equal(pa, ra):
@@ -404,6 +411,53 @@ def check_solve(sc):
 def test_pair_kernel_matches_dense_reference(cell, n):
     for seed in range(2):
         check_solve(gen(n=n, seed=seed, **CELLS[cell]))
+
+
+# prices no solve visits: zero, subnormal, near the float limit and inf
+SPECIAL_PRICES = [0.0, 5e-324, 1e-310, 1e300, math.inf]
+
+
+@st.composite
+def priced_cells(draw):
+    """(cell, n, seed, mu, v, step): a preset cell and one price per UE and
+    per device, a quarter of them zero, the rest special, at the price's
+    usual scale (w is 1 per watt, a capacity price bites near 1e-8 per
+    cycle/s) or anywhere up to inf."""
+    n = draw(st.integers(1, 30))
+
+    def prices(size, scale):
+        entry = st.one_of(st.just(0.0), st.sampled_from(SPECIAL_PRICES),
+                          st.floats(0.0, scale), st.floats(0.0, math.inf))
+        return draw(st.lists(entry, min_size=size, max_size=size))
+
+    return (draw(st.sampled_from(sorted(CELLS))), n, draw(st.integers(0, 2**32 - 1)),
+            prices(n, 10.0), prices(n + 1, 1e-7), draw(st.floats(1e-6, 1e3)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=priced_cells())
+def test_kernel_matches_dense_reference_at_any_prices(case):
+    # primal and dual_step at prices no solve reaches still equal the dense
+    # reference, which visits every task and steps every UE.  So a local run
+    # that loses at zero prices never wins at higher ones, and a UE with no
+    # guest and no upload keeps zero prices: the two set-up rules by which
+    # the kernel skips tasks and UEs.  The reference's own inf * 0 and
+    # inf - inf are silenced; the kernel's would raise
+    cell, n, seed, mu, v, s = case
+    sc = gen(n=n, seed=seed, **CELLS[cell])
+    bounds = feasibility_bounds(sc)
+    kern = icrbi._Kernel(sc, bounds)
+    ref = DenseKernel(sc, bounds)
+    use, warm = kern.primal(mu, v)
+    with np.errstate(all="ignore"):
+        rx, ra, ref_warm = ref.primal(np.array(mu), np.array(v))
+        ref_mu, ref_v = ref.dual_step(np.array(mu), np.array(v), rx, ra, s)
+        assert_same_iterate(remote_pairs(sc, bounds), ref, use, warm, rx, ra, ref_warm,
+                            None, None)
+    next_mu, next_v = kern.dual_step(mu, v, use, s)
+    assert np.array_equal(next_mu, ref_mu, equal_nan=True)
+    assert np.array_equal(next_v, ref_v, equal_nan=True)
 
 
 @pytest.mark.parametrize("seed, f0_max, capped_cost", [
@@ -456,6 +510,34 @@ def test_task_turning_remote_is_solved_from_a_stale_start():
     asg, trace, stale = check_solve(sc)
     assert stale >= 1
     assert validate_constraints(sc, asg) == []
+
+
+def own_run_over_budget():
+    """Task 1 runs locally at an f_min one float below UE 1's power-limited
+    speed cap (nu = 2.5).  The cap's root rounds up, so the local run draws
+    kappa * f_min**nu a few ulps above UE 1's budget: its pair is open, yet
+    its subgradient is positive at zero prices."""
+    f_min = 116565421534.7817
+    tasks = [mk_task(1, cycles=f_min, deadline=1.0), mk_task(2), mk_task(3)]
+    devices = [mk_dev(0, f_max=5e9),
+               mk_dev(1, f_max=1e12, kappa=5.100486759046463e-28, nu=2.5,
+                      p_max=2.4661156651540956),
+               mk_dev(2, f_max=2e9, p_max=20.0), mk_dev(3, f_max=2e9, p_max=20.0)]
+    return mk_scenario(tasks, devices)
+
+
+def test_ue_over_budget_by_rounding_is_stepped_every_time():
+    # the dual step skips a UE that hosts no guest, uploads nothing and
+    # carries no price only where set-up found its idle and own-local
+    # subgradients <= 0.  Here UE 1's own-local one is not, so UE 1 is
+    # restless: stepped from zero prices, as the dense reference steps it
+    sc = own_run_over_budget()
+    bounds = feasibility_bounds(sc)
+    assert not bounds.blocked[0, 1]
+    kern = icrbi._Kernel(sc, bounds)
+    assert kern.restless == [1]
+    _, trace, _ = check_solve(sc)
+    assert trace.mu_norm[1] > 0.0
 
 
 @pytest.mark.parametrize("make, server_open", [
@@ -515,12 +597,12 @@ def test_warm_starts_outside_the_window_are_clipped_into_it():
     bounds = feasibility_bounds(sc)
     kern = icrbi._Kernel(sc, bounds)
     ri, _, lo, hi = remote_pairs(sc, bounds)
-    mu, v = np.zeros(sc.n), np.zeros(sc.n + 1)
+    mu, v = [0.0] * sc.n, [0.0] * (sc.n + 1)
     use, _ = kern.primal(mu, v)
     mu, v = kern.dual_step(mu, v, use, step_size("diminish", 1))
     use, fresh = kern.primal(mu, v)
     fresh = np.array(fresh)
-    live = use.dev[ri] != ri + 1
+    live = np.array(use.dev)[ri] != ri + 1
     open_ = live & (fresh > lo) & (fresh < hi)
     assert open_.sum() >= 3
     for outside in (lo * 0.5, lo, hi, hi * 2.0):
@@ -540,12 +622,10 @@ def test_committed_pairs_are_priced_as_the_cost_model_prices_them(n, seeds):
     for seed in seeds:
         sc = gen(n=n, seed=seed)
         kern = icrbi._Kernel(sc, feasibility_bounds(sc))
-        mu, v, warm = np.zeros(sc.n), np.zeros(sc.n + 1), None
+        mu, v, warm = [0.0] * sc.n, [0.0] * (sc.n + 1), None
         for t in range(1, 15):
             use, warm = kern.primal(mu, v, warm)
-            for k, (dev, f, u, hosted) in enumerate(zip(
-                    use.dev.tolist(), use.freq.tolist(), use.transmit.tolist(),
-                    use.hosted.tolist()), 1):
+            for k, (dev, f, u, hosted) in enumerate(zip(*use), 1):
                 if dev in (-1, k):
                     continue
                 host = sc.devices[dev]
