@@ -11,7 +11,13 @@ of the B/A ratio of the round's p50 and p90 solve time, with its quartiles
 and the number of rounds in which B was faster.  It exits 1 if any solve
 outcome (cost, map, frequencies, powers, iterations or error) differs
 between the trees; for icrbi that includes its stop reason and its
-per-iteration trace.  Given the same tree twice it is an A/A run: the noise
+per-iteration trace.  On the capacity cells each round also times
+harness.run_experiment of the README capacity sweep (all five solvers,
+f0_max 5, 6, 7 and 8 GHz, one realization per scenario of the round, seeded
+from the round's first seed) in both trees, and prints a `sweep` row of its
+wall-time B/A ratios; the script exits 1 if the two trees' run records
+differ.  Unlike the solver rows, that row sees the sweep's own work, such as
+drawing the scenarios.  Given the same tree twice it is an A/A run: the noise
 floor a B/A ratio must be read against.
 
     python scripts/ab_trees.py A_SRC B_SRC [--cells large] [--rounds 20] [--scenarios 20]
@@ -97,6 +103,18 @@ def one_round(tree, configs: list[dict]) -> tuple[dict[str, list[float]], list[s
     return times, lines
 
 
+def sweep_round(tree, seed_base: int, realizations: int) -> tuple[float, list[str]]:
+    """(seconds, run records as text) of the README capacity sweep."""
+    harness = tree["harness"]
+    spec = harness.ExperimentSpec(
+        algorithms=harness.ALGORITHMS, base=tree["scenario"].GenConfig(),
+        sweep_values=tuple(cell["f0_max"] for cell in CELLS["capacity"]),
+        realizations=realizations, seed_base=seed_base)
+    t0 = perf_counter()
+    _, records = harness.run_experiment(spec)
+    return perf_counter() - t0, [repr(r) for r in records]
+
+
 def p90(values: list[float]) -> float:
     """The 90th percentile as solverbench/run.py takes it."""
     return statistics.quantiles(values, n=10)[8]
@@ -128,7 +146,9 @@ def main() -> int:
     ratios = {(algo, q): [] for algo in algorithms for q in ("p50", "p90")}
     for tree in trees.values():     # untimed: the first solves pay the lazy set-up
         one_round(tree, [dict(cell, seed=args.seed - 1) for cell in cells])
-    differ = 0
+    sweep = args.cells == "capacity"
+    sweep_ratios = []
+    differ = sweep_differ = 0
     for r in range(args.rounds):
         base = args.seed + r * args.scenarios
         configs = [dict(cells[j % len(cells)], seed=base + j) for j in range(args.scenarios)]
@@ -136,6 +156,10 @@ def main() -> int:
         order.shuffle(sides)
         result = {side: one_round(trees[side], configs) for side in sides}
         differ += sum(a != b for a, b in zip(result["A"][1], result["B"][1]))
+        if sweep:
+            timed = {side: sweep_round(trees[side], base, args.scenarios) for side in sides}
+            sweep_ratios.append(timed["B"][0] / timed["A"][0])
+            sweep_differ += sum(a != b for a, b in zip(timed["A"][1], timed["B"][1]))
         for algo in algorithms:
             a, b = (result[side][0][algo] for side in "AB")
             ratios[algo, "p50"].append(statistics.median(b) / statistics.median(a))
@@ -150,8 +174,14 @@ def main() -> int:
             won = sum(v < 1.0 for v in values)
             cols.append(f"{q} {q2 - 1:+7.1%} [{q1 - 1:+.1%}, {q3 - 1:+.1%}] {won}/{len(values)}")
         print(f"{algo:>10}  " + "   ".join(cols))
-    if differ:
-        print(f"{differ} solve outcomes differ between the trees")
+    if sweep:
+        q1, q2, q3 = quartiles(sweep_ratios)
+        won = sum(v < 1.0 for v in sweep_ratios)
+        print(f"{'sweep':>10}  wall {q2 - 1:+7.1%} [{q1 - 1:+.1%}, {q3 - 1:+.1%}] "
+              f"{won}/{len(sweep_ratios)}")
+    if differ or sweep_differ:
+        print(f"{differ} solve outcomes and {sweep_differ} sweep run records differ "
+              "between the trees")
         return 1
     print("every solve outcome is the same in both trees")
     return 0

@@ -6,6 +6,15 @@ same seeds for every sweep value so curves are paired), runs each selected
 algorithm, and aggregates per (algorithm, value).  Per-run records are kept
 next to the aggregates so every figure can be re-derived; floats are written
 with repr() so a rerun of the same spec is byte-identical.
+
+A sweep over `f0_max` or `w` draws each realization once: no draw depends
+on either value, so every value's scenario is the one draw with the
+server's f_max or every task's power_price set, and it equals what generate
+would draw for that value.  The sweep keeps one uncached draw per
+realization, and each scenario it solves builds its own caches.  `n` and
+`phi0` are drawn again for every value: n sets the length of every draw, and
+`rng.uniform(phi0, phi0 + spread)` need not equal a shifted penalty draw bit
+for bit.
 """
 
 from __future__ import annotations
@@ -20,11 +29,14 @@ import numpy as np
 from . import decentral, icrbi, matching, oracle
 from .errors import ConfigError, UnknownAlgorithm
 from .model import Assignment, Scenario, ue_total_power
-from .scenario import GenConfig, generate
+from .scenario import GenConfig, check_config, generate
 
 ARTIFACT = "coopmec 0.1.0"
 ALGORITHMS = ("icrbi", "maxtask", "minpw", "decentral", "noncope")
 SWEEP_VARS = ("f0_max", "n", "w", "phi0")
+# sweep variables no draw of generate depends on: the server's f_max and the
+# tasks' power_price are set after the draw, from cfg.f0_max and cfg.w
+DRAW_FREE = ("f0_max", "w")
 
 
 @dataclass(frozen=True)
@@ -121,27 +133,55 @@ def run_algorithm(sc: Scenario, algorithm: str,
                  "iterations": trace.iterations, "trace": trace}
 
 
+def _scenarios(spec: ExperimentSpec):
+    """(sweep value, realization, seed, scenario) in solve order: values
+    outer, realizations inner.  For a sweep over a draw-free variable each
+    realization is drawn once, at the first value, and every value's
+    scenario, the first included, is that draw with the value set; each
+    later value's config gets generate's check before its first solve."""
+    var = spec.sweep_var
+    draws: list[Scenario] = []
+    for value in spec.sweep_values:
+        cfg = apply_sweep(spec.base, var, value)
+        if draws:
+            check_config(dataclasses.replace(cfg, seed=spec.seed_base))
+        for r in range(spec.realizations):
+            seed = spec.seed_base + r
+            if var not in DRAW_FREE:
+                yield value, r, seed, generate(dataclasses.replace(cfg, seed=seed))
+                continue
+            if r == len(draws):
+                draws.append(generate(dataclasses.replace(cfg, seed=seed)))
+            yield value, r, seed, _with_value(draws[r], var, value)
+
+
+def _with_value(draw: Scenario, var: str, value: float) -> Scenario:
+    """A new scenario, with its own caches: `draw` with the server's f_max
+    (var f0_max) or every task's power_price (var w) set to value."""
+    if var == "f0_max":
+        server = dataclasses.replace(draw.devices[0], f_max=value)
+        return dataclasses.replace(draw, devices=(server, *draw.devices[1:]))
+    tasks = tuple(dataclasses.replace(t, power_price=value) for t in draw.tasks)
+    return dataclasses.replace(draw, tasks=tasks)
+
+
 def run_experiment(spec: ExperimentSpec) -> tuple[list[MetricRow], list[RunRecord]]:
     """Execute the full sweep; write CSVs + metadata when spec.out is set
     (the directory is made first, so a bad path fails before any solve)."""
     if spec.out is not None:
         Path(spec.out).mkdir(parents=True, exist_ok=True)
     records: list[RunRecord] = []
-    for value in spec.sweep_values:
-        cfg = apply_sweep(spec.base, spec.sweep_var, value)
-        for r in range(spec.realizations):
-            seed = spec.seed_base + r
-            sc = generate(dataclasses.replace(cfg, seed=seed))
-            for algo in spec.algorithms:
-                asg, extras = run_algorithm(sc, algo, step_rule=spec.step_rule)
-                records.append(RunRecord(
-                    algorithm=algo, sweep_value=float(value), realization=r,
-                    seed=seed, total_cost=asg.cost.total,
-                    accomplished=asg.accomplished,
-                    ratio=asg.accomplished / sc.n,
-                    ue_power_w=ue_total_power(sc, asg),
-                    overhead=extras["overhead"], converged=extras["converged"],
-                    iterations=extras["iterations"]))
+    for value, r, seed, sc in _scenarios(spec):
+        for algo in spec.algorithms:
+            asg, extras = run_algorithm(sc, algo, step_rule=spec.step_rule)
+            records.append(RunRecord(
+                algorithm=algo, sweep_value=float(value), realization=r,
+                seed=seed, total_cost=asg.cost.total,
+                accomplished=asg.accomplished,
+                ratio=asg.accomplished / sc.n,
+                ue_power_w=ue_total_power(sc, asg),
+                overhead=extras["overhead"], converged=extras["converged"],
+                iterations=extras["iterations"]))
     table = aggregate(spec, records)
     if spec.out is not None:
         write_outputs(spec, table, records)

@@ -73,8 +73,11 @@ class TaskSpec:
     def __post_init__(self):
         if self.id < 1:
             raise ValueError(f"task id must be >= 1, got {self.id}")
-        for name in ("cycles", "bits", "deadline", "penalty", "power_price"):
-            _check_finite(f"task {self.id}", name, getattr(self, name))
+        isfinite = math.isfinite
+        if not (isfinite(self.cycles) and isfinite(self.bits) and isfinite(self.deadline)
+                and isfinite(self.penalty) and isfinite(self.power_price)):
+            for name in ("cycles", "bits", "deadline", "penalty", "power_price"):
+                _check_finite(f"task {self.id}", name, getattr(self, name))
         if not (self.cycles > 0 and self.bits > 0 and self.deadline > 0):
             raise ValueError(f"task {self.id}: cycles, bits, deadline must be positive")
         f_min = self.cycles / self.deadline
@@ -114,12 +117,17 @@ class DeviceProfile:
     def __post_init__(self):
         if self.id < 0:
             raise ValueError(f"device id must be >= 0, got {self.id}")
-        for name in ("f_max", "kappa", "nu", "eta", "p_cir"):
-            _check_finite(f"device {self.id}", name, getattr(self, name))
-        if not (self.id == 0 and self.p_max == math.inf):   # the grid-powered server
-            _check_finite(f"device {self.id}", "p_max", self.p_max)
-        for name, value in zip(("position x", "position y"), self.position):
-            _check_finite(f"device {self.id}", name, value)
+        isfinite = math.isfinite
+        server = self.id == 0 and self.p_max == math.inf     # the grid-powered server
+        if not (isfinite(self.f_max) and isfinite(self.kappa) and isfinite(self.nu)
+                and isfinite(self.eta) and isfinite(self.p_cir)
+                and (server or isfinite(self.p_max)) and all(map(isfinite, self.position[:2]))):
+            for name in ("f_max", "kappa", "nu", "eta", "p_cir"):
+                _check_finite(f"device {self.id}", name, getattr(self, name))
+            if not server:
+                _check_finite(f"device {self.id}", "p_max", self.p_max)
+            for name, value in zip(("position x", "position y"), self.position):
+                _check_finite(f"device {self.id}", name, value)
         if self.f_max <= 0:
             raise ValueError(f"device {self.id}: f_max must be positive")
         if self.kappa < 0 or self.nu < 1 or self.p_cir < 0:

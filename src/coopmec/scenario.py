@@ -62,7 +62,9 @@ class GenConfig:
 _RANGE_FIELDS = {"p_max_dbm", "data_bits", "cycles", "deadline_s", "f_ue"}
 
 
-def _check(cfg: GenConfig) -> None:
+def check_config(cfg: GenConfig) -> None:
+    """ConfigError unless generate can draw from cfg: every scalar finite,
+    every range ordered, and each value in its domain."""
     for f in fields(GenConfig):
         value = getattr(cfg, f.name)
         # an int is finite, and math.isfinite overflows on a long one
@@ -97,7 +99,7 @@ def generate(cfg: GenConfig) -> Scenario:
     """Materialise one scenario.  The draw order is fixed (positions, UE CPU
     caps, power budgets, cycles, bits, deadlines, penalties, fading) so a
     seed always reproduces the same instance bit for bit."""
-    _check(cfg)
+    check_config(cfg)
     n = cfg.n
     rng = np.random.default_rng(cfg.seed)
 
@@ -118,17 +120,16 @@ def generate(cfg: GenConfig) -> Scenario:
             gains = gains * rng.exponential(1.0, size=gains.shape)
 
     try:
-        tasks = tuple(TaskSpec(id=i + 1, cycles=float(cyc[i]), bits=float(bits[i]),
-                               deadline=float(deadline[i]), penalty=float(phi[i]),
+        tasks = tuple(TaskSpec(id=i, cycles=c, bits=b, deadline=t, penalty=p,
                                power_price=cfg.w)
-                      for i in range(n))
+                      for i, c, b, t, p in zip(range(1, n + 1), cyc.tolist(), bits.tolist(),
+                                               deadline.tolist(), phi.tolist()))
         mec = DeviceProfile(id=0, f_max=cfg.f0_max, kappa=0.0, nu=cfg.nu, eta=cfg.eta,
                             p_max=math.inf, p_cir=0.0, position=centre)
-        ues = tuple(DeviceProfile(id=i + 1, f_max=float(f_ue[i]), kappa=cfg.kappa,
-                                  nu=cfg.nu, eta=cfg.eta, p_max=float(p_max[i]),
-                                  p_cir=cfg.p_cir,
-                                  position=(float(pos[i, 0]), float(pos[i, 1])))
-                    for i in range(n))
+        ues = tuple(DeviceProfile(id=i, f_max=f, kappa=cfg.kappa, nu=cfg.nu, eta=cfg.eta,
+                                  p_max=p, p_cir=cfg.p_cir, position=(x, y))
+                    for i, f, p, (x, y) in zip(range(1, n + 1), f_ue.tolist(), p_max.tolist(),
+                                               pos.tolist()))
         return Scenario(tasks=tasks, devices=(mec,) + ues, gains=gains,
                         bandwidth=cfg.bandwidth, noise_w=cfg.noise_w(), seed=cfg.seed)
     except ValueError as exc:
@@ -187,7 +188,7 @@ def read_config(path) -> GenConfig:
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad {key!r} value: {exc}") from exc
     cfg = replace(GenConfig(), **values)
-    _check(cfg)
+    check_config(cfg)
     return cfg
 
 

@@ -513,6 +513,55 @@ def test_mutated_scenario_file_validates_or_raises(tmp_path_factory, seed, field
         assert asg.cost.total <= ceiling * (1.0 + 1e-9)
 
 
+def scenario_key(sc) -> tuple:
+    """A scenario's records, the bytes of its gains, its scalars and every
+    ScenarioArrays field (arrays by dtype, shape and bytes, the rest by repr)."""
+    arrays = tuple((v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else repr(v)
+                   for v in sc.arrays)
+    return (sc.tasks, sc.devices, sc.gains.dtype.str, sc.gains.shape, sc.gains.tobytes(),
+            sc.bandwidth, sc.noise_w, sc.seed, arrays)
+
+
+def drawn_per_value(spec: ExperimentSpec) -> list[harness.RunRecord]:
+    """spec's run records with every (value, realization) drawn by generate."""
+    records = []
+    for value in spec.sweep_values:
+        for r in range(spec.realizations):
+            cfg = dataclasses.replace(spec.base, seed=spec.seed_base + r,
+                                      **{spec.sweep_var: value})
+            sc = scenario.generate(cfg)
+            for algo in spec.algorithms:
+                asg, extras = run_algorithm(sc, algo)
+                records.append(harness.RunRecord(
+                    algo, float(value), r, cfg.seed, asg.cost.total, asg.accomplished,
+                    asg.accomplished / sc.n, model.ue_total_power(sc, asg),
+                    extras["overhead"], extras["converged"], extras["iterations"]))
+    return records
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1), fading=st.booleans(),
+       pathloss_exponent=st.floats(2.5, 5.0), ref_gain_exp=st.floats(-5.0, -1.0),
+       f0_max=st.lists(st.floats(1e8, 1e11), min_size=2, max_size=2, unique=True),
+       w=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=2, unique=True))
+def test_a_sweep_value_set_on_one_draw_equals_its_own_draw(n, seed, fading, pathloss_exponent,
+                                                           ref_gain_exp, f0_max, w):
+    # an f0_max or w sweep draws each realization once and sets the value on
+    # that draw; the scenario, and every run record, must be what drawing
+    # each value's config again gives
+    base = GenConfig(n=n, seed=seed, fading=fading, pathloss_exponent=pathloss_exponent,
+                     pathloss_ref_gain=10.0 ** ref_gain_exp)
+    for var, values in (("f0_max", sorted(f0_max)), ("w", sorted(w))):
+        draw = scenario.generate(dataclasses.replace(base, **{var: values[0]}))
+        for value in values:
+            own = scenario.generate(dataclasses.replace(base, **{var: value}))
+            assert scenario_key(harness._with_value(draw, var, value)) == scenario_key(own)
+        spec = ExperimentSpec(algorithms=ALGORITHMS, base=base, sweep_var=var,
+                              sweep_values=tuple(values), realizations=2,
+                              seed_base=seed)
+        assert run_experiment(spec)[1] == drawn_per_value(spec)
+
+
 def test_run_experiment_aggregates():
     spec = small_spec()
     table, records = run_experiment(spec)
@@ -690,6 +739,19 @@ def test_cli_rejects_a_non_finite_task_count_sweep(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "task count must be finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ("f0_max=5e9,inf", "error: f0_max must be finite, got inf\n"),
+    ("w=1,1e400", "error: w must be finite, got inf\n"),
+])
+def test_cli_rejects_a_non_finite_later_sweep_value(tmp_path, capsys, sweep, message):
+    # the first value's scenarios are solved first; the second value's config
+    # must still fail generate's check, not a record built on the first draw
+    assert cli.main(["run", "--sweep", sweep, "--realizations", "2",
+                     "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
 
 
 def test_cli_rejects_malformed_arguments(tmp_path, capsys):

@@ -193,6 +193,88 @@ def test_domain_type_validation():
                       p_max=-1.0, p_cir=-1.0000000005)
 
 
+TASK = dict(id=1, cycles=1e8, bits=2e5, deadline=0.05, penalty=40.0, power_price=1.0)
+DEVICE = dict(id=2, f_max=1e9, kappa=1e-27, nu=3.0, eta=0.5, p_max=1.0, p_cir=0.1,
+              position=(10.0, 20.0))
+INF, NAN = math.inf, math.nan
+# (constructor, fields set, the error's text); a position is given as position x or y
+NON_FINITE_CASES = [
+    (TaskSpec, {"cycles": INF}, "task 1: cycles must be finite, got inf"),
+    (TaskSpec, {"cycles": -INF}, "task 1: cycles must be finite, got -inf"),
+    (TaskSpec, {"cycles": NAN}, "task 1: cycles must be finite, got nan"),
+    (TaskSpec, {"bits": INF}, "task 1: bits must be finite, got inf"),
+    (TaskSpec, {"bits": -INF}, "task 1: bits must be finite, got -inf"),
+    (TaskSpec, {"bits": NAN}, "task 1: bits must be finite, got nan"),
+    (TaskSpec, {"deadline": INF}, "task 1: deadline must be finite, got inf"),
+    (TaskSpec, {"deadline": -INF}, "task 1: deadline must be finite, got -inf"),
+    (TaskSpec, {"deadline": NAN}, "task 1: deadline must be finite, got nan"),
+    (TaskSpec, {"penalty": INF}, "task 1: penalty must be finite, got inf"),
+    (TaskSpec, {"penalty": -INF}, "task 1: penalty must be finite, got -inf"),
+    (TaskSpec, {"penalty": NAN}, "task 1: penalty must be finite, got nan"),
+    (TaskSpec, {"power_price": INF}, "task 1: power_price must be finite, got inf"),
+    (TaskSpec, {"power_price": -INF}, "task 1: power_price must be finite, got -inf"),
+    (TaskSpec, {"power_price": NAN}, "task 1: power_price must be finite, got nan"),
+    (DeviceProfile, {"f_max": INF}, "device 2: f_max must be finite, got inf"),
+    (DeviceProfile, {"f_max": -INF}, "device 2: f_max must be finite, got -inf"),
+    (DeviceProfile, {"f_max": NAN}, "device 2: f_max must be finite, got nan"),
+    (DeviceProfile, {"kappa": INF}, "device 2: kappa must be finite, got inf"),
+    (DeviceProfile, {"kappa": -INF}, "device 2: kappa must be finite, got -inf"),
+    (DeviceProfile, {"kappa": NAN}, "device 2: kappa must be finite, got nan"),
+    (DeviceProfile, {"nu": INF}, "device 2: nu must be finite, got inf"),
+    (DeviceProfile, {"nu": -INF}, "device 2: nu must be finite, got -inf"),
+    (DeviceProfile, {"nu": NAN}, "device 2: nu must be finite, got nan"),
+    (DeviceProfile, {"eta": INF}, "device 2: eta must be finite, got inf"),
+    (DeviceProfile, {"eta": -INF}, "device 2: eta must be finite, got -inf"),
+    (DeviceProfile, {"eta": NAN}, "device 2: eta must be finite, got nan"),
+    (DeviceProfile, {"p_max": INF}, "device 2: p_max must be finite, got inf"),
+    (DeviceProfile, {"p_max": -INF}, "device 2: p_max must be finite, got -inf"),
+    (DeviceProfile, {"p_max": NAN}, "device 2: p_max must be finite, got nan"),
+    (DeviceProfile, {"p_cir": INF}, "device 2: p_cir must be finite, got inf"),
+    (DeviceProfile, {"p_cir": -INF}, "device 2: p_cir must be finite, got -inf"),
+    (DeviceProfile, {"p_cir": NAN}, "device 2: p_cir must be finite, got nan"),
+    (DeviceProfile, {"position x": INF}, "device 2: position x must be finite, got inf"),
+    (DeviceProfile, {"position x": -INF}, "device 2: position x must be finite, got -inf"),
+    (DeviceProfile, {"position x": NAN}, "device 2: position x must be finite, got nan"),
+    (DeviceProfile, {"position y": INF}, "device 2: position y must be finite, got inf"),
+    (DeviceProfile, {"position y": -INF}, "device 2: position y must be finite, got -inf"),
+    (DeviceProfile, {"position y": NAN}, "device 2: position y must be finite, got nan"),
+    # only the grid-powered server may have p_max inf
+    (DeviceProfile, {"id": 0, "p_cir": 0.0, "p_max": -INF},
+     "device 0: p_max must be finite, got -inf"),
+    (DeviceProfile, {"id": 0, "p_cir": 0.0, "p_max": NAN},
+     "device 0: p_max must be finite, got nan"),
+    # two bad fields: the first in the check's order is named
+    (TaskSpec, {"bits": NAN, "penalty": INF}, "task 1: bits must be finite, got nan"),
+    (TaskSpec, {"power_price": NAN, "cycles": -INF}, "task 1: cycles must be finite, got -inf"),
+    (DeviceProfile, {"p_max": NAN, "kappa": INF}, "device 2: kappa must be finite, got inf"),
+    (DeviceProfile, {"position x": NAN, "p_cir": INF}, "device 2: p_cir must be finite, got inf"),
+    (DeviceProfile, {"position y": NAN, "p_max": INF}, "device 2: p_max must be finite, got inf"),
+]
+
+
+def record(cls, fields: dict):
+    """A TaskSpec or DeviceProfile of the valid TASK or DEVICE with fields set."""
+    if cls is TaskSpec:
+        return TaskSpec(**dict(TASK, **fields))
+    kw = dict(DEVICE, **fields)
+    kw["position"] = (kw.pop("position x", 10.0), kw.pop("position y", 20.0))
+    return DeviceProfile(**kw)
+
+
+@pytest.mark.parametrize("cls, fields, message", NON_FINITE_CASES)
+def test_a_non_finite_record_field_names_itself(cls, fields, message):
+    with pytest.raises(ValueError) as exc:
+        record(cls, fields)
+    assert str(exc.value) == message
+
+
+def test_only_the_server_may_have_an_infinite_power_budget():
+    assert record(DeviceProfile, {"id": 0, "p_cir": 0.0, "p_max": INF}).p_max == INF
+    with pytest.raises(ValueError) as exc:
+        record(DeviceProfile, {"p_max": INF})
+    assert str(exc.value) == "device 2: p_max must be finite, got inf"
+
+
 def test_device_speed_cap():
     # the edge server has no power constraint at all, however large its kappa
     server = DeviceProfile(id=0, f_max=5e9, kappa=1.0, nu=3.0, eta=0.5, p_max=math.inf,
