@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import harness, oracle, scenario
-from .errors import ConfigError, CoopMecError
+from .errors import ConfigError, CoopMecError, InstanceTooLarge
 from .harness import ALGORITHMS, ExperimentSpec
 from .icrbi import STEP_RULES
 
@@ -116,9 +116,12 @@ def cmd_trace(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     spec = _build_spec(args, ALGORITHMS)
-    cfg = spec.base
+    # 3-task cells unless a config sets the task count, which must then be
+    # one the exhaustive search takes
+    cfg = spec.base if args.config else dataclasses.replace(spec.base, n=3)
     if cfg.n > oracle.BRUTE_FORCE_LIMIT:
-        cfg = dataclasses.replace(cfg, n=3)
+        raise InstanceTooLarge(f"n = {cfg.n}: oracle-check's exhaustive search is limited "
+                               f"to {oracle.BRUTE_FORCE_LIMIT} tasks")
     worst: dict[str, float] = {a: 0.0 for a in spec.algorithms}
     for r in range(spec.realizations):
         seed = spec.seed_base + r

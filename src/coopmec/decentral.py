@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 from . import matching
-from .model import (Assignment, FeasibilityBounds, Scenario, assignment_cost,
-                    feasibility_bounds, make_assignment)
+from .model import Assignment, FeasibilityBounds, Scenario, assignment_cost, feasibility_bounds
 
 
 def overhead(n: int, n_u: int, n_mec: int, rounds: int) -> int:
@@ -181,7 +180,7 @@ def run(sc: Scenario) -> tuple[Assignment, RoundLog]:
     for k in sorted(held):
         matching.commit(sc, state, k, held[k], bounds.f_lower.item(k - 1, held[k]))
 
-    asg = make_assignment(sc, matching.prune(sc, state.omega, state.freqs)[0], state.freqs)
+    asg = matching.finish(sc, (state.omega, state.freqs))
     log.overhead = overhead(sc.n, log.n_u, log.n_mec, log.rounds)
     return asg, log
 

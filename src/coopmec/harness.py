@@ -116,8 +116,10 @@ def run_algorithm(sc: Scenario, algorithm: str,
                   step_rule: str = "diminish") -> tuple[Assignment, dict]:
     """Dispatch one solver; extras copy the overhead, converged and iterations
     of the record it returns and keep that record as "trace" (None for the
-    baseline).  Every solver validates its result in make_assignment, and an
-    icrbi run stopped at icrbi.MAX_ITER still yields its repaired assignment."""
+    baseline).  Every solver returns through matching.finish, which prunes,
+    costs and validates its result once, so no assignment is checked again
+    here; an icrbi run stopped at icrbi.MAX_ITER still yields its repaired
+    assignment."""
     if algorithm == "icrbi":
         asg, trace = icrbi.solve(sc, step_rule=step_rule)
     elif algorithm in matching.CRITERIA:

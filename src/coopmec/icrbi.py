@@ -53,16 +53,18 @@ trace's norms on BLAS, so every output keeps its bits.
 The relaxed iterate may violate capacity, so the final decision map is
 re-committed through the matching module's residual-budget subproblem
 (cheapest-to-place first, edge-server fallback, leftover capacity
-redistributed, then matching.prune); the result always validates.
+redistributed) and ends in matching.finish, as every solver does: the prune,
+and the assembly that validates the result.
 
 The repair reads only the 0/1 decision map, so the loop stops as soon as
 that map stops changing: when no new map has appeared for MAP_STABLE_K
 iterations ("map_stable"), unless the relaxed cost settled first
 ("converged") or the iteration cap came first ("max_iter").  A map-stable
 stop probes along the current subgradient with ever longer steps for the
-first map the prices would move to, repairs it next to the final map, and
-keeps the cheaper (a Lagrangian heuristic in the sense of Fisher,
-Management Science 1981).  Both rule-based stops count as converged.
+first map the prices would move to, and re-commits it next to the final
+map; matching.finish keeps the cheaper (a Lagrangian heuristic in the
+sense of Fisher, Management Science 1981).  Both rule-based stops count as
+converged.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ import numpy as np
 from . import matching
 from .errors import UnknownAlgorithm
 from .model import (EXP_CAP, LN2, Assignment, FeasibilityBounds, Scenario, balance_root,
-                    feasibility_bounds, make_assignment, offload_power_slope_vec)
+                    feasibility_bounds, offload_power_slope_vec)
 
 STEP_RULES = ("diminish", "square")
 MAX_ITER = 2000         # iteration cap: a run stopped here reports "max_iter"
@@ -420,10 +422,9 @@ def decisions_from(dev: list[int]) -> dict[int, int]:
 
 
 def _recommit(sc: Scenario, decisions: dict[int, int], bounds: FeasibilityBounds
-              ) -> tuple[dict[int, int], dict[int, float], float]:
-    """The pruned target a decision map re-commits to under residual budgets,
-    its placed cost (the total less the terms every map shares) and its
-    frequencies; see repair_feasibility."""
+              ) -> tuple[dict[int, int], dict[int, float]]:
+    """The (target, freqs) candidate a decision map re-commits to under
+    residual budgets, before the prune; see repair_feasibility."""
     state = matching.new_state(sc)
     order = sorted(decisions, key=lambda k: (bounds.f_lower[k - 1, decisions[k]], k))
     for k in order:
@@ -435,8 +436,7 @@ def _recommit(sc: Scenario, decisions: dict[int, int], bounds: FeasibilityBounds
             if f is not None:
                 matching.commit(sc, state, k, dev, f)
                 break
-    freqs = matching.redistribute_mec(state, sc)
-    return *matching.prune(sc, state.omega, freqs), freqs
+    return state.omega, matching.redistribute_mec(state, sc)
 
 
 def repair_feasibility(sc: Scenario, decisions: dict[int, int],
@@ -448,16 +448,13 @@ def repair_feasibility(sc: Scenario, decisions: dict[int, int],
     frequency at their chosen device); a task that no longer fits falls back
     to the edge server if the static bounds leave that pair open and it
     still fits, otherwise it is dropped.
-    Leftover edge capacity is redistributed, and a placement that then
-    costs more than dropping its task is dropped.  Given a rival map as well,
-    both are re-committed and the cheaper is kept, `decisions` on a tie;
-    only the kept one is assembled.  The result always validates."""
-    target, placed, freqs = _recommit(sc, decisions, bounds)
-    if rival is not None:
-        alt = _recommit(sc, rival, bounds)
-        if alt[1] < placed:
-            target, _, freqs = alt
-    return make_assignment(sc, target, freqs)
+    Leftover edge capacity is redistributed, and matching.finish ends the
+    solve: it drops each placement that costs more than dropping its task.
+    Given a rival map as well, both are re-committed and finish keeps the
+    cheaper, `decisions` on a tie, and assembles only that one.  The result
+    always validates."""
+    maps = [decisions] if rival is None else [decisions, rival]
+    return matching.finish(sc, *(_recommit(sc, m, bounds) for m in maps))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ prices to None and gets no entry.  `run` is built from these stages: the
 opening (`seeded_state`, the budgets the local seeds leave, shared with
 decentral), the first lists priced there over the pairs the static bounds
 leave open (built once per scenario, shared by both criteria), `complete`,
-`redistribute_mec`, `prune` and `make_assignment`.  `complete` is the
-completion step under residual budgets, which icrbi's repair is to share.
+`redistribute_mec` and `finish`.  `complete` is the completion step under
+residual budgets, which icrbi's repair is to share.
 It keeps its own lists up to date: a commitment of task k to device d
 shrinks only d's residual frequency/power and, for an offloaded task, k's
 residual power, so only the entries on devices d and k are priced again,
@@ -19,8 +19,12 @@ plus every entry of task d itself when d is a still unmatched UE (its
 residual power is also its transmit budget).  Budgets only shrink during
 the loop, so an entry that stops fitting is dropped for good.  Leftover
 edge-server capacity is finally redistributed over the tasks it hosts to
-cut their upload power, and a placement that then costs more than dropping
-its task is dropped (`prune`).
+cut their upload power.
+
+`finish` is how every solver ends, this one, icrbi's repair, decentral and
+the non-cooperative baseline alike: it drops each placement that costs more
+than dropping its task (`prune`), keeps the cheapest of the candidate maps
+it is given, and assembles and validates only that one (`make_assignment`).
 
 Two ordering criteria are provided: "maxtask" favours the task with the
 fewest remaining options (ties by cheapest head entry), "minpw" always
@@ -155,7 +159,7 @@ def prune(sc: Scenario, target: dict[int, int], freqs: dict[int, float]
     """The placements of `target` whose pair_cost at `freqs` is at most zero,
     in target order, and the sum of those costs.  Dropping a task only frees
     budget, so the kept map still validates, and it costs no more than
-    dropping every task.  Every solver calls this before make_assignment."""
+    dropping every task.  `finish` calls this for every solver."""
     kept, placed = {}, 0.0
     for k, dev in target.items():
         cost = pair_cost(sc, k, dev, freqs[k])
@@ -267,9 +271,23 @@ def redistribute_mec(state: MatchingState, sc: Scenario) -> dict[int, float]:
     return {**state.freqs, **mec_topup(sc, on_mec)}
 
 
+def finish(sc: Scenario, *candidates: tuple[dict[int, int], dict[int, float]]
+           ) -> Assignment:
+    """The validated assignment every solver returns: each (target, freqs)
+    candidate is pruned, the one whose kept placements cost least (their
+    pair_cost sum) is kept, the first on a tie or a NaN, and only that one is
+    assembled, costed and validated (make_assignment)."""
+    best = None
+    for target, freqs in candidates:
+        kept, placed = prune(sc, target, freqs)
+        if best is None or placed < best[1]:
+            best = kept, placed, freqs
+    return make_assignment(sc, best[0], best[2])
+
+
 def run(sc: Scenario, criterion: str = "maxtask") -> tuple[Assignment, MatchingState]:
     """Full heuristic: the opening, the first lists, `complete`, the
-    edge-server top-up, `prune`."""
+    edge-server top-up, `finish`."""
     if criterion not in CRITERIA:
         raise UnknownAlgorithm(f"matching criterion {criterion!r}")
     bounds = feasibility_bounds(sc)
@@ -280,6 +298,6 @@ def run(sc: Scenario, criterion: str = "maxtask") -> tuple[Assignment, MatchingS
         memo["_prefs"] = build_preferences(sc, state, bounds)
     complete(sc, state, memo["_prefs"], criterion)
     freqs = redistribute_mec(state, sc)
-    asg = make_assignment(sc, prune(sc, state.omega, freqs)[0], freqs)
+    asg = finish(sc, (state.omega, freqs))
     state.overhead = overhead(sc.n, n_h, sum(d == 0 for d in asg.target.values()))
     return asg, state

@@ -60,7 +60,7 @@ def non_cope(sc: Scenario) -> Assignment:
         if k not in mec_freqs and local_open[k - 1]:
             target[k] = k
             freqs[k] = sc.tasks[k - 1].f_min
-    return make_assignment(sc, matching.prune(sc, target, freqs)[0], freqs)
+    return matching.finish(sc, (target, freqs))
 
 
 # ---------------------------------------------------------------------------

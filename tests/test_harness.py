@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import edited_scenario, gen
-from coopmec import cli, decentral, harness, matching, model, scenario
+from coopmec import cli, decentral, harness, matching, model, oracle, scenario
 from coopmec.errors import ConfigError, CoopMecError, UnknownAlgorithm
 from coopmec.harness import (ALGORITHMS, ExperimentSpec, _fmt, aggregate,
                              apply_sweep, convergence_trace, run_algorithm,
@@ -261,11 +261,14 @@ def test_noise_near_overflow_blocks_every_upload(algo):
 def test_one_validation_per_solve(monkeypatch, algo):
     # every solver returns through make_assignment, which costs and validates
     # once; the dispatcher must not check the same assignment again, and no
-    # solver costs its partial assignments along the way
+    # solver costs its partial assignments along the way.  make_assignment is
+    # reached through matching.finish, which builds every returned result
     calls = []
     costed = []
+    finished = []
     real_validate = model.validate_constraints
     real_cost = model.assignment_cost
+    real_finish = matching.finish
 
     def counting(sc, asg):
         calls.append(asg)
@@ -275,6 +278,10 @@ def test_one_validation_per_solve(monkeypatch, algo):
         costed.append(dict(target))
         return real_cost(sc, target, freqs)
 
+    def counting_finish(sc, *candidates):
+        finished.append(real_finish(sc, *candidates))
+        return finished[-1]
+
     for name, mod in list(sys.modules.items()):
         if not name.startswith("coopmec."):
             continue
@@ -282,12 +289,16 @@ def test_one_validation_per_solve(monkeypatch, algo):
             monkeypatch.setattr(mod, "validate_constraints", counting)
         if getattr(mod, "assignment_cost", None) is real_cost:
             monkeypatch.setattr(mod, "assignment_cost", counting_cost)
+        if getattr(mod, "finish", None) is real_finish:
+            monkeypatch.setattr(mod, "finish", counting_finish)
     for k in range(3):
         asg, _ = run_algorithm(gen(n=10, seed=k), algo)
         assert len(calls) == k + 1
         assert calls[-1] is asg
         assert len(costed) == k + 1
         assert costed[-1] == asg.target
+        assert len(finished) == k + 1
+        assert finished[-1] is asg
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -783,6 +794,31 @@ def test_cli_rejects_options_the_command_ignores(tmp_path, monkeypatch, capsys, 
         cli.main(argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+def test_cli_oracle_check_keeps_the_configured_task_count(tmp_path, monkeypatch, capsys):
+    # a configured n is checked as configured: above the exhaustive search's
+    # limit it is an error, raised before any scenario is drawn
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text("n = 10\n")
+    drawn = []
+    real_generate = scenario.generate
+
+    def recording(cfg):
+        drawn.append(cfg.n)
+        return real_generate(cfg)
+
+    monkeypatch.setattr(scenario, "generate", recording)
+    assert cli.main(["oracle-check", "--config", str(cfg_path), "--realizations", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: n = 10: oracle-check's exhaustive search is limited "
+                            f"to {oracle.BRUTE_FORCE_LIMIT} tasks\n")
+    assert captured.out == "" and drawn == []
+    # a task count within the limit is checked as configured; none gives 3
+    cfg_path.write_text("n = 2\n")
+    assert cli.main(["oracle-check", "--config", str(cfg_path), "--realizations", "2"]) == 0
+    assert cli.main(["oracle-check", "--realizations", "1", "--algo", "noncope"]) == 0
+    assert drawn == [2, 2, 3]
 
 
 def test_cli_reports_bad_generated_records(tmp_path, capsys):

@@ -11,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gen, mk_dev, mk_scenario, mk_task
-from coopmec import oracle
-from coopmec.errors import UnknownAlgorithm
-from coopmec.matching import (CRITERIA, build_preferences, commit, complete,
+from coopmec import model, oracle
+from coopmec.errors import InfeasibleAssignment, UnknownAlgorithm
+from coopmec.matching import (CRITERIA, build_preferences, commit, complete, finish,
                               local_seed_set, mec_topup, new_state, next_task,
                               pair_cost, pair_frequency, prune, redistribute_mec,
                               residual_window, run, seeded_state)
@@ -183,6 +183,42 @@ def test_prune_keeps_only_the_placements_that_beat_dropping():
     asg = make_assignment(sc, kept, freqs)
     assert asg.cost.total == pytest.approx(sc.arrays.circuit + sc.arrays.penalty_total
                                            + costs[3], rel=1e-12)
+
+
+def test_finish_keeps_the_cheapest_pruned_candidate(monkeypatch):
+    # two identical tasks on identical links: a server placement at the same
+    # frequency costs the same for either, bit for bit
+    sc = mk_scenario([mk_task(1), mk_task(2)], [mk_dev(0, f_max=5e9), mk_dev(1), mk_dev(2)])
+    validated = []
+    real_validate = model.validate_constraints
+
+    def recording(sc, asg):
+        validated.append(asg)
+        return real_validate(sc, asg)
+
+    monkeypatch.setattr(model, "validate_constraints", recording)
+    one, two = ({1: 0}, {1: 1e9}), ({2: 0}, {2: 1e9})
+    both = ({1: 0, 2: 0}, {1: 1e9, 2: 1e9})
+    assert pair_cost(sc, 1, 0, 1e9) == pair_cost(sc, 2, 0, 1e9) < 0.0
+    # a strictly cheaper second candidate wins, an equal one loses
+    assert finish(sc, one, both).target == {1: 0, 2: 0}
+    assert finish(sc, one, two).target == {1: 0}
+    assert finish(sc, two, one).target == {2: 0}
+    # task 2's upload at 580 MHz needs more than its UE's budget and costs
+    # more than its penalty: the prune drops it before anything is validated
+    assert pair_cost(sc, 2, 0, 5.8e8) > 0.0
+    assert finish(sc, ({1: 0, 2: 0}, {1: 1e9, 2: 5.8e8})).target == {1: 0}
+    # task 1 on UE 2 at 1 GHz overdraws UE 2's budget but costs more than the
+    # server placement: as a losing candidate, first or second, it is never
+    # validated, and alone it is
+    assert pair_cost(sc, 1, 2, 1e9) > pair_cost(sc, 1, 0, 1e9)
+    over = ({1: 2}, {1: 1e9})
+    assert finish(sc, one, over).target == {1: 0}
+    assert finish(sc, over, one).target == {1: 0}
+    with pytest.raises(InfeasibleAssignment):
+        finish(sc, over)
+    assert [asg.target for asg in validated] == [{1: 0, 2: 0}, {1: 0}, {2: 0}, {1: 0},
+                                                 {1: 0}, {1: 0}, {1: 2}]
 
 
 def test_matching_tracks_exhaustive_search():
