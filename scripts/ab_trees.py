@@ -20,19 +20,34 @@ differ.  Unlike the solver rows, that row sees the sweep's own work, such as
 drawing the scenarios.  Given the same tree twice it is an A/A run: the noise
 floor a B/A ratio must be read against.
 
+With --costs it times nothing and compares what the solvers return
+instead, for a change that means to move outputs.  Both trees solve every
+scenario of the benchmark pools (POOLS, the pools of scripts/pool_digest.py)
+with all five solvers, and for each pool and solver the script prints the
+mean of B - A over the pool's runs with its standard error, the runs B
+lowers, raises and ties (a tie differs by at most TIE_RTOL relative), the
+largest rise with its cell and seed, and the change in accomplished tasks
+summed over the pool.  --out FILE writes each run that is not tied, or
+whose accomplished count or error differs, as a CSV row.  The report exits
+0; with --max-rise X it exits 1 when a cost rises by more than X, or when a
+solve raises in one tree only.  An A/A run ties every run.
+
     python scripts/ab_trees.py A_SRC B_SRC [--cells large] [--rounds 20] [--scenarios 20]
     python scripts/ab_trees.py src src --rounds 2          # A/A on this tree
+    python scripts/ab_trees.py A_SRC B_SRC --costs [--out FILE] [--max-rise X]
 
 A_SRC and B_SRC are the directories that hold a tree's coopmec package (a
 checkout's src/).  Cell sets, which scripts/pool_digest.py imports from here
-with outcome_line and assignment_line:
+with POOLS, outcome_line and assignment_line:
     capacity  N=10, server capacity f0_max 5, 6, 7 or 8 GHz
     ratio     n 10, 20 or 30 on the steep-path-loss cell
     large     n 80
 """
 
 import argparse
+import csv
 import importlib.util
+import math
 import random
 import statistics
 import sys
@@ -45,6 +60,10 @@ CELLS = {
     "ratio": [dict(n=n, **STEEP) for n in (10, 20, 30)],
     "large": [dict(n=80)],
 }
+# pool name -> number of seeds over the cells of the same name: the
+# scenarios of solverbench's workloads
+POOLS = {"capacity": 350, "ratio": 550, "large": 140}
+TIE_RTOL = 1e-9         # --costs: two costs this close, relative, are tied
 
 
 def load_tree(src: str, name: str):
@@ -126,6 +145,80 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def cell_label(cell: dict) -> str:
+    return " ".join(f"{k}={v:g}" for k, v in cell.items())
+
+
+def pool_costs(tree, pool: str) -> dict[tuple, tuple | str]:
+    """(cell, seed, algorithm) -> (total cost, accomplished tasks), or the
+    error line, of every solve of one pool, the solvers in benchmark order."""
+    gen, harness = tree["scenario"], tree["harness"]
+    costs = {}
+    for cell in CELLS[pool]:
+        for seed in range(POOLS[pool]):
+            sc = gen.generate(gen.GenConfig(seed=seed, **cell))
+            for algo in harness.ALGORITHMS:
+                try:
+                    asg, _ = harness.run_algorithm(sc, algo)
+                except tree["errors"].CoopMecError as exc:
+                    costs[cell_label(cell), seed, algo] = f"error {type(exc).__name__}: {exc}"
+                else:
+                    costs[cell_label(cell), seed, algo] = (asg.cost.total, asg.accomplished)
+    return costs
+
+
+def csv_fields(outcome: tuple | str) -> tuple:
+    """(cost, tasks) of a pool_costs outcome; (error line, "") for an error."""
+    return outcome if isinstance(outcome, tuple) else (outcome, "")
+
+
+def cost_report(trees, out: str | None, max_rise: float | None) -> int:
+    """Print the --costs report of every pool; the exit status."""
+    algorithms = trees["A"]["harness"].ALGORITHMS
+    rows, worst, one_sided = [], -math.inf, 0
+    print("pool      solver      B - A mean ± se       lowered  raised    tied  tasks B - A"
+          "  largest rise")
+    for pool in POOLS:
+        a_costs, b_costs = (pool_costs(trees[side], pool) for side in "AB")
+        for algo in algorithms:
+            diffs, tasks, counts, rise = [], 0, [0, 0, 0], None
+            for key, a in a_costs.items():
+                if key[2] != algo:
+                    continue
+                b = b_costs[key]
+                if isinstance(a, str) or isinstance(b, str):
+                    if a != b:
+                        one_sided += isinstance(a, str) != isinstance(b, str)
+                        rows.append((pool, *key, *csv_fields(a), *csv_fields(b)))
+                    continue
+                d = b[0] - a[0]
+                tasks += b[1] - a[1]
+                diffs.append(d)
+                tied = abs(d) <= TIE_RTOL * max(abs(a[0]), abs(b[0]))
+                counts[2 if tied else 0 if d < 0 else 1] += 1
+                if not tied or a[1] != b[1]:
+                    rows.append((pool, *key, *a, *b))
+                if d > 0 and (rise is None or d > rise[0]):
+                    rise = d, key
+                worst = max(worst, d)
+            mean = statistics.fmean(diffs) if diffs else math.nan
+            se = statistics.stdev(diffs) / math.sqrt(len(diffs)) if len(diffs) > 1 else math.nan
+            top = "none" if rise is None else f"{rise[0]:+.4g} at seed {rise[1][1]}, {rise[1][0]}"
+            print(f"{pool:<9} {algo:<10} {mean:+10.4f} ± {se:<9.4f} {counts[0]:7d} "
+                  f"{counts[1]:7d} {counts[2]:7d} {tasks:+12d}  {top}")
+    print(f"{len(rows)} runs differ between the trees, {one_sided} raise in one tree only")
+    if out:
+        with open(out, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["pool", "cell", "seed", "algorithm", "cost_a", "tasks_a",
+                             "cost_b", "tasks_b"])
+            writer.writerows(rows)
+    if max_rise is not None and (worst > max_rise or one_sided):
+        print(f"a cost rises by more than {max_rise}, or a solve raises in one tree only")
+        return 1
+    return 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -136,10 +229,19 @@ def main() -> int:
     ap.add_argument("--scenarios", type=int, default=20, help="scenarios per round")
     ap.add_argument("--seed", type=int, default=1000,
                     help="first scenario seed; also seeds the tree order")
+    ap.add_argument("--costs", action="store_true",
+                    help="compare the costs of every pool run instead of timing")
+    ap.add_argument("--out", help="--costs: write each differing run to this CSV file")
+    ap.add_argument("--max-rise", type=float, default=None,
+                    help="--costs: exit 1 when a cost rises by more than this")
     args = ap.parse_args()
     if args.rounds < 1 or args.scenarios < 2:
         ap.error("need at least one round of at least two scenarios")
+    if not args.costs and (args.out or args.max_rise is not None):
+        ap.error("--out and --max-rise need --costs")
     trees = {"A": load_tree(args.a_src, "coopmec_ab_a"), "B": load_tree(args.b_src, "coopmec_ab_b")}
+    if args.costs:
+        return cost_report(trees, args.out, args.max_rise)
     algorithms = trees["A"]["harness"].ALGORITHMS
     order = random.Random(args.seed)
     cells = CELLS[args.cells]

@@ -42,16 +42,15 @@ import sys
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
 
-from ab_trees import CELLS, STEEP, assignment_line, outcome_line
+from ab_trees import CELLS, POOLS, STEEP, assignment_line, outcome_line
 from coopmec.errors import CoopMecError
 from coopmec.harness import ALGORITHMS, run_algorithm
 from coopmec.oracle import brute_force
 from coopmec.scenario import GenConfig, generate
 
-# pool name -> number of seeds, over the cells of the same name
-POOLS = {"capacity": 350, "ratio": 550, "large": 140}
 # the oracle pool: (number of seeds, cells) per task count
 ORACLE_POOL = [(60, [dict(n=3), dict(n=3, **STEEP)]), (15, [dict(n=4), dict(n=4, **STEEP)])]
+DISPATCH = "on" if __cpu_features__.get("X86_V4") else "off"
 
 
 def outcome(sc, algo: str) -> str:
@@ -95,23 +94,31 @@ def oracle_digest(limit: float) -> str:
     return h.hexdigest()
 
 
+def digests(limit: float) -> tuple[dict[str, str], list[str]]:
+    """pool -> digest over the first `limit` seeds of each pool, the oracle
+    pool's last, and the outcomes that a pool's reverse pass reads
+    differently."""
+    got, differ = {}, []
+    for name, seeds in POOLS.items():
+        got[name], pool_differ = pool_digest(min(seeds, limit), CELLS[name])
+        differ += pool_differ
+    got["oracle"] = oracle_digest(limit)
+    return got, differ
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seeds", type=int, default=None,
                     help="digest only the first SEEDS seeds of each pool")
     args = ap.parse_args()
-    dispatch = "on" if __cpu_features__.get("X86_V4") else "off"
-    print(f"numpy {np.__version__}, X86_V4 dispatch {dispatch}", flush=True)
+    print(f"numpy {np.__version__}, X86_V4 dispatch {DISPATCH}", flush=True)
     limit = math.inf if args.seeds is None else args.seeds
-    differ = []
+    got, differ = digests(limit)
     for name, seeds in POOLS.items():
-        seeds = min(seeds, limit)
-        digest, pool_differ = pool_digest(seeds, CELLS[name])
-        print(f"{name} seeds 0-{seeds - 1} sha256:{digest}", flush=True)
-        differ += pool_differ
+        print(f"{name} seeds 0-{min(seeds, limit) - 1} sha256:{got[name]}")
     seeds = "/".join(f"0-{min(s, limit) - 1}" for s, _ in ORACLE_POOL)
-    print(f"oracle seeds {seeds} sha256:{oracle_digest(limit)}", flush=True)
+    print(f"oracle seeds {seeds} sha256:{got['oracle']}")
     if differ:
         sys.exit(f"{len(differ)} outcomes differ in reverse solver order, first: {differ[0]}")
 

@@ -52,12 +52,13 @@ trace's norms on BLAS, so every output keeps its bits.
 
 The relaxed iterate may violate capacity, so the final decision map is
 re-committed through the matching module's residual-budget subproblem
-(cheapest-to-place first, edge-server fallback, leftover capacity
-redistributed) and ends in matching.finish, as every solver does: the prune,
-and the assembly that validates the result.
+(cheapest-to-place first, edge-server fallback), matching's completion
+places the tasks still unmatched as a maxtask run would from there, the
+leftover capacity is redistributed, and the solve ends in matching.finish,
+as every solver does: the prune, and the assembly that validates the result.
 
 The repair reads only the 0/1 decision map, so the loop stops as soon as
-that map stops changing: when no new map has appeared for MAP_STABLE_K
+that map stops changing: when no new map has appeared for MAP_STABLE_K = 2
 iterations ("map_stable"), unless the relaxed cost settled first
 ("converged") or the iteration cap came first ("max_iter").  A map-stable
 stop probes along the current subgradient with ever longer steps for the
@@ -86,7 +87,7 @@ STEP_RULES = ("diminish", "square")
 MAX_ITER = 2000         # iteration cap: a run stopped here reports "max_iter"
 STEP_SCALE = 0.1        # step at iteration t: STEP_SCALE / sqrt(t) ("diminish") or / t
 SETTLE_RTOL = 1e-4      # settled once |C(t) - C(t-1)| < SETTLE_RTOL * |C(1)| (at least 1e-12)
-MAP_STABLE_K = 10       # stop after this many iterations without a new decision map
+MAP_STABLE_K = 2        # stop after this many iterations without a new decision map
 PROBE_DOUBLINGS = 12    # the exit probe tries steps 2s, 4s, ..., 2**12 s
 
 
@@ -436,6 +437,9 @@ def _recommit(sc: Scenario, decisions: dict[int, int], bounds: FeasibilityBounds
             if f is not None:
                 matching.commit(sc, state, k, dev, f)
                 break
+    # the tasks still unmatched go to matching's completion, as a maxtask run
+    # would place them from here
+    matching.complete(sc, state, matching.build_preferences(sc, state, bounds), "maxtask")
     return state.omega, matching.redistribute_mec(state, sc)
 
 
@@ -447,9 +451,12 @@ def repair_feasibility(sc: Scenario, decisions: dict[int, int],
     Tasks are placed cheapest-to-fit first (ascending static minimum
     frequency at their chosen device); a task that no longer fits falls back
     to the edge server if the static bounds leave that pair open and it
-    still fits, otherwise it is dropped.
-    Leftover edge capacity is redistributed, and matching.finish ends the
-    solve: it drops each placement that costs more than dropping its task.
+    still fits.  matching.complete then places the tasks still unmatched
+    (the map's dropped ones too) by the maxtask criterion, from preference
+    lists priced at the residual budgets; a task that fits nowhere is
+    dropped.  Leftover edge capacity is redistributed, and matching.finish
+    ends the solve: it drops each placement that costs more than dropping
+    its task.
     Given a rival map as well, both are re-committed and finish keeps the
     cheaper, `decisions` on a tie, and assembles only that one.  The result
     always validates."""
@@ -489,11 +496,12 @@ def solve(sc: Scenario, step_rule: str = "diminish") -> tuple[Assignment, IcrbiT
     map stops changing, then repair.
 
     Stops when |C(t) - C(t-1)| < trace.eps (SETTLE_RTOL * |C(1)|), when no new
-    0/1 decision map has appeared for MAP_STABLE_K iterations, or after
+    0/1 decision map has appeared for MAP_STABLE_K (2) iterations, or after
     MAX_ITER iterations, whichever comes first; trace.termination says which
     ("converged", "map_stable" or "max_iter").  A settled or capped run
-    repairs its final decision map.  A map-stable run also probes along the
-    current subgradient with ever longer steps (2s, 4s, ..., 2**12 s) for
+    repairs its final decision map; each repair ends in matching's maxtask
+    completion (see repair_feasibility).  A map-stable run also probes along
+    the current subgradient with ever longer steps (2s, 4s, ..., 2**12 s) for
     the first map that differs, repairs both, and returns the cheaper, the
     final map on a tie.  The probes are not iterations: they add nothing to
     the trace."""

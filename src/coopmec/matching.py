@@ -11,7 +11,7 @@ opening (`seeded_state`, the budgets the local seeds leave, shared with
 decentral), the first lists priced there over the pairs the static bounds
 leave open (built once per scenario, shared by both criteria), `complete`,
 `redistribute_mec` and `finish`.  `complete` is the completion step under
-residual budgets, which icrbi's repair is to share.
+residual budgets, which icrbi's repair shares.
 It keeps its own lists up to date: a commitment of task k to device d
 shrinks only d's residual frequency/power and, for an offloaded task, k's
 residual power, so only the entries on devices d and k are priced again,

@@ -671,13 +671,17 @@ def test_cli_trace_rejects_the_baseline_before_solving(tmp_path, capsys):
 
 
 def test_converged_runs_settle_below_threshold(sc10):
-    # under the diminishing rule sc10's decision map never changes after
-    # iteration 1, so it stops map-stable at 11 before it would settle at
-    # 26; under the square rule it settles at 10
+    # under either rule sc10's decision map never changes after iteration
+    # 1, so it stops map-stable at 3, before it would settle (at 26 under
+    # the diminishing rule, at 10 under the square rule); seed 234's relaxed
+    # cost settles first, at 5 and at 7
     from coopmec import icrbi
-    for rule, stop, iterations in (("diminish", "map_stable", 11),
-                                   ("square", "converged", 10)):
-        _, trace = icrbi.solve(sc10, step_rule=rule)
+    sc234 = gen(n=10, seed=234)
+    for sc, rule, stop, iterations in ((sc10, "diminish", "map_stable", 3),
+                                       (sc10, "square", "map_stable", 3),
+                                       (sc234, "diminish", "converged", 5),
+                                       (sc234, "square", "converged", 7)):
+        _, trace = icrbi.solve(sc, step_rule=rule)
         assert trace.termination == stop and trace.converged
         assert trace.iterations == iterations
         costs = trace.reduced_cost

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import gen, mk_dev, mk_scenario, mk_task, remote_pairs
-from coopmec import cli, icrbi, oracle
+from coopmec import cli, icrbi, matching, oracle
 from coopmec.errors import UnknownAlgorithm
 from coopmec.harness import run_algorithm
 from coopmec.icrbi import decisions_from, repair_feasibility, solve, step_size
@@ -191,14 +192,14 @@ def test_solve_result_validates(sc10):
 
 
 def test_iteration_cap_returns_repaired_assignment(sc10, monkeypatch):
-    # sc10 stops map-stable after 11 iterations, so a cap of 3 stops the loop first
-    monkeypatch.setattr(icrbi, "MAX_ITER", 3)
+    # sc10 stops map-stable after 3 iterations, so a cap of 2 stops the loop first
+    monkeypatch.setattr(icrbi, "MAX_ITER", 2)
     asg, trace = solve(sc10)
     assert trace.termination == "max_iter" and not trace.converged
-    assert trace.iterations == 3
+    assert trace.iterations == 2
     assert validate_constraints(sc10, asg) == []
     _, extras = run_algorithm(sc10, "icrbi")
-    assert extras["converged"] is False and extras["iterations"] == 3
+    assert extras["converged"] is False and extras["iterations"] == 2
     assert extras["trace"].reduced_cost == trace.reduced_cost
 
 
@@ -233,7 +234,8 @@ def test_repair_is_idempotent(sc10):
 
 def test_repair_resolves_overloaded_helper():
     # both tasks want helper 3, whose CPU fits only one of them; the repair
-    # must keep a valid assignment and fall the loser back to the server
+    # must keep a valid assignment and fall the loser back to the server.
+    # Task 3, in no map, is left to the repair's completion
     tasks = [mk_task(1, cycles=1.2e7), mk_task(2, cycles=1.2e7), mk_task(3)]
     devices = [mk_dev(0, f_max=5e9), mk_dev(1, f_max=0.52e9), mk_dev(2, f_max=0.52e9),
                mk_dev(3, f_max=0.8e9, p_max=3.0)]
@@ -241,7 +243,41 @@ def test_repair_resolves_overloaded_helper():
     asg = repair_feasibility(sc, {1: 3, 2: 3}, feasibility_bounds(sc))
     assert validate_constraints(sc, asg) == []
     assert 1 in asg.target and 2 in asg.target
-    assert sorted(asg.target.values()) == [0, 3]
+    assert sorted([asg.target[1], asg.target[2]]) == [0, 3]
+
+
+# the README cell, the steep-path-loss cell and a cell where cooperation
+# pays (short-range, fast-UE, slow-server: ROADMAP item 19's cell F)
+REPAIR_CELLS = {
+    "default": {},
+    "steep": dict(pathloss_exponent=4.5, pathloss_ref_gain=1e-2),
+    "coop": dict(cycles=(3e7, 9e7), f_ue=(0.3e9, 4e9), cell_m=200.0, kappa=3e-28,
+                 f0_max=2e9, deadline_s=(0.05, 0.1)),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(REPAIR_CELLS))
+def test_repair_completes_every_task_that_still_fits(monkeypatch, cell):
+    # each map the solve repairs ends its commits in matching's completion:
+    # at the residual budgets it leaves, no device fits a task still unmatched
+    states = []
+    redistribute = matching.redistribute_mec
+    monkeypatch.setattr(matching, "redistribute_mec",
+                        lambda state, sc: states.append(state) or redistribute(state, sc))
+    unmatched = 0
+    for n, seed in itertools.product((10, 40), range(4)):
+        sc = gen(n=n, seed=seed, **REPAIR_CELLS[cell])
+        states.clear()
+        asg, _ = solve(sc)
+        assert validate_constraints(sc, asg) == []
+        assert states
+        bounds = feasibility_bounds(sc)
+        for state in states:
+            prefs = matching.build_preferences(sc, state, bounds)
+            assert set(prefs) == state.unmatched
+            assert not any(prefs.values())
+            unmatched += len(state.unmatched)
+    assert unmatched > 0
 
 
 def test_trace_records_and_serialises(tmp_path, sc10):

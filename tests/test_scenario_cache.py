@@ -169,14 +169,18 @@ def test_opening_built_once_and_shared(monkeypatch):
     sc = gen(n=20, seed=1)
     seeds = sorted(matching.local_seed_set(sc, feasibility_bounds(sc)))
     assert seeds
-    seed_commits = {}
+    seed_commits, built_by = {}, {}
     for algo in ALGORITHMS:
         committed.clear()
+        built.clear()
         run_algorithm(sc, algo)
-        if algo != "icrbi":             # icrbi's repair commits its own map
+        # icrbi's repair commits its own map and completes it from lists
+        # priced at the budgets that map leaves
+        if algo != "icrbi":
             seed_commits[algo] = [k for k, dev, f in committed
                                   if k == dev and f == sc.tasks[k - 1].f_min]
-    assert built == [sc]
+            built_by[algo] = built[:]
+    assert built_by == {"maxtask": [sc], "minpw": [], "decentral": [], "noncope": []}
     assert seed_commits == {"maxtask": seeds, "minpw": [], "decentral": [], "noncope": []}
     # the cached lists are tuples, as priced at the seeded budgets
     prefs = vars(sc)["_prefs"]
