@@ -26,11 +26,16 @@ scenario of the benchmark pools (POOLS, the pools of scripts/pool_digest.py)
 with all five solvers, and for each pool and solver the script prints the
 mean of B - A over the pool's runs with its standard error, the runs B
 lowers, raises and ties (a tie differs by at most TIE_RTOL relative), the
-largest rise with its cell and seed, and the change in accomplished tasks
-summed over the pool.  --out FILE writes each run that is not tied, or
-whose accomplished count or error differs, as a CSV row.  The report exits
-0; with --max-rise X it exits 1 when a cost rises by more than X, or when a
-solve raises in one tree only.  An A/A run ties every run.
+runs whose decision map differs, the runs whose iteration count (or, for
+icrbi, stop reason) differs, the largest rise with its cell and seed, and
+the change in accomplished tasks summed over the pool.  A change that
+means to move only a cost's last bits reads 0 in both of those counts.
+--out FILE writes each run that is not tied, or whose accomplished count,
+decision map, iterations, stop reason or error differs, as a CSV row, with
+0/1 columns for a differing map and differing steps.  The report exits 0;
+with --max-rise X it exits 1 when a cost rises by more than X, or when a
+solve raises in one tree only.  An A/A run ties every run and differs in
+no map and no step count.
 
     python scripts/ab_trees.py A_SRC B_SRC [--cells large] [--rounds 20] [--scenarios 20]
     python scripts/ab_trees.py src src --rounds 2          # A/A on this tree
@@ -150,8 +155,9 @@ def cell_label(cell: dict) -> str:
 
 
 def pool_costs(tree, pool: str) -> dict[tuple, tuple | str]:
-    """(cell, seed, algorithm) -> (total cost, accomplished tasks), or the
-    error line, of every solve of one pool, the solvers in benchmark order."""
+    """(cell, seed, algorithm) -> (total cost, accomplished tasks, decision
+    map, (iterations, icrbi stop reason)), or the error line, of every solve
+    of one pool, the solvers in benchmark order."""
     gen, harness = tree["scenario"], tree["harness"]
     costs = {}
     for cell in CELLS[pool]:
@@ -159,29 +165,32 @@ def pool_costs(tree, pool: str) -> dict[tuple, tuple | str]:
             sc = gen.generate(gen.GenConfig(seed=seed, **cell))
             for algo in harness.ALGORITHMS:
                 try:
-                    asg, _ = harness.run_algorithm(sc, algo)
+                    asg, extras = harness.run_algorithm(sc, algo)
                 except tree["errors"].CoopMecError as exc:
                     costs[cell_label(cell), seed, algo] = f"error {type(exc).__name__}: {exc}"
                 else:
-                    costs[cell_label(cell), seed, algo] = (asg.cost.total, asg.accomplished)
+                    stop = extras["trace"].termination if algo == "icrbi" else ""
+                    costs[cell_label(cell), seed, algo] = (
+                        asg.cost.total, asg.accomplished, sorted(asg.target.items()),
+                        (extras["iterations"], stop))
     return costs
 
 
 def csv_fields(outcome: tuple | str) -> tuple:
     """(cost, tasks) of a pool_costs outcome; (error line, "") for an error."""
-    return outcome if isinstance(outcome, tuple) else (outcome, "")
+    return outcome[:2] if isinstance(outcome, tuple) else (outcome, "")
 
 
 def cost_report(trees, out: str | None, max_rise: float | None) -> int:
     """Print the --costs report of every pool; the exit status."""
     algorithms = trees["A"]["harness"].ALGORITHMS
-    rows, worst, one_sided = [], -math.inf, 0
-    print("pool      solver      B - A mean ± se       lowered  raised    tied  tasks B - A"
-          "  largest rise")
+    rows, worst, one_sided, moved_maps, moved_steps = [], -math.inf, 0, 0, 0
+    print("pool      solver      B - A mean ± se       lowered  raised    tied   maps  steps"
+          "  tasks B - A  largest rise")
     for pool in POOLS:
         a_costs, b_costs = (pool_costs(trees[side], pool) for side in "AB")
         for algo in algorithms:
-            diffs, tasks, counts, rise = [], 0, [0, 0, 0], None
+            diffs, tasks, counts, rise = [], 0, [0, 0, 0, 0, 0], None
             for key, a in a_costs.items():
                 if key[2] != algo:
                     continue
@@ -189,15 +198,18 @@ def cost_report(trees, out: str | None, max_rise: float | None) -> int:
                 if isinstance(a, str) or isinstance(b, str):
                     if a != b:
                         one_sided += isinstance(a, str) != isinstance(b, str)
-                        rows.append((pool, *key, *csv_fields(a), *csv_fields(b)))
+                        rows.append((pool, *key, *csv_fields(a), *csv_fields(b), "", ""))
                     continue
                 d = b[0] - a[0]
                 tasks += b[1] - a[1]
                 diffs.append(d)
                 tied = abs(d) <= TIE_RTOL * max(abs(a[0]), abs(b[0]))
                 counts[2 if tied else 0 if d < 0 else 1] += 1
-                if not tied or a[1] != b[1]:
-                    rows.append((pool, *key, *a, *b))
+                moved = a[2] != b[2], a[3] != b[3]      # decision map, steps
+                counts[3] += moved[0]
+                counts[4] += moved[1]
+                if not tied or a[1] != b[1] or any(moved):
+                    rows.append((pool, *key, *a[:2], *b[:2], *map(int, moved)))
                 if d > 0 and (rise is None or d > rise[0]):
                     rise = d, key
                 worst = max(worst, d)
@@ -205,13 +217,18 @@ def cost_report(trees, out: str | None, max_rise: float | None) -> int:
             se = statistics.stdev(diffs) / math.sqrt(len(diffs)) if len(diffs) > 1 else math.nan
             top = "none" if rise is None else f"{rise[0]:+.4g} at seed {rise[1][1]}, {rise[1][0]}"
             print(f"{pool:<9} {algo:<10} {mean:+10.4f} ± {se:<9.4f} {counts[0]:7d} "
-                  f"{counts[1]:7d} {counts[2]:7d} {tasks:+12d}  {top}")
-    print(f"{len(rows)} runs differ between the trees, {one_sided} raise in one tree only")
+                  f"{counts[1]:7d} {counts[2]:7d} {counts[3]:6d} {counts[4]:6d} "
+                  f"{tasks:+12d}  {top}")
+            moved_maps += counts[3]
+            moved_steps += counts[4]
+    print(f"{len(rows)} runs differ between the trees, {one_sided} raise in one tree only, "
+          f"{moved_maps} differ in their decision map, {moved_steps} in their iterations "
+          "or stop reason")
     if out:
         with open(out, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["pool", "cell", "seed", "algorithm", "cost_a", "tasks_a",
-                             "cost_b", "tasks_b"])
+                             "cost_b", "tasks_b", "map_differs", "steps_differs"])
             writer.writerows(rows)
     if max_rise is not None and (worst > max_rise or one_sided):
         print(f"a cost rises by more than {max_rise}, or a solve raises in one tree only")

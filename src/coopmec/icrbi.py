@@ -31,31 +31,30 @@ every iteration, and walked once it loses.  A pair walked (a live pair)
 is visited once per iteration, on plain floats: screened at its window
 ends, root-solved where the screen leaves it open (model.balance_root, the
 safeguarded Newton that matching uses too) and priced on the spot with
-inline copies of U and U' (offload_power's U bit for bit; a U' that
-squares T f - c as a product, not a power, so it can differ from
-offload_power_derivs in the last bit).  The other pairs keep their previous
-stationary frequencies (the window midpoint before the first solve), which
-warm-start the root once the task's local option loses; a pair solved from
-such a stale start ends at the same root to within the root tolerance, not
-always bit for bit.  A task whose effective power price w_i + mu_i is zero
-stays at the lower end of each window.  The priced pair cost is convex in
-f, so the clamped stationary frequency is its minimum over the window: each
-iteration prices a pair once, there, and the committed pairs' upload and
-hosted CPU power come from those same values.  The edge server's compute is
+inline copies of offload_power's U and offload_power_derivs' U'.  The
+other pairs keep their previous stationary frequencies (the window midpoint
+before the first solve), which warm-start the root once the task's local
+option loses; a pair solved from such a stale start ends at the same root
+to within the root tolerance, not always bit for bit.  A task whose
+effective power price w_i + mu_i is zero stays at the lower end of each
+window.  The priced pair cost is convex in f, so the clamped stationary
+frequency is its minimum over the window: each iteration prices a pair
+once, there, and the committed pairs' upload and hosted CPU power come
+from those same values.  The edge server's compute is
 free, as is a kappa-0 UE's, so their hosted power is zero.  The dual step
 moves the server and only the UEs that host a guest, upload their own task
 or carry a price; every other UE keeps zero prices, once set-up has checked
-that its idle and own-local subgradients are <= 0.  Its per-host sums run
-in task order, as np.bincount adds them.  Set-up's U' and power columns and
-the relaxed cost's sums (numpy's pairwise sum) stay on numpy, and the
-trace's norms on BLAS, so every output keeps its bits.
+that its idle and own-local subgradients are <= 0.  Its per-host sums and
+the relaxed cost's three sums run in task order, and the trace records the
+price norms as math.hypot gives them: the loop makes no numpy call.
 
 The relaxed iterate may violate capacity, so the final decision map is
 re-committed through the matching module's residual-budget subproblem
-(cheapest-to-place first, edge-server fallback), matching's completion
-places the tasks still unmatched as a maxtask run would from there, the
-leftover capacity is redistributed, and the solve ends in matching.finish,
-as every solver does: the prune, and the assembly that validates the result.
+(cheapest-to-place first, each pair where it still fits), matching's
+completion places the tasks still unmatched as a maxtask run would from
+there, the leftover capacity is redistributed, and the solve ends in
+matching.finish, as every solver does: the prune, and the assembly that
+validates the result.
 
 The repair reads only the 0/1 decision map, so the loop stops as soon as
 that map stops changing: when no new map has appeared for MAP_STABLE_K = 2
@@ -71,7 +70,6 @@ converged.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import NamedTuple
@@ -171,10 +169,8 @@ class _Kernel:
     (_Usage), and the dual step and the relaxed cost reduce those.  The dual
     iterate is a pair of lists of nonnegative prices in raw objective units:
     mu[i-1] adds to UE i's per-watt price w_i for its power budget, v[j]
-    prices device j's CPU capacity per cycle/s.  The U' and power columns,
-    the local runs' f_min**nu and the relaxed cost's sums stay on numpy:
-    numpy's power and pairwise sum can differ from Python's ** and a running
-    sum in the last bit, and every output keeps its bits.
+    prices device j's CPU capacity per cycle/s.  Set-up builds the U' and
+    power columns and the local runs' f_min**nu on numpy.
 
     Set-up sorts the tasks once, at zero prices, into `visit`: each task
     whose local run wins there (with its local terms, tested at every call)
@@ -341,7 +337,7 @@ class _Kernel:
                 g_nu = g ** nu
                 lam = pi * u + wh[j] * kappa * g_nu + v[j] * g - phi_i
                 if lam <= 0.0:                  # so u is finite: denom > 0, x <= cap
-                    sq = denom * denom
+                    sq = denom**2
                     du = (noise_ln2 / (bw * gain) * math.exp(x) * (-bits * cyc / sq)
                           if sq != 0.0 else -math.inf)
                     c = pi * (u - g * du)
@@ -362,7 +358,7 @@ class _Kernel:
         moved = set(self.restless)
         moved.update(compress(range(1, n + 1), mu))
         moved.update(compress(range(n + 1), v))
-        # per-host sums in task order, as np.bincount adds them
+        # per-host sums in task order
         load, compute_w = [0.0] * (n + 1), [0.0] * (n + 1)
         for i, _ in self.visit:
             d = dev[i]
@@ -395,21 +391,17 @@ class _Kernel:
 
     def reduced_cost(self, use: _Usage) -> float:
         """The relaxed cost less its constant terms (the circuit power and
-        every task's penalty), each of its three sums over the tasks taken
-        by numpy's pairwise sum, as one row of a (3, N) array.  Only a
-        visited task can be placed; a dropped task's terms stay zero, and
-        numpy's sum starts from +0.0, so the sign of a zero never shows."""
-        n, pa, hw, phi = self.n, self.pa_price, self.host_w, self.phi
+        every task's penalty): three running sums over the visited tasks, in
+        task order.  Only a visited task can be placed."""
+        pa, hw, phi = self.pa_price, self.host_w, self.phi
         dev, transmit, hosted = use.dev, use.transmit, use.hosted
-        terms = array("d", bytes(24 * n))
+        upload = compute = saved = 0.0
         for i, _ in self.visit:
             d = dev[i]
             if d >= 0:
-                terms[i] = pa[i] * transmit[i]
-                terms[n + i] = hw[d] * hosted[i]
-                terms[2 * n + i] = phi[i]
-        rows = np.frombuffer(terms).reshape(3, n)
-        upload, compute, saved = np.add.reduce(rows, axis=1).tolist()
+                upload += pa[i] * transmit[i]
+                compute += hw[d] * hosted[i]
+                saved += phi[i]
         return upload + compute - saved
 
 
@@ -429,14 +421,9 @@ def _recommit(sc: Scenario, decisions: dict[int, int], bounds: FeasibilityBounds
     state = matching.new_state(sc)
     order = sorted(decisions, key=lambda k: (bounds.f_lower[k - 1, decisions[k]], k))
     for k in order:
-        # a blocked server pair can still fit the residual budgets when its
-        # window starts at f_min, where U is not usable: no fallback there
-        fallback = decisions[k] != 0 and not bounds.blocked.item(k - 1, 0)
-        for dev in ([decisions[k], 0] if fallback else [decisions[k]]):
-            f = matching.pair_frequency(sc, state, k, dev)
-            if f is not None:
-                matching.commit(sc, state, k, dev, f)
-                break
+        f = matching.pair_frequency(sc, state, k, decisions[k])
+        if f is not None:
+            matching.commit(sc, state, k, decisions[k], f)
     # the tasks still unmatched go to matching's completion, as a maxtask run
     # would place them from here
     matching.complete(sc, state, matching.build_preferences(sc, state, bounds), "maxtask")
@@ -448,15 +435,14 @@ def repair_feasibility(sc: Scenario, decisions: dict[int, int],
                        rival: dict[int, int] | None = None) -> Assignment:
     """Re-commit a raw decision map under residual budgets.
 
-    Tasks are placed cheapest-to-fit first (ascending static minimum
-    frequency at their chosen device); a task that no longer fits falls back
-    to the edge server if the static bounds leave that pair open and it
-    still fits.  matching.complete then places the tasks still unmatched
-    (the map's dropped ones too) by the maxtask criterion, from preference
-    lists priced at the residual budgets; a task that fits nowhere is
-    dropped.  Leftover edge capacity is redistributed, and matching.finish
-    ends the solve: it drops each placement that costs more than dropping
-    its task.
+    Each pair of the map is committed where it still fits, cheapest-to-fit
+    first (ascending static minimum frequency at its device).
+    matching.complete then places the tasks still unmatched (those that no
+    longer fit their relaxed host, and the map's dropped ones) by the
+    maxtask criterion, from preference lists priced at the residual
+    budgets; a task that fits nowhere is dropped.  Leftover edge capacity
+    is redistributed, and matching.finish ends the solve: it drops each
+    placement that costs more than dropping its task.
     Given a rival map as well, both are re-committed and finish keeps the
     cheaper, `decisions` on a tie, and assembles only that one.  The result
     always validates."""
@@ -477,18 +463,6 @@ def _ray_map(kern: _Kernel, mu, v, use: _Usage, s: float, warm):
         if probe.dev != use.dev:
             return probe.dev
     return None
-
-
-def _norm(prices: list[float]) -> float:
-    """The Euclidean norm of a price list as BLAS sums its squares; 0.0 at
-    zero prices, without the call.  A price near the float limit overflows
-    the sum, not the norm: math.hypot reports that one."""
-    if not any(prices):
-        return 0.0
-    a = np.array(prices)
-    with np.errstate(over="ignore"):
-        sq = a.dot(a)
-    return math.sqrt(sq) if sq < math.inf else math.hypot(*prices)
 
 
 def solve(sc: Scenario, step_rule: str = "diminish") -> tuple[Assignment, IcrbiTrace]:
@@ -521,8 +495,8 @@ def solve(sc: Scenario, step_rule: str = "diminish") -> tuple[Assignment, IcrbiT
         cost = kern.reduced_cost(use)
         trace.reduced_cost.append(cost)
         trace.num_assigned.append(sc.n - use.dev.count(-1))
-        trace.mu_norm.append(_norm(mu))
-        trace.v_norm.append(_norm(v))
+        trace.mu_norm.append(math.hypot(*mu))
+        trace.v_norm.append(math.hypot(*v))
         key = tuple(use.dev)
         if key not in seen:
             seen.add(key)

@@ -561,12 +561,13 @@ class Violation:
 
 def assignment_cost(sc: Scenario, target, freqs) -> tuple[CostBreakdown, dict[int, float]]:
     """Cost breakdown of a (target, frequency) choice; also returns the
-    delay-tight transmit powers implied for the offloaded tasks.  Transmit and
-    compute add up in task order, the avoided penalties in `target` order."""
+    delay-tight transmit powers implied for the offloaded tasks.  Transmit,
+    compute and the avoided penalties add up in task order."""
     tasks, gain, arr = sc.tasks, sc.gains.item, sc.arrays
     bandwidth, noise_w, law = sc.bandwidth, sc.noise_w, arr.power_law
     transmit = 0.0
     compute = 0.0
+    saved = 0.0
     p_t: dict[int, float] = {}
     for task_id in sorted(target):
         dev = target[task_id]
@@ -577,8 +578,8 @@ def assignment_cost(sc: Scenario, target, freqs) -> tuple[CostBreakdown, dict[in
             p_t[task_id] = power
             transmit += arr.upload_price[task_id - 1] * power
         compute += arr.cpu_price[dev] * f ** law[dev][1]
+        saved += task.penalty
     circuit, penalty_all = arr.circuit, arr.penalty_total
-    saved = sum(tasks[i - 1].penalty for i in target)
     total = transmit + compute + circuit + (penalty_all - saved)
     reduced = transmit + compute - saved
     return CostBreakdown(transmit=transmit, compute=compute, circuit=circuit,

@@ -234,8 +234,8 @@ def test_repair_is_idempotent(sc10):
 
 def test_repair_resolves_overloaded_helper():
     # both tasks want helper 3, whose CPU fits only one of them; the repair
-    # must keep a valid assignment and fall the loser back to the server.
-    # Task 3, in no map, is left to the repair's completion
+    # must keep a valid assignment, and its completion places the loser on
+    # the server.  Task 3, in no map, is left to the completion too
     tasks = [mk_task(1, cycles=1.2e7), mk_task(2, cycles=1.2e7), mk_task(3)]
     devices = [mk_dev(0, f_max=5e9), mk_dev(1, f_max=0.52e9), mk_dev(2, f_max=0.52e9),
                mk_dev(3, f_max=0.8e9, p_max=3.0)]
@@ -244,6 +244,19 @@ def test_repair_resolves_overloaded_helper():
     assert validate_constraints(sc, asg) == []
     assert 1 in asg.target and 2 in asg.target
     assert sorted([asg.target[1], asg.target[2]]) == [0, 3]
+
+
+def test_repair_leaves_a_task_that_no_longer_fits_to_the_completion():
+    # the relaxed map runs tasks 1 and 5 on UE 1 and task 10 on the server.
+    # Task 5 commits first and leaves no room on UE 1 for task 1, which is
+    # left to the completion; it does not take the server ahead of task 10,
+    # which still fits there.  Task 1 on the server instead costs 396.336
+    sc = gen(seed=111)
+    asg, trace = solve(sc)
+    assert trace.termination == "converged"
+    assert asg.target == {5: 1, 10: 0}
+    assert validate_constraints(sc, asg) == []
+    assert asg.cost.total < 396.336
 
 
 # the README cell, the steep-path-loss cell and a cell where cooperation

@@ -247,13 +247,17 @@ class DenseKernel:
 
     def reduced_cost(self, x, a):
         # each row holds one task's terms, so its sum is exact; the per-task
-        # sums then add up in the order the pair kernel's per-task vectors do
+        # terms then add up in task order on floats, as the pair kernel's do
         used_t = np.where(self.remote & (a > 0), self._u(x), 0.0)
-        transmit = ((self.w / self.eta)[:, None] * used_t).sum(axis=1).sum()
         hosted = self._pow(np.where(a > 0, x, 0.0)) * self.kappa_d[None, :]
-        compute = (hosted * self.host_w[None, :]).sum(axis=1).sum()
-        saved = (self.phi * (a.sum(axis=1) > 0)).sum()
-        return float(transmit + compute - saved)
+        upload = compute = saved = 0.0
+        for t, c, s in zip(((self.w / self.eta)[:, None] * used_t).sum(axis=1).tolist(),
+                           (hosted * self.host_w[None, :]).sum(axis=1).tolist(),
+                           (self.phi * (a.sum(axis=1) > 0)).tolist()):
+            upload += t
+            compute += c
+            saved += s
+        return upload + compute - saved
 
 
 CELLS = {

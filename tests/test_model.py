@@ -355,6 +355,19 @@ def test_single_local_task_cost():
     assert math.isclose(cost.reduced, compute - 40.0, rel_tol=1e-12)
 
 
+def test_cost_does_not_depend_on_the_target_order():
+    # every task runs locally, so the avoided penalties sum to the scenario's
+    # penalty_total when they add up in task order; in reverse order they do
+    # not (a penalty term of 2.8e-14 instead of 0.0)
+    sc = gen(n=4, kappa=1e-320, f_ue=(1e300, 1e300))
+    for algo in ALGORITHMS:
+        asg, _ = run_algorithm(sc, algo)
+        assert asg.target == {k: k for k in range(1, 5)}
+        backward, _ = assignment_cost(sc, dict(reversed(asg.target.items())), asg.f)
+        assert backward == asg.cost
+        assert asg.cost.penalty == 0.0
+
+
 def test_total_reduced_identity(sc10):
     # total and reduced differ by the constant circuit + penalty mass
     const = (sum(t.power_price * sc10.devices[t.id].p_cir for t in sc10.tasks)

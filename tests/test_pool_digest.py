@@ -29,15 +29,15 @@ SEEDS = 20
 # X86_V4 dispatch -> pool -> sha256 over the first SEEDS seeds
 DIGESTS = {
     "on": {
-        "capacity": "ae73ee46df47f14ad5988fb3008ed67ad63fe90064bf5bb714c135b75bf6d720",
-        "ratio": "413acd9d39e6bb7920745ead220b38fe1aff733d80f61ef56d2acac9f46411f0",
-        "large": "fb974fa8ad4d46e3f945e6dcc084d3336df70a7376215ef6391341ba9a6a10ff",
+        "capacity": "3cdfc22bc8193a6e9f56a718378313a8717b53cf842e674756be83e979a9d514",
+        "ratio": "5ca987916add9fb87a28077ef110460372846d3adae20d3199f1261ea662ec4d",
+        "large": "f186384e5d5bea33ebdad70135594b1ed0f27804b67c562061f26170fcb41d4a",
         "oracle": "f1d7f1bdfd50be7e30c1c91404b5da7cd8ca7de4cead76a1d5884e73cbe2a096",
     },
     "off": {
-        "capacity": "7909efc386ec7dd9f0a292eac7cc723250469843db28b1174723cc6a624f9b26",
-        "ratio": "edd09aa86fe663dde3c2a19f96a0960be5af2bb3e20936438eefd710ca6af7d2",
-        "large": "c54480e317048fb963b1b817d376a46048b4e00f71ebae2b73afebe3bdee16b9",
+        "capacity": "a2e2addb619be26fbff58a91da11167ce8dc283ff352444c3fd0b5ccbc9d747e",
+        "ratio": "90f86363c202f32fb29a0798bf6947c6c9cb33b9cd8a298cd438e4537938aa8c",
+        "large": "deb8a5059eb6b37b87ab52a13e16ce976cf16e4305aa7f35ae899e314ba33066",
         "oracle": "f1d7f1bdfd50be7e30c1c91404b5da7cd8ca7de4cead76a1d5884e73cbe2a096",
     },
 }
