@@ -18,7 +18,6 @@ from pathlib import Path
 from . import harness, oracle, scenario
 from .errors import ConfigError, CoopMecError, InstanceTooLarge
 from .harness import ALGORITHMS, ExperimentSpec
-from .icrbi import STEP_RULES
 
 ORACLE_SLACK = 0.005          # relative margin an algorithm may beat the grid by
 
@@ -55,7 +54,6 @@ _OPTIONS = {
     "--realizations": dict(type=int, help="scenarios to draw (default varies)"),
     "--seed": dict(type=int, default=0, help="seed base"),
     "--out": dict(default=None, help="output directory"),
-    "--step-rule": dict(default="diminish", help=f"icrbi step rule: {' or '.join(STEP_RULES)}"),
     "--sweep": dict(help="var=v1,v2,... (f0_max, n, w, phi0)"),
 }
 
@@ -88,7 +86,7 @@ def _build_spec(args, default_algos: tuple[str, ...]) -> ExperimentSpec:
         algorithms=_parse_algos(args.algo, default_algos), base=cfg,
         sweep_var=sweep_var, sweep_values=sweep_values,
         realizations=args.realizations, out=getattr(args, "out", None),
-        seed_base=args.seed, step_rule=args.step_rule)
+        seed_base=args.seed)
 
 
 def cmd_run(args) -> int:
@@ -129,7 +127,7 @@ def cmd_oracle_check(args) -> int:
         ref = oracle.brute_force(sc).cost.total
         parts = [f"seed={seed} oracle={ref:.6f}"]
         for algo in spec.algorithms:
-            asg, _ = harness.run_algorithm(sc, algo, step_rule=spec.step_rule)
+            asg, _ = harness.run_algorithm(sc, algo)
             cost = asg.cost.total
             # every cost is >= 0: against a zero optimum only an equal cost has no gap
             gap = (cost - ref) / ref if ref else (0.0 if cost == ref else math.inf)
@@ -156,16 +154,15 @@ def main(argv=None) -> int:
     p_gen.set_defaults(fn=cmd_gen, realizations=1)
 
     p_run = sub.add_parser("run", help="Monte-Carlo sweep")
-    _add_options(p_run, "--config", "--algo", "--realizations", "--seed", "--out",
-                 "--step-rule", "--sweep")
+    _add_options(p_run, "--config", "--algo", "--realizations", "--seed", "--out", "--sweep")
     p_run.set_defaults(fn=cmd_run, realizations=100)
 
     p_trace = sub.add_parser("trace", help="per-iteration cost series")
-    _add_options(p_trace, "--config", "--algo", "--seed", "--out", "--step-rule")
+    _add_options(p_trace, "--config", "--algo", "--seed", "--out")
     p_trace.set_defaults(fn=cmd_trace, realizations=1)       # one scenario
 
     p_oc = sub.add_parser("oracle-check", help="compare against brute force")
-    _add_options(p_oc, "--config", "--algo", "--realizations", "--seed", "--step-rule")
+    _add_options(p_oc, "--config", "--algo", "--realizations", "--seed")
     p_oc.set_defaults(fn=cmd_oracle_check, realizations=20)
 
     args = parser.parse_args(argv)

@@ -28,4 +28,4 @@ class InstanceTooLarge(CoopMecError):
 
 
 class UnknownAlgorithm(CoopMecError):
-    """Algorithm or step-rule label not recognised."""
+    """Algorithm or matching-criterion label not recognised."""

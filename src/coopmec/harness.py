@@ -50,7 +50,6 @@ class ExperimentSpec:
     realizations: int = 100
     out: str | None = None
     seed_base: int = 0
-    step_rule: str = "diminish"
 
     def __post_init__(self):
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
@@ -70,7 +69,6 @@ class ExperimentSpec:
             raise ConfigError(f"task count must be finite, got {values!r}")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError("sweep values must be strictly increasing")
-        icrbi.check_settings(self.step_rule)
 
 
 @dataclass(frozen=True)
@@ -112,8 +110,7 @@ def apply_sweep(cfg: GenConfig, var: str, value) -> GenConfig:
     return dataclasses.replace(cfg, **{var: value})
 
 
-def run_algorithm(sc: Scenario, algorithm: str,
-                  step_rule: str = "diminish") -> tuple[Assignment, dict]:
+def run_algorithm(sc: Scenario, algorithm: str) -> tuple[Assignment, dict]:
     """Dispatch one solver; extras copy the overhead, converged and iterations
     of the record it returns and keep that record as "trace" (None for the
     baseline).  Every solver returns through matching.finish, which prunes,
@@ -121,7 +118,7 @@ def run_algorithm(sc: Scenario, algorithm: str,
     here; an icrbi run stopped at icrbi.MAX_ITER still yields its repaired
     assignment."""
     if algorithm == "icrbi":
-        asg, trace = icrbi.solve(sc, step_rule=step_rule)
+        asg, trace = icrbi.solve(sc)
     elif algorithm in matching.CRITERIA:
         asg, trace = matching.run(sc, criterion=algorithm)
     elif algorithm == "decentral":
@@ -175,7 +172,7 @@ def run_experiment(spec: ExperimentSpec) -> tuple[list[MetricRow], list[RunRecor
     records: list[RunRecord] = []
     for value, r, seed, sc in _scenarios(spec):
         for algo in spec.algorithms:
-            asg, extras = run_algorithm(sc, algo, step_rule=spec.step_rule)
+            asg, extras = run_algorithm(sc, algo)
             records.append(RunRecord(
                 algorithm=algo, sweep_value=float(value), realization=r,
                 seed=seed, total_cost=asg.cost.total,
@@ -244,9 +241,6 @@ def write_outputs(spec: ExperimentSpec, table: list[MetricRow],
         fh.write("sweep_values = " + ", ".join(_fmt(float(v)) for v in spec.sweep_values) + "\n")
         fh.write(f"realizations = {spec.realizations}\n")
         fh.write(f"seed_base = {spec.seed_base}\n")
-        fh.write(f"step_rule = {spec.step_rule}\n")
-        fh.write(f"x0 = {_fmt(icrbi.STEP_SCALE)}\n")
-        fh.write("eps = auto\n")
         fh.write("[base config]\n")
         for f in dataclasses.fields(spec.base):
             fh.write(f"{f.name} = {getattr(spec.base, f.name)!r}\n")
@@ -266,10 +260,10 @@ def convergence_trace(spec: ExperimentSpec) -> dict[str, Path]:
     sc = generate(dataclasses.replace(spec.base, seed=spec.seed_base))
     paths: dict[str, Path] = {}
     for algo in spec.algorithms:
-        asg, extras = run_algorithm(sc, algo, step_rule=spec.step_rule)
+        asg, extras = run_algorithm(sc, algo)
         trace = extras["trace"]
+        path = out / f"{algo}.csv"
         if algo == "icrbi":
-            path = out / f"icrbi_{spec.step_rule}_{_fmt(icrbi.STEP_SCALE)}.csv"
             trace.to_csv(path)
         else:
             if algo == "decentral":
@@ -278,7 +272,6 @@ def convergence_trace(spec: ExperimentSpec) -> dict[str, Path]:
                     for line in trace.lines():
                         fh.write(line + "\n")
                 paths["decentral_events"] = out / "decentral_events.txt"
-            path = out / f"{algo}.csv"
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("step,total_cost\n")
                 for i, c in enumerate(trace.cost_series(sc, asg)):

@@ -77,31 +77,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matching
-from .errors import UnknownAlgorithm
 from .model import (EXP_CAP, LN2, Assignment, FeasibilityBounds, Scenario, balance_root,
                     feasibility_bounds, offload_power_slope_vec)
 
-STEP_RULES = ("diminish", "square")
 MAX_ITER = 2000         # iteration cap: a run stopped here reports "max_iter"
-STEP_SCALE = 0.1        # step at iteration t: STEP_SCALE / sqrt(t) ("diminish") or / t
+STEP_SCALE = 0.1        # step at iteration t: STEP_SCALE / sqrt(t)
 SETTLE_RTOL = 1e-4      # settled once |C(t) - C(t-1)| < SETTLE_RTOL * |C(1)| (at least 1e-12)
 MAP_STABLE_K = 2        # stop after this many iterations without a new decision map
 PROBE_DOUBLINGS = 12    # the exit probe tries steps 2s, 4s, ..., 2**12 s
-
-
-def step_size(rule: str, t: int) -> float:
-    """Step scale at iteration t (1-based)."""
-    if rule == "diminish":
-        return STEP_SCALE / math.sqrt(t)
-    if rule == "square":
-        return STEP_SCALE / t
-    raise UnknownAlgorithm(f"step rule {rule!r}")
-
-
-def check_settings(step_rule: str) -> None:
-    """Reject an unknown step rule (UnknownAlgorithm)."""
-    if step_rule not in STEP_RULES:
-        raise UnknownAlgorithm(f"step rule {step_rule!r}")
 
 
 def overhead(n: int) -> int:
@@ -465,7 +448,7 @@ def _ray_map(kern: _Kernel, mu, v, use: _Usage, s: float, warm):
     return None
 
 
-def solve(sc: Scenario, step_rule: str = "diminish") -> tuple[Assignment, IcrbiTrace]:
+def solve(sc: Scenario) -> tuple[Assignment, IcrbiTrace]:
     """Run the dual iteration until the relaxed cost settles or the decision
     map stops changing, then repair.
 
@@ -479,7 +462,6 @@ def solve(sc: Scenario, step_rule: str = "diminish") -> tuple[Assignment, IcrbiT
     the first map that differs, repairs both, and returns the cheaper, the
     final map on a tie.  The probes are not iterations: they add nothing to
     the trace."""
-    check_settings(step_rule)
     bounds = feasibility_bounds(sc)
     ray = None
     kern = _Kernel(sc, bounds)
@@ -506,7 +488,7 @@ def solve(sc: Scenario, step_rule: str = "diminish") -> tuple[Assignment, IcrbiT
         elif abs(cost - prev_cost) < trace.eps:
             trace.termination = "converged"
             break
-        s = step_size(step_rule, t)
+        s = STEP_SCALE / math.sqrt(t)
         if t - last_new >= MAP_STABLE_K:
             trace.termination = "map_stable"
             ray = _ray_map(kern, mu, v, use, s, warm)

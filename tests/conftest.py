@@ -7,15 +7,18 @@ closed-form expectations remain easy to verify on paper.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from coopmec import icrbi
 from coopmec.errors import DomainError
 from coopmec.model import (CHECK_TOL, EXP_CAP, LN2, CostBreakdown, DeviceProfile, Scenario,
                            TaskSpec, Violation, offload_power)
-from coopmec.scenario import GenConfig, generate, read_scenario, write_scenario
+from coopmec.scenario import GenConfig, generate, read_config, read_scenario, write_scenario
 
 # -174 dBm/Hz over 2 MHz, rounded to three significant digits.  The round
 # value makes the reference-point arithmetic exact (see test_model).
@@ -37,6 +40,11 @@ def power_for_rate(gain: float, bandwidth: float, noise_w: float, rate: float) -
     if x > EXP_CAP:
         return math.inf
     return noise_w / gain * math.expm1(x)
+
+
+def icrbi_step(t: int) -> float:
+    """icrbi.solve's step size at iteration t (1-based)."""
+    return icrbi.STEP_SCALE / math.sqrt(t)
 
 
 def remote_pairs(sc: Scenario, bounds):
@@ -211,6 +219,15 @@ def mk_scenario(tasks, devices, gain=1e-10, bandwidth: float = 2e6,
 
 def gen(n: int = 10, seed: int = 0, **kw) -> Scenario:
     return generate(GenConfig(n=n, seed=seed, **kw))
+
+
+CELL_F_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "cell_f.cfg"
+
+
+def cell_f(**kw) -> dict:
+    """The GenConfig fields of the cooperation-rich cell F, as committed in
+    configs/cell_f.cfg, with kw set on top: gen(**cell_f(n=40, seed=3))."""
+    return {**dataclasses.asdict(read_config(CELL_F_CONFIG)), **kw}
 
 
 # the fields of a scenario file's task and device lines that edited_scenario sets

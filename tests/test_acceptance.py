@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import power_for_rate, required_rate
+from conftest import cell_f, gen, icrbi_step, power_for_rate, required_rate
 from coopmec import decentral, icrbi, matching, oracle
 from coopmec.harness import ExperimentSpec, run_algorithm, run_experiment, write_outputs
 from coopmec.model import (feasibility_bounds, offload_power, offload_power_derivs,
@@ -54,7 +54,7 @@ def stop_verified(sc, trace) -> bool:
         if kern.reduced_cost(use) != cost:
             return False
         maps.append(tuple(use.dev))
-        mu, v = kern.dual_step(mu, v, use, icrbi.step_size("diminish", t))
+        mu, v = kern.dual_step(mu, v, use, icrbi_step(t))
     k = icrbi.MAP_STABLE_K
     return len(maps) > k and set(maps[-k:]) <= set(maps[:-k])
 
@@ -250,6 +250,17 @@ def test_06_every_assignment_validates():
             violations += len(validate_constraints(sc, asg))
     assert report(6, violations == 0,
                   f"{violations} violations over 1000 scenarios x {len(ALGOS)} algorithms")
+
+
+@pytest.mark.parametrize("n, seeds", [(10, range(20)), (40, range(5))], ids=["n10", "n40"])
+def test_cell_f_assignments_validate(n, seeds):
+    # criterion 6 on the cooperation-rich cell F (configs/cell_f.cfg), where
+    # helper UEs host a share of the tasks that the random cells above rarely give
+    for seed in seeds:
+        sc = gen(**cell_f(n=n, seed=seed))
+        for a in ALGOS:
+            asg, _ = run_algorithm(sc, a)
+            assert validate_constraints(sc, asg) == [], (n, seed, a)
 
 
 def test_07_iterative_solver_converges(batch_n10):

@@ -9,11 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import gen, mk_dev, mk_scenario, mk_task, remote_pairs
+from conftest import gen, icrbi_step, mk_dev, mk_scenario, mk_task, remote_pairs
 from coopmec import cli, icrbi, matching, oracle
-from coopmec.errors import UnknownAlgorithm
 from coopmec.harness import run_algorithm
-from coopmec.icrbi import decisions_from, repair_feasibility, solve, step_size
+from coopmec.icrbi import decisions_from, repair_feasibility, solve
 from coopmec.model import feasibility_bounds, validate_constraints
 
 
@@ -27,16 +26,6 @@ def primal(sc):
     each task's frequency and host (-1 when dropped)."""
     use, _ = icrbi._Kernel(sc, feasibility_bounds(sc)).primal(*unpriced(sc.n))
     return use.freq, use.dev
-
-
-def test_step_size_rules():
-    assert math.isclose(step_size("diminish", 1), 0.1)
-    assert math.isclose(step_size("diminish", 4), 0.05)
-    assert math.isclose(step_size("square", 4), 0.025)
-    with pytest.raises(UnknownAlgorithm):
-        step_size("bogus", 1)
-    with pytest.raises(UnknownAlgorithm):
-        solve(gen(n=2, seed=0), step_rule="bogus")
 
 
 def test_unpriced_offload_runs_flat_out(sc10):
@@ -81,7 +70,7 @@ def test_multipliers_stay_nonnegative(sc10):
     mu, v = unpriced(sc10.n)
     for t in range(1, 7):
         use, _ = kern.primal(mu, v)
-        mu, v = kern.dual_step(mu, v, use, step_size("diminish", t))
+        mu, v = kern.dual_step(mu, v, use, icrbi_step(t))
         assert min(mu) >= 0
         assert min(v) >= 0
 
@@ -209,18 +198,12 @@ def test_iteration_cap_returns_repaired_assignment(sc10, monkeypatch):
     ["--eps", "nan"], ["--eps", "0"], ["--eps", "-1"], ["--eps", "1e-3"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_rejects_bad_icrbi_settings(capsys, argv):
-    # the step scale and the settle threshold are icrbi.STEP_SCALE and
-    # SETTLE_RTOL: --step-rule takes the rule name only, and --eps is no option
-    argv = ["run", "--algo", "icrbi", "--realizations", "1"] + argv
-    if argv[-2] == "--eps":
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: --eps {argv[-1]}" in capsys.readouterr().err
-    else:
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"step rule {argv[-1]!r}" in err
+    # icrbi has no settings: its step is icrbi.STEP_SCALE / sqrt(t) and its
+    # settle threshold SETTLE_RTOL, so neither --step-rule nor --eps is an option
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--algo", "icrbi", "--realizations", "1"] + argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
 
 
 def test_repair_is_idempotent(sc10):

@@ -45,9 +45,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gen, mk_dev, mk_scenario, mk_task, remote_pairs
+from conftest import gen, icrbi_step, mk_dev, mk_scenario, mk_task, remote_pairs
 from coopmec import icrbi
-from coopmec.icrbi import repair_feasibility, step_size
+from coopmec.icrbi import repair_feasibility
 from coopmec.model import (ROOT_RTOL, TaskSpec, balance_root, feasibility_bounds,
                            offload_power, offload_power_derivs, offload_power_slope_vec,
                            validate_constraints)
@@ -360,7 +360,7 @@ def replay(sc):
             eps = max(icrbi.SETTLE_RTOL * abs(cost), 1e-12)
         elif abs(cost - costs[-2]) < eps:
             return costs, "converged", [ra], bounds, stale
-        s = step_size("diminish", t)
+        s = icrbi_step(t)
         if t - last_new >= icrbi.MAP_STABLE_K:
             found, probe_stale = probe(kern, ref, pairs, mu, v, use, rx, ra, s, warm,
                                        ref_warm)
@@ -603,7 +603,7 @@ def test_warm_starts_outside_the_window_are_clipped_into_it():
     ri, _, lo, hi = remote_pairs(sc, bounds)
     mu, v = [0.0] * sc.n, [0.0] * (sc.n + 1)
     use, _ = kern.primal(mu, v)
-    mu, v = kern.dual_step(mu, v, use, step_size("diminish", 1))
+    mu, v = kern.dual_step(mu, v, use, icrbi_step(1))
     use, fresh = kern.primal(mu, v)
     fresh = np.array(fresh)
     live = np.array(use.dev)[ri] != ri + 1
@@ -637,5 +637,5 @@ def test_committed_pairs_are_priced_as_the_cost_model_prices_them(n, seeds):
                                           sc.bandwidth, sc.noise_w, f)
                 assert hosted == (host.kappa * f ** host.nu if dev else 0.0)
                 pairs += 1
-            mu, v = kern.dual_step(mu, v, use, step_size("diminish", t))
+            mu, v = kern.dual_step(mu, v, use, icrbi_step(t))
     assert pairs >= 100
