@@ -40,13 +40,11 @@ effective power price w_i + mu_i is zero stays at the lower end of each
 window.  The priced pair cost is convex in f, so the clamped stationary
 frequency is its minimum over the window: each iteration prices a pair
 once, there, and the committed pairs' upload and hosted CPU power come
-from those same values.  The edge server's compute is
-free, as is a kappa-0 UE's, so their hosted power is zero.  The dual step
-moves the server and only the UEs that host a guest, upload their own task
-or carry a price; every other UE keeps zero prices, once set-up has checked
-that its idle and own-local subgradients are <= 0.  Its per-host sums and
-the relaxed cost's three sums run in task order, and the trace records the
-price norms as math.hypot gives them: the loop makes no numpy call.
+from those same values.  The edge server's compute is free, as is a
+kappa-0 UE's, so their hosted power is zero.  The dual step moves the
+server and every UE.  Its per-host sums and the relaxed cost's three sums
+run in task order, and the trace records the price norms as math.hypot
+gives them: the loop makes no numpy call.
 
 The relaxed iterate may violate capacity, so the final decision map is
 re-committed through the matching module's residual-budget subproblem
@@ -71,7 +69,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -160,12 +157,7 @@ class _Kernel:
     and each other task that has a remote pair (walked over its pairs at
     every call).  The priced local cost is a sum of products of nonnegative
     factors and the prices mu_i and v_i, so it only rises with them: a task
-    in neither class is dropped at every price and never visited.  A UE
-    that hosts no guest, uploads no task of its own and carries zero prices
-    is idle or runs its own task locally; set-up checks once that both of
-    those subgradients are <= 0, and dual_step then leaves its prices at
-    zero without visiting it.  A UE that fails the check (`restless`) is
-    stepped every time.
+    in neither class is dropped at every price and never visited.
     """
 
     def __init__(self, sc: Scenario, bounds: FeasibilityBounds):
@@ -238,29 +230,23 @@ class _Kernel:
                 slope = wj * nj * math.exp(math.log(kj) + (nj - 1.0) * math.log(cap))
             v_scale[j] = slope if slope > 0 else v_scale[0]
 
-        # the task classes and the restless UEs, with primal's and dual_step's
-        # own expressions at zero prices.  A local run's frequency is f_min
+        # the task classes, with primal's own expressions at zero prices.  A
+        # local run's frequency is f_min
         # (the priced local cost rises with f) and its hosted CPU power
         # kappa * f_min**nu; a blocked local pair is never priced
         local_ok = ~np.diagonal(bounds.blocked, 1)
         own_kappa = np.where(local_ok, arr.kappa[1:], 0.0)
         fmin_nu = np.where(local_ok, arr.f_min, 0.0) ** nu_d[1:]
-        ue_rows = zip(self.w, self.phi, mu_scale, self.eta, self.p_m, v_scale[1:],
-                      self.fmax_d[1:], local_ok.tolist(), own_kappa.tolist(), fmin_nu.tolist(),
-                      arr.f_min.tolist(), (fmin_nu * own_kappa).tolist(), starts, starts[1:])
-        self.visit, self.restless = [], []
-        for i, (wi, phi, ms, eta, pm, vs, cap, ok, kappa_i, fmin_nu_i, f_min, hosted, first,
-                end) in enumerate(ue_rows):
-            calm = ms * (0.0 / eta + 0.0 - pm) / pm <= 0.0 and vs * (0.0 - cap) / cap <= 0.0
+        ue_rows = zip(self.w, self.phi, local_ok.tolist(), own_kappa.tolist(),
+                      fmin_nu.tolist(), arr.f_min.tolist(), (fmin_nu * own_kappa).tolist(),
+                      starts, starts[1:])
+        self.visit = []
+        for i, (wi, phi, ok, kappa_i, fmin_nu_i, f_min, hosted, first, end) in enumerate(ue_rows):
             local = None
             if ok and (wi + 0.0) * kappa_i * fmin_nu_i + 0.0 * f_min - phi <= 0.0:
                 local = (kappa_i, fmin_nu_i, f_min, hosted)
-                calm = (calm and ms * (0.0 / eta + (0.0 + hosted) - pm) / pm <= 0.0
-                        and vs * ((0.0 + f_min) - cap) / cap <= 0.0)
             if local is not None or first < end:
                 self.visit.append((i, local))
-            if not calm:
-                self.restless.append(i + 1)
 
     def primal(self, mu, v, warm=None):
         """One exact minimisation of the priced objective.
@@ -331,16 +317,9 @@ class _Kernel:
         return _Usage(dev, freq, transmit, hosted), gamma
 
     def dual_step(self, mu, v, use: _Usage, s: float):
-        """Projected, preconditioned subgradient step of size s; returns the
-        next (mu, v).  Only the server and the UEs that host a guest, upload
-        their own task, carry a price or are restless are stepped; every
-        other UE keeps zero prices (see the class docstring)."""
+        """Projected, preconditioned subgradient step of size s on the server
+        and every UE; returns the next (mu, v)."""
         n, dev, freq, hosted = self.n, use.dev, use.freq, use.hosted
-        # the UEs stepped: the restless, those that carry a price (a NaN
-        # too), and below those that host a guest or upload their own task
-        moved = set(self.restless)
-        moved.update(compress(range(1, n + 1), mu))
-        moved.update(compress(range(n + 1), v))
         # per-host sums in task order
         load, compute_w = [0.0] * (n + 1), [0.0] * (n + 1)
         for i, _ in self.visit:
@@ -349,11 +328,7 @@ class _Kernel:
                 load[d] += freq[i]
                 if d:
                     compute_w[d] += hosted[i]
-                if d != i + 1:
-                    moved.add(i + 1)
-                    moved.add(d)
         mu_next, v_next = [0.0] * n, [0.0] * (n + 1)
-        moved.discard(0)
         # -inf for a scale near the float limit (no load, see __init__): v stays 0.
         # A power price near it saturates mu: inf prices UE i out of every option.
         # A NaN price stays NaN, as np.maximum keeps it
@@ -363,7 +338,7 @@ class _Kernel:
         mu_scale, v_scale, eta, p_m, fmax = (self.mu_scale, self.v_scale, self.eta, self.p_m,
                                              self.fmax_d)
         transmit = use.transmit
-        for j in moved:
+        for j in range(1, n + 1):
             i = j - 1
             pm, fm = p_m[i], fmax[j]
             x = mu[i] + s * (mu_scale[i] * (transmit[i] / eta[i] + compute_w[j] - pm) / pm)

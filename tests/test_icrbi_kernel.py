@@ -5,35 +5,33 @@
 shared scalar root, model.balance_root, from the same start as the pair
 kernel, so every iterate must agree exactly: no tolerance, except for a pair
 the pair kernel starts from a stale warm start (see assert_same_iterate).
-The pair-list kernel performs the same per-pair arithmetic on the
-admissible remote pairs of the tasks whose local option lost only, on plain
-floats.  It visits only the tasks that set-up did not drop for good and
-steps only the UEs that can move, where the reference visits every task and
-steps every UE, so agreement shows both set-up rules along each replay, and
-test_kernel_matches_dense_reference_at_any_prices at prices no solve
-visits.  The reference evaluates U, the U' it prices an intercept with and
-the power law at those pairs cell by cell on floats too, U and U' through
-the cost model's own scalar functions, so the kernel's upload powers are
-the cost model's to the last bit; the window-end screen stays on numpy's
-U', as the kernel's is.  The kernel's gamma list is compared in the order
-of conftest.remote_pairs.  The `free` cell prices every task's power at zero,
+The pair-list kernel performs the same per-pair arithmetic on the admissible
+remote pairs of the tasks whose local option lost only, on plain floats.  It
+visits only the tasks that set-up did not drop for good, where the reference
+visits every task, so agreement shows that set-up rule along each replay,
+and test_kernel_matches_dense_reference_at_any_prices shows it at prices no
+solve visits.  The reference evaluates U, the U' it prices an intercept with
+and the power law at those pairs cell by cell on floats too, U and U'
+through the cost model's own scalar functions, so the kernel's upload powers
+are the cost model's to the last bit; the window-end screen stays on numpy's
+U', as the kernel's is.  The kernel's gamma list is compared in the order of
+conftest.remote_pairs.  The `free` cell prices every task's power at zero,
 and `tiny_eta` prices every upload at inf per watt, where intercepts can be
 NaN.  `reference_scales` is the earlier step-preconditioner derivation,
 which evaluated U' afresh over every row of the server column; the kernel
 reuses its own window-top slopes.  The reference also prices each pair at
 both window ends as well as at its stationary frequency, and recomputes U
 and the hosted CPU power at the committed pairs; the kernel prices a pair
-once, at the stationary frequency, and returns the power terms it priced,
-so equal decisions and power terms show that neither the dropped candidates
-nor the dropped recomputation changes anything.  The kernel's iterate is
-one host per task, in lists like its prices; the comparison hands the
-reference the prices as arrays and scatters the iterate into its
-matrices.  The reference passes the server's own nu - 1 to the root where
-the kernel passes 0, so agreement also shows that the kernel's exponent
-guard leaves the free server's zero power term as it is.  The replay
-follows the solver's stop rules, the map-stable stop and its probe along
-the subgradient ray included, so the returned assignment is checked as well
-as every iterate.
+once, at the stationary frequency, and returns the power terms it priced, so
+equal decisions and power terms show that neither the dropped candidates nor
+the dropped recomputation changes anything.  The kernel's iterate is one
+host per task, in lists like its prices; the comparison hands the reference
+the prices as arrays and scatters the iterate into its matrices.  The
+reference passes the server's own nu - 1 to the root where the kernel passes
+0, so agreement also shows that the kernel's exponent guard leaves the free
+server's zero power term as it is.  The replay follows the solver's stop
+rules, the map-stable stop and its probe along the subgradient ray included,
+so the returned assignment is checked as well as every iterate.
 """
 
 from __future__ import annotations
@@ -443,11 +441,10 @@ def priced_cells(draw):
 @given(case=priced_cells())
 def test_kernel_matches_dense_reference_at_any_prices(case):
     # primal and dual_step at prices no solve reaches still equal the dense
-    # reference, which visits every task and steps every UE.  So a local run
-    # that loses at zero prices never wins at higher ones, and a UE with no
-    # guest and no upload keeps zero prices: the two set-up rules by which
-    # the kernel skips tasks and UEs.  The reference's own inf * 0 and
-    # inf - inf are silenced; the kernel's would raise
+    # reference, which visits every task.  So a local run that loses at zero
+    # prices never wins at higher ones: the set-up rule by which the kernel
+    # skips tasks.  The reference's own inf * 0 and inf - inf are silenced;
+    # the kernel's would raise
     cell, n, seed, mu, v, s = case
     sc = gen(n=n, seed=seed, **CELLS[cell])
     bounds = feasibility_bounds(sc)
@@ -531,15 +528,12 @@ def own_run_over_budget():
 
 
 def test_ue_over_budget_by_rounding_is_stepped_every_time():
-    # the dual step skips a UE that hosts no guest, uploads nothing and
-    # carries no price only where set-up found its idle and own-local
-    # subgradients <= 0.  Here UE 1's own-local one is not, so UE 1 is
-    # restless: stepped from zero prices, as the dense reference steps it
+    # UE 1 hosts no guest, uploads nothing and carries no price, yet its
+    # own-local subgradient is positive at zero prices: it is stepped from
+    # zero prices, as the dense reference steps it
     sc = own_run_over_budget()
     bounds = feasibility_bounds(sc)
     assert not bounds.blocked[0, 1]
-    kern = icrbi._Kernel(sc, bounds)
-    assert kern.restless == [1]
     _, trace, _ = check_solve(sc)
     assert trace.mu_norm[1] > 0.0
 
