@@ -47,6 +47,8 @@ with POOLS, outcome_line and assignment_line:
     capacity  N=10, server capacity f0_max 5, 6, 7 or 8 GHz
     ratio     n 10, 20 or 30 on the steep-path-loss cell
     large     n 80
+    coop      n 10 or 40 on the cooperation-rich cell F (configs/cell_f.cfg)
+The first three are solverbench's workloads; coop is not yet one.
 """
 
 import argparse
@@ -59,15 +61,33 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+
+def read_cell(path: Path) -> dict:
+    """The GenConfig fields a `key = value` config file sets, a value with a
+    comma as a pair of floats, as coopmec's read_config parses them.  A
+    tree's package is loaded only once the command line names it, so the
+    cells are read here."""
+    cell = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        line = line.split("#", 1)[0]
+        if "=" in line:
+            key, raw = line.split("=", 1)
+            cell[key.strip()] = tuple(map(float, raw.split(","))) if "," in raw else float(raw)
+    return cell
+
+
 STEEP = dict(pathloss_exponent=4.5, pathloss_ref_gain=1e-2)
+CELL_F = read_cell(Path(__file__).resolve().parents[1] / "configs" / "cell_f.cfg")
 CELLS = {
     "capacity": [dict(f0_max=f) for f in (5e9, 6e9, 7e9, 8e9)],
     "ratio": [dict(n=n, **STEEP) for n in (10, 20, 30)],
     "large": [dict(n=80)],
+    "coop": [dict(CELL_F, n=n) for n in (10, 40)],
 }
-# pool name -> number of seeds over the cells of the same name: the
-# scenarios of solverbench's workloads
-POOLS = {"capacity": 350, "ratio": 550, "large": 140}
+# pool name -> (number of seeds, cell) for each cell of the same name: the
+# scenarios of solverbench's workloads, and cell F's
+POOLS = {name: list(zip(seeds, CELLS[name])) for name, seeds in (
+    ("capacity", [350] * 4), ("ratio", [550] * 3), ("large", [140]), ("coop", [100, 20]))}
 TIE_RTOL = 1e-9         # --costs: two costs this close, relative, are tied
 
 
@@ -151,7 +171,9 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def cell_label(cell: dict) -> str:
-    return " ".join(f"{k}={v:g}" for k, v in cell.items())
+    """A cell's fields as text, a pair of values as `lo,hi`."""
+    return " ".join(f"{k}=" + ",".join(f"{x:g}" for x in (v if isinstance(v, tuple) else (v,)))
+                    for k, v in cell.items())
 
 
 def pool_costs(tree, pool: str) -> dict[tuple, tuple | str]:
@@ -160,8 +182,8 @@ def pool_costs(tree, pool: str) -> dict[tuple, tuple | str]:
     of one pool, the solvers in benchmark order."""
     gen, harness = tree["scenario"], tree["harness"]
     costs = {}
-    for cell in CELLS[pool]:
-        for seed in range(POOLS[pool]):
+    for seeds, cell in POOLS[pool]:
+        for seed in range(seeds):
             sc = gen.generate(gen.GenConfig(seed=seed, **cell))
             for algo in harness.ALGORITHMS:
                 try:

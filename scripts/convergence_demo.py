@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Per-iteration behaviour of the iterative resource-bidding solver.
 
-Solves one seeded scenario with icrbi (one solve, under its one step rule)
-and prints the reduced cost every few iterations, then writes the full
-per-iteration traces (and the matching / distributed cost series) of that
-scenario as CSV via the experiment harness, which solves it once per solver.
+Solves one seeded scenario with icrbi once, prints the reduced cost every
+few iterations and writes the full per-iteration trace as icrbi.csv, then
+writes the matching and distributed cost series of that scenario as CSV via
+the experiment harness, which solves it once per solver.
 """
 
 import argparse
+from pathlib import Path
 
 from coopmec import icrbi
 from coopmec.harness import ExperimentSpec, convergence_trace
@@ -30,10 +31,14 @@ def main() -> None:
         print(f"  iter {t:>4}  reduced={trace.reduced_cost[t]:.6f}  "
               f"assigned={trace.num_assigned[t]}")
 
-    spec = ExperimentSpec(algorithms=("icrbi", "maxtask", "minpw", "decentral"),
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    trace.to_csv(out / "icrbi.csv")
+    spec = ExperimentSpec(algorithms=("maxtask", "minpw", "decentral"),
                           base=GenConfig(n=args.n), realizations=1,
                           seed_base=args.seed, out=args.out)
     print()
+    print(f"icrbi: {out / 'icrbi.csv'}")
     for name, path in convergence_trace(spec).items():
         print(f"{name}: {path}")
 

@@ -6,7 +6,7 @@ For each pool, every scenario is solved by all five algorithms, and each
 outcome_line: the cost breakdown's repr, the target, the frequencies, the
 transmit powers and the iteration count, plus icrbi's stop reason and its
 per-iteration trace; a solve that raises a CoopMecError hashes its error
-instead.  A fourth digest, oracle, hashes oracle.brute_force's outcome
+instead.  A last digest, oracle, hashes oracle.brute_force's outcome
 alike on the small cells the benchmark checks the solvers against it on.
 A change that claims byte-identical outputs must print the same digests
 before and after.
@@ -22,15 +22,18 @@ some inputs, so the first line says whether that dispatch is on.
 NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" switches it off for
 one process.
 
-The pools are the scenarios of solverbench's workloads, built here with
-GenConfig from the cell sets of scripts/ab_trees.py:
+The pools are scripts/ab_trees.py's POOLS, built here with GenConfig from
+its cell sets: the scenarios of solverbench's workloads, and coop, which is
+not yet one:
     capacity  seeds 0-349, server capacity f0_max 5, 6, 7 and 8 GHz (N=10)
     ratio     seeds 0-549, n 10, 20 and 30 on the steep-path-loss cell
     large     seeds 0-139, n 80
+    coop      cell F (configs/cell_f.cfg): seeds 0-99 at n 10, seeds 0-19
+              at n 40
     oracle    the default and the steep-path-loss cell: seeds 0-59 at n 3,
               seeds 0-14 at n 4
 
-    PYTHONPATH=src python scripts/pool_digest.py                # all four pools
+    PYTHONPATH=src python scripts/pool_digest.py                # all five pools
     PYTHONPATH=src python scripts/pool_digest.py --seeds 2      # a quick slice
 """
 
@@ -42,14 +45,15 @@ import sys
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
 
-from ab_trees import CELLS, POOLS, STEEP, assignment_line, outcome_line
+from ab_trees import POOLS, STEEP, assignment_line, outcome_line
 from coopmec.errors import CoopMecError
 from coopmec.harness import ALGORITHMS, run_algorithm
 from coopmec.oracle import brute_force
 from coopmec.scenario import GenConfig, generate
 
-# the oracle pool: (number of seeds, cells) per task count
-ORACLE_POOL = [(60, [dict(n=3), dict(n=3, **STEEP)]), (15, [dict(n=4), dict(n=4, **STEEP)])]
+# the oracle pool, as POOLS: (number of seeds, cell) per cell
+ORACLE_POOL = [(60, dict(n=3)), (60, dict(n=3, **STEEP)), (15, dict(n=4)),
+               (15, dict(n=4, **STEEP))]
 DISPATCH = "on" if __cpu_features__.get("X86_V4") else "off"
 
 
@@ -62,13 +66,14 @@ def outcome(sc, algo: str) -> str:
     return outcome_line(algo, asg, extras)
 
 
-def pool_digest(seeds: int, cells: list[dict]) -> tuple[str, list[str]]:
-    """The pool's digest over the forward pass, and the (cell, seed, algo)
-    outcomes that the reverse pass on a fresh instance reads differently."""
+def pool_digest(pool: list[tuple[int, dict]], limit: float) -> tuple[str, list[str]]:
+    """The pool's digest over the forward pass of the first `limit` seeds of
+    each cell, and the (cell, seed, algo) outcomes that the reverse pass on a
+    fresh instance reads differently."""
     h = hashlib.sha256()
     differ = []
-    for cell in cells:
-        for seed in range(seeds):
+    for seeds, cell in pool:
+        for seed in range(min(seeds, limit)):
             cfg = GenConfig(seed=seed, **cell)
             sc, fresh = generate(cfg), generate(cfg)
             forward = {algo: outcome(sc, algo) for algo in ALGORITHMS}
@@ -82,15 +87,14 @@ def pool_digest(seeds: int, cells: list[dict]) -> tuple[str, list[str]]:
 
 def oracle_digest(limit: float) -> str:
     h = hashlib.sha256()
-    for seeds, cells in ORACLE_POOL:
-        for cell in cells:
-            for seed in range(min(seeds, limit)):
-                sc = generate(GenConfig(seed=seed, **cell))
-                try:
-                    line = assignment_line(brute_force(sc))
-                except CoopMecError as exc:
-                    line = f"error {type(exc).__name__}: {exc}"
-                h.update(f"{cell},{seed},{line}\n".encode())
+    for seeds, cell in ORACLE_POOL:
+        for seed in range(min(seeds, limit)):
+            sc = generate(GenConfig(seed=seed, **cell))
+            try:
+                line = assignment_line(brute_force(sc))
+            except CoopMecError as exc:
+                line = f"error {type(exc).__name__}: {exc}"
+            h.update(f"{cell},{seed},{line}\n".encode())
     return h.hexdigest()
 
 
@@ -99,8 +103,8 @@ def digests(limit: float) -> tuple[dict[str, str], list[str]]:
     pool's last, and the outcomes that a pool's reverse pass reads
     differently."""
     got, differ = {}, []
-    for name, seeds in POOLS.items():
-        got[name], pool_differ = pool_digest(min(seeds, limit), CELLS[name])
+    for name, pool in POOLS.items():
+        got[name], pool_differ = pool_digest(pool, limit)
         differ += pool_differ
     got["oracle"] = oracle_digest(limit)
     return got, differ
@@ -115,10 +119,9 @@ def main() -> None:
     print(f"numpy {np.__version__}, X86_V4 dispatch {DISPATCH}", flush=True)
     limit = math.inf if args.seeds is None else args.seeds
     got, differ = digests(limit)
-    for name, seeds in POOLS.items():
-        print(f"{name} seeds 0-{min(seeds, limit) - 1} sha256:{got[name]}")
-    seeds = "/".join(f"0-{min(s, limit) - 1}" for s, _ in ORACLE_POOL)
-    print(f"oracle seeds {seeds} sha256:{got['oracle']}")
+    for name, pool in [*POOLS.items(), ("oracle", ORACLE_POOL)]:
+        seeds = "/".join(dict.fromkeys(f"0-{min(s, limit) - 1}" for s, _ in pool))
+        print(f"{name} seeds {seeds} sha256:{got[name]}")
     if differ:
         sys.exit(f"{len(differ)} outcomes differ in reverse solver order, first: {differ[0]}")
 

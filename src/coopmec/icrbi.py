@@ -58,11 +58,11 @@ The repair reads only the 0/1 decision map, so the loop stops as soon as
 that map stops changing: when no new map has appeared for MAP_STABLE_K = 2
 iterations ("map_stable"), unless the relaxed cost settled first
 ("converged") or the iteration cap came first ("max_iter").  A map-stable
-stop probes along the current subgradient with ever longer steps for the
-first map the prices would move to, and re-commits it next to the final
-map; matching.finish keeps the cheaper (a Lagrangian heuristic in the
-sense of Fisher, Management Science 1981).  Both rule-based stops count as
-converged.
+stop takes one long step along the current subgradient (PROBE_STEP times
+the iteration's step) and prices it once; if the map there differs from
+the final map, both are re-committed and matching.finish keeps the
+cheaper (a Lagrangian heuristic in the sense of Fisher, Management Science
+1981).  Both rule-based stops count as converged.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ MAX_ITER = 2000         # iteration cap: a run stopped here reports "max_iter"
 STEP_SCALE = 0.1        # step at iteration t: STEP_SCALE / sqrt(t)
 SETTLE_RTOL = 1e-4      # settled once |C(t) - C(t-1)| < SETTLE_RTOL * |C(1)| (at least 1e-12)
 MAP_STABLE_K = 2        # stop after this many iterations without a new decision map
-PROBE_DOUBLINGS = 12    # the exit probe tries steps 2s, 4s, ..., 2**12 s
+PROBE_STEP = 2.0 ** 12  # a map-stable stop probes one step s * PROBE_STEP along the subgradient
 
 
 def overhead(n: int) -> int:
@@ -412,17 +412,6 @@ def repair_feasibility(sc: Scenario, decisions: dict[int, int],
 # full solve
 
 
-def _ray_map(kern: _Kernel, mu, v, use: _Usage, s: float, warm):
-    """The first decision map along the subgradient ray from (mu, v) that
-    differs from use.dev, at steps 2s, 4s, ..., 2**PROBE_DOUBLINGS s; None if
-    every probe keeps the map.  The probes leave the iterate alone."""
-    for k in range(1, PROBE_DOUBLINGS + 1):
-        probe, _ = kern.primal(*kern.dual_step(mu, v, use, s * 2.0 ** k), warm)
-        if probe.dev != use.dev:
-            return probe.dev
-    return None
-
-
 def solve(sc: Scenario) -> tuple[Assignment, IcrbiTrace]:
     """Run the dual iteration until the relaxed cost settles or the decision
     map stops changing, then repair.
@@ -432,13 +421,13 @@ def solve(sc: Scenario) -> tuple[Assignment, IcrbiTrace]:
     MAX_ITER iterations, whichever comes first; trace.termination says which
     ("converged", "map_stable" or "max_iter").  A settled or capped run
     repairs its final decision map; each repair ends in matching's maxtask
-    completion (see repair_feasibility).  A map-stable run also probes along
-    the current subgradient with ever longer steps (2s, 4s, ..., 2**12 s) for
-    the first map that differs, repairs both, and returns the cheaper, the
-    final map on a tie.  The probes are not iterations: they add nothing to
-    the trace."""
+    completion (see repair_feasibility).  A map-stable run also prices one
+    long step along the current subgradient (s * PROBE_STEP, one primal
+    call); if that probe's map differs from the final one, it repairs both
+    and returns the cheaper, the final map on a tie.  The probe is not an
+    iteration: it adds nothing to the trace."""
     bounds = feasibility_bounds(sc)
-    ray = None
+    rival = None
     kern = _Kernel(sc, bounds)
     mu, v = [0.0] * sc.n, [0.0] * (sc.n + 1)
     trace = IcrbiTrace(termination="max_iter", n_root_pairs=len(kern.rows),
@@ -466,9 +455,10 @@ def solve(sc: Scenario) -> tuple[Assignment, IcrbiTrace]:
         s = STEP_SCALE / math.sqrt(t)
         if t - last_new >= MAP_STABLE_K:
             trace.termination = "map_stable"
-            ray = _ray_map(kern, mu, v, use, s, warm)
+            probe, _ = kern.primal(*kern.dual_step(mu, v, use, s * PROBE_STEP), warm)
+            if probe.dev != use.dev:
+                rival = decisions_from(probe.dev)
             break
         mu, v = kern.dual_step(mu, v, use, s)
         prev_cost = cost
-    rival = decisions_from(ray) if ray is not None else None
     return repair_feasibility(sc, decisions_from(use.dev), bounds, rival), trace

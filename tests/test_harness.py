@@ -339,11 +339,28 @@ def test_generated_cells_stay_within_the_drop_bound(n, seed, f0_exp, w, phi0,
         assert asg.cost.total <= ceiling * (1.0 + 1e-9)
 
 
+# cell F (configs/cell_f.cfg), where helpers take a share of the tasks
+CELL_F_CELLS = [cell_f(n=n, seed=seed) for n, seeds in ((10, range(8)), (40, range(2)))
+                for seed in seeds]
+
+
 def price_scaled(sc, c):
     """sc with every task's penalty and power price multiplied by c."""
     tasks = tuple(dataclasses.replace(t, penalty=c * t.penalty, power_price=c * t.power_price)
                   for t in sc.tasks)
     return dataclasses.replace(sc, tasks=tasks)
+
+
+def assert_price_scaling(sc, c):
+    """Every solver keeps its map on price_scaled(sc, c), and its costs scale
+    by c exactly."""
+    scaled = price_scaled(sc, c)
+    for algo in ALGORITHMS:
+        want, _ = run_algorithm(sc, algo)
+        got, _ = run_algorithm(scaled, algo)
+        assert got.target == want.target
+        assert got.cost.reduced == c * want.cost.reduced
+        assert got.cost.total == c * want.cost.total
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -359,13 +376,14 @@ def test_price_scaling_keeps_every_map_and_scales_the_cost(n, seed, f0_max, stee
     # its preconditioners scale with the prices
     sc = gen(n=n, seed=seed, f0_max=f0_max,
              **(dict(pathloss_exponent=4.5, pathloss_ref_gain=1e-2) if steep else {}))
-    scaled = price_scaled(sc, c)
-    for algo in ALGORITHMS:
-        want, _ = run_algorithm(sc, algo)
-        got, _ = run_algorithm(scaled, algo)
-        assert got.target == want.target
-        assert got.cost.reduced == c * want.cost.reduced
-        assert got.cost.total == c * want.cost.total
+    assert_price_scaling(sc, c)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", [2.0 ** -10, 2.0, 2.0 ** 10], ids=["c2-10", "c2", "c2+10"])
+def test_price_scaling_keeps_every_map_and_scales_the_cost_on_cell_f(c):
+    for cell in CELL_F_CELLS:
+        assert_price_scaling(gen(**cell), c)
 
 
 def relabelled(sc, perm):
@@ -382,7 +400,7 @@ def relabelled(sc, perm):
 @pytest.mark.parametrize("cells", [
     [dict(f0_max=f0, seed=seed) for f0 in (5e9, 6e9, 7e9, 8e9) for seed in range(8)],
     [dict(n=40, seed=seed) for seed in range(5)],
-    [cell_f(n=n, seed=seed) for n, seeds in ((10, range(8)), (40, range(2))) for seed in seeds],
+    CELL_F_CELLS,
 ], ids=["readme_sweep", "n40", "cell_f"])
 def test_relabelling_the_ues_keeps_every_cost(cells):
     # a metamorphic relation: the UEs' numbering is arbitrary, so renaming
@@ -399,6 +417,18 @@ def test_relabelling_the_ues_keeps_every_cost(cells):
             assert got == pytest.approx(want, rel=1e-9, abs=0.0), (cell, algo)
 
 
+def assert_marginal_prices_add_up(sc):
+    """On each solver's assignment the prune keeps every placement, and their
+    marginal prices sum to the reduced cost up to the order of additions."""
+    for algo in ALGORITHMS:
+        asg, _ = run_algorithm(sc, algo)
+        kept, placed = matching.prune(sc, asg.target, asg.f)
+        assert kept == asg.target
+        c = asg.cost
+        scale = sc.arrays.penalty_total + c.transmit + c.compute
+        assert abs(placed - c.reduced) <= 1e-12 * scale
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=208, deadline=None, derandomize=True)
 @given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1), f0_max=st.floats(5e9, 8e9),
@@ -410,13 +440,13 @@ def test_placed_marginal_prices_add_up_to_the_reduced_cost(n, seed, f0_max, stee
     # placement, and the sum is the reduced cost up to the order of additions
     sc = gen(n=n, seed=seed, f0_max=f0_max,
              **(dict(pathloss_exponent=4.5, pathloss_ref_gain=1e-2) if steep else {}))
-    for algo in ALGORITHMS:
-        asg, _ = run_algorithm(sc, algo)
-        kept, placed = matching.prune(sc, asg.target, asg.f)
-        assert kept == asg.target
-        c = asg.cost
-        scale = sc.arrays.penalty_total + c.transmit + c.compute
-        assert abs(placed - c.reduced) <= 1e-12 * scale
+    assert_marginal_prices_add_up(sc)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_placed_marginal_prices_add_up_to_the_reduced_cost_on_cell_f():
+    for cell in CELL_F_CELLS:
+        assert_marginal_prices_add_up(gen(**cell))
 
 
 def _log_range(lo_exp, hi_exp):

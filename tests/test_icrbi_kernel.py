@@ -30,8 +30,8 @@ the prices as arrays and scatters the iterate into its matrices.  The
 reference passes the server's own nu - 1 to the root where the kernel passes
 0, so agreement also shows that the kernel's exponent guard leaves the free
 server's zero power term as it is.  The replay follows the solver's stop
-rules, the map-stable stop and its probe along the subgradient ray included,
-so the returned assignment is checked as well as every iterate.
+rules, the map-stable stop and its one probe step along the subgradient
+included, so the returned assignment is checked as well as every iterate.
 """
 
 from __future__ import annotations
@@ -324,10 +324,10 @@ def assert_same_iterate(pairs, ref, use, warm, rx, ra, ref_warm, warm_in, ref_wa
 
 def replay(sc):
     """Run both kernels on the pair kernel's dual sequence under the solver's
-    stop rules, asserting that every iterate, and at a map-stable stop every
-    probe along the subgradient ray, agrees.  Returns the reduced costs, the
-    stop reason, the decision matrices to repair (the final one, then the
-    probe's if it found another), the bounds and the number of pairs
+    stop rules, asserting that every iterate, and at a map-stable stop the
+    probe one long step along the subgradient, agrees.  Returns the reduced
+    costs, the stop reason, the decision matrices to repair (the final one,
+    then the probe's if it differs), the bounds and the number of pairs
     Newton-solved from a stale warm start (see assert_same_iterate)."""
     bounds = feasibility_bounds(sc)
     kern = icrbi._Kernel(sc, bounds)
@@ -371,23 +371,18 @@ def replay(sc):
 
 
 def probe(kern, ref, pairs, mu, v, use, rx, ra, s, warm, ref_warm):
-    """Both kernels at steps 2s, 4s, ..., 2**PROBE_DOUBLINGS s along the
-    subgradient from (mu, v), until the decision matrix differs from ra;
-    returns [that matrix], or [] if none does, and the stale-start count."""
-    stale = 0
-    for k in range(1, icrbi.PROBE_DOUBLINGS + 1):
-        step = s * 2.0 ** k
-        pmu, pv = kern.dual_step(mu, v, use, step)
-        ref_mu, ref_v = ref.dual_step(np.array(mu), np.array(v), rx, ra, step)
-        assert np.array_equal(pmu, ref_mu)
-        assert np.array_equal(pv, ref_v)
-        puse, pwarm = kern.primal(pmu, pv, warm)
-        px, pa, pref_warm = ref.primal(np.array(pmu), np.array(pv), ref_warm)
-        stale += assert_same_iterate(pairs, ref, puse, pwarm, px, pa, pref_warm,
-                                     warm, ref_warm)
-        if not np.array_equal(pa, ra):
-            return [pa], stale
-    return [], stale
+    """Both kernels one step s * PROBE_STEP along the subgradient from
+    (mu, v); returns [the decision matrix there] if it differs from ra, else
+    [], and the stale-start count."""
+    step = s * icrbi.PROBE_STEP
+    pmu, pv = kern.dual_step(mu, v, use, step)
+    ref_mu, ref_v = ref.dual_step(np.array(mu), np.array(v), rx, ra, step)
+    assert np.array_equal(pmu, ref_mu)
+    assert np.array_equal(pv, ref_v)
+    puse, pwarm = kern.primal(pmu, pv, warm)
+    px, pa, pref_warm = ref.primal(np.array(pmu), np.array(pv), ref_warm)
+    stale = assert_same_iterate(pairs, ref, puse, pwarm, px, pa, pref_warm, warm, ref_warm)
+    return ([] if np.array_equal(pa, ra) else [pa]), stale
 
 
 def check_solve(sc):
@@ -475,6 +470,25 @@ def test_former_stalls_stop_map_stable(seed, f0_max, capped_cost):
     assert trace.iterations <= 20
     assert validate_constraints(sc, asg) == []
     assert asg.cost.total <= capped_cost
+
+
+@pytest.mark.parametrize("seed, f0_max, stop", [
+    (0, 8e9, "map_stable"), (5, 5e9, "map_stable"), (1, 5e9, "converged"),
+], ids=["0", "5", "1"])
+def test_a_map_stable_stop_makes_one_probe_call(monkeypatch, seed, f0_max, stop):
+    # one primal call per iteration, and a map-stable stop adds exactly one:
+    # its probe one long step along the subgradient
+    calls = []
+    primal = icrbi._Kernel.primal
+
+    def counted(self, *args):
+        calls.append(1)
+        return primal(self, *args)
+
+    monkeypatch.setattr(icrbi._Kernel, "primal", counted)
+    _, trace = icrbi.solve(gen(seed=seed, f0_max=f0_max))
+    assert trace.termination == stop
+    assert len(calls) == trace.iterations + (stop == "map_stable")
 
 
 def server_blocked():
